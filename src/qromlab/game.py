@@ -4,9 +4,9 @@ The classical harness runs a callback adversary against a lazily sampled
 oracle and a blinded signing oracle that answers at most once.  The quantum
 harness executes a fixed :class:`AdversaryProgram` over a
 :class:`~qromlab.qworlds.ChainWorld` and evaluates the winning probability
-exactly whenever the joint outcome space of message and signature registers
-is small enough to enumerate, falling back to sampling with a Wilson interval
-otherwise.
+exactly by enumerating the joint outcome space of message and signature
+registers.  No world that fits the statevector cap exceeds the enumeration
+cap; the cap stays as a fail-fast guard.
 
 Winning means: the forged message is blinded, and the scheme verifier accepts
 the forged signature against the oracle reprogrammed on the chain values
@@ -71,8 +71,7 @@ def blinded_sign(
 ) -> BlindedSignature:
     params = keypair.params
     if m in blinding:
-        length = params.l if keypair.scheme == "lamport" else params.l
-        return BlindedSignature(payload=(0,) * length, flag=1)
+        return BlindedSignature(payload=(0,) * params.l, flag=1)
     if keypair.scheme == "lamport":
         sig = ots.lamport_sign(params, keypair.sk, m)
     else:
@@ -450,11 +449,14 @@ def analyze_game(
     tensors (measurement-controlled, endpoint weights folded in), the
     acceptance table, and the summary.
     """
-    states = evolve_program(program, world)
-    layout = states.layout
     sig_dim = 1 << (world.n * world.l_sem)
     if (1 << world.message_bits) * sig_dim > EXACT_OUTCOME_CAP:
-        raise ValueError("outcome space too large for exact analysis")
+        raise ValueError(
+            f"outcome space {1 << world.message_bits} x {sig_dim} exceeds the exact "
+            f"enumeration cap {EXACT_OUTCOME_CAP}"
+        )
+    states = evolve_program(program, world)
+    layout = states.layout
     t_plain = probability_tensor(states.final, layout, world)
     qtilde = build_qtilde(world, layout)
     t_outcomes = [
@@ -488,13 +490,11 @@ def run_quantum_game(
     world: ChainWorld,
     mode: str = "plain",
     seed: int = 0,
-    mc_trials: int = 2000,
 ) -> tuple[GameTranscript, GameAnalysis]:
     """Execute a program, sample one transcript, and report probabilities.
 
-    Probabilities are computed exactly by outcome enumeration whenever the
-    joint (message, signature) space fits the cap, and by ``mc_trials``
-    sampling runs with a Wilson interval otherwise.  ``mode="modified"``
+    Probabilities are computed exactly by outcome enumeration (see
+    :func:`analyze_game`, which raises past the cap).  ``mode="modified"``
     inserts the first-uniform-register measurement between the forgery output
     and the chain sampling; the transcript then carries the sampled outcome
     index (l+1 meaning "none uniform").
@@ -503,9 +503,6 @@ def run_quantum_game(
         raise ValueError(f"unknown mode {mode!r}")
     if world.blinding is None:
         raise ValueError("world has no blinding set")
-    sig_dim = 1 << (world.n * world.l_sem)
-    if (1 << world.message_bits) * sig_dim > EXACT_OUTCOME_CAP:
-        return _run_quantum_game_sampled(program, world, mode, seed, mc_trials)
     states, t_plain, t_outcomes, accept, summary = analyze_game(program, world)
     rng = np.random.default_rng(rom.derive_seed(seed, "game-sampling"))
     transcript = GameTranscript(
@@ -542,31 +539,6 @@ def run_quantum_game(
     transcript.p_success = summary.p_win_modified if mode == "modified" else summary.p_win_plain
     transcript.step_probs = tuple(step_probs)
     return transcript, summary
-
-
-def _run_quantum_game_sampled(
-    program: AdversaryProgram, world: ChainWorld, mode: str, seed: int, trials: int
-) -> tuple[GameTranscript, GameAnalysis]:
-    analysis = estimate_success_sampling(program, world, mode, trials, seed)
-    states = evolve_program(program, world)
-    rng = np.random.default_rng(rom.derive_seed(seed, "game-sampling"))
-    m_star, sigma, q_outcome, _, win = _sample_run(states, world, mode, rng)
-    rate = analysis.p_win_modified if mode == "modified" else analysis.p_win_plain
-    transcript = GameTranscript(
-        scheme=world.scheme,
-        seed=seed,
-        epsilon=world.blinding.epsilon,
-        blinding=world.blinding.sorted_members(),
-        mode=mode,
-        m_star=m_star,
-        sigma_star=tuple(sigma),
-        verdict="win" if win else "lose",
-        q_outcome=q_outcome,
-        p_success=rate,
-        hash_queries=program.q0 + program.q1,
-        sign_queries=sum(isinstance(s, SignQuery) for s in program.steps),
-    )
-    return transcript, analysis
 
 
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
@@ -613,11 +585,8 @@ def _sample_run(states: EvolvedStates, world: ChainWorld, mode: str, rng):
 def estimate_success_sampling(
     program: AdversaryProgram, world: ChainWorld, mode: str, trials: int, seed: int
 ) -> GameAnalysis:
-    """Monte-Carlo winning-rate estimate via state-level sampling.
-
-    The fallback path for outcome spaces too large to enumerate; also usable
-    as an independent check of the exact analysis.
-    """
+    """Monte-Carlo winning-rate estimate via state-level sampling; an
+    independent check of the exact analysis."""
     states = evolve_program(program, world)
     rng = np.random.default_rng(rom.derive_seed(seed, "game-mc"))
     wins = 0

@@ -24,6 +24,7 @@ from .qworlds import (
     build_query_unitary,
     build_qtilde,
     chain_world,
+    frame_product_norm,
     invariant_projector_from_thresholds,
     lamport_world,
     query_unitary_as_function,
@@ -31,7 +32,7 @@ from .qworlds import (
 )
 
 PASS_SLACK = 1e-8
-ZERO_PROBE_THRESHOLD = 1e-10
+ORTHOGONALITY_BOUND = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +273,7 @@ def check_invariant_commutator(
     u_h = build_query_unitary(world, layout)
     p = invariant_projector_from_thresholds(world, thresholds, layout)
     bound = delta_lamport(n, l) if scheme == "lamport" else delta_winternitz(n, l, w)
-    if getattr(p, "is_zero", False):
+    if p.is_zero:
         return [
             _report(
                 "invariant-commutator", scheme, n, l, w, 0, 0, 0.0, bound, t0,
@@ -282,25 +283,27 @@ def check_invariant_commutator(
     est = qsim.operator_norm(
         qsim.commutator(u_h, p), seed=rom.derive_seed(seed, "delta", n, l, w)
     )
-    note = f"terms={getattr(p, 'term_count', -1)}"
+    note = f"support={p.term_count}"
     if not est.converged:
         note += "; power iteration not converged"
     return [_report("invariant-commutator", scheme, n, l, w, 0, 0, est.value, bound, t0, note=note)]
 
 
-def orthogonality_report(world: ChainWorld, m_star: int, seed: int = 0) -> CheckReport:
+def orthogonality_report(world: ChainWorld, m_star: int) -> CheckReport:
+    """Exact norm of Q_{l+1} P on a blinded forgery message, decided by
+    comparing the two Hadamard-frame tables."""
     t0 = time.perf_counter()
     scheme, n, l, w = world.scheme, world.n, world.l_sem, world.w
     if world.blinding is None or m_star not in world.blinding:
         return _report(
-            "orthogonality", scheme, n, l, w, 0, 0, 0.0, ZERO_PROBE_THRESHOLD, t0,
+            "orthogonality", scheme, n, l, w, 0, 0, 0.0, ORTHOGONALITY_BOUND, t0,
             note="skipped: forgery message not blinded, outside claim scope",
         )
     layout = world.chain_layout()
     p = build_invariant_projector(world, layout)
     q_last = build_q_projectors(world, m_star, layout)[-1]
-    measured = qsim.probe_max_ratio(q_last @ p, seed=rom.derive_seed(seed, "orth"))
-    return _report("orthogonality", scheme, n, l, w, 0, 0, measured, ZERO_PROBE_THRESHOLD, t0)
+    measured = frame_product_norm(q_last, p)
+    return _report("orthogonality", scheme, n, l, w, 0, 0, measured, ORTHOGONALITY_BOUND, t0)
 
 
 def check_orthogonality(
@@ -316,7 +319,7 @@ def check_orthogonality(
         world = winternitz_world(
             n, a, w, blinding=blinding, seed=rom.derive_seed(seed, "orth-world")
         )
-    return [orthogonality_report(world, m_star, seed)]
+    return [orthogonality_report(world, m_star)]
 
 
 def _drift_world(scheme: str, n: int, l: int, w: int, seed: int) -> ChainWorld:

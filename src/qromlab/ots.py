@@ -275,9 +275,5 @@ def signature_from_json(text: str) -> Signature:
     return Signature(n=doc["n"], sigma=tuple(int(s, 16) for s in doc["sigma"]))
 
 
-def save_keypair(kp: KeyPair, path: str | Path) -> None:
-    Path(path).write_text(keypair_to_json(kp))
-
-
 def load_keypair(path: str | Path) -> KeyPair:
     return keypair_from_json(Path(path).read_text())

@@ -91,6 +91,13 @@ class RegisterLayout:
             self._field_cache[name] = cached
         return cached
 
+    def values(self, name: str) -> np.ndarray:
+        """Values of one register along its own axis of ``dims``, shaped to
+        broadcast against ``amplitudes.reshape(dims)``."""
+        shape = [1] * len(self.registers)
+        shape[self.axis(name)] = -1
+        return np.arange(1 << self._widths[name], dtype=np.int64).reshape(shape)
+
     def basis_index(self, assignment: Mapping[str, int]) -> int:
         missing = set(self.names) - set(assignment)
         if missing:
@@ -335,27 +342,6 @@ def uniform_projector_map(layout: RegisterLayout, regs: Sequence[str]) -> Linear
     )
 
 
-def phi_pattern_apply(
-    amps: Vector, layout: RegisterLayout, pattern: Mapping[str, int]
-) -> Vector:
-    """Tensor product of uniform (0) and complement (1) projectors per register."""
-    out = amps
-    for name, bit in pattern.items():
-        proj = uniform_projector_apply(out, layout, (name,))
-        out = proj if bit == 0 else out - proj
-    return out
-
-
-def phi_pattern_map(layout: RegisterLayout, pattern: Mapping[str, int]) -> LinearMap:
-    pat = dict(pattern)
-    return LinearMap(
-        layout.dim,
-        lambda v: phi_pattern_apply(v, layout, pat),
-        label="Phi-pattern",
-        self_adjoint=True,
-    )
-
-
 def equality_mask(layout: RegisterLayout, reg_a: str, reg_b: str) -> np.ndarray:
     if layout.width(reg_a) != layout.width(reg_b):
         raise ValueError("equality projector needs registers of equal width")
@@ -381,34 +367,6 @@ def xor_register_map(layout: RegisterLayout, src: str, dst: str) -> LinearMap:
         return v[perm]
 
     return LinearMap(layout.dim, ap, label=f"xor({src}->{dst})", self_adjoint=True)
-
-
-def xor_constant_map(layout: RegisterLayout, reg: str, value: int) -> LinearMap:
-    if not 0 <= value < (1 << layout.width(reg)):
-        raise ValueError("constant out of register range")
-    delta = value << layout.shift(reg)
-
-    def ap(v: Vector) -> Vector:
-        perm = layout.arange() ^ delta
-        return v[perm]
-
-    return LinearMap(layout.dim, ap, label=f"xor({reg}^={value})", self_adjoint=True)
-
-
-def oracle_xor_map(
-    layout: RegisterLayout, in_reg: str, out_reg: str, table: Sequence[int]
-) -> LinearMap:
-    """Standard oracle unitary |x>|y> -> |x>|y ^ f(x)> for a full truth table."""
-    if len(table) != 1 << layout.width(in_reg):
-        raise ValueError("truth table does not cover the input register")
-    tbl = np.asarray(table, dtype=np.int64)
-    shift = layout.shift(out_reg)
-
-    def ap(v: Vector) -> Vector:
-        perm = layout.arange() ^ (tbl[layout.field(in_reg)] << shift)
-        return v[perm]
-
-    return LinearMap(layout.dim, ap, label=f"O({in_reg}->{out_reg})", self_adjoint=True)
 
 
 def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -> LinearMap:
@@ -560,38 +518,6 @@ def project(p: LinearMap, state: StateVector, check: bool = True) -> tuple[State
     out = p.apply(state.amplitudes)
     prob = float(np.real(np.vdot(out, out)))
     return StateVector(state.layout, out, normalized=False), prob
-
-
-def save_state(state: StateVector, path) -> None:
-    """Dump a state: one JSON header line (layout, count, flags), then the raw
-    little-endian float64 (re, im) pairs."""
-    import json
-
-    header = {
-        "registers": [[name, width] for name, width in state.layout.registers],
-        "count": int(state.layout.dim),
-        "normalized": bool(state.normalized),
-    }
-    interleaved = np.empty(2 * state.layout.dim, dtype="<f8")
-    interleaved[0::2] = state.amplitudes.real
-    interleaved[1::2] = state.amplitudes.imag
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(interleaved.tobytes())
-
-
-def load_state(path) -> StateVector:
-    import json
-
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline())
-        raw = fh.read()
-    layout = RegisterLayout([(name, width) for name, width in header["registers"]])
-    interleaved = np.frombuffer(raw, dtype="<f8")
-    if interleaved.size != 2 * layout.dim:
-        raise ValueError("state payload does not match the layout header")
-    amps = interleaved[0::2] + 1j * interleaved[1::2]
-    return StateVector(layout, amps, normalized=header["normalized"])
 
 
 def register_distribution(state: StateVector, register: str) -> np.ndarray:

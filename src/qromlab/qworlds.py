@@ -24,11 +24,21 @@ scalar outcome weight for measurements).
 
 Lamport is represented as 2l chains of length 2, chain ``2*i + j`` carrying
 the secret string that signs bit value ``j`` at message position ``i``.
+
+Every world operator has one of two representations, compiled once when it is
+built:
+
+* The query and blinded-sign unitaries are XOR involutions on basis states,
+  so each is one int64 gather index applied as ``v[perm]``.
+* Every projector is a product of uniform projectors and their complements on
+  chain registers.  The uniform projector is H|0><0|H, so in the Hadamard
+  frame of the chain registers each projector is a diagonal 0/1 (or
+  sqrt-weight) table: :class:`FrameDiagonal` changes into the frame with
+  dense Sylvester gates, multiplies by the table and changes back.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -325,79 +335,47 @@ def chain_world(n: int, l: int, w: int, seed: int = 0) -> ChainWorld:
 
 
 # ---------------------------------------------------------------------------
-# Query unitary
+# Unitaries: one gather permutation each
 
 
-def query_unitary_factors(
-    world: ChainWorld, layout: RegisterLayout | None = None
-) -> tuple[LinearMap, list[tuple[int, int, LinearMap]]]:
-    """The mismatch factor and the per-(chain, position) compare-and-copy factors.
+def _permutation(layout: RegisterLayout, delta, label: str) -> LinearMap:
+    """The XOR involution |i> -> |i ^ delta(i)>, compiled to one gather index.
 
-    Each factor U_c^j acts as identity unless the input register equals chain
-    register (c, j), in which case the successor (register or pinned endpoint)
-    is XORed into the output register.
+    ``delta`` broadcasts against ``layout.dims`` and must not depend on the
+    bits it flips, so the map is its own inverse and ``v[perm]`` applies it.
     """
-    layout = layout or world.norm_layout()
-    n = world.n
-    eq_masks = {}
-    for c in range(world.chain_count):
-        for j in range(world.w - 1):
-            eq_masks[(c, j)] = qsim.equality_mask(layout, "x", world.chain_register(c, j))
-
-    def factor(c: int, j: int) -> LinearMap:
-        mask = eq_masks[(c, j)]
-        if j + 1 <= world.w - 2:
-            mover = qsim.xor_register_map(layout, world.chain_register(c, j + 1), "y")
-        else:
-            mover = qsim.xor_constant_map(layout, "y", world.p[c])
-
-        def ap(v):
-            return np.where(mask, mover.apply(v), v)
-
-        return LinearMap(layout.dim, ap, label=f"U[{c},{j}]", self_adjoint=True)
-
-    none_match = ~np.logical_or.reduce(list(eq_masks.values()))
-    base = qsim.oracle_xor_map(layout, "x", "y", world.h_table)
-
-    def ap_neq(v):
-        return np.where(none_match, base.apply(v), v)
-
-    neq = LinearMap(layout.dim, ap_neq, label="U[neq]", self_adjoint=True)
-    factors = [
-        (c, j, factor(c, j))
-        for c in range(world.chain_count)
-        for j in range(world.w - 1)
-    ]
-    return neq, factors
+    perm = np.arange(layout.dim, dtype=np.int64).reshape(layout.dims)
+    perm ^= delta
+    perm = perm.reshape(-1)
+    return LinearMap(layout.dim, lambda v: v[perm], label=label, self_adjoint=True)
 
 
 def build_query_unitary(world: ChainWorld, layout: RegisterLayout | None = None) -> LinearMap:
-    """Oracle-query unitary: the product of all compare-and-copy factors applied
-    after the mismatch factor, with the (chain asc, position asc) written order
-    acting right to left."""
+    """Oracle-query unitary: XOR into ``y`` the successor (next chain register
+    or pinned endpoint) of every chain register equal to ``x``, or h(x) when
+    no chain register matches."""
     layout = layout or world.norm_layout()
-    neq, factors = query_unitary_factors(world, layout)
-    ordered = [f for _, _, f in factors]
-
-    def ap(v):
-        v = neq.apply(v)
-        for f in reversed(ordered):
-            v = f.apply(v)
-        return v
-
-    def adj(v):
-        for f in ordered:
-            v = f.apply(v)
-        return neq.apply(v)
-
-    return LinearMap(layout.dim, ap, adj, label="U_h")
+    x = layout.values("x")
+    delta = 0
+    hit = False
+    for c in range(world.chain_count):
+        for j in range(world.w - 1):
+            match = x == layout.values(world.chain_register(c, j))
+            if j + 1 <= world.w - 2:
+                succ = layout.values(world.chain_register(c, j + 1))
+            else:
+                succ = world.p[c]
+            delta = delta ^ np.where(match, succ, 0)
+            hit = hit | match
+    delta = np.where(hit, delta, np.asarray(world.h_table, dtype=np.int64)[x])
+    return _permutation(layout, delta << layout.shift("y"), "U_h")
 
 
 def query_unitary_as_function(world: ChainWorld, assignment: Mapping[str, int]) -> dict[int, int]:
     """Evaluate the query unitary on every |x>|0>|assignment> basis state.
 
     Returns {x: y}; raises if any output fails to be a computational basis
-    state (it never should: every factor is a basis permutation).
+    state (it never should: the unitary is a basis permutation).
     """
     layout = world.norm_layout()
     u = build_query_unitary(world, layout)
@@ -416,82 +394,145 @@ def query_unitary_as_function(world: ChainWorld, assignment: Mapping[str, int]) 
     return out
 
 
-# ---------------------------------------------------------------------------
-# Blinded signing unitary
-
-
 def build_blinded_sign_unitary(
     world: ChainWorld, layout: RegisterLayout | None = None
 ) -> LinearMap:
     """Signing-query unitary: identity on blinded basis messages, otherwise the
     signature-relevant chain registers (or pinned endpoints) are XORed into the
-    signature blocks.  An XOR involution, so its own inverse."""
+    signature blocks."""
     layout = layout or world.game_layout()
     if world.blinding is None:
         raise ValueError("world has no blinding set")
-    shifts = [layout.shift(name) for name in world.sigma_registers()]
-    plans = []
-    for m in world.unblinded():
-        const = 0
-        fields = []
-        for i, (kind, ref) in enumerate(world.relevant_registers(m)):
-            if kind == "q":
-                fields.append((ref, shifts[i]))
-            else:
-                const ^= world.p[ref] << shifts[i]
-        plans.append((m, const, tuple(fields)))
-    mfield_name = "m"
-
-    def ap(v):
-        out = v.copy()
-        mfield = layout.field(mfield_name)
-        idx = layout.arange()
-        for m, const, fields in plans:
-            mask = mfield == m
-            perm = idx ^ const
-            for reg, shift in fields:
-                perm = perm ^ (layout.field(reg) << shift)
-            out[mask] = v[perm[mask]]
-        return out
-
-    return LinearMap(layout.dim, ap, label="BSign", self_adjoint=True)
+    m = layout.values("m")
+    delta = 0
+    for msg in world.unblinded():
+        flip = 0
+        for (kind, ref), sig in zip(world.relevant_registers(msg), world.sigma_registers()):
+            value = layout.values(ref) if kind == "q" else world.p[ref]
+            flip = flip ^ (value << layout.shift(sig))
+        delta = delta ^ np.where(m == msg, flip, 0)
+    return _permutation(layout, delta, "BSign")
 
 
 # ---------------------------------------------------------------------------
-# Forgery-tracking projectors
+# Projectors: one diagonal table each in the Hadamard frame of the chains
+
+FRAME_BLOCK_QUBITS = 8
 
 
-class QProjector(LinearMap):
-    """One outcome of the first-uniform-register measurement.
+def _sylvester(qubits: int) -> np.ndarray:
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    out = np.ones((1, 1))
+    for _ in range(qubits):
+        out = np.kron(out, h)
+    return out
 
-    The map applies the projector's factors on quantum chain registers.
-    Factors that formally sit on a pinned endpoint contribute the exact scalar
-    ``weight`` to outcome probabilities instead (uniform-overlap 2^-n for a
-    uniform factor, 1 - 2^-n for a complement factor) and are recorded in
-    ``endpoint_pattern``.
+
+def _table_shape(world: ChainWorld, layout: RegisterLayout, extra: tuple[str, ...] = ()):
+    """Broadcast shape of a table reading the chain registers (plus ``extra``)."""
+    chains = world.chain_registers()
+    missing = [name for name in chains if name not in layout.names]
+    if missing:
+        raise ValueError(
+            "projectors are diagonal in the Hadamard frame of the chain registers; "
+            f"layout {layout!r} lacks {missing}"
+        )
+    read = set(chains) | set(extra)
+    return tuple(d if name in read else 1 for name, d in zip(layout.names, layout.dims))
+
+
+def _hadamard_frame(world: ChainWorld, layout: RegisterLayout) -> list[LinearMap]:
+    """H on every chain qubit, as Sylvester gates over blocks of whole chain
+    registers of at most FRAME_BLOCK_QUBITS qubits (a wider register is a
+    block of its own).  The frame change is its own inverse.
+
+    Since the uniform projector is H|0><0|H, in this frame a uniform factor
+    on a register reads "register is 0" and a complement factor "is not 0".
+    """
+    blocks: list[list[str]] = [[]]
+    width = 0
+    for name in world.chain_registers():
+        if blocks[-1] and width + layout.width(name) > FRAME_BLOCK_QUBITS:
+            blocks.append([])
+            width = 0
+        blocks[-1].append(name)
+        width += layout.width(name)
+    return [
+        qsim.embed(_sylvester(sum(layout.width(r) for r in block)), block, layout, label="H")
+        for block in blocks
+    ]
+
+
+class FrameDiagonal(LinearMap):
+    """A diagonal ``table`` in the Hadamard frame of the chain registers.
+
+    ``apply`` changes into the frame, multiplies by the table (broadcast over
+    the registers it does not read) and changes back.  A 0/1 table is an
+    orthogonal projector.  ``term_count`` is the table's support size, one
+    rank-one frame term per nonzero entry, and ``is_zero`` means it is 0.
     """
 
-    def __init__(
-        self,
-        layout: RegisterLayout,
-        outcome: int,
-        pattern: Mapping[str, int],
-        endpoint_pattern: Sequence[int],
-        n: int,
-    ):
+    def __init__(self, world: ChainWorld, layout: RegisterLayout, table: np.ndarray, label: str):
+        frame = _hadamard_frame(world, layout)
+        self.layout = layout
+        self.table = np.asarray(table, dtype=np.float64)
+        self.term_count = int(np.count_nonzero(self.table))
+        self.is_zero = self.term_count == 0
+
+        def ap(v):
+            for h in frame:
+                v = h.apply(v)
+            v = (v.reshape(layout.dims) * self.table).reshape(-1)
+            for h in frame:
+                v = h.apply(v)
+            return v
+
+        super().__init__(layout.dim, ap, label=label, self_adjoint=True)
+
+
+def frame_product_norm(a: FrameDiagonal, b: FrameDiagonal) -> float:
+    """Exact operator norm of AB for two maps diagonal in the same frame: the
+    largest entry of the product of their tables (0.0 when the supports are
+    disjoint)."""
+    if a.layout != b.layout:
+        raise ValueError("frame diagonals live on different layouts")
+    return float(np.max(np.abs(a.table * b.table)))
+
+
+class QProjector(FrameDiagonal):
+    """One outcome of the first-uniform-register measurement.
+
+    The table holds the factors on quantum chain registers.  Factors that
+    formally sit on a pinned endpoint contribute the exact scalar ``weight``
+    to outcome probabilities instead (uniform-overlap 2^-n for a uniform
+    factor, 1 - 2^-n for a complement factor).
+    """
+
+    def __init__(self, world, layout, outcome: int, table: np.ndarray, weight: float):
         self.outcome = outcome
-        self.pattern = dict(pattern)
-        self.endpoint_pattern = tuple(endpoint_pattern)
-        weight = 1.0
-        for bit in self.endpoint_pattern:
-            weight *= (2.0 ** -n) if bit == 0 else (1.0 - 2.0 ** -n)
         self.weight = weight
-        if self.pattern:
-            inner = qsim.phi_pattern_map(layout, self.pattern)
-            apply = inner.apply
-        else:
-            apply = lambda v: v.copy()
-        super().__init__(layout.dim, apply, label=f"Q[{outcome}]", self_adjoint=True)
+        super().__init__(world, layout, table, f"Q[{outcome}]")
+
+
+def _q_tables(world: ChainWorld, m_star: int, layout: RegisterLayout, shape):
+    """(table, endpoint weight) per outcome i = 1..l+1: the i-th relevant
+    register is still uniform and the earlier ones are not; outcome l+1 says
+    none is."""
+    relevant = world.relevant_registers(m_star)
+    uniform = 2.0 ** -world.n
+    out = []
+    for i_star in range(1, world.l_sem + 2):
+        table = np.ones(shape, dtype=bool)
+        weight = 1.0
+        for k, (kind, ref) in enumerate(relevant[: min(i_star, world.l_sem)]):
+            fires = k == i_star - 1
+            if kind == "q":
+                zero = layout.values(ref) == 0
+                table &= zero if fires else ~zero
+            else:
+                weight *= uniform if fires else 1.0 - uniform
+        out.append((table, weight))
+    return out
 
 
 def build_q_projectors(
@@ -501,130 +542,46 @@ def build_q_projectors(
     locates the first signature-relevant register still uniform, outcome l+1
     says none is."""
     layout = layout or world.chain_layout()
-    relevant = world.relevant_registers(m_star)
-    outs = []
-    for i_star in range(1, world.l_sem + 2):
-        pattern: dict[str, int] = {}
-        endpoint: list[int] = []
-        upto = world.l_sem if i_star == world.l_sem + 1 else i_star
-        for k in range(upto):
-            kind, ref = relevant[k]
-            last = i_star <= world.l_sem and k == i_star - 1
-            bit = 0 if last else 1
-            if kind == "q":
-                pattern[ref] = bit
-            else:
-                endpoint.append(bit)
-        outs.append(QProjector(layout, i_star, pattern, endpoint, world.n))
-    return outs
-
-
-def _minimal_thresholds(thresholds) -> list[tuple[int, ...]]:
-    uniq = sorted(set(tuple(t) for t in thresholds))
-    keep = []
-    for t in uniq:
-        if not any(all(o <= x for o, x in zip(other, t)) for other in keep):
-            keep = [o for o in keep if not all(x <= y for x, y in zip(t, o))]
-            keep.append(t)
-    return keep
+    tables = _q_tables(world, m_star, layout, _table_shape(world, layout))
+    return [
+        QProjector(world, layout, i, table, weight)
+        for i, (table, weight) in enumerate(tables, start=1)
+    ]
 
 
 def invariant_projector_from_thresholds(
-    world: ChainWorld,
-    thresholds,
-    layout: RegisterLayout | None = None,
-    method: str = "auto",
-) -> LinearMap:
+    world: ChainWorld, thresholds, layout: RegisterLayout | None = None
+) -> FrameDiagonal:
     """Projector onto chain configurations untouched below at least one
     threshold vector: the union over vectors t of the event "every register
-    (c, j) with j < t_c is still uniform".
-
-    ``method="union"`` expands the union by inclusion-exclusion over the
-    minimal threshold vectors (all the product projectors commute);
-    ``method="alpha"`` sums the uniform/complement patterns belonging to the
-    union directly.  Both are exact; the second is the brute-force oracle.
-    """
+    (c, j) with j < t_c is still uniform", an OR of hatted-zero conditions in
+    the Hadamard frame."""
     layout = layout or world.chain_layout()
-    tlist = _minimal_thresholds(thresholds)
-    dim = layout.dim
-    if not tlist:
-        out = qsim.zero_map(dim)
-        out.is_zero = True
-        out.term_count = 0
-        return out
-    if method == "auto":
-        method = "union" if len(tlist) <= 8 else "alpha"
-
-    def regs_below(t: Sequence[int]) -> tuple[str, ...]:
-        return tuple(
-            world.chain_register(c, j)
-            for c in range(world.chain_count)
-            for j in range(min(t[c], world.w - 1))
-        )
-
-    if method == "union":
-        coeffs: dict[tuple[int, ...], float] = {}
-        for r in range(1, len(tlist) + 1):
-            sign = 1.0 if r % 2 == 1 else -1.0
-            for subset in itertools.combinations(tlist, r):
-                merged = tuple(max(vals) for vals in zip(*subset))
-                coeffs[merged] = coeffs.get(merged, 0.0) + sign
-        terms = [(c, regs_below(t)) for t, c in sorted(coeffs.items()) if c != 0.0]
-
-        def ap(v):
-            out = np.zeros_like(v)
-            for coeff, regs in terms:
-                out += coeff * qsim.uniform_projector_apply(v, layout, regs)
-            return out
-
-        pmap = LinearMap(dim, ap, label="P", self_adjoint=True)
-        pmap.term_count = len(terms)
-    elif method == "alpha":
-        quantum_positions = [
-            (c, j) for c in range(world.chain_count) for j in range(world.w - 1)
-        ]
-        if len(quantum_positions) > 12:
-            raise ValueError("alpha enumeration guard: too many chain registers")
-        patterns = []
-        for bits in itertools.product((0, 1), repeat=len(quantum_positions)):
-            alpha = dict(zip(quantum_positions, bits))
-            ok = any(
-                all(alpha[(c, j)] == 0 for c in range(world.chain_count) for j in range(t[c]))
-                for t in tlist
-            )
-            if ok:
-                patterns.append(
-                    {world.chain_register(c, j): bit for (c, j), bit in alpha.items()}
-                )
-
-        def ap(v):
-            out = np.zeros_like(v)
-            for pattern in patterns:
-                out += qsim.phi_pattern_apply(v, layout, pattern)
-            return out
-
-        pmap = LinearMap(dim, ap, label="P(alpha)", self_adjoint=True)
-        pmap.term_count = len(patterns)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    pmap.is_zero = False
-    return pmap
+    shape = _table_shape(world, layout)
+    table = np.zeros(shape, dtype=bool)
+    for t in sorted(set(tuple(t) for t in thresholds)):
+        term = np.ones(shape, dtype=bool)
+        for c, tc in enumerate(t):
+            for j in range(min(tc, world.w - 1)):
+                term &= layout.values(world.chain_register(c, j)) == 0
+        table |= term
+    return FrameDiagonal(world, layout, table, "P")
 
 
 def build_invariant_projector(
-    world: ChainWorld, layout: RegisterLayout | None = None, method: str = "auto"
-) -> LinearMap:
+    world: ChainWorld, layout: RegisterLayout | None = None
+) -> FrameDiagonal:
     """Projector onto chain states consistent with at most one unblinded
     message having been signed.  The zero map when everything is blinded."""
     if world.blinding is None:
         raise ValueError("world has no blinding set")
     thresholds = [world.thresholds(m) for m in world.unblinded()]
-    return invariant_projector_from_thresholds(world, thresholds, layout, method)
+    return invariant_projector_from_thresholds(world, thresholds, layout)
 
 
 def build_qtilde(
     world: ChainWorld, layout: RegisterLayout | None = None
-) -> list[LinearMap]:
+) -> list[FrameDiagonal]:
     """Message-controlled outcome maps: on each basis message m, apply that
     message's outcome projector.
 
@@ -635,20 +592,17 @@ def build_qtilde(
     worlds where a message digit points at the chain end.
     """
     layout = layout or world.game_layout(include_xy=False)
-    projs_by_m = {m: build_q_projectors(world, m, layout) for m in world.messages()}
+    chain_shape = _table_shape(world, layout)
+    shape = _table_shape(world, layout, ("m",))
+    m = layout.values("m")
+    per_message = [(msg, _q_tables(world, msg, layout, chain_shape)) for msg in world.messages()]
     maps = []
-    for i_star in range(1, world.l_sem + 2):
-
-        def ap(v, i_star=i_star):
-            out = np.zeros_like(v)
-            mfield = layout.field("m")
-            for m in world.messages():
-                q = projs_by_m[m][i_star - 1]
-                masked = np.where(mfield == m, v, 0.0)
-                out += np.sqrt(q.weight) * q.apply(masked)
-            return out
-
-        maps.append(LinearMap(layout.dim, ap, label=f"Qtilde[{i_star}]", self_adjoint=True))
+    for i in range(world.l_sem + 1):
+        table = np.zeros(shape)
+        for msg, tables in per_message:
+            q_table, weight = tables[i]
+            table += np.where(m == msg, np.sqrt(weight) * q_table, 0.0)
+        maps.append(FrameDiagonal(world, layout, table, f"Qtilde[{i + 1}]"))
     return maps
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qromlab import game, ots, rom, qworlds
+from qromlab import game, ots, qsim, rom, qworlds
 from qromlab.game import (
     AdversaryProgram,
     HashQuery,
@@ -242,12 +242,37 @@ class TestSamplingEstimator:
         assert mc.wilson_low - 1e-9 <= an.p_win_modified <= mc.wilson_high + 1e-9
 
 
-class TestSamplingFallback:
-    def test_oversized_outcome_space_uses_monte_carlo(self, monkeypatch):
+class TestExactOutcomeCap:
+    def test_run_quantum_game_raises_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(game, "EXACT_OUTCOME_CAP", 1)
         world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {0}), seed=41)
         prog = game.random_program(world, 0, 0, seed=41)
-        tr, an = game.run_quantum_game(prog, world, mode="modified", seed=41, mc_trials=500)
-        assert not an.exact and an.trials == 500
-        assert tr.verdict in ("win", "lose") and tr.q_outcome in (1, 2)
-        assert an.wilson_low <= tr.p_success <= an.wilson_high
+        with pytest.raises(ValueError, match="enumeration cap"):
+            game.run_quantum_game(prog, world, mode="modified", seed=41)
+
+    @staticmethod
+    def min_game_qubits(n, message_bits, l_sem, chains, w):
+        # smallest game layout: no x/y, m, the signature blocks, the blinded
+        # flag, one workspace qubit, and w-1 quantum positions per chain
+        return message_bits + n * l_sem + 1 + 1 + n * chains * (w - 1)
+
+    def test_layout_arithmetic_matches_worlds(self):
+        world = lamport_world(1, 2, workspace_qubits=1, seed=0)
+        assert world.game_layout(include_xy=False).total == self.min_game_qubits(1, 2, 2, 4, 2)
+        world = winternitz_world(2, 1, 3, workspace_qubits=1, seed=0)
+        assert world.game_layout(include_xy=False).total == self.min_game_qubits(2, 1, 2, 2, 3)
+
+    def test_no_world_within_the_qubit_cap_exceeds_the_outcome_cap(self):
+        # parameter arithmetic only: no world or state is allocated
+        worst_bits = 0
+        for n in range(1, qsim.MAX_STATE_QUBITS + 1):
+            for l in range(1, qsim.MAX_STATE_QUBITS + 1):
+                if self.min_game_qubits(n, l, l, 2 * l, 2) <= qsim.MAX_STATE_QUBITS:
+                    worst_bits = max(worst_bits, l + n * l)
+            for a in range(1, qsim.MAX_STATE_QUBITS + 1):
+                for w in range(2, 17):
+                    l = ots.derive_wots_params(a, w, n, require_power_of_two=False).l
+                    if self.min_game_qubits(n, a, l, l, w) <= qsim.MAX_STATE_QUBITS:
+                        worst_bits = max(worst_bits, a + n * l)
+        assert worst_bits > 0
+        assert 1 << worst_bits <= game.EXACT_OUTCOME_CAP

@@ -242,39 +242,6 @@ class TestProjectAndMeasure:
         assert np.allclose(b_dist, 0.25)
 
 
-class TestStateDump:
-    def test_round_trip(self, tmp_path):
-        layout = RegisterLayout([("x", 2), ("y", 1)])
-        rng = np.random.default_rng(42)
-        s = qsim.StateVector(layout, qsim.random_state_vector(layout.dim, rng))
-        path = tmp_path / "state.qsv"
-        qsim.save_state(s, path)
-        loaded = qsim.load_state(path)
-        assert loaded.layout == layout
-        assert np.allclose(loaded.amplitudes, s.amplitudes)
-
-    def test_header_is_json_line(self, tmp_path):
-        import json
-
-        layout = RegisterLayout([("q", 1)])
-        s = qsim.uniform_state(layout, {"q"})
-        path = tmp_path / "state.qsv"
-        qsim.save_state(s, path)
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline())
-        assert header["registers"] == [["q", 1]] and header["count"] == 2
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        layout = RegisterLayout([("q", 1)])
-        s = qsim.uniform_state(layout, {"q"})
-        path = tmp_path / "state.qsv"
-        qsim.save_state(s, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError):
-            qsim.load_state(path)
-
-
 class TestClosedFormCommutator:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equality_uniform_commutator_exact_value(self, n):

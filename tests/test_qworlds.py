@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,109 @@ from qromlab.qworlds import (
     build_query_unitary,
     build_qtilde,
     chain_world,
+    frame_product_norm,
     lamport_world,
     query_unitary_as_function,
-    query_unitary_factors,
     winternitz_world,
 )
 
 
 def random_probe(layout, seed=0):
     return qsim.random_state_vector(layout.dim, np.random.default_rng(seed))
+
+
+# ---------------------------------------------------------------------------
+# References built straight from the definitions, independent of the compiled
+# permutation and Hadamard-frame tables
+
+
+def reference_query_factors(world, layout):
+    """The mismatch factor and one compare-and-copy factor per chain register
+    (c, j): identity unless x equals register (c, j), in which case the
+    successor (next register or pinned endpoint) is XORed into y."""
+    x = layout.field("x")
+    y_shift = layout.shift("y")
+
+    def factor(mask, values):
+        perm = layout.arange() ^ (values << y_shift)
+        return lambda v: np.where(mask, v[perm], v)
+
+    masks = {}
+    factors = []
+    for c in range(world.chain_count):
+        for j in range(world.w - 1):
+            masks[(c, j)] = x == layout.field(world.chain_register(c, j))
+            if j + 1 <= world.w - 2:
+                succ = layout.field(world.chain_register(c, j + 1))
+            else:
+                succ = np.full(layout.dim, world.p[c], dtype=np.int64)
+            factors.append((c, j, factor(masks[(c, j)], succ)))
+    none_match = ~np.logical_or.reduce(list(masks.values()))
+    neq = factor(none_match, np.asarray(world.h_table, dtype=np.int64)[x])
+    return neq, factors
+
+
+def reference_query_unitary(world, layout, v):
+    """Mismatch factor first, then the factors right to left in (chain asc,
+    position asc) written order."""
+    neq, factors = reference_query_factors(world, layout)
+    v = neq(v)
+    for _, _, f in reversed(factors):
+        v = f(v)
+    return v
+
+
+def phi_pattern(v, layout, pattern):
+    """Product of uniform (bit 0) and complement (bit 1) projectors."""
+    for name, bit in pattern.items():
+        proj = qsim.uniform_projector_apply(v, layout, (name,))
+        v = proj if bit == 0 else v - proj
+    return v
+
+
+def reference_invariant_projector(world, layout, thresholds, v):
+    """Alpha enumeration: the sum of every uniform/complement pattern on the
+    chain registers that keeps some threshold vector's prefix uniform."""
+    positions = [(c, j) for c in range(world.chain_count) for j in range(world.w - 1)]
+    out = np.zeros_like(v)
+    for bits in itertools.product((0, 1), repeat=len(positions)):
+        alpha = dict(zip(positions, bits))
+        if any(
+            all(alpha[(c, j)] == 0 for c in range(world.chain_count) for j in range(t[c]))
+            for t in thresholds
+        ):
+            out += phi_pattern(
+                v, layout, {world.chain_register(c, j): b for (c, j), b in alpha.items()}
+            )
+    return out
+
+
+def reference_q_projector(world, m_star, i_star, layout, v):
+    """Outcome i_star as a pattern on the quantum relevant registers, scaled
+    by its endpoint weight."""
+    pattern, weight = {}, 1.0
+    for k, (kind, ref) in enumerate(world.relevant_registers(m_star)[: min(i_star, world.l_sem)]):
+        bit = 0 if k == i_star - 1 else 1
+        if kind == "q":
+            pattern[ref] = bit
+        else:
+            weight *= 2.0 ** -world.n if bit == 0 else 1.0 - 2.0 ** -world.n
+    return weight * phi_pattern(v, layout, pattern)
+
+
+def assert_matches_references(world, layout, probes=3):
+    thresholds = [world.thresholds(m) for m in world.unblinded()]
+    p = build_invariant_projector(world, layout)
+    u = build_query_unitary(world, layout) if "x" in layout.names else None
+    for s in range(probes):
+        v = random_probe(layout, 1000 + s)
+        assert np.linalg.norm(p.apply(v) - reference_invariant_projector(world, layout, thresholds, v)) < 1e-12
+        if u is not None:
+            assert np.linalg.norm(u.apply(v) - reference_query_unitary(world, layout, v)) < 1e-12
+        for m in world.messages():
+            for q in build_q_projectors(world, m, layout):
+                want = reference_q_projector(world, m, q.outcome, layout, v)
+                assert np.linalg.norm(q.weight * q.apply(v) - want) < 1e-12
 
 
 class TestWorldConstruction:
@@ -119,7 +215,7 @@ class TestQueryUnitary:
     def test_exactly_one_factor_acts_without_collisions(self):
         world = winternitz_world(2, 1, 3, seed=7)
         layout = world.norm_layout()
-        neq, factors = query_unitary_factors(world, layout)
+        neq, factors = reference_query_factors(world, layout)
         u = build_query_unitary(world, layout)
         assignment = {"g0_0": 0, "g0_1": 1, "g1_0": 2, "g1_1": 3}  # no collisions
         for x in range(4):
@@ -127,17 +223,26 @@ class TestQueryUnitary:
             changing = [
                 (c, j)
                 for c, j, f in factors
-                if np.linalg.norm(f.apply(state) - state) > 1e-12
+                if np.linalg.norm(f(state) - state) > 1e-12
             ]
             matches = [(c, j) for c in range(2) for j in range(2) if assignment[f"g{c}_{j}"] == x]
-            # only the matching comparison can move the state, and the whole
-            # product acts exactly like that single factor (or the fallback)
+            # only the matching comparison can move the state, and the
+            # compiled unitary acts exactly like that single factor (or the
+            # fallback)
             assert set(changing) <= set(matches) and len(changing) <= 1
             if matches:
                 lone = [f for c, j, f in factors if (c, j) == matches[0]][0]
-                assert np.allclose(u.apply(state), lone.apply(state))
+                assert np.allclose(u.apply(state), lone(state))
             else:
-                assert np.allclose(u.apply(state), neq.apply(state))
+                assert np.allclose(u.apply(state), neq(state))
+
+    def test_self_adjoint_involution(self):
+        world = winternitz_world(2, 1, 3, seed=8)
+        layout = world.norm_layout()
+        u = build_query_unitary(world, layout)
+        assert u.self_adjoint
+        v = random_probe(layout, 8)
+        assert np.array_equal(u.apply(u.apply(v)), v)
 
 
 class TestBlindedSign:
@@ -207,7 +312,7 @@ class TestQProjectors:
         world = winternitz_world(1, 1, 3, seed=14)
         layout = world.chain_layout()
         qs = build_q_projectors(world, 1, layout)
-        assert all(len(q.endpoint_pattern) == 0 for q in qs)
+        assert all(q.weight == 1.0 for q in qs)
         v = random_probe(layout, 14)
         total = sum(q.apply(v) for q in qs)
         assert np.linalg.norm(total - v) < 1e-9
@@ -217,9 +322,9 @@ class TestQProjectors:
         world = winternitz_world(2, 1, 2, seed=15)
         layout = world.chain_layout()
         qs = build_q_projectors(world, 0, layout)
-        assert qs[0].endpoint_pattern == ()
-        assert qs[1].endpoint_pattern == (0,) and qs[1].weight == pytest.approx(0.25)
-        assert qs[2].endpoint_pattern == (1,) and qs[2].weight == pytest.approx(0.75)
+        assert qs[0].weight == 1.0
+        assert qs[1].weight == pytest.approx(0.25)
+        assert qs[2].weight == pytest.approx(0.75)
 
     def test_first_outcome_fires_on_fresh_state(self):
         world = lamport_world(1, 2, seed=16)
@@ -248,7 +353,7 @@ class TestInvariantProjector:
     def test_all_blinded_gives_zero_map(self):
         world = lamport_world(1, 1, blinding=BlindingSet.all(1), seed=19)
         p = build_invariant_projector(world)
-        assert getattr(p, "is_zero")
+        assert p.is_zero and not p.table.any()
         assert qsim.is_zero_map(p)
 
     def test_projector_laws(self):
@@ -267,7 +372,6 @@ class TestInvariantProjector:
     def test_union_equals_alpha_enumeration(self, maker):
         rng = np.random.default_rng(21)
         for trial in range(4):
-            bits_holder = {}
 
             def blinding(nbits):
                 members = {m for m in range(1 << nbits) if rng.random() < 0.5}
@@ -275,18 +379,42 @@ class TestInvariantProjector:
 
             world = maker(blinding)
             layout = world.chain_layout()
-            p1 = build_invariant_projector(world, layout, method="union")
-            p2 = build_invariant_projector(world, layout, method="alpha")
+            thresholds = [world.thresholds(m) for m in world.unblinded()]
+            p = build_invariant_projector(world, layout)
             for s in range(4):
                 v = random_probe(layout, 100 * trial + s)
-                assert np.linalg.norm(p1.apply(v) - p2.apply(v)) < 1e-10
+                want = reference_invariant_projector(world, layout, thresholds, v)
+                assert np.linalg.norm(p.apply(v) - want) < 1e-12
+            assert_matches_references(world, world.norm_layout(), probes=1)
 
     def test_orthogonality_to_forced_outcome(self):
         world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {0}), seed=22)
         layout = world.chain_layout()
         p = build_invariant_projector(world, layout)
         q_last = build_q_projectors(world, 0, layout)[-1]
+        assert frame_product_norm(q_last, p) == 0.0
         assert qsim.probe_max_ratio(q_last @ p) < 1e-10
+
+    def test_exact_check_detects_overlap_on_unblinded_message(self):
+        # message 1 is unblinded: its forced outcome and P share support
+        world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {0}), seed=22)
+        layout = world.chain_layout()
+        p = build_invariant_projector(world, layout)
+        q_last = build_q_projectors(world, 1, layout)[-1]
+        assert frame_product_norm(q_last, p) == 1.0
+        assert qsim.operator_norm(q_last @ p).value == pytest.approx(1.0, abs=1e-9)
+
+    def test_layout_without_chain_registers_rejected(self):
+        world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {0}), seed=22)
+        partial = qsim.RegisterLayout([("m", 1), ("g0_0", 1)])
+        builders = (
+            lambda: build_invariant_projector(world, partial),
+            lambda: build_q_projectors(world, 0, partial),
+            lambda: build_qtilde(world, partial),
+        )
+        for build in builders:
+            with pytest.raises(ValueError, match="chain registers"):
+                build()
 
 
 class TestQtilde:
@@ -304,6 +432,13 @@ class TestQtilde:
             assert np.allclose(qt.apply(v), manual)
 
 
+class TestGameLayoutReferences:
+    def test_compiled_maps_match_references_with_xy(self):
+        world = winternitz_world(1, 1, 3, blinding=BlindingSet.explicit(1, {0}), seed=24)
+        layout = world.game_layout(include_xy=True)
+        assert_matches_references(world, layout, probes=2)
+
+
 class TestUnitarityProbes:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_query_and_sign_unitaries_preserve_norm(self, seed):
@@ -314,22 +449,25 @@ class TestUnitarityProbes:
 
 
 class TestProjectorMethodSwitch:
-    def test_auto_switches_to_pattern_enumeration_when_union_blows_up(self):
-        # sixteen pairwise-incomparable reveal threshold vectors push the
-        # inclusion-exclusion expansion past its cap
+    def test_sixteen_threshold_vectors_compile_to_one_table(self):
+        # sixteen pairwise-incomparable reveal threshold vectors; the table
+        # holds the alpha patterns of their union: at every message position
+        # at least one of the two chains stays uniform, 3^4 patterns
         world = lamport_world(1, 4, blinding=BlindingSet.none(4), seed=30)
         layout = world.chain_layout()
-        p = qworlds.build_invariant_projector(world, layout, method="auto")
-        assert "alpha" in p.label
+        p = qworlds.build_invariant_projector(world, layout)
+        assert np.count_nonzero(p.table) == 3 ** 4
         assert qsim.projector_defect(p, probes=6) < 1e-9
         fresh = world.initial_state(layout).amplitudes
         assert np.allclose(p.apply(fresh), fresh)
+        assert_matches_references(world, layout, probes=2)
         # and the forced outcome stays orthogonal on a blinded forgery
         world2 = lamport_world(
             1, 4, blinding=BlindingSet.explicit(4, {0b1111}), seed=30
         )
-        p2 = qworlds.build_invariant_projector(world2, layout, method="auto")
+        p2 = qworlds.build_invariant_projector(world2, layout)
         q_last = qworlds.build_q_projectors(world2, 0b1111, layout)[-1]
+        assert frame_product_norm(q_last, p2) == 0.0
         assert qsim.probe_max_ratio(q_last @ p2, probes=8) < 1e-10
 
     def test_degenerate_chain_length_rejected(self):
