@@ -154,7 +154,7 @@ def _cmd_lemmas(args) -> int:
     failed = [r for r in reports if not r.passed]
     for r in failed:
         print(f"FAIL {r.lemma} scheme={r.scheme} n={r.n} l={r.l} w={r.w}: "
-              f"measured={r.measured!r} bound={r.bound!r}", file=sys.stderr)
+              f"measured={r.measured!r} bound={r.bound!r} {r.note}".rstrip(), file=sys.stderr)
     return 2 if failed else 0
 
 

@@ -410,66 +410,61 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -
 # Norm estimation, probes, measurement
 
 
+NORM_RTOL = 1e-10
+# Caps the Lanczos basis at MAX_LANCZOS_STEPS x dim x 16 B: 64 MiB at MAX_NORM_DIM.
+MAX_LANCZOS_STEPS = 256
+
+
 @dataclass(frozen=True)
 class NormEstimate:
+    """Largest singular value of a map, with the Lanczos solve behind it.
+
+    ``iterations`` counts Lanczos steps, each one ``A`` and one ``A^dag``
+    apply.  ``residual`` is ||A^dag A y - theta y|| for the top Ritz pair
+    (theta, y); ``converged`` means it is at most ``NORM_RTOL * theta``.
+    """
+
     value: float
     iterations: int
     converged: bool
+    residual: float
 
     def __float__(self) -> float:
         return self.value
 
 
-def operator_norm(
-    a: LinearMap,
-    tol: float = 1e-10,
-    max_iters: int = 5000,
-    seed: int = 0,
-    restarts: int = 3,
-) -> NormEstimate:
-    """Largest singular value via power iteration on A^dag A.
+def operator_norm(a: LinearMap, seed: int = 0) -> NormEstimate:
+    """Largest singular value by Lanczos on A^dag A (Golub & Van Loan, ch. 10).
 
-    Runs ``restarts`` independent random starts and takes the maximum, which
-    guards against a start orthogonal to the top singular vector.  The Rayleigh
-    quotient ||A v||^2 of the normalized iterate is the convergence monitor.
+    One seeded random start; the basis is kept and fully reorthogonalized.
+    Each step takes the top Ritz value theta of the tridiagonal and its
+    residual beta_k |s_k|, and stops once that is at most ``NORM_RTOL * theta``.
+    beta_k = 0 (residual 0) means the Krylov space is invariant and theta
+    exact, which makes the zero map exactly 0.0.
     """
     if a.dim > MAX_NORM_DIM:
         raise ValueError(f"norm estimation capped at dimension {MAX_NORM_DIM}, got {a.dim}")
-    best = 0.0
-    total_iters = 0
-    all_converged = True
-    for r in range(restarts):
-        rng = np.random.default_rng(_label_seed(seed, f"restart-{r}"))
-        v = random_state_vector(a.dim, rng)
-        lam_prev = None
-        stable = 0
-        converged = False
-        lam = 0.0
-        for _ in range(max_iters):
-            total_iters += 1
-            w = a.apply(v)
-            lam = float(np.real(np.vdot(w, w)))  # Rayleigh quotient of A^dag A
-            if lam < 1e-28:
-                lam = 0.0
-                converged = True
-                break
-            u = a.adjoint_apply(w)
-            nu = np.linalg.norm(u)
-            if nu == 0.0:
-                converged = True
-                break
-            v = u / nu
-            if lam_prev is not None and abs(lam - lam_prev) <= tol * max(lam, 1e-30):
-                stable += 1
-                if stable >= 3:
-                    converged = True
-                    break
-            else:
-                stable = 0
-            lam_prev = lam
-        best = max(best, np.sqrt(lam))
-        all_converged = all_converged and converged
-    return NormEstimate(float(best), total_iters, all_converged)
+    steps = min(MAX_LANCZOS_STEPS, a.dim)
+    basis = np.empty((steps, a.dim), dtype=np.complex128)
+    alphas: list[float] = []
+    betas: list[float] = []
+    v = random_state_vector(a.dim, np.random.default_rng(_label_seed(seed, "lanczos")))
+    for k in range(steps):
+        basis[k] = v
+        w = a.adjoint_apply(a.apply(v))
+        alphas.append(float(np.real(np.vdot(v, w))))
+        done = basis[: k + 1]
+        for _ in range(2):  # classical Gram-Schmidt, twice is enough
+            w = w - np.conj(done @ np.conj(w)) @ done
+        beta = float(np.linalg.norm(w))
+        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta, residual = float(ritz[-1]), beta * float(abs(vecs[-1, -1]))
+        converged = residual <= NORM_RTOL * theta
+        if converged:
+            break
+        betas.append(beta)
+        v = w / beta
+    return NormEstimate(float(np.sqrt(max(theta, 0.0))), k + 1, converged, residual)
 
 
 def probe_max_ratio(a: LinearMap, probes: int = 32, seed: int = 0) -> float:
@@ -509,17 +504,6 @@ def projector_defect(p: LinearMap, probes: int = 32, seed: int = 0) -> float:
     return worst
 
 
-def project(p: LinearMap, state: StateVector, check: bool = True) -> tuple[StateVector, float]:
-    """Apply a projector; returns the unnormalized state and its squared norm."""
-    if check and not getattr(p, "_projector_checked", False):
-        if projector_defect(p, probes=2) > 1e-8:
-            raise ValueError(f"map {p.label!r} fails projector probes")
-        p._projector_checked = True
-    out = p.apply(state.amplitudes)
-    prob = float(np.real(np.vdot(out, out)))
-    return StateVector(state.layout, out, normalized=False), prob
-
-
 def register_distribution(state: StateVector, register: str) -> np.ndarray:
     """Marginal computational-basis distribution of one register."""
     layout = state.layout
@@ -540,14 +524,8 @@ def measure(
         raise ValueError("cannot measure a zero-norm state")
     probs = probs / total
     outcome = int(rng.choice(len(probs), p=probs))
-    k = layout.axis(register)
-    t = state.amplitudes.reshape(layout.dims).copy()
-    sel = [slice(None)] * len(layout.dims)
-    for v in range(len(probs)):
-        if v != outcome:
-            sel[k] = v
-            t[tuple(sel)] = 0.0
-    amps = t.reshape(-1)
+    t = state.amplitudes.reshape(layout.dims)
+    amps = np.where(layout.values(register) == outcome, t, 0.0).reshape(-1)
     nrm = np.linalg.norm(amps)
     if nrm == 0:
         raise ValueError("collapsed onto a zero-norm branch")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qromlab import lemmas, qsim, rom
+from qromlab import cli, lemmas, qsim, rom
 from qromlab.qworlds import BlindingSet, build_query_unitary, chain_world, lamport_world
 
 
@@ -97,6 +97,57 @@ class TestCommutatorChecks:
         # block count with no message encoding still exercises the projector
         (rep,) = lemmas.check_invariant_commutator("winternitz", 1, 1, 3, seed=4)
         assert rep.passed
+
+
+class TestNormSolves:
+    @pytest.fixture(scope="class")
+    def sweep_solves(self):
+        """Every (map, estimate) the norm-backed sweep checks solve at seed 6."""
+        solves = []
+        solve = qsim.operator_norm
+
+        def recording(a, seed=0):
+            est = solve(a, seed=seed)
+            solves.append((a, est))
+            return est
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qsim, "operator_norm", recording)
+            for n in (1, 2, 3, 4):
+                lemmas.check_equality_uniform_overlap(n, seed=6)
+            for n in (1, 2):
+                for l in (1, 2):
+                    lemmas.check_uniform_register_commutator("lamport", n, l, seed=6)
+                    lemmas.check_invariant_commutator("lamport", n, l, seed=6)
+                    for w in (2, 3):
+                        lemmas.check_uniform_register_commutator("winternitz", n, l, w, seed=6)
+                        lemmas.check_invariant_commutator("winternitz", n, l, w, seed=6)
+        return solves
+
+    def test_small_solves_match_dense_svd(self, sweep_solves):
+        small = [(a, est) for a, est in sweep_solves if a.dim <= 256]
+        assert (len(sweep_solves), len(small)) == (50, 40)
+        for a, est in small:
+            dense = np.column_stack([a.apply(e) for e in np.eye(a.dim)])
+            reference = np.linalg.svd(dense, compute_uv=False)[0]
+            assert est.converged and est.residual <= 1e-10 * est.value ** 2, a.label
+            assert est.value == pytest.approx(reference, rel=1e-12), a.label
+
+    def test_lamport_invariant_commutator_at_dim_4096(self):
+        # reference from a dense eigvalsh(1j * [U_h, P]) of this 4096 x 4096 map
+        (rep,) = lemmas.check_invariant_commutator("lamport", 2, 2, seed=6)
+        assert rep.passed
+        assert rep.measured == pytest.approx(0.9999330887955475, abs=1e-12)
+
+    def test_unconverged_solve_fails_the_row(self, monkeypatch, capsys):
+        monkeypatch.setattr(qsim, "MAX_LANCZOS_STEPS", 1)
+        (rep,) = lemmas.check_invariant_commutator("lamport", 2, 1, seed=1)
+        assert rep.measured <= rep.bound and not rep.passed
+        assert "not converged: residual=" in rep.note
+        code = cli.main(["lemmas", "--scheme", "lamport", "--n", "2", "--l", "1",
+                         "--q0", "0", "--q1", "0", "--seed", "7"])
+        assert code == 2
+        assert "not converged: residual=" in capsys.readouterr().err
 
 
 class TestOrthogonalityCheck:
