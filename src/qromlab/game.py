@@ -29,6 +29,7 @@ from .qworlds import (
     build_q_projectors,
     build_query_unitary,
     build_qtilde,
+    overlay_table,
 )
 
 EXACT_OUTCOME_CAP = 2 ** 16  # |message space| * |signature space| enumeration cap
@@ -388,44 +389,25 @@ def probability_tensor(amps: np.ndarray, layout: qsim.RegisterLayout, world: Cha
     return t.sum(axis=(0, 3))
 
 
-def gamma_assignment(world: ChainWorld, gamma_index: int) -> dict[str, int]:
-    regs = world.chain_registers()
-    out = {}
-    mask = (1 << world.n) - 1
-    for k, name in enumerate(regs):
-        shift = (len(regs) - 1 - k) * world.n
-        out[name] = (gamma_index >> shift) & mask
-    return out
-
-
 def acceptance_table(world: ChainWorld) -> np.ndarray:
     """accept[m, sigma, gamma]: does the verifier, run against the oracle
-    reprogrammed on the sampled chain values, accept that signature?"""
-    n, l = world.n, world.l_sem
-    m_dim = 1 << world.message_bits
-    gamma_dim = 1 << (n * len(world.chain_registers()))
-    sig_dim = 1 << (n * l)
-    table = np.zeros((m_dim, sig_dim, gamma_dim), dtype=bool)
-    for m in range(m_dim):
-        if world.scheme == "lamport":
-            bits = [(m >> (l - 1 - i)) & 1 for i in range(l)]
-            steps = [1] * l
-            targets = [world.p[2 * i + bits[i]] for i in range(l)]
-        else:
-            b = ots.digit_vector(m, world.params)
-            steps = [world.w - 1 - b[i] for i in range(l)]
-            targets = [world.p[i] for i in range(l)]
-        for g in range(gamma_dim):
-            oracle = world.overlay_oracle(gamma_assignment(world, g))
-            htab = [oracle(x) for x in range(1 << n)]
-            acc = np.array(True)
-            for i in range(l):
-                vals = np.arange(1 << n)
-                for _ in range(steps[i]):
-                    vals = np.array([htab[v] for v in vals])
-                valid = vals == targets[i]
-                acc = np.logical_and.outer(acc, valid)
-            table[m, :, g] = acc.reshape(-1)
+    reprogrammed on the sampled chain values, accept that signature?
+
+    Block i of a signature on m must walk from its revealed position (c, j)
+    to the endpoint p[c] in w-1-j oracle steps, under every chain value gamma
+    at once; the blocks' verdicts AND together by broadcasting.
+    """
+    n = world.n
+    h = overlay_table(world, world.norm_layout()).reshape(1 << n, -1)
+    walks = [np.broadcast_to(np.arange(1 << n)[:, None], h.shape)]
+    for _ in range(world.w - 1):
+        walks.append(np.take_along_axis(h, walks[-1], axis=0))
+    table = np.empty((1 << world.message_bits, 1 << (n * world.l_sem), h.shape[1]), dtype=bool)
+    for m in world.messages():
+        acc = np.ones(h.shape[1], dtype=bool)
+        for c, j in world.revealed(m):
+            acc = acc[..., None, :] & (walks[world.w - 1 - j] == world.p[c])
+        table[m] = acc.reshape(-1, h.shape[1])
     return table
 
 

@@ -172,15 +172,6 @@ class LinearMap:
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
         return compose(self, other)
 
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        return add_maps(self, other)
-
-    def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return add_maps(self, scale(-1.0, other))
-
-    def __rmul__(self, scalar: complex) -> "LinearMap":
-        return scale(scalar, self)
-
     def __repr__(self) -> str:
         return f"LinearMap(dim={self.dim}, label={self.label!r})"
 
@@ -214,37 +205,6 @@ def compose(*maps: LinearMap) -> LinearMap:
 
     label = "·".join(m.label or "?" for m in maps)
     return LinearMap(dim, ap, adj, label=label)
-
-
-def add_maps(*maps: LinearMap, coefficients: Sequence[complex] | None = None) -> LinearMap:
-    dim = maps[0].dim
-    for m in maps:
-        if m.dim != dim:
-            raise ValueError("dimension mismatch in sum")
-    coeffs = [1.0] * len(maps) if coefficients is None else list(coefficients)
-
-    def ap(v: Vector) -> Vector:
-        out = np.zeros_like(v)
-        for c, m in zip(coeffs, maps):
-            out += c * m.apply(v)
-        return out
-
-    def adj(v: Vector) -> Vector:
-        out = np.zeros_like(v)
-        for c, m in zip(coeffs, maps):
-            out += np.conjugate(c) * m.adjoint_apply(v)
-        return out
-
-    return LinearMap(dim, ap, adj, label="+".join(m.label or "?" for m in maps))
-
-
-def scale(scalar: complex, m: LinearMap) -> LinearMap:
-    return LinearMap(
-        m.dim,
-        lambda v: scalar * m.apply(v),
-        lambda v: np.conjugate(scalar) * m.adjoint_apply(v),
-        label=f"{scalar}*{m.label}",
-    )
 
 
 def commutator(a: LinearMap, b: LinearMap) -> LinearMap:

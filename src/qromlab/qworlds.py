@@ -48,8 +48,6 @@ import numpy as np
 from . import ots, qsim, rom
 from .qsim import LinearMap, RegisterLayout
 
-Source = tuple[str, object]  # ("q", register_name) or ("c", chain_index)
-
 
 @dataclass(frozen=True)
 class BlindingSet:
@@ -196,40 +194,29 @@ class ChainWorld:
             return tuple(self.messages())
         return self.blinding.complement()
 
+    def revealed(self, m: int) -> tuple[tuple[int, int], ...]:
+        """The chain position (c, j) that signing ``m`` reveals, one per
+        signature block in semantic order; j = w-1 is the pinned endpoint p[c]."""
+        if self.scheme == "lamport":
+            l = self.params.l
+            return tuple((2 * i + ((m >> (l - 1 - i)) & 1), 0) for i in range(l))
+        return tuple(enumerate(ots.digit_vector(m, self.params)))
+
     def thresholds(self, m: int) -> tuple[int, ...]:
         """Per chain, the lowest position revealed by signing ``m``.
 
         Registers strictly below the threshold stay untouched by the signing
         query; threshold w-1 means only the public endpoint is exposed.
         """
-        if self.scheme == "lamport":
-            l = self.params.l
-            bits = [(m >> (l - 1 - i)) & 1 for i in range(l)]
-            out = []
-            for i in range(l):
-                for j in (0, 1):
-                    out.append(0 if bits[i] == j else 1)
-            return tuple(out)
-        return ots.digit_vector(m, self.params)
-
-    def relevant_registers(self, m: int) -> tuple[Source, ...]:
-        """The l signature-relevant chain positions for message ``m``, in
-        semantic order; classical endpoints appear as ("c", chain)."""
-        if self.scheme == "lamport":
-            l = self.params.l
-            out = []
-            for i in range(l):
-                bit = (m >> (l - 1 - i)) & 1
-                out.append(("q", self.chain_register(2 * i + bit, 0)))
-            return tuple(out)
-        b = ots.digit_vector(m, self.params)
-        out = []
-        for i in range(self.l_sem):
-            if b[i] <= self.w - 2:
-                out.append(("q", self.chain_register(i, b[i])))
-            else:
-                out.append(("c", i))
+        out = [self.w - 1] * self.chain_count
+        for c, j in self.revealed(m):
+            out[c] = j
         return tuple(out)
+
+    def chain_values(self, layout: RegisterLayout, c: int, j: int):
+        """Chain position (c, j) over ``layout``: its register's values, or the
+        pinned endpoint p[c] at j = w-1."""
+        return layout.values(self.chain_register(c, j)) if j <= self.w - 2 else self.p[c]
 
     # -- classical oracles --------------------------------------------------
 
@@ -350,25 +337,26 @@ def _permutation(layout: RegisterLayout, delta, label: str) -> LinearMap:
     return LinearMap(layout.dim, lambda v: v[perm], label=label, self_adjoint=True)
 
 
-def build_query_unitary(world: ChainWorld, layout: RegisterLayout | None = None) -> LinearMap:
-    """Oracle-query unitary: XOR into ``y`` the successor (next chain register
-    or pinned endpoint) of every chain register equal to ``x``, or h(x) when
-    no chain register matches."""
-    layout = layout or world.norm_layout()
+def overlay_table(world: ChainWorld, layout: RegisterLayout) -> np.ndarray:
+    """The reprogrammed oracle's answer to the query in ``x``, broadcast over
+    the chain registers: the XOR of the successors (next chain register or
+    pinned endpoint) of every chain register equal to ``x``, or h(x) when none
+    matches.  Axes of registers it does not read have size 1."""
     x = layout.values("x")
     delta = 0
     hit = False
     for c in range(world.chain_count):
         for j in range(world.w - 1):
             match = x == layout.values(world.chain_register(c, j))
-            if j + 1 <= world.w - 2:
-                succ = layout.values(world.chain_register(c, j + 1))
-            else:
-                succ = world.p[c]
-            delta = delta ^ np.where(match, succ, 0)
+            delta = delta ^ np.where(match, world.chain_values(layout, c, j + 1), 0)
             hit = hit | match
-    delta = np.where(hit, delta, np.asarray(world.h_table, dtype=np.int64)[x])
-    return _permutation(layout, delta << layout.shift("y"), "U_h")
+    return np.where(hit, delta, np.asarray(world.h_table, dtype=np.int64)[x])
+
+
+def build_query_unitary(world: ChainWorld, layout: RegisterLayout | None = None) -> LinearMap:
+    """Oracle-query unitary: XOR the :func:`overlay_table` answer into ``y``."""
+    layout = layout or world.norm_layout()
+    return _permutation(layout, overlay_table(world, layout) << layout.shift("y"), "U_h")
 
 
 def query_unitary_as_function(world: ChainWorld, assignment: Mapping[str, int]) -> dict[int, int]:
@@ -398,8 +386,8 @@ def build_blinded_sign_unitary(
     world: ChainWorld, layout: RegisterLayout | None = None
 ) -> LinearMap:
     """Signing-query unitary: identity on blinded basis messages, otherwise the
-    signature-relevant chain registers (or pinned endpoints) are XORed into the
-    signature blocks."""
+    revealed chain registers (or pinned endpoints) are XORed into the signature
+    blocks."""
     layout = layout or world.game_layout()
     if world.blinding is None:
         raise ValueError("world has no blinding set")
@@ -407,9 +395,8 @@ def build_blinded_sign_unitary(
     delta = 0
     for msg in world.unblinded():
         flip = 0
-        for (kind, ref), sig in zip(world.relevant_registers(msg), world.sigma_registers()):
-            value = layout.values(ref) if kind == "q" else world.p[ref]
-            flip = flip ^ (value << layout.shift(sig))
+        for (c, j), sig in zip(world.revealed(msg), world.sigma_registers()):
+            flip = flip ^ (world.chain_values(layout, c, j) << layout.shift(sig))
         delta = delta ^ np.where(m == msg, flip, 0)
     return _permutation(layout, delta, "BSign")
 
@@ -515,19 +502,19 @@ class QProjector(FrameDiagonal):
 
 
 def _q_tables(world: ChainWorld, m_star: int, layout: RegisterLayout, shape):
-    """(table, endpoint weight) per outcome i = 1..l+1: the i-th relevant
-    register is still uniform and the earlier ones are not; outcome l+1 says
+    """(table, endpoint weight) per outcome i = 1..l+1: the i-th revealed
+    position is still uniform and the earlier ones are not; outcome l+1 says
     none is."""
-    relevant = world.relevant_registers(m_star)
+    revealed = world.revealed(m_star)
     uniform = 2.0 ** -world.n
     out = []
     for i_star in range(1, world.l_sem + 2):
         table = np.ones(shape, dtype=bool)
         weight = 1.0
-        for k, (kind, ref) in enumerate(relevant[: min(i_star, world.l_sem)]):
+        for k, (c, j) in enumerate(revealed[: min(i_star, world.l_sem)]):
             fires = k == i_star - 1
-            if kind == "q":
-                zero = layout.values(ref) == 0
+            if j <= world.w - 2:
+                zero = layout.values(world.chain_register(c, j)) == 0
                 table &= zero if fires else ~zero
             else:
                 weight *= uniform if fires else 1.0 - uniform
@@ -539,8 +526,8 @@ def build_q_projectors(
     world: ChainWorld, m_star: int, layout: RegisterLayout | None = None
 ) -> list[QProjector]:
     """The l+1 outcome projectors for forgery message ``m_star``: outcome i
-    locates the first signature-relevant register still uniform, outcome l+1
-    says none is."""
+    locates the first revealed position still uniform, outcome l+1 says none
+    is."""
     layout = layout or world.chain_layout()
     tables = _q_tables(world, m_star, layout, _table_shape(world, layout))
     return [

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -185,7 +187,9 @@ class TestQuantumGame:
         tr, an = game.run_quantum_game(prog, world, mode="modified", seed=11)
         assert tr.q_outcome in (1, 2)
         assert tr.verdict in ("win", "lose")
-        assert an.p_win_plain == an.p_win_modified == 0.0 or True
+        assert tr.p_success == an.p_win_modified
+        assert an.p_forced_outcome_blinded < 1e-10  # no queries
+        assert an.p_win_plain <= 2 * an.p_win_modified + 1e-9
 
     def test_no_hash_final_state_in_invariant_range(self):
         # with no oracle queries the signed state lies exactly in the range of
@@ -222,6 +226,73 @@ class TestQuantumGame:
             AdversaryProgram(
                 (SignQuery(), HashQuery(), SignQuery(), MeasureM(), MeasureSigma())
             )
+
+
+def reference_acceptance_table(world):
+    """The verifier's verdict per (m, sigma, gamma), one reprogrammed oracle
+    per chain assignment gamma, walking every signature value step by step."""
+    n, l = world.n, world.l_sem
+    regs = world.chain_registers()
+    gamma_dim = 1 << (n * len(regs))
+    table = np.zeros((1 << world.message_bits, 1 << (n * l), gamma_dim), dtype=bool)
+    for m in world.messages():
+        if world.scheme == "lamport":
+            bits = [(m >> (l - 1 - i)) & 1 for i in range(l)]
+            steps = [1] * l
+            targets = [world.p[2 * i + bits[i]] for i in range(l)]
+        else:
+            b = ots.digit_vector(m, world.params)
+            steps = [world.w - 1 - b[i] for i in range(l)]
+            targets = [world.p[i] for i in range(l)]
+        for g in range(gamma_dim):
+            # the first chain register holds the most significant n bits
+            assignment = {
+                name: (g >> ((len(regs) - 1 - k) * n)) & ((1 << n) - 1)
+                for k, name in enumerate(regs)
+            }
+            oracle = world.overlay_oracle(assignment)
+            htab = [oracle(x) for x in range(1 << n)]
+            acc = np.array(True)
+            for i in range(l):
+                vals = np.arange(1 << n)
+                for _ in range(steps[i]):
+                    vals = np.array([htab[v] for v in vals])
+                acc = np.logical_and.outer(acc, vals == targets[i])
+            table[m, :, g] = acc.reshape(-1)
+    return table
+
+
+class TestAcceptanceTable:
+    # n=1 worlds have chain collisions; the w=4 worlds have digits that
+    # reveal the pinned endpoint
+    WORLDS = [(lamport_world, args) for args in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 4))] + [
+        (winternitz_world, args) for args in ((1, 1, 2), (2, 1, 3), (1, 2, 3), (2, 2, 4), (1, 1, 4))
+    ]
+
+    @pytest.mark.parametrize(
+        "make, args", WORLDS, ids=[f"{make.__name__}{args}" for make, args in WORLDS]
+    )
+    def test_matches_per_gamma_oracle_loop(self, make, args):
+        for seed in range(6):
+            world = make(*args, seed=seed)
+            assert np.array_equal(game.acceptance_table(world), reference_acceptance_table(world))
+
+    @pytest.mark.parametrize(
+        "world",
+        [
+            lamport_world(1, 2, seed=3),
+            winternitz_world(1, 1, 3, seed=3),
+            winternitz_world(1, 1, 4, seed=3),
+        ],
+    )
+    def test_every_entry_is_the_verifier_verdict(self, world):
+        n, l = world.n, world.l_sem
+        table = game.acceptance_table(world)
+        regs = world.chain_registers()
+        for m in world.messages():
+            for s, sigma in enumerate(itertools.product(range(1 << n), repeat=l)):
+                for g, values in enumerate(itertools.product(range(1 << n), repeat=len(regs))):
+                    assert table[m, s, g] == world.verify(m, sigma, dict(zip(regs, values)))
 
 
 class TestWilson:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qromlab import qsim, rom, qworlds
+from qromlab import ots, qsim, rom, qworlds
 from qromlab.qworlds import (
     BlindingSet,
     build_blinded_sign_unitary,
@@ -90,13 +90,13 @@ def reference_invariant_projector(world, layout, thresholds, v):
 
 
 def reference_q_projector(world, m_star, i_star, layout, v):
-    """Outcome i_star as a pattern on the quantum relevant registers, scaled
-    by its endpoint weight."""
+    """Outcome i_star as a pattern on the revealed chain registers, scaled by
+    its endpoint weight (a revealed position j = w-1 is the pinned endpoint)."""
     pattern, weight = {}, 1.0
-    for k, (kind, ref) in enumerate(world.relevant_registers(m_star)[: min(i_star, world.l_sem)]):
+    for k, (c, j) in enumerate(world.revealed(m_star)[: min(i_star, world.l_sem)]):
         bit = 0 if k == i_star - 1 else 1
-        if kind == "q":
-            pattern[ref] = bit
+        if j <= world.w - 2:
+            pattern[world.chain_register(c, j)] = bit
         else:
             weight *= 2.0 ** -world.n if bit == 0 else 1.0 - 2.0 ** -world.n
     return weight * phi_pattern(v, layout, pattern)
@@ -139,6 +139,31 @@ class TestWorldConstruction:
         world = winternitz_world(1, 1, 3, seed=0)
         assert world.thresholds(0) == (0, 2)
         assert world.thresholds(1) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "world",
+        [
+            lamport_world(3, 2, seed=0),
+            winternitz_world(3, 2, 3, seed=0),
+            winternitz_world(3, 2, 4, seed=0),
+        ],
+    )
+    def test_revealed_positions_are_the_classical_signature(self, world):
+        # signing m with the scheme publishes exactly chain position (c, j) of
+        # every block; j = w-1 is the public key entry
+        oracle = rom.RandomOracleTable(world.n, seed=5)
+        rng = np.random.default_rng(5)
+        if world.scheme == "lamport":
+            kp = ots.lamport_keygen(world.params, oracle, rng)
+            sign = lambda m: ots.lamport_sign(world.params, kp.sk, m)
+        else:
+            kp = ots.wots_keygen(world.params, oracle, rng)
+            sign = lambda m: ots.wots_sign(world.params, kp.sk, m, oracle)
+        for m in world.messages():
+            revealed = world.revealed(m)
+            assert len(revealed) == world.l_sem
+            for s, (c, j) in zip(sign(m).sigma, revealed):
+                assert s == ots.chain_eval(kp.sk[c], 0, j, oracle)
 
     def test_descriptor_round_trip(self):
         world = winternitz_world(2, 1, 2, blinding=BlindingSet.explicit(1, {0}), seed=4)
