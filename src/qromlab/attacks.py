@@ -17,9 +17,11 @@ from first-hit combinatorics over the attacker's random query set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -68,24 +70,20 @@ def reports_to_csv(reports) -> str:
 # Shared forgery assembly
 
 
-def _preimage_targets(pk: tuple[int, ...], oracle, y: int) -> int | None:
-    """Index (ascending) of the first public-key string that y maps onto."""
-    hy = oracle(y)
-    for idx, p in enumerate(pk):
-        if p == hy:
-            return idx
-    return None
+def _forgery_messages(l: int, pk_index: int) -> tuple[int, int, int]:
+    """(block, signed message, forged message) for a hit on ``pk[pk_index]``:
+    sign the message complementary to the hit position, forge its bit flip."""
+    i_star, j_star = divmod(pk_index, 2)
+    m = (1 - j_star) << (l - 1 - i_star)  # zeros elsewhere
+    return i_star, m, m ^ (1 << (l - 1 - i_star))
 
 
 def _forge(handles: game.ClassicalHandles, y_star: int, pk_index: int):
     """Sign the message complementary to the hit position, then flip and patch."""
-    l = handles.params.l
-    i_star, j_star = divmod(pk_index, 2)
-    m = (1 - j_star) << (l - 1 - i_star)  # zeros elsewhere
+    i_star, m, m_prime = _forgery_messages(handles.params.l, pk_index)
     answer = handles.sign_query(m)
     if answer.blinded:
         return None
-    m_prime = m ^ (1 << (l - 1 - i_star))
     sigma = list(answer.payload)
     sigma[i_star] = y_star
     return m_prime, tuple(sigma)
@@ -95,16 +93,13 @@ def _classical_adversary(q: int, rng: np.random.Generator, found: list):
     def adversary(handles: game.ClassicalHandles):
         n = handles.params.n
         space = 1 << n
-        queries = sorted(int(v) for v in rng.choice(space, size=min(q, space), replace=False))
+        queries = sorted(rng.choice(space, size=min(q, space), replace=False).tolist())
         y_star = None
         pk_index = None
         for y in queries:  # scan hits in ascending order
             hy = handles.hash_query(y)
-            if pk_index is None:
-                for idx, p in enumerate(handles.pk):
-                    if p == hy:
-                        y_star, pk_index = y, idx
-                        break
+            if pk_index is None and hy in handles.pk:
+                y_star, pk_index = y, handles.pk.index(hy)  # first matching string
         if pk_index is None:
             return None  # concede: no preimage found
         found.append(y_star)
@@ -113,55 +108,66 @@ def _classical_adversary(q: int, rng: np.random.Generator, found: list):
     return adversary
 
 
-def _first_hit_exact(n: int, q: int, hits: list[tuple[int, bool]]) -> tuple[float, float]:
-    """(win probability, hit probability) over a uniform random q-subset of inputs.
-
-    ``hits`` lists (input, wins-if-first) for every preimage of a public-key
-    string, ascending.  The chance that a given hit is the smallest queried one
-    is C(space-1-rank, q-1) / C(space, q).
-    """
+def _first_hit_weights(n: int, q: int) -> Callable[[int], float]:
+    """Chance that the hit of a given rank (among the hits, ascending) is the
+    smallest queried one in a uniform random q-subset of the 2^n inputs:
+    C(space-1-rank, q-1) / C(space, q); call it only for q >= 1.  Each rank is
+    computed on first use only, so large spaces pay for the ranks trials reach."""
     space = 1 << n
     q = min(q, space)
     total = math.comb(space, q)
+
+    @functools.cache
+    def weight(rank: int) -> float:
+        return math.comb(space - 1 - rank, q - 1) / total
+
+    return weight
+
+
+def _first_hit_exact(
+    weight: Callable[[int], float], hits: list[tuple[int, bool]]
+) -> tuple[float, float]:
+    """(win probability, hit probability) over a uniform random q-subset of inputs.
+
+    ``hits`` lists (input, wins-if-first) for every preimage of a public-key
+    string, ascending; ``weight`` comes from :func:`_first_hit_weights`.
+    """
     p_win = 0.0
     p_hit = 0.0
     for rank, (_, wins) in enumerate(hits):
-        weight = math.comb(space - 1 - rank, q - 1) / total
-        p_hit += weight
+        p_first = weight(rank)
+        p_hit += p_first
         if wins:
-            p_win += weight
+            p_win += p_first
     return p_win, p_hit
 
 
-def _trial_world(n: int, l: int, seed: int):
-    params = ots.LamportParams(n=n, l=l)
-    oracle = rom.RandomOracleTable(n, seed=rom.derive_seed(seed, "oracle"))
+def _trial_world(params: ots.LamportParams, seed: int):
+    oracle = rom.RandomOracleTable(params.n, seed=rom.derive_seed(seed, "oracle"))
     keypair = ots.lamport_keygen(params, oracle, np.random.default_rng(rom.derive_seed(seed, "keygen")))
     blinding = game.sample_blinding_set(
-        0.5, l, np.random.default_rng(rom.derive_seed(seed, "blinding"))
+        0.5, params.l, np.random.default_rng(rom.derive_seed(seed, "blinding"))
     )
-    return params, oracle, keypair, blinding
+    return oracle, keypair, blinding
 
 
-def _hit_wins(n: int, l: int, oracle, pk, blinding) -> list[tuple[int, bool]]:
-    """All oracle inputs mapping onto the public key, with the win verdict the
-    forgery pipeline reaches if that input is the first hit."""
-    out = []
-    for y in range(1 << n):
-        idx = _preimage_targets(pk, oracle, y)
-        if idx is None:
-            continue
-        i_star, j_star = divmod(idx, 2)
-        m = (1 - j_star) << (l - 1 - i_star)
-        m_prime = m ^ (1 << (l - 1 - i_star))
-        out.append((y, (m not in blinding) and (m_prime in blinding)))
-    return out
+def _hit_wins(l: int, oracle: rom.RandomOracleTable, pk, blinding) -> list[tuple[int, bool]]:
+    """All oracle inputs mapping onto the public key, ascending, with the win
+    verdict the forgery pipeline reaches if that input is the first hit."""
+    verdict: dict[int, bool] = {}
+    for idx, p in enumerate(pk):  # a string's first index is the one forged
+        if p not in verdict:
+            _, m, m_prime = _forgery_messages(l, idx)
+            verdict[p] = (m not in blinding) and (m_prime in blinding)
+    return [(y, verdict[h]) for y, h in enumerate(oracle.full_table()) if h in verdict]
 
 
 def classical_search_attack(n: int, l: int, q: int, trials: int, seed: int = 0) -> AttackReport:
     """Monte-Carlo runs of the search attack plus its exact per-world reference."""
     if q < 0:
         raise ValueError("query count must be nonnegative")
+    params = ots.LamportParams(n=n, l=l)
+    weight = _first_hit_weights(n, q)
     wins = 0
     searches = 0
     exact_sum = 0.0
@@ -169,10 +175,10 @@ def classical_search_attack(n: int, l: int, q: int, trials: int, seed: int = 0) 
     search_exact_sum = 0.0
     for t in range(trials):
         trial_seed = rom.derive_seed(seed, "classical", t)
-        params, oracle, keypair, blinding = _trial_world(n, l, trial_seed)
+        oracle, keypair, blinding = _trial_world(params, trial_seed)
         # Exact reference uses the same world; the sampled run must match it on average.
-        hits = _hit_wins(n, l, oracle, keypair.pk, blinding)
-        p_win, p_hit = _first_hit_exact(n, q, hits) if q > 0 else (0.0, 0.0)
+        hits = _hit_wins(l, oracle, keypair.pk, blinding)
+        p_win, p_hit = _first_hit_exact(weight, hits) if q > 0 else (0.0, 0.0)
         exact_sum += p_win
         exact_var += p_win * (1.0 - p_win)
         search_exact_sum += p_hit
@@ -212,8 +218,8 @@ def exact_win_by_subset_enumeration(n: int, l: int, q: int, world_seed: int) -> 
     """Brute-force reference: average the deterministic attack verdict over
     every possible query subset.  Only feasible at small n; cross-checks the
     first-hit combinatorics."""
-    params, oracle, keypair, blinding = _trial_world(n, l, world_seed)
-    hits = dict(_hit_wins(n, l, oracle, keypair.pk, blinding))
+    oracle, keypair, blinding = _trial_world(ots.LamportParams(n=n, l=l), world_seed)
+    hits = dict(_hit_wins(l, oracle, keypair.pk, blinding))
     space = 1 << n
     q = min(q, space)
     wins = 0
@@ -230,18 +236,23 @@ def exact_win_by_subset_enumeration(n: int, l: int, q: int, world_seed: int) -> 
 # Grover variant
 
 
-def grover_state(n: int, marked, iterations: int) -> np.ndarray:
-    """Amplitudes after the standard iterate: oracle phase flip on the marked
-    set, then inversion about the mean."""
+def _grover_iterates(n: int, marked):
+    """Amplitudes after 0, 1, 2, ... standard iterates: oracle phase flip on
+    the marked set, then inversion about the mean."""
     dim = 1 << n
     psi = np.full(dim, 1.0 / math.sqrt(dim))
     flip = np.ones(dim)
     for y in marked:
         flip[y] = -1.0
-    for _ in range(iterations):
+    while True:
+        yield psi
         psi = psi * flip
         psi = 2.0 * psi.mean() - psi
-    return psi
+
+
+def grover_state(n: int, marked, iterations: int) -> np.ndarray:
+    """Amplitudes after ``iterations`` standard iterates."""
+    return next(itertools.islice(_grover_iterates(n, marked), iterations, None))
 
 
 def default_grover_iterations(n: int, l: int) -> int:
@@ -259,6 +270,10 @@ def grover_attack(
     """
     if iterations is None:
         iterations = default_grover_iterations(n, l)
+    params = ots.LamportParams(n=n, l=l)
+    # Measurement distribution and search success per marked set; worlds
+    # repeat marked sets often at these register sizes.
+    by_marked: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
     wins = 0
     search_hits = 0
     exact_sum = 0.0
@@ -266,23 +281,25 @@ def grover_attack(
     search_exact_sum = 0.0
     for t in range(trials):
         trial_seed = rom.derive_seed(seed, "grover", t)
-        params, oracle, keypair, blinding = _trial_world(n, l, trial_seed)
-        hit_wins = dict(_hit_wins(n, l, oracle, keypair.pk, blinding))
-        psi = grover_state(n, hit_wins.keys(), iterations)
-        probs = np.abs(psi) ** 2
-        probs = probs / probs.sum()
-        p_search = float(sum(probs[y] for y in hit_wins))
+        oracle, keypair, blinding = _trial_world(params, trial_seed)
+        hit_wins = dict(_hit_wins(l, oracle, keypair.pk, blinding))
+        marked = tuple(hit_wins)
+        if marked not in by_marked:
+            probs = np.abs(grover_state(n, marked, iterations)) ** 2
+            probs = probs / probs.sum()
+            by_marked[marked] = probs, float(sum(probs[y] for y in marked))
+        probs, p_search = by_marked[marked]
         p_win = float(sum(probs[y] for y, ok in hit_wins.items() if ok))
         search_exact_sum += p_search
         exact_sum += p_win
         exact_var += p_win * (1.0 - p_win)
         rng = np.random.default_rng(rom.derive_seed(trial_seed, "measure"))
         y_star = int(rng.choice(len(probs), p=probs))
-        if y_star in hit_wins:
-            search_hits += 1
+        if y_star not in hit_wins:
+            continue
+        search_hits += 1
         handles = game.ClassicalHandles(keypair, blinding, oracle)
-        idx = _preimage_targets(keypair.pk, oracle, y_star)
-        forged = _forge(handles, y_star, idx) if idx is not None else None
+        forged = _forge(handles, y_star, keypair.pk.index(oracle(y_star)))
         if forged is not None:
             m_star, sigma_star = forged
             ok = ots.lamport_verify(params, keypair.pk, m_star, sigma_star, oracle)
@@ -320,19 +337,16 @@ def grover_schedule_sensitivity(
     The schedule is fixed from the expected target count; the realized count
     is binomial, so this sweep reports how forgiving that choice is.
     """
-    out = []
-    worlds = []
+    params = ots.LamportParams(n=n, l=l)
+    totals = [0.0] * (max_iterations + 1)
     for t in range(trials):
         trial_seed = rom.derive_seed(seed, "sens", t)
-        params, oracle, keypair, blinding = _trial_world(n, l, trial_seed)
-        worlds.append(set(y for y, _ in _hit_wins(n, l, oracle, keypair.pk, blinding)))
-    for iters in range(max_iterations + 1):
-        total = 0.0
-        for marked in worlds:
-            psi = grover_state(n, marked, iters)
-            total += float(sum(abs(psi[y]) ** 2 for y in marked))
-        out.append((iters, total / trials))
-    return out
+        oracle, keypair, blinding = _trial_world(params, trial_seed)
+        marked = set(y for y, _ in _hit_wins(l, oracle, keypair.pk, blinding))
+        states = itertools.islice(_grover_iterates(n, marked), max_iterations + 1)
+        for iters, psi in enumerate(states):
+            totals[iters] += float(sum(abs(psi[y]) ** 2 for y in marked))
+    return [(iters, total / trials) for iters, total in enumerate(totals)]
 
 
 def security_bounds(scheme: str, q: int, n: int, l: int, w: int | None = None) -> dict:

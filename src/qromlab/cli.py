@@ -159,11 +159,13 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_worlds(args) -> int:
-    reports = lemmas.check_world_closeness(args.n, args.l, args.w)
     if args.dump_prefix:
         p, q = rom.enumerate_chain_distributions(args.n, args.l, args.w)
+        reports = lemmas.check_world_closeness(args.n, args.l, args.w, (p, q))
         rom.dump_distribution_csv(p, args.n, args.dump_prefix + "_p.csv")
         rom.dump_distribution_csv(q, args.n, args.dump_prefix + "_q.csv")
+    else:
+        reports = lemmas.check_world_closeness(args.n, args.l, args.w)
     _write(args.out, lemmas.reports_to_csv(reports))
     return 0 if all(r.passed for r in reports) else 2
 

@@ -414,10 +414,19 @@ def check_pinching(k: int, trials: int = 100, seed: int = 0) -> list[CheckReport
     return [_report("pinching", "", 0, 0, 0, 0, 0, worst, 0.0, t0, note=f"k={k} trials={trials}")]
 
 
-def check_world_closeness(n: int, l: int, w: int) -> list[CheckReport]:
-    """Exact chain-tuple distributions: iterated-oracle vs independent-uniform."""
+def check_world_closeness(
+    n: int, l: int, w: int, distributions: tuple[np.ndarray, np.ndarray] | None = None
+) -> list[CheckReport]:
+    """Exact chain-tuple distributions: iterated-oracle vs independent-uniform.
+
+    ``distributions`` is the ``(p, q)`` pair of
+    :func:`rom.enumerate_chain_distributions` for (n, l, w), when the caller
+    has built it already; it is built here otherwise.
+    """
     t0 = time.perf_counter()
-    p, q = rom.enumerate_chain_distributions(n, l, w)
+    if distributions is None:
+        distributions = rom.enumerate_chain_distributions(n, l, w)
+    p, q = distributions
     stats = rom.tv_and_collision_stats(p, q, n, l, w)
     rep_tv = _report(
         "chain-distribution-tv", "", n, l, w, 0, 0, stats.tv, stats.tv_bound, t0,

@@ -11,19 +11,23 @@ consistency on top of a base oracle in one of two modes:
   input, so independently sampled chains with collisions stay well-defined.
 
 The exact distribution of chain tuples generated by iterating a lazily
-sampled oracle is enumerated by recursive conditioning over reachable inputs,
-never by Monte Carlo; probabilities are dyadic rationals and exact in float64
-at the sizes the guard admits.
+sampled oracle is computed in closed form, never by Monte Carlo: a tuple
+gamma has probability 2^{-n(l + d(gamma))} when equal extension inputs have
+equal successors and 0 otherwise, where d(gamma) counts the distinct values
+among the entries gamma[i][j], j < w-1, that the chains feed to the oracle.
+Each start value and each distinct oracle input is one fresh uniform draw,
+whatever the order the chains grow in.  Distributions are dense float64 arrays over all
+2^{nlw} tuples in ``itertools.product`` order; every probability is a dyadic
+rational with at most n*l*w bits, so sums over them are exact in any order.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -60,14 +64,21 @@ class RandomOracleTable:
         self.n = n
         self.seed = 0 if seed is None else int(seed)
         self._table: dict[int, int] = {}
+        # derive_seed(seed, "img", x) hashes "<seed>/img/<x>": hash the fixed
+        # prefix once and copy its state per input.
+        self._prefix = hashlib.sha256(f"{self.seed}/img/".encode())
+
+    def _image(self, x: int) -> int:
+        h = self._prefix.copy()
+        h.update(str(x).encode())
+        return (int.from_bytes(h.digest()[:8], "big") >> 1) & ((1 << self.n) - 1)
 
     def query(self, x: int) -> int:
         if not 0 <= x < (1 << self.n):
             raise ValueError(f"input {x} is not an {self.n}-bit value")
         y = self._table.get(x)
         if y is None:
-            y = derive_seed(self.seed, "img", x) & ((1 << self.n) - 1)
-            self._table[x] = y
+            y = self._table[x] = self._image(x)
         return y
 
     __call__ = query
@@ -76,10 +87,14 @@ class RandomOracleTable:
         return dict(self._table)
 
     def full_table(self) -> tuple[int, ...]:
-        """Query the whole domain; only sensible at small n."""
+        """The whole domain's images, filling the memo in one pass; only
+        sensible at small n."""
         if self.n > 20:
             raise ValueError("full table requested for n > 20")
-        return tuple(self.query(x) for x in range(1 << self.n))
+        table, image = self._table, self._image
+        return tuple(
+            table[x] if x in table else table.setdefault(x, image(x)) for x in range(1 << self.n)
+        )
 
 
 @dataclass(frozen=True)
@@ -197,73 +212,33 @@ def _check_enum_size(n: int, l: int, w: int) -> None:
         raise ValueError(f"enumeration guard: n*l*w = {n * l * w} exceeds {MAX_ENUM_BITS}")
 
 
-def _enumerate_lazy_oracle(n: int, l: int, w: int, order: list[tuple[int, int]]) -> dict:
-    """Exact tuple distribution for chains grown against a lazy random oracle.
-
-    ``order`` lists (chain, position) extension steps.  Branches over fresh
-    oracle inputs only (recursive conditioning); forced steps carry no factor.
-    Returns integer numerators over the common denominator 2**(n*l*w).
-    """
-    top = 1 << n
-    denom_exp = n * l * w
-    counts: dict[tuple[int, ...], int] = {}
-
-    def rec(step: int, grid: list[list[int]], f: dict[int, int], used_exp: int):
-        if step == len(order) + l:
-            key = tuple(v for row in grid for v in row)
-            counts[key] = counts.get(key, 0) + (1 << (denom_exp - used_exp))
-            return
-        if step < l:  # start values: always fresh uniform samples
-            for v in range(top):
-                grid[step].append(v)
-                rec(step + 1, grid, f, used_exp + n)
-                grid[step].pop()
-            return
-        i, _ = order[step - l]
-        x = grid[i][-1]
-        y = f.get(x)
-        if y is not None:
-            grid[i].append(y)
-            rec(step + 1, grid, f, used_exp)
-            grid[i].pop()
-            return
-        for v in range(top):
-            f[x] = v
-            grid[i].append(v)
-            rec(step + 1, grid, f, used_exp + n)
-            grid[i].pop()
-            del f[x]
-
-    rec(0, [[] for _ in range(l)], {}, 0)
-    return counts
+def _tuple_entries(n: int, width: int) -> np.ndarray:
+    """The ``width`` n-bit entries of every tuple (entry k = i*w + j of a
+    chain tuple), one row per tuple in product order."""
+    index = np.arange(1 << (n * width), dtype=np.int64)[:, None]
+    shifts = n * np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (index >> shifts) & ((1 << n) - 1)
 
 
-def enumerate_chain_distributions(n: int, l: int, w: int) -> tuple[dict, dict]:
+def enumerate_chain_distributions(n: int, l: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact (p, q): iterated-oracle chain distribution and the uniform product.
 
-    Keys are flat (chain-major) tuples; values are float probabilities, exact
-    because every probability is a dyadic rational with at most n*l*w bits.
+    Both are dense arrays over all 2^{nlw} flat (chain-major) tuples in
+    ``itertools.product(range(2**n), repeat=l*w)`` order.  p is the closed form
+    of the module docstring, exact because every value is a power of two.
     """
     _check_enum_size(n, l, w)
-    order = [(i, j) for i in range(l) for j in range(1, w)]  # chain-major growth
-    counts = _enumerate_lazy_oracle(n, l, w, order)
-    denom = 1 << (n * l * w)
-    p = {key: cnt / denom for key, cnt in counts.items()}
-    q = {key: 1.0 / denom for key in itertools.product(range(1 << n), repeat=l * w)}
+    entries = _tuple_entries(n, l * w).reshape(-1, l, w)
+    # One (input, successor) pair per extension step, sorted by input so equal
+    # inputs sit next to each other.
+    steps = ((entries[:, :, :-1] << n) | entries[:, :, 1:]).reshape(len(entries), -1)
+    steps.sort(axis=1)
+    same_input = (steps[:, 1:] >> n) == (steps[:, :-1] >> n)
+    consistent = ~(same_input & (steps[:, 1:] != steps[:, :-1])).any(axis=1)
+    distinct_inputs = steps.shape[1] - same_input.sum(axis=1)
+    p = np.where(consistent, np.ldexp(1.0, -n * (l + distinct_inputs)), 0.0)
+    q = np.full(len(p), np.ldexp(1.0, -n * l * w))
     return p, q
-
-
-def enumerate_consistent_chain_distribution(n: int, l: int, w: int) -> dict:
-    """Exact distribution of :func:`sample_consistent_chains` (position-major)."""
-    _check_enum_size(n, l, w)
-    order = [(i, j) for j in range(1, w) for i in range(l)]  # position-major growth
-    counts = _enumerate_lazy_oracle(n, l, w, order)
-    denom = 1 << (n * l * w)
-    return {key: cnt / denom for key, cnt in counts.items()}
-
-
-def has_collision(flat: tuple[int, ...]) -> bool:
-    return len(set(flat)) != len(flat)
 
 
 @dataclass(frozen=True)
@@ -285,26 +260,26 @@ def chain_tv_bound(n: int, l: int, w: int) -> float:
     return 3.0 * (w * l) ** 2 / 2 ** n
 
 
-def tv_and_collision_stats(p: Mapping, q: Mapping, n: int, l: int, w: int) -> WorldsReport:
+def tv_and_collision_stats(p: np.ndarray, q: np.ndarray, n: int, l: int, w: int) -> WorldsReport:
     """l1 distance, collision-set masses, and the closeness bound for (p, q).
 
     Also checks the exact structural facts: p and q agree entry-by-entry on
     collision-free tuples, and put equal total mass on the collision set.
+    ``p`` and ``q`` are dense arrays as returned by
+    :func:`enumerate_chain_distributions`.
     """
-    if not set(p).issubset(set(q)):
+    _check_enum_size(n, l, w)
+    size = 1 << (n * l * w)
+    if p.shape != (size,) or q.shape != (size,):
+        raise ValueError(f"distributions must be dense arrays of {size} tuples")
+    if np.any((p != 0.0) & (q == 0.0)):
         raise ValueError("support mismatch: p has tuples outside q's support")
-    tv = 0.0
-    p_coll = 0.0
-    q_coll = 0.0
-    conditional_equal = True
-    for key, qv in q.items():
-        pv = p.get(key, 0.0)
-        tv += abs(pv - qv)
-        if has_collision(key):
-            p_coll += pv
-            q_coll += qv
-        elif pv != qv:
-            conditional_equal = False
+    entries = np.sort(_tuple_entries(n, l * w), axis=1)
+    collision = (entries[:, 1:] == entries[:, :-1]).any(axis=1)
+    tv = float(np.abs(p - q).sum())
+    p_coll = float(p[collision].sum())
+    q_coll = float(q[collision].sum())
+    conditional_equal = bool(np.array_equal(p[~collision], q[~collision]))
     bound = chain_tv_bound(n, l, w)
     coll_bound = (w * l) ** 2 / 2 ** n
     return WorldsReport(
@@ -322,12 +297,15 @@ def tv_and_collision_stats(p: Mapping, q: Mapping, n: int, l: int, w: int) -> Wo
     )
 
 
-def dump_distribution_csv(dist: Mapping, n: int, path: str | Path) -> None:
-    """Fixture dump: one (tuple-hex, probability) row per support point."""
+def dump_distribution_csv(dist: np.ndarray, n: int, path: str | Path) -> None:
+    """Fixture dump: one (tuple-hex, probability) row per support point, in
+    tuple order; ``dist`` is a dense array as returned by
+    :func:`enumerate_chain_distributions`."""
     width = (n + 3) // 4
+    entries = _tuple_entries(n, (len(dist).bit_length() - 1) // n)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tuple_hex", "probability"])
-        for key in sorted(dist):
-            hexkey = "".join(format(v, f"0{width}x") for v in key)
-            writer.writerow([hexkey, repr(dist[key])])
+        for index in np.flatnonzero(dist):
+            hexkey = "".join(format(v, f"0{width}x") for v in entries[index].tolist())
+            writer.writerow([hexkey, repr(float(dist[index]))])

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from qromlab import attacks, rom
+from qromlab import attacks, cli, ots, rom
 from qromlab.attacks import (
     _first_hit_exact,
+    _first_hit_weights,
     _hit_wins,
     _trial_world,
     exact_win_by_subset_enumeration,
@@ -29,9 +30,9 @@ class TestClassicalAttack:
         for ws in range(6):
             for q in (1, 2, 4):
                 seed = rom.derive_seed(5, "xc", ws, q)
-                params, oracle, keypair, blinding = _trial_world(3, 1, seed)
-                hits = _hit_wins(3, 1, oracle, keypair.pk, blinding)
-                p_win, _ = _first_hit_exact(3, q, hits)
+                oracle, keypair, blinding = _trial_world(ots.LamportParams(n=3, l=1), seed)
+                hits = _hit_wins(1, oracle, keypair.pk, blinding)
+                p_win, _ = _first_hit_exact(_first_hit_weights(3, q), hits)
                 assert p_win == pytest.approx(
                     exact_win_by_subset_enumeration(3, 1, q, seed), abs=1e-12
                 )
@@ -120,3 +121,253 @@ class TestScheduleSensitivity:
         peak_iter = max(by_iter, key=by_iter.get)
         assert 1 <= peak_iter <= attacks.default_grover_iterations(4, 1)
         assert by_iter[peak_iter] > 3 * by_iter[0]
+
+    @pytest.mark.parametrize("n,l,max_iterations,trials,seed", [(4, 1, 4, 150, 3), (5, 2, 6, 100, 1)])
+    def test_single_evolution_matches_per_count_rebuild(self, n, l, max_iterations, trials, seed):
+        got = attacks.grover_schedule_sensitivity(n, l, max_iterations, trials=trials, seed=seed)
+        assert got == reference_schedule_sensitivity(n, l, max_iterations, trials, seed)
+
+
+def reference_schedule_sensitivity(n, l, max_iterations, trials, seed):
+    """The sweep as first written: every world's state rebuilt from scratch
+    for every iteration count."""
+    params = ots.LamportParams(n=n, l=l)
+    worlds = []
+    for t in range(trials):
+        oracle, keypair, blinding = _trial_world(params, rom.derive_seed(seed, "sens", t))
+        worlds.append(set(y for y, _ in _hit_wins(l, oracle, keypair.pk, blinding)))
+    out = []
+    for iters in range(max_iterations + 1):
+        total = 0.0
+        for marked in worlds:
+            psi = attacks.grover_state(n, marked, iters)
+            total += float(sum(abs(psi[y]) ** 2 for y in marked))
+        out.append((iters, total / trials))
+    return out
+
+
+# `attack` reports recorded before the trial loop read whole oracle tables.
+# The 3-sigma tests above cannot see a shifted RNG stream or a reordered float
+# sum; byte equality can.
+GOLDEN_REPORTS = {
+    "attack --kind classical --n 3 --l 1 --q 4 --trials 2000 --seed 10": """\
+{
+  "bound_full": 1.0,
+  "bound_simple": 1.0,
+  "empirical": 0.218,
+  "exact_reference": 0.22067857142857183,
+  "kind": "classical-search",
+  "l": 1,
+  "n": 3,
+  "p_search_formula": 0.68359375,
+  "q": 4,
+  "reference_sigma": 0.006471464049098596,
+  "search_exact": 0.8948999999999809,
+  "search_rate": 0.898,
+  "seed": 10,
+  "trials": 2000,
+  "wilson_high": 0.24692739451791845,
+  "wilson_low": 0.1915992356463424,
+  "wins": 436
+}
+""",
+    "attack --kind classical --n 4 --l 1 --q 16 --trials 2000 --seed 10": """\
+{
+  "bound_full": 1.0,
+  "bound_simple": 1.0,
+  "empirical": 0.2535,
+  "exact_reference": 0.2535,
+  "kind": "classical-search",
+  "l": 1,
+  "n": 4,
+  "p_search_formula": 0.8819329129787512,
+  "q": 16,
+  "reference_sigma": 0.0,
+  "search_exact": 1.0,
+  "search_rate": 1.0,
+  "seed": 10,
+  "trials": 2000,
+  "wilson_high": 0.2837414462396334,
+  "wilson_low": 0.22546711523373644,
+  "wins": 507
+}
+""",
+    "attack --kind grover --n 4 --l 1 --trials 2000 --seed 10": """\
+{
+  "bound_full": 1.0,
+  "bound_simple": 1.0,
+  "empirical": 0.114,
+  "exact_reference": 0.1150455322265625,
+  "kind": "grover",
+  "l": 1,
+  "n": 4,
+  "p_search_formula": 0.234375,
+  "q": 2,
+  "reference_sigma": 0.0056113697333275364,
+  "search_exact": 0.4572965087890625,
+  "search_rate": 0.4725,
+  "seed": 10,
+  "trials": 2000,
+  "wilson_high": 0.13707100917340068,
+  "wilson_low": 0.09438742785994927,
+  "wins": 228
+}
+""",
+    "attack --kind classical --n 4 --l 2 --q 5 --trials 2000 --seed 10": """\
+{
+  "bound_full": 1.0,
+  "bound_simple": 1.0,
+  "empirical": 0.233,
+  "exact_reference": 0.2286515567765571,
+  "kind": "classical-search",
+  "l": 2,
+  "n": 4,
+  "p_search_formula": 0.7626953125,
+  "q": 5,
+  "reference_sigma": 0.00778347308903495,
+  "search_exact": 0.9255921474358738,
+  "search_rate": 0.9285,
+  "seed": 10,
+  "trials": 2000,
+  "wilson_high": 0.26251620771383444,
+  "wilson_low": 0.20587602722892326,
+  "wins": 466
+}
+""",
+    "attack --kind grover --n 5 --l 2 --trials 2000 --seed 10": """\
+{
+  "bound_full": 1.0,
+  "bound_simple": 1.0,
+  "empirical": 0.107,
+  "exact_reference": 0.10793485641479492,
+  "kind": "grover",
+  "l": 2,
+  "n": 5,
+  "p_search_formula": 0.234375,
+  "q": 2,
+  "reference_sigma": 0.006221778571555463,
+  "search_exact": 0.4438603782653809,
+  "search_rate": 0.4565,
+  "seed": 10,
+  "trials": 2000,
+  "wilson_high": 0.12952479886833715,
+  "wilson_low": 0.08799635593504762,
+  "wins": 214
+}
+""",
+    "attack --kind classical --n 3 --l 1 --q 4 --trials 2000 --seed 3": """\
+{
+  "bound_full": 1.0,
+  "bound_simple": 1.0,
+  "empirical": 0.2225,
+  "exact_reference": 0.2181285714285716,
+  "kind": "classical-search",
+  "l": 1,
+  "n": 3,
+  "p_search_formula": 0.68359375,
+  "q": 4,
+  "reference_sigma": 0.006408763133238683,
+  "search_exact": 0.8937499999999804,
+  "search_rate": 0.892,
+  "seed": 3,
+  "trials": 2000,
+  "wilson_high": 0.251609441545984,
+  "wilson_low": 0.19587687005182586,
+  "wins": 445
+}
+""",
+    "attack --kind classical --n 4 --l 1 --q 16 --trials 2000 --seed 3": """\
+{
+  "bound_full": 1.0,
+  "bound_simple": 1.0,
+  "empirical": 0.2345,
+  "exact_reference": 0.2345,
+  "kind": "classical-search",
+  "l": 1,
+  "n": 4,
+  "p_search_formula": 0.8819329129787512,
+  "q": 16,
+  "reference_sigma": 0.0,
+  "search_exact": 1.0,
+  "search_rate": 1.0,
+  "seed": 3,
+  "trials": 2000,
+  "wilson_high": 0.26407231077470367,
+  "wilson_low": 0.20730648464590362,
+  "wins": 469
+}
+""",
+    "attack --kind grover --n 4 --l 1 --trials 2000 --seed 3": """\
+{
+  "bound_full": 1.0,
+  "bound_simple": 1.0,
+  "empirical": 0.122,
+  "exact_reference": 0.118380859375,
+  "kind": "grover",
+  "l": 1,
+  "n": 4,
+  "p_search_formula": 0.234375,
+  "q": 2,
+  "reference_sigma": 0.005629745214390369,
+  "search_exact": 0.4521932373046875,
+  "search_rate": 0.452,
+  "seed": 3,
+  "trials": 2000,
+  "wilson_high": 0.14566450068484116,
+  "wilson_low": 0.1017222588970404,
+  "wins": 244
+}
+""",
+    "attack --kind classical --n 4 --l 2 --q 5 --trials 2000 --seed 3": """\
+{
+  "bound_full": 1.0,
+  "bound_simple": 1.0,
+  "empirical": 0.24,
+  "exact_reference": 0.2310844780219783,
+  "kind": "classical-search",
+  "l": 2,
+  "n": 4,
+  "p_search_formula": 0.7626953125,
+  "q": 5,
+  "reference_sigma": 0.007844683435434227,
+  "search_exact": 0.9218759157508927,
+  "search_rate": 0.9175,
+  "seed": 3,
+  "trials": 2000,
+  "wilson_high": 0.2697738412228979,
+  "wilson_low": 0.21255567594982488,
+  "wins": 480
+}
+""",
+    "attack --kind grover --n 5 --l 2 --trials 2000 --seed 3": """\
+{
+  "bound_full": 1.0,
+  "bound_simple": 1.0,
+  "empirical": 0.106,
+  "exact_reference": 0.11657863235473633,
+  "kind": "grover",
+  "l": 2,
+  "n": 5,
+  "p_search_formula": 0.234375,
+  "q": 2,
+  "reference_sigma": 0.006447091998829083,
+  "search_exact": 0.4520481262207031,
+  "search_rate": 0.4325,
+  "seed": 3,
+  "trials": 2000,
+  "wilson_high": 0.12844458946036325,
+  "wilson_low": 0.08708552502445507,
+  "wins": 212
+}
+""",
+}
+
+
+def _golden_id(argv: str) -> str:
+    return argv.replace("attack --kind ", "").replace(" --", "-").replace(" ", "")
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_REPORTS), ids=_golden_id)
+def test_attack_report_bytes_are_pinned(argv, capsys):
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out == GOLDEN_REPORTS[argv]

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from test_rom import reference_distributions
 
 from qromlab import cli
 
@@ -60,6 +61,24 @@ class TestReports:
         assert cli.main(["worlds", "--n", "4", "--l", "1", "--w", "2",
                          "--out", str(out)]) == 0
         assert "chain-distribution-tv" in out.read_text()
+
+    @pytest.mark.parametrize("n,l,w", [(2, 1, 2), (2, 2, 2)])
+    def test_worlds_dump_matches_recursive_reference(self, tmp_path, capsys, n, l, w):
+        # p rows are its support in sorted tuple order, q rows every tuple;
+        # the report is the same with and without the dump
+        shape = ["--n", str(n), "--l", str(l), "--w", str(w)]
+        prefix = str(tmp_path / "dist")
+        code, report, _ = run(capsys, "worlds", *shape, "--dump-prefix", prefix)
+        assert code == 0
+        assert run(capsys, "worlds", *shape) == (0, report, "")
+        width = (n + 3) // 4
+        for dist, suffix in zip(reference_distributions(n, l, w), ("_p.csv", "_q.csv")):
+            rows = ["tuple_hex,probability"] + [
+                "".join(format(v, f"0{width}x") for v in key) + f",{prob!r}"
+                for key, prob in sorted(dist.items())
+            ]
+            with open(prefix + suffix, newline="") as fh:
+                assert fh.read() == "\r\n".join(rows) + "\r\n"
 
     def test_attack_report(self, tmp_path):
         out = tmp_path / "a.json"

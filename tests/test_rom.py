@@ -1,9 +1,120 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qromlab import rom
+
+
+# ---------------------------------------------------------------------------
+# References: the recursive enumeration and dict-loop statistics that the
+# closed form and array reductions in ``rom`` replace.
+
+
+def lazy_oracle_reference(n: int, l: int, w: int, order: list[tuple[int, int]]) -> dict:
+    """Exact tuple distribution for chains grown against a lazy random oracle.
+
+    ``order`` lists (chain, position) extension steps.  Branches over fresh
+    oracle inputs only (recursive conditioning); forced steps carry no factor.
+    Returns integer numerators over the common denominator 2**(n*l*w).
+    """
+    top = 1 << n
+    denom_exp = n * l * w
+    counts: dict[tuple[int, ...], int] = {}
+
+    def rec(step: int, grid: list[list[int]], f: dict[int, int], used_exp: int):
+        if step == len(order) + l:
+            key = tuple(v for row in grid for v in row)
+            counts[key] = counts.get(key, 0) + (1 << (denom_exp - used_exp))
+            return
+        if step < l:  # start values: always fresh uniform samples
+            for v in range(top):
+                grid[step].append(v)
+                rec(step + 1, grid, f, used_exp + n)
+                grid[step].pop()
+            return
+        i, _ = order[step - l]
+        x = grid[i][-1]
+        y = f.get(x)
+        if y is not None:
+            grid[i].append(y)
+            rec(step + 1, grid, f, used_exp)
+            grid[i].pop()
+            return
+        for v in range(top):
+            f[x] = v
+            grid[i].append(v)
+            rec(step + 1, grid, f, used_exp + n)
+            grid[i].pop()
+            del f[x]
+
+    rec(0, [[] for _ in range(l)], {}, 0)
+    return counts
+
+
+def chain_major(l: int, w: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(l) for j in range(1, w)]
+
+
+def position_major(l: int, w: int) -> list[tuple[int, int]]:
+    """The growth order of :func:`rom.sample_consistent_chains`."""
+    return [(i, j) for j in range(1, w) for i in range(l)]
+
+
+def reference_distributions(n: int, l: int, w: int, order=chain_major) -> tuple[dict, dict]:
+    """(p, q) as tuple-keyed dicts: p over its support, q over every tuple."""
+    denom = 1 << (n * l * w)
+    p = {key: cnt / denom for key, cnt in lazy_oracle_reference(n, l, w, order(l, w)).items()}
+    q = {key: 1.0 / denom for key in itertools.product(range(1 << n), repeat=l * w)}
+    return p, q
+
+
+def has_collision(flat: tuple[int, ...]) -> bool:
+    return len(set(flat)) != len(flat)
+
+
+def reference_stats(p: dict, q: dict, n: int, l: int, w: int) -> rom.WorldsReport:
+    """The dict loop over q's tuples that ``rom.tv_and_collision_stats`` replaced."""
+    if not set(p).issubset(set(q)):
+        raise ValueError("support mismatch: p has tuples outside q's support")
+    tv = 0.0
+    p_coll = 0.0
+    q_coll = 0.0
+    conditional_equal = True
+    for key, qv in q.items():
+        pv = p.get(key, 0.0)
+        tv += abs(pv - qv)
+        if has_collision(key):
+            p_coll += pv
+            q_coll += qv
+        elif pv != qv:
+            conditional_equal = False
+    bound = rom.chain_tv_bound(n, l, w)
+    coll_bound = (w * l) ** 2 / 2 ** n
+    return rom.WorldsReport(
+        n=n, l=l, w=w, tv=tv, p_collision=p_coll, q_collision=q_coll, tv_bound=bound,
+        collision_bound=coll_bound, tv_ok=tv <= bound + 1e-12,
+        collision_ok=max(p_coll, q_coll) <= coll_bound + 1e-12,
+        conditional_equal=conditional_equal,
+    )
+
+
+def support(dist: np.ndarray, n: int, l: int, w: int) -> dict:
+    """Dense array -> {tuple: probability} over its nonzero entries."""
+    keys = itertools.product(range(1 << n), repeat=l * w)
+    return {key: float(v) for key, v in zip(keys, dist) if v != 0.0}
+
+
+# Bench shapes at the n*l*w = 16 guard, then edges: one chain, one step,
+# many chains, uneven n, and w > 2 with several chains.
+CLOSED_FORM_SHAPES = [
+    (8, 1, 2), (4, 2, 2), (4, 1, 4), (2, 4, 2),
+    (1, 1, 2), (1, 1, 16), (1, 8, 2), (2, 2, 3), (3, 1, 5),
+    (2, 1, 3), (1, 3, 3), (3, 2, 2),
+]
 
 
 class TestLazyTable:
@@ -30,6 +141,29 @@ class TestLazyTable:
         a = t.query(6)
         table = t.full_table()
         assert table[6] == a and len(table) == 8
+
+    @pytest.mark.parametrize("seed", [0, None, 7, 2**62 + 3, -5])
+    def test_images_are_labeled_seed_derivations(self, seed):
+        # the prefix-hashed image equals derive_seed(seed, "img", x) on every input
+        for n in range(1, 9):
+            t = rom.RandomOracleTable(n, seed=seed)
+            master = 0 if seed is None else seed
+            for x in range(1 << n):
+                assert t.query(x) == rom.derive_seed(master, "img", x) & ((1 << n) - 1)
+
+    def test_full_table_after_shuffled_partial_queries(self):
+        for n, seed in [(1, 3), (5, 11), (8, -2)]:
+            xs = list(range(1 << n))
+            random.Random(seed).shuffle(xs)
+            t = rom.RandomOracleTable(n, seed=seed)
+            for x in xs[: len(xs) // 2]:
+                t.query(x)
+            fresh = rom.RandomOracleTable(n, seed=seed).full_table()
+            assert t.full_table() == fresh
+            assert t.known() == dict(enumerate(fresh))
+            for bad in (-1, 1 << n):
+                with pytest.raises(ValueError):
+                    t.query(bad)
 
 
 class TestReprogramming:
@@ -110,13 +244,14 @@ class TestSampling:
 class TestExactDistributions:
     def test_normalization(self):
         p, q = rom.enumerate_chain_distributions(2, 1, 2)
-        assert abs(sum(p.values()) - 1.0) < 1e-12
-        assert abs(sum(q.values()) - 1.0) < 1e-12
+        assert abs(p.sum() - 1.0) < 1e-12
+        assert abs(q.sum() - 1.0) < 1e-12
 
     def test_collision_free_mass_n1(self):
         # 2 * 1 * 2^-2 of the mass is collision-free at n=1, l=1, w=2
         _, q = rom.enumerate_chain_distributions(1, 1, 2)
-        mass = sum(v for k, v in q.items() if not rom.has_collision(k))
+        keys = itertools.product(range(2), repeat=2)
+        mass = sum(v for k, v in zip(keys, q) if not has_collision(k))
         assert mass == pytest.approx(0.5, abs=1e-15)
 
     def test_stats_example_n4(self):
@@ -142,24 +277,42 @@ class TestExactDistributions:
             assert stats.p_collision == pytest.approx(stats.q_collision, abs=1e-14)
 
     def test_chain_major_and_position_major_growth_agree(self):
-        # the two lazily-conditioned enumeration orders describe the same
-        # distribution: the sampled-then-reprogrammed world is the real one
-        for n, l, w in [(1, 1, 2), (2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)]:
+        # both lazily-conditioned growth orders of the recursive reference give
+        # the closed form exactly, on every tuple: the sampled-then-reprogrammed
+        # world is the real one
+        for n, l, w in CLOSED_FORM_SHAPES:
             p, _ = rom.enumerate_chain_distributions(n, l, w)
-            pc = rom.enumerate_consistent_chain_distribution(n, l, w)
-            assert set(p) == set(pc)
-            assert all(p[k] == pc[k] for k in p)
+            assert p.shape == (1 << (n * l * w),)
+            for order in (chain_major, position_major):
+                ref, _ = reference_distributions(n, l, w, order)
+                assert support(p, n, l, w) == ref, (n, l, w, order.__name__)
+
+    def test_array_stats_match_dict_loop(self):
+        for n, l, w in CLOSED_FORM_SHAPES:
+            p, q = rom.enumerate_chain_distributions(n, l, w)
+            ref_p, ref_q = reference_distributions(n, l, w)
+            assert rom.tv_and_collision_stats(p, q, n, l, w) == reference_stats(
+                ref_p, ref_q, n, l, w
+            ), (n, l, w)
+            assert rom.tv_and_collision_stats(q, q, n, l, w) == reference_stats(
+                ref_q, ref_q, n, l, w
+            ), (n, l, w)
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
             rom.enumerate_chain_distributions(8, 2, 2)
+        with pytest.raises(ValueError, match="enumeration guard"):
+            rom.tv_and_collision_stats(np.zeros(1), np.zeros(1), 8, 2, 2)
 
     def test_support_mismatch_rejected(self):
         p, q = rom.enumerate_chain_distributions(2, 1, 2)
-        bad = dict(p)
-        bad[(97, 98)] = 0.0
-        with pytest.raises(ValueError):
-            rom.tv_and_collision_stats(bad, q, 2, 1, 2)
+        bad = q.copy()
+        bad[5] = 0.0  # p[5] > 0: p has a tuple outside q's support
+        assert p[5] > 0.0
+        with pytest.raises(ValueError, match="support mismatch"):
+            rom.tv_and_collision_stats(p, bad, 2, 1, 2)
+        with pytest.raises(ValueError, match="dense arrays"):
+            rom.tv_and_collision_stats(p[:-1], q[:-1], 2, 1, 2)
 
 
 class TestSeedDerivation:
@@ -177,7 +330,7 @@ def test_distribution_csv_dump(tmp_path):
     rom.dump_distribution_csv(p, 2, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "tuple_hex,probability"
-    assert len(lines) == len(p) + 1
+    assert len(lines) == np.count_nonzero(p) + 1
 
 
 class TestSamplerMatchesEnumeration:
@@ -185,7 +338,7 @@ class TestSamplerMatchesEnumeration:
         # chi-square of the sampled tuple frequencies against the enumerated
         # exact probabilities; dof = support size - 1, gate at ~5 sigma
         n, l, w, trials = 1, 1, 2, 20_000
-        p, _ = rom.enumerate_chain_distributions(n, l, w)
+        p = support(rom.enumerate_chain_distributions(n, l, w)[0], n, l, w)
         rng = np.random.default_rng(321)
         counts = {}
         for t in range(trials):
@@ -200,7 +353,7 @@ class TestSamplerMatchesEnumeration:
 
     def test_consistent_sampler_follows_exact_distribution(self):
         n, l, w, trials = 1, 2, 2, 20_000
-        pc = rom.enumerate_consistent_chain_distribution(n, l, w)
+        pc = support(rom.enumerate_chain_distributions(n, l, w)[0], n, l, w)
         rng = np.random.default_rng(654)
         counts = {}
         for _ in range(trials):
