@@ -137,7 +137,7 @@ def _cmd_lemmas(args) -> int:
         reports = lemmas.run_sweep(seed=args.seed)
     else:
         reports = []
-        reports += lemmas.check_equality_uniform_overlap(args.n, seed=args.seed)
+        reports += lemmas.check_equality_uniform_overlap(args.n)
         reports += lemmas.check_uniform_register_commutator(
             args.scheme, args.n, args.l, args.w, seed=args.seed
         )

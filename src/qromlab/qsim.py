@@ -9,6 +9,9 @@ Conventions:
 * Operators are :class:`LinearMap` objects built from apply / adjoint-apply
   closures.  Dense matrices are only formed for small local gates that get
   embedded into a layout; operators on the full space are never materialized.
+* Operator norms are exact: :func:`operator_norm` takes a map that is
+  block-diagonal, each block a submatrix of one projector diagonal in the
+  Hadamard frame, and solves every distinct block densely.
 * States are plain complex128 vectors of length ``2**total``.
 """
 
@@ -164,14 +167,6 @@ class LinearMap:
             raise ValueError(f"map {self.label!r} has no adjoint")
         return self._adjoint_apply(np.asarray(vec, dtype=np.complex128))
 
-    def adjoint(self) -> "LinearMap":
-        return LinearMap(self.dim, self.adjoint_apply, self.apply, label=f"adj({self.label})")
-
-    # Operator algebra.  A @ B applies B first, matching matrix products.
-
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        return compose(self, other)
-
     def __repr__(self) -> str:
         return f"LinearMap(dim={self.dim}, label={self.label!r})"
 
@@ -182,44 +177,6 @@ def identity_map(dim: int) -> LinearMap:
 
 def zero_map(dim: int) -> LinearMap:
     return LinearMap(dim, lambda v: np.zeros_like(v), label="0", self_adjoint=True)
-
-
-def compose(*maps: LinearMap) -> LinearMap:
-    """Product of maps; the rightmost factor is applied first."""
-    if not maps:
-        raise ValueError("compose needs at least one map")
-    dim = maps[0].dim
-    for m in maps:
-        if m.dim != dim:
-            raise ValueError("dimension mismatch in composition")
-
-    def ap(v: Vector) -> Vector:
-        for m in reversed(maps):
-            v = m.apply(v)
-        return v
-
-    def adj(v: Vector) -> Vector:
-        for m in maps:
-            v = m.adjoint_apply(v)
-        return v
-
-    label = "·".join(m.label or "?" for m in maps)
-    return LinearMap(dim, ap, adj, label=label)
-
-
-def commutator(a: LinearMap, b: LinearMap) -> LinearMap:
-    """[A, B] = AB - BA."""
-    if a.dim != b.dim:
-        raise ValueError("commutator needs maps of equal dimension")
-
-    def ap(v: Vector) -> Vector:
-        return a.apply(b.apply(v)) - b.apply(a.apply(v))
-
-    def adj(v: Vector) -> Vector:
-        # (AB - BA)^dag = B^dag A^dag - A^dag B^dag
-        return b.adjoint_apply(a.adjoint_apply(v)) - a.adjoint_apply(b.adjoint_apply(v))
-
-    return LinearMap(a.dim, ap, adj, label=f"[{a.label},{b.label}]")
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +236,9 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 # Structured register operators
 
 
-def _reshaped(amps: Vector, layout: RegisterLayout) -> Vector:
-    return amps.reshape(layout.dims)
-
-
 def uniform_projector_apply(amps: Vector, layout: RegisterLayout, regs: Sequence[str]) -> Vector:
     """Apply the uniform-superposition projector on each register in ``regs``."""
-    out = _reshaped(amps, layout)
+    out = amps.reshape(layout.dims)
     for name in regs:
         k = layout.axis(name)
         out = np.broadcast_to(out.mean(axis=k, keepdims=True), out.shape)
@@ -300,20 +253,6 @@ def uniform_projector_map(layout: RegisterLayout, regs: Sequence[str]) -> Linear
         label="Phi(" + ",".join(regs) + ")",
         self_adjoint=True,
     )
-
-
-def equality_mask(layout: RegisterLayout, reg_a: str, reg_b: str) -> np.ndarray:
-    if layout.width(reg_a) != layout.width(reg_b):
-        raise ValueError("equality projector needs registers of equal width")
-    return layout.field(reg_a) == layout.field(reg_b)
-
-
-def mask_projector_map(layout: RegisterLayout, mask: np.ndarray, label: str = "mask") -> LinearMap:
-    return LinearMap(layout.dim, lambda v: np.where(mask, v, 0.0), label=label, self_adjoint=True)
-
-
-def equality_projector_map(layout: RegisterLayout, reg_a: str, reg_b: str) -> LinearMap:
-    return mask_projector_map(layout, equality_mask(layout, reg_a, reg_b), label=f"P=({reg_a},{reg_b})")
 
 
 def xor_register_map(layout: RegisterLayout, src: str, dst: str) -> LinearMap:
@@ -367,64 +306,93 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -
 
 
 # ---------------------------------------------------------------------------
-# Norm estimation, probes, measurement
-
-
-NORM_RTOL = 1e-10
-# Caps the Lanczos basis at MAX_LANCZOS_STEPS x dim x 16 B: 64 MiB at MAX_NORM_DIM.
-MAX_LANCZOS_STEPS = 256
+# Exact operator norms, probes, measurement
 
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Largest singular value of a map, with the Lanczos solve behind it.
+    """Exact operator norm of a block-diagonal map (see :func:`operator_norm`).
 
-    ``iterations`` counts Lanczos steps, each one ``A`` and one ``A^dag``
-    apply.  ``residual`` is ||A^dag A y - theta y|| for the top Ritz pair
-    (theta, y); ``converged`` means it is at most ``NORM_RTOL * theta``.
+    ``iterations`` counts the distinct nonempty blocks solved.
     """
 
     value: float
     iterations: int
-    converged: bool
-    residual: float
+    # Always True: the value is computed exactly, not iterated to a
+    # tolerance.  Kept because trace tooling reads it.
+    converged = True
 
     def __float__(self) -> float:
         return self.value
 
 
-def operator_norm(a: LinearMap, seed: int = 0) -> NormEstimate:
-    """Largest singular value by Lanczos on A^dag A (Golub & Van Loan, ch. 10).
+def parity(a) -> np.ndarray:
+    """Parity of the set bits of each entry of a non-negative integer array."""
+    a = np.asarray(a, dtype=np.int64)
+    for s in (32, 16, 8, 4, 2, 1):
+        a = a ^ (a >> s)
+    return (a & 1).astype(bool)
 
-    One seeded random start; the basis is kept and fully reorthogonalized.
-    Each step takes the top Ritz value theta of the tridiagonal and its
-    residual beta_k |s_k|, and stops once that is at most ``NORM_RTOL * theta``.
-    beta_k = 0 (residual 0) means the Krylov space is invariant and theta
-    exact, which makes the zero map exactly 0.0.
+
+def _signs(rows: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The +-1 matrix (-1)^{popcount(r & s)} over r in ``rows`` (a mask) and
+    s in ``support`` (indices): Hadamard-frame entries times sqrt(G)."""
+    return 1.0 - 2.0 * parity(np.flatnonzero(rows)[:, None] & support[None, :])
+
+
+def operator_norm(table, rows, cols) -> NormEstimate:
+    """Exact norm of the block-diagonal map whose block k is Pi[R_k, C_k].
+
+    Pi = H diag(table) H is the projector with the 0/1 ``table`` (G entries)
+    as its diagonal in the Hadamard frame H of log2(G) qubits.  ``rows`` and
+    ``cols`` are (K, G) boolean masks: R_k and C_k.  The map they describe
+    has dimension K*G, capped at ``MAX_NORM_DIM``.
+
+    A qubit the table does not read is one Pi acts on as the identity, so
+    every block splits further over that qubit's values; the blocks are
+    solved on the qubits the table reads.  With S the support there,
+    G' Pi[R, C] = V_R V_C^T for the +-1 sign matrices V_R = H[R, S] sqrt(G'),
+    G' the reduced table's size.  That product is an integer matrix and
+    float64 forms it exactly, so a zero block is exactly zero, and the one
+    rounding step is a dense SVD of it, backward stable: the value is the
+    exact norm to within a small multiple of G * eps, relative.  Where R and
+    C are disjoint, Pi[R, C] = -(1 - Pi)[R, C], and the smaller of S and its
+    complement is used.  Blocks with an empty side are zero; blocks with the
+    same pair {R, C} are solved once.
     """
-    if a.dim > MAX_NORM_DIM:
-        raise ValueError(f"norm estimation capped at dimension {MAX_NORM_DIM}, got {a.dim}")
-    steps = min(MAX_LANCZOS_STEPS, a.dim)
-    basis = np.empty((steps, a.dim), dtype=np.complex128)
-    alphas: list[float] = []
-    betas: list[float] = []
-    v = random_state_vector(a.dim, np.random.default_rng(_label_seed(seed, "lanczos")))
-    for k in range(steps):
-        basis[k] = v
-        w = a.adjoint_apply(a.apply(v))
-        alphas.append(float(np.real(np.vdot(v, w))))
-        done = basis[: k + 1]
-        for _ in range(2):  # classical Gram-Schmidt, twice is enough
-            w = w - np.conj(done @ np.conj(w)) @ done
-        beta = float(np.linalg.norm(w))
-        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-        theta, residual = float(ritz[-1]), beta * float(abs(vecs[-1, -1]))
-        converged = residual <= NORM_RTOL * theta
-        if converged:
-            break
-        betas.append(beta)
-        v = w / beta
-    return NormEstimate(float(np.sqrt(max(theta, 0.0))), k + 1, converged, residual)
+    table = np.asarray(table, dtype=np.float64).reshape(-1)
+    if not np.all((table == 0.0) | (table == 1.0)):
+        raise ValueError("operator_norm needs a 0/1 frame table, the diagonal of a projector")
+    g = table.size
+    rows, cols = np.asarray(rows, dtype=bool), np.asarray(cols, dtype=bool)
+    if g & (g - 1) or rows.shape != cols.shape or rows.shape[1:] != (g,):
+        raise ValueError(
+            f"block masks {rows.shape}, {cols.shape} do not fit a frame table of {g} entries"
+        )
+    if rows.size > MAX_NORM_DIM:
+        raise ValueError(f"operator norms capped at dimension {MAX_NORM_DIM}, got {rows.size}")
+    qubits = (2,) * (g.bit_length() - 1)
+    table = table.reshape(qubits)
+    unread = [q for q in range(len(qubits)) if np.array_equal(table.take(0, q), table.take(1, q))]
+    order = unread + [q for q in range(len(qubits)) if q not in unread]
+    g = 1 << (len(qubits) - len(unread))
+    table = table.transpose(order).reshape(-1, g)[0]
+    rows, cols = (
+        m.reshape(-1, *qubits).transpose(0, *(q + 1 for q in order)).reshape(-1, g)
+        for m in (rows, cols)
+    )
+    pairs = np.unique(np.concatenate([rows, cols], axis=1)[rows.any(1) & cols.any(1)], axis=0)
+    blocks = {}
+    for r, c in zip(pairs[:, :g], pairs[:, g:]):
+        blocks.setdefault(tuple(sorted((r.tobytes(), c.tobytes()))), (r, c))
+    support = table == 1.0
+    value = 0.0
+    for r, c in blocks.values():
+        s = ~support if 2 * np.count_nonzero(support) > g and not (r & c).any() else support
+        if s.any():
+            s = np.flatnonzero(s)
+            value = max(value, float(np.linalg.norm(_signs(r, s) @ _signs(c, s).T, 2)) / g)
+    return NormEstimate(value, len(blocks))
 
 
 def probe_max_ratio(a: LinearMap, probes: int = 32, seed: int = 0) -> float:

@@ -29,7 +29,10 @@ Every world operator has one of two representations, compiled once when it is
 built:
 
 * The query and blinded-sign unitaries are XOR involutions on basis states,
-  so each is one int64 gather index applied as ``v[perm]``.
+  so each is one int64 gather index applied as ``v[perm]``
+  (:class:`Permutation`).  The query unitary's index also gives its phase in
+  the Hadamard frame of ``y`` (:func:`query_phase_splits`), which is what the
+  exact commutator norms read.
 * Every projector is a product of uniform projectors and their complements on
   chain registers.  The uniform projector is H|0><0|H, so in the Hadamard
   frame of the chain registers each projector is a diagonal 0/1 (or
@@ -325,16 +328,21 @@ def chain_world(n: int, l: int, w: int, seed: int = 0) -> ChainWorld:
 # Unitaries: one gather permutation each
 
 
-def _permutation(layout: RegisterLayout, delta, label: str) -> LinearMap:
-    """The XOR involution |i> -> |i ^ delta(i)>, compiled to one gather index.
+class Permutation(LinearMap):
+    """The XOR involution |i> -> |i ^ delta(i)>, compiled to one gather index
+    ``perm`` and applied as ``v[perm]``.
 
     ``delta`` broadcasts against ``layout.dims`` and must not depend on the
-    bits it flips, so the map is its own inverse and ``v[perm]`` applies it.
+    bits it flips, so the map is its own inverse.
     """
-    perm = np.arange(layout.dim, dtype=np.int64).reshape(layout.dims)
-    perm ^= delta
-    perm = perm.reshape(-1)
-    return LinearMap(layout.dim, lambda v: v[perm], label=label, self_adjoint=True)
+
+    def __init__(self, layout: RegisterLayout, delta, label: str):
+        perm = np.arange(layout.dim, dtype=np.int64).reshape(layout.dims)
+        perm ^= delta
+        perm = perm.reshape(-1)
+        self.layout = layout
+        self.perm = perm
+        super().__init__(layout.dim, lambda v: v[perm], label=label, self_adjoint=True)
 
 
 def overlay_table(world: ChainWorld, layout: RegisterLayout) -> np.ndarray:
@@ -356,7 +364,31 @@ def overlay_table(world: ChainWorld, layout: RegisterLayout) -> np.ndarray:
 def build_query_unitary(world: ChainWorld, layout: RegisterLayout | None = None) -> LinearMap:
     """Oracle-query unitary: XOR the :func:`overlay_table` answer into ``y``."""
     layout = layout or world.norm_layout()
-    return _permutation(layout, overlay_table(world, layout) << layout.shift("y"), "U_h")
+    return Permutation(layout, overlay_table(world, layout) << layout.shift("y"), "U_h")
+
+
+def query_phase_splits(u_h: Permutation) -> np.ndarray:
+    """The query unitary in the Hadamard frame of ``y``, read from its gather
+    index: B[x, k, gamma] = [k . f(x, gamma) is odd].
+
+    U_h XORs f(x, gamma) into ``y`` and f never reads ``y``, so in the frame
+    of ``y`` (index k) U_h is the diagonal phase (-1)^{k . f(x, gamma)}: one
+    +-1 diagonal 1 - 2 B[x, k] over gamma per block (x, k).  gamma indexes
+    the registers after ``x`` and ``y`` in layout order.  Raises ValueError
+    when the index flips a bit outside ``y`` or depends on ``y``, since the
+    blocks rest on both.
+    """
+    layout = u_h.layout
+    if layout.names[:2] != ("x", "y"):
+        raise ValueError(f"phase splits need a layout that starts with x, y; got {layout!r}")
+    shift, width = layout.shift("y"), layout.width("y")
+    delta = (u_h.perm ^ layout.arange()).reshape(1 << layout.width("x"), 1 << width, -1)
+    if np.any(delta & ~(((1 << width) - 1) << shift)):
+        raise ValueError(f"{u_h.label} flips bits outside y")
+    f = delta[:, :1] >> shift
+    if np.any(delta >> shift != f):
+        raise ValueError(f"{u_h.label} depends on y")
+    return qsim.parity(np.arange(1 << width)[:, None] & f)
 
 
 def query_unitary_as_function(world: ChainWorld, assignment: Mapping[str, int]) -> dict[int, int]:
@@ -398,7 +430,7 @@ def build_blinded_sign_unitary(
         for (c, j), sig in zip(world.revealed(msg), world.sigma_registers()):
             flip = flip ^ (world.chain_values(layout, c, j) << layout.shift(sig))
         delta = delta ^ np.where(m == msg, flip, 0)
-    return _permutation(layout, delta, "BSign")
+    return Permutation(layout, delta, "BSign")
 
 
 # ---------------------------------------------------------------------------

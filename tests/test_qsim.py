@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from qromlab import qsim
 from qromlab.qsim import RegisterLayout
 
@@ -101,18 +102,21 @@ class TestEmbed:
 
 
 class TestOperatorNorm:
+    """The reference Lanczos solver of tests/reference.py."""
+
     def test_identity_is_one(self, xy2):
-        assert qsim.operator_norm(qsim.identity_map(xy2.dim)).value == pytest.approx(1.0, abs=1e-10)
+        est = reference.lanczos_norm(qsim.identity_map(xy2.dim))
+        assert est.value == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_map(self, xy2):
-        assert qsim.operator_norm(qsim.zero_map(xy2.dim)).value == 0.0
+        assert reference.lanczos_norm(qsim.zero_map(xy2.dim)).value == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equality_times_uniform(self, n):
         layout = RegisterLayout([("x", n), ("y", n)])
-        p_eq = qsim.equality_projector_map(layout, "x", "y")
+        p_eq = reference.equality_projector_map(layout, "x", "y")
         phi = qsim.uniform_projector_map(layout, ("y",))
-        est = qsim.operator_norm(p_eq @ phi)
+        est = reference.lanczos_norm(reference.compose(p_eq, phi))
         assert est.converged
         assert est.value == pytest.approx(2 ** (-n / 2), abs=1e-8)
 
@@ -120,14 +124,14 @@ class TestOperatorNorm:
         # the residual must certify the top singular value 2 long before the
         # Krylov space of 1023 further distinct values in [0, 1) is used up
         sv = np.concatenate([[2.0], np.linspace(0.0, 1.0, 1023, endpoint=False)])
-        est = qsim.operator_norm(qsim.LinearMap(1024, lambda v: sv * v, self_adjoint=True))
+        est = reference.lanczos_norm(qsim.LinearMap(1024, lambda v: sv * v, self_adjoint=True))
         assert est.converged and est.value == pytest.approx(2.0, rel=1e-12)
         assert est.residual <= 1e-10 * est.value ** 2
         assert est.iterations < 32
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
-            qsim.operator_norm(qsim.identity_map(2 ** 15))
+            reference.lanczos_norm(qsim.identity_map(2 ** 15))
 
     def test_submultiplicative_on_random_contractions(self):
         rng = np.random.default_rng(5)
@@ -139,35 +143,37 @@ class TestOperatorNorm:
             b /= np.linalg.norm(b, 2)
             ma = qsim.embed(a, ("x",), layout)
             mb = qsim.embed(b, ("x",), layout)
-            nab = qsim.operator_norm(ma @ mb).value
-            na = qsim.operator_norm(ma).value
-            nb = qsim.operator_norm(mb).value
+            nab = reference.lanczos_norm(reference.compose(ma, mb)).value
+            na = reference.lanczos_norm(ma).value
+            nb = reference.lanczos_norm(mb).value
             assert nab <= na * nb + 1e-8
 
     def test_matches_dense_singular_value(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         layout = RegisterLayout([("x", 4)])
-        est = qsim.operator_norm(qsim.embed(m, ("x",), layout))
+        est = reference.lanczos_norm(qsim.embed(m, ("x",), layout))
         assert est.value == pytest.approx(np.linalg.norm(m, 2), rel=1e-8)
 
 
 class TestCommutator:
+    """The reference commutator and product maps."""
+
     def test_self_commutator_vanishes(self, xy2):
         p = qsim.uniform_projector_map(xy2, ("x",))
-        assert qsim.is_zero_map(qsim.commutator(p, p))
+        assert qsim.is_zero_map(reference.commutator(p, p))
 
     def test_disjoint_supports_commute(self, xy2):
         a = qsim.uniform_projector_map(xy2, ("x",))
         b = qsim.uniform_projector_map(xy2, ("y",))
-        assert qsim.is_zero_map(qsim.commutator(a, b))
+        assert qsim.is_zero_map(reference.commutator(a, b))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_equality_vs_uniform_commutator_bound(self, n):
         layout = RegisterLayout([("x", n), ("y", n)])
-        p_eq = qsim.equality_projector_map(layout, "x", "y")
+        p_eq = reference.equality_projector_map(layout, "x", "y")
         phi = qsim.uniform_projector_map(layout, ("y",))
-        est = qsim.operator_norm(qsim.commutator(p_eq, phi))
+        est = reference.lanczos_norm(reference.commutator(p_eq, phi))
         assert est.value <= 2 * 2 ** (-n / 2) + 1e-10
 
     def test_product_rule_inequality(self):
@@ -182,8 +188,8 @@ class TestCommutator:
         for _ in range(4):
             a = contraction()
             bs = [contraction() for _ in range(3)]
-            lhs = qsim.operator_norm(qsim.commutator(a, qsim.compose(*bs))).value
-            rhs = sum(qsim.operator_norm(qsim.commutator(a, b)).value for b in bs)
+            lhs = reference.lanczos_norm(reference.commutator(a, reference.compose(*bs))).value
+            rhs = sum(reference.lanczos_norm(reference.commutator(a, b)).value for b in bs)
             assert lhs <= rhs + 1e-8
 
 
@@ -247,14 +253,103 @@ class TestProjectAndMeasure:
             assert rng.random() == ref_rng.random()
 
 
+def dense_frame_projector(table):
+    """H diag(table) H for the Walsh-Hadamard H on log2(len(table)) qubits."""
+    h = np.ones((1, 1))
+    for _ in range(int(np.log2(len(table)))):
+        h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    return h @ np.diag(np.asarray(table, dtype=float)) @ h
+
+
+class TestExactNorm:
+    def test_parity(self):
+        a = np.arange(1 << 12, dtype=np.int64) * 40503
+        want = np.array([bin(int(v)).count("1") % 2 == 1 for v in a])
+        assert np.array_equal(qsim.parity(a), want)
+
+    @pytest.mark.parametrize("qubits", [1, 3, 5])
+    def test_matches_dense_blocks(self, qubits):
+        # random tables with small and large support, disjoint and overlapping
+        # row/column sets; every block against a dense SVD of Pi[R, C]
+        g = 1 << qubits
+        rng = np.random.default_rng(qubits)
+        tables = [rng.random(g) < density for density in (0.2, 0.5, 0.8)]
+        # and tables that read only some qubits (here the second and the last)
+        bits = np.arange(g)
+        read = ((bits >> (qubits - 2)) & 1) * 2 + (bits & 1) if qubits > 1 else bits
+        tables += [(rng.random(4) < density)[read] for density in (0.3, 0.7)]
+        for table in tables:
+            pi = dense_frame_projector(table)
+            b = rng.random((6, g)) < 0.5
+            for rows, cols in ((~b, b), (b, np.ones_like(b)), (rng.random((6, g)) < 0.5, b)):
+                est = qsim.operator_norm(table, rows, cols)
+                want = max(
+                    (np.linalg.svd(pi[np.ix_(r, c)], compute_uv=False)[0]
+                     for r, c in zip(rows, cols) if r.any() and c.any()),
+                    default=0.0,
+                )
+                assert est.value == pytest.approx(want, abs=1e-13)
+
+    def test_blocks_solved_once(self):
+        table = np.array([1, 0, 0, 1, 0, 0, 0, 0], dtype=bool)
+        b = np.array([[0, 1, 1, 0, 1, 0, 0, 1]], dtype=bool)
+        empty = np.zeros_like(b)
+        rows = np.concatenate([~b, b, ~b, empty, ~empty])
+        cols = np.concatenate([b, ~b, b, ~empty, empty])
+        est = qsim.operator_norm(table, rows, cols)
+        assert est.iterations == 1
+        assert est.value == qsim.operator_norm(table, ~b, b).value
+
+    @pytest.mark.parametrize("qubits", [3, 4, 6, 8])
+    def test_exact_zeros(self, qubits):
+        # D = 1 - 2 1_B commutes with Pi when B is a union of classes of the
+        # two parities gamma.u1, gamma.u2 and the table is constant on the
+        # cosets of {0, u1, u2, u1^u2}; most such tables read every qubit
+        g = 1 << qubits
+        gamma = np.arange(g)
+        rng = np.random.default_rng(qubits)
+        for _ in range(8):
+            u1, u2 = rng.choice(np.arange(1, g), 2, replace=False)
+            classes = 2 * qsim.parity(gamma & u1) + qsim.parity(gamma & u2)
+            split = np.isin(classes, rng.permutation(4)[: rng.integers(1, 4)])[None, :]
+            coset = np.minimum.reduce([gamma, gamma ^ u1, gamma ^ u2, gamma ^ u1 ^ u2])
+            table = (rng.random(g) < 0.5)[coset]
+            assert qsim.operator_norm(table, ~split, split).value <= 1e-15
+            assert qsim.operator_norm(np.ones(g), ~split, split).value <= 1e-15
+        # the frame projector on the top qubit, split by the low qubit
+        top, low = (gamma >> (qubits - 1)) == 0, ((gamma & 1) == 1)[None, :]
+        assert qsim.operator_norm(top, ~low, low).value <= 1e-15
+        assert qsim.operator_norm(np.zeros(g), low, np.ones_like(low)).value == 0.0
+
+    def test_guards(self):
+        with pytest.raises(ValueError, match="0/1"):
+            qsim.operator_norm(np.array([1.0, 0.5]), np.ones((1, 2), bool), np.ones((1, 2), bool))
+        with pytest.raises(ValueError, match="do not fit"):
+            qsim.operator_norm(np.ones(4), np.ones((1, 2), bool), np.ones((1, 2), bool))
+        with pytest.raises(ValueError, match="do not fit"):
+            qsim.operator_norm(np.ones(3), np.ones((1, 3), bool), np.ones((1, 3), bool))
+        # the map the masks describe has dimension K * G
+        g = 1 << 10
+        rows = np.zeros((qsim.MAX_NORM_DIM // g + 1, g), dtype=bool)
+        with pytest.raises(ValueError, match="capped at dimension"):
+            qsim.operator_norm(np.ones(g), rows, rows)
+        assert qsim.operator_norm(np.ones(g), rows[:-1], rows[:-1]).value == 0.0
+
+
 class TestClosedFormCommutator:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equality_uniform_commutator_exact_value(self, n):
         # principal-angle value: the overlap operator has a single nonzero
-        # eigenvalue 2^-n, so the commutator norm is sqrt(2^-n (1 - 2^-n))
-        layout = RegisterLayout([("x", n), ("y", n)])
-        p_eq = qsim.equality_projector_map(layout, "x", "y")
-        phi = qsim.uniform_projector_map(layout, ("y",))
-        est = qsim.operator_norm(qsim.commutator(p_eq, phi))
+        # eigenvalue 2^-n, so the commutator norm is sqrt(2^-n (1 - 2^-n)).
+        # Block x of [P_eq, Phi_y] is Phi[A, B] with B = {y = x}.
+        values = np.arange(1 << n)
+        eq = values[:, None] == values[None, :]
+        est = qsim.operator_norm(values == 0, ~eq, eq)
         predicted = 2 ** (-n / 2) * np.sqrt(1 - 2.0 ** -n)
-        assert est.value == pytest.approx(predicted, abs=1e-9)
+        assert est.value == pytest.approx(predicted, abs=1e-15)
+        # and the reference maps agree
+        layout = RegisterLayout([("x", n), ("y", n)])
+        p_eq = reference.equality_projector_map(layout, "x", "y")
+        phi = qsim.uniform_projector_map(layout, ("y",))
+        dense = reference.dense(reference.commutator(p_eq, phi))
+        assert np.linalg.svd(dense, compute_uv=False)[0] == pytest.approx(predicted, abs=1e-12)

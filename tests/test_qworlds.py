@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import reference
 from qromlab import ots, qsim, rom, qworlds
 from qromlab.qworlds import (
     BlindingSet,
@@ -261,6 +262,57 @@ class TestQueryUnitary:
             else:
                 assert np.allclose(u.apply(state), neq(state))
 
+    @pytest.mark.parametrize(
+        "maker", [lambda: lamport_world(1, 1, seed=9), lambda: winternitz_world(2, 1, 3, seed=9)]
+    )
+    def test_phase_splits_match_reprogrammed_oracle(self, maker):
+        # B[x, k, gamma] is the parity of k & f(x, gamma), f the classical
+        # reprogrammed oracle on the chain values gamma
+        world = maker()
+        layout = world.norm_layout()
+        splits = qworlds.query_phase_splits(build_query_unitary(world, layout))
+        regs = world.chain_registers()
+        n = world.n
+        assert splits.shape == (1 << n, 1 << n, 1 << (len(regs) * n))
+        for bits in range(1 << (len(regs) * n)):
+            assignment = {
+                name: (bits >> ((len(regs) - 1 - k) * n)) & ((1 << n) - 1)
+                for k, name in enumerate(regs)
+            }
+            oracle = world.overlay_oracle(assignment)
+            for x in range(1 << n):
+                for k in range(1 << n):
+                    assert splits[x, k, bits] == (bin(k & oracle(x)).count("1") % 2 == 1)
+
+    def test_phase_splits_guard_the_block_structure(self):
+        world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {0}), seed=9)
+        layout = world.norm_layout()
+        u = build_query_unitary(world, layout)
+        u.perm = u.perm ^ (1 << layout.shift("x"))
+        with pytest.raises(ValueError, match="outside y"):
+            qworlds.query_phase_splits(u)
+        u.perm = layout.arange() ^ ((layout.field("y") & 1) << layout.shift("y"))
+        with pytest.raises(ValueError, match="depends on y"):
+            qworlds.query_phase_splits(u)
+        with pytest.raises(ValueError, match="BSign flips bits outside y"):
+            qworlds.query_phase_splits(build_blinded_sign_unitary(world))
+        with pytest.raises(ValueError, match="starts with x, y"):
+            qworlds.query_phase_splits(
+                build_blinded_sign_unitary(world, world.game_layout(include_xy=False))
+            )
+
+    def test_norm_needs_a_projector_table(self):
+        # m = 0 signs its checksum digit at the chain end, so Qtilde carries
+        # sqrt endpoint weights and is not a projector
+        world = winternitz_world(1, 1, 3, blinding=BlindingSet.explicit(1, {0}), seed=9)
+        tables = [qt.table for qt in build_qtilde(world, world.game_layout(include_xy=False))]
+        weighted = [t for t in tables if not np.all((t == 0.0) | (t == 1.0))]
+        assert weighted
+        for table in weighted:
+            masks = np.ones((1, table.size), dtype=bool)
+            with pytest.raises(ValueError, match="0/1"):
+                qsim.operator_norm(table, masks, masks)
+
     def test_self_adjoint_involution(self):
         world = winternitz_world(2, 1, 3, seed=8)
         layout = world.norm_layout()
@@ -418,7 +470,7 @@ class TestInvariantProjector:
         p = build_invariant_projector(world, layout)
         q_last = build_q_projectors(world, 0, layout)[-1]
         assert frame_product_norm(q_last, p) == 0.0
-        assert qsim.probe_max_ratio(q_last @ p) < 1e-10
+        assert qsim.probe_max_ratio(reference.compose(q_last, p)) < 1e-10
 
     def test_exact_check_detects_overlap_on_unblinded_message(self):
         # message 1 is unblinded: its forced outcome and P share support
@@ -427,7 +479,8 @@ class TestInvariantProjector:
         p = build_invariant_projector(world, layout)
         q_last = build_q_projectors(world, 1, layout)[-1]
         assert frame_product_norm(q_last, p) == 1.0
-        assert qsim.operator_norm(q_last @ p).value == pytest.approx(1.0, abs=1e-9)
+        est = reference.lanczos_norm(reference.compose(q_last, p))
+        assert est.value == pytest.approx(1.0, abs=1e-9)
 
     def test_layout_without_chain_registers_rejected(self):
         world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {0}), seed=22)
@@ -493,7 +546,7 @@ class TestProjectorMethodSwitch:
         p2 = qworlds.build_invariant_projector(world2, layout)
         q_last = qworlds.build_q_projectors(world2, 0b1111, layout)[-1]
         assert frame_product_norm(q_last, p2) == 0.0
-        assert qsim.probe_max_ratio(q_last @ p2, probes=8) < 1e-10
+        assert qsim.probe_max_ratio(reference.compose(q_last, p2), probes=8) < 1e-10
 
     def test_degenerate_chain_length_rejected(self):
         with pytest.raises(ValueError):
