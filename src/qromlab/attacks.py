@@ -214,24 +214,6 @@ def classical_search_attack(n: int, l: int, q: int, trials: int, seed: int = 0) 
     )
 
 
-def exact_win_by_subset_enumeration(n: int, l: int, q: int, world_seed: int) -> float:
-    """Brute-force reference: average the deterministic attack verdict over
-    every possible query subset.  Only feasible at small n; cross-checks the
-    first-hit combinatorics."""
-    oracle, keypair, blinding = _trial_world(ots.LamportParams(n=n, l=l), world_seed)
-    hits = dict(_hit_wins(l, oracle, keypair.pk, blinding))
-    space = 1 << n
-    q = min(q, space)
-    wins = 0
-    total = 0
-    for subset in itertools.combinations(range(space), q):
-        total += 1
-        first = next((y for y in subset if y in hits), None)
-        if first is not None and hits[first]:
-            wins += 1
-    return wins / total if total else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Grover variant
 

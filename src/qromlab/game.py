@@ -5,8 +5,10 @@ oracle and a blinded signing oracle that answers at most once.  The quantum
 harness executes a fixed :class:`AdversaryProgram` over a
 :class:`~qromlab.qworlds.ChainWorld` and evaluates the winning probability
 exactly by enumerating the joint outcome space of message and signature
-registers.  No world that fits the statevector cap exceeds the enumeration
-cap; the cap stays as a fail-fast guard.
+registers.  This is the one quantum game engine: every probability comes
+from the outcome tensors and the acceptance table, and the one transcript a
+run reports is drawn from them.  No world that fits the statevector cap
+exceeds the enumeration cap; the cap stays as a fail-fast guard.
 
 Winning means: the forged message is blinded, and the scheme verifier accepts
 the forged signature against the oracle reprogrammed on the chain values
@@ -26,7 +28,6 @@ from .qworlds import (
     BlindingSet,
     ChainWorld,
     build_blinded_sign_unitary,
-    build_q_projectors,
     build_query_unitary,
     build_qtilde,
     overlay_table,
@@ -295,14 +296,11 @@ def random_local_unitary(
     return ApplyUnitary(tuple(chosen), qsim.haar_unitary(1 << width, rng))
 
 
-def random_program(
-    world: ChainWorld, q0: int, q1: int, seed: int, include_xy: bool | None = None
-) -> AdversaryProgram:
+def random_program(world: ChainWorld, q0: int, q1: int, seed: int) -> AdversaryProgram:
     """Random adversary: local Haar unitaries interleaved with q0 hash queries,
-    one signing query, q1 more hash queries, then the final measurements."""
-    if include_xy is None:
-        include_xy = q0 + q1 > 0
-    layout = world.game_layout(include_xy=include_xy)
+    one signing query, q1 more hash queries, then the final measurements.
+    The unitaries act on x and y only when the program makes hash queries."""
+    layout = world.game_layout(include_xy=q0 + q1 > 0)
     chain_regs = set(world.chain_registers())
     candidates = [name for name in layout.names if name not in chain_regs]
     rng = np.random.default_rng(rom.derive_seed(seed, "program"))
@@ -332,16 +330,11 @@ class EvolvedStates:
     post_sign: np.ndarray | None
 
 
-def evolve_program(
-    program: AdversaryProgram, world: ChainWorld, include_xy: bool | None = None
-) -> EvolvedStates:
-    """Run all unitary steps; capture the states bracketing the signing query."""
+def evolve_program(program: AdversaryProgram, world: ChainWorld) -> EvolvedStates:
+    """Run all unitary steps; capture the states bracketing the signing query.
+    The layout carries x and y exactly when the program makes hash queries."""
     needs_xy = any(isinstance(s, HashQuery) for s in program.steps)
-    if include_xy is None:
-        include_xy = needs_xy
-    if needs_xy and not include_xy:
-        raise ValueError("hash queries need the x/y registers")
-    layout = world.game_layout(include_xy=include_xy)
+    layout = world.game_layout(include_xy=needs_xy)
     state = world.initial_state(layout).amplitudes
     u_h = build_query_unitary(world, layout) if needs_xy else None
     bsign = build_blinded_sign_unitary(world, layout)
@@ -413,13 +406,12 @@ def acceptance_table(world: ChainWorld) -> np.ndarray:
 
 @dataclass
 class GameAnalysis:
-    exact: bool
+    """Exact winning probabilities of one program, and the mass of the
+    none-uniform outcome on blinded forgery messages."""
+
     p_win_plain: float
     p_win_modified: float
     p_forced_outcome_blinded: float
-    trials: int = 0
-    wilson_low: float = 0.0
-    wilson_high: float = 1.0
 
 
 def analyze_game(
@@ -452,7 +444,6 @@ def analyze_game(
     p_mod = float(sum((t[blinded] * accept[blinded]).sum() for t in t_outcomes))
     p_forced = float(t_outcomes[-1][blinded].sum())
     summary = GameAnalysis(
-        exact=True,
         p_win_plain=p_plain,
         p_win_modified=p_mod,
         p_forced_outcome_blinded=p_forced,
@@ -531,57 +522,3 @@ def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float,
     center = (phat + z * z / (2 * trials)) / denom
     half = z * np.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def _sample_run(states: EvolvedStates, world: ChainWorld, mode: str, rng):
-    """One measurement cascade on the evolved state; returns the sampled
-    forgery, outcome index, chain assignment, and verdict."""
-    layout = states.layout
-    amps = states.final / np.linalg.norm(states.final)
-    sv = qsim.StateVector(layout, amps)
-    m_star, sv = qsim.measure("m", sv, rng)
-    sigma = []
-    for name in world.sigma_registers():
-        v, sv = qsim.measure(name, sv, rng)
-        sigma.append(v)
-    q_outcome = None
-    if mode == "modified":
-        projs = build_q_projectors(world, m_star, layout)
-        weights = []
-        branches = []
-        for q in projs:
-            branch = q.apply(sv.amplitudes)
-            weights.append(q.weight * float(np.real(np.vdot(branch, branch))))
-            branches.append(branch)
-        k = _sample_from(np.array(weights), rng)
-        q_outcome = k + 1
-        sv = qsim.StateVector(layout, branches[k] / np.linalg.norm(branches[k]))
-    assignment = {}
-    for name in world.chain_registers():
-        v, sv = qsim.measure(name, sv, rng)
-        assignment[name] = v
-    win = m_star in world.blinding and world.verify(m_star, sigma, assignment)
-    return m_star, sigma, q_outcome, assignment, win
-
-
-def estimate_success_sampling(
-    program: AdversaryProgram, world: ChainWorld, mode: str, trials: int, seed: int
-) -> GameAnalysis:
-    """Monte-Carlo winning-rate estimate via state-level sampling; an
-    independent check of the exact analysis."""
-    states = evolve_program(program, world)
-    rng = np.random.default_rng(rom.derive_seed(seed, "game-mc"))
-    wins = 0
-    for _ in range(trials):
-        wins += _sample_run(states, world, mode, rng)[4]
-    low, high = wilson_interval(wins, trials)
-    rate = wins / trials if trials else 0.0
-    return GameAnalysis(
-        exact=False,
-        p_win_plain=rate if mode == "plain" else float("nan"),
-        p_win_modified=rate if mode == "modified" else float("nan"),
-        p_forced_outcome_blinded=float("nan"),
-        trials=trials,
-        wilson_low=low,
-        wilson_high=high,
-    )

@@ -12,7 +12,13 @@ Conventions:
 * Operator norms are exact: :func:`operator_norm` takes a map that is
   block-diagonal, each block a submatrix of one projector diagonal in the
   Hadamard frame, and solves every distinct block densely.
-* States are plain complex128 vectors of length ``2**total``.
+* States are plain complex128 vectors of length ``2**total``; the programs
+  start from products of uniform and basis registers (:func:`uniform_state`).
+  Outcomes are read as exact probability tensors by the game, never sampled
+  here.
+* The random-vector probes (:func:`probe_max_ratio`, :func:`unitarity_defect`,
+  :func:`projector_defect`, :func:`is_zero_map`) decide nothing in a report;
+  they cross-check maps that have no compiled structure to read.
 """
 
 from __future__ import annotations
@@ -171,22 +177,8 @@ class LinearMap:
         return f"LinearMap(dim={self.dim}, label={self.label!r})"
 
 
-def identity_map(dim: int) -> LinearMap:
-    return LinearMap(dim, lambda v: v.copy(), label="1", self_adjoint=True)
-
-
-def zero_map(dim: int) -> LinearMap:
-    return LinearMap(dim, lambda v: np.zeros_like(v), label="0", self_adjoint=True)
-
-
 # ---------------------------------------------------------------------------
 # State construction
-
-
-def basis_state(layout: RegisterLayout, assignment: Mapping[str, int]) -> StateVector:
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[layout.basis_index(assignment)] = 1.0
-    return StateVector(layout, amps)
 
 
 def uniform_state(
@@ -255,19 +247,6 @@ def uniform_projector_map(layout: RegisterLayout, regs: Sequence[str]) -> Linear
     )
 
 
-def xor_register_map(layout: RegisterLayout, src: str, dst: str) -> LinearMap:
-    """CNOT^(x)n with ``src`` as controls and ``dst`` as targets: dst ^= src."""
-    if layout.width(src) != layout.width(dst):
-        raise ValueError("xor needs registers of equal width")
-    shift = layout.shift(dst)
-
-    def ap(v: Vector) -> Vector:
-        perm = layout.arange() ^ (layout.field(src) << shift)
-        return v[perm]
-
-    return LinearMap(layout.dim, ap, label=f"xor({src}->{dst})", self_adjoint=True)
-
-
 def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -> LinearMap:
     """Lift a local operator onto a layout, identity on all other registers.
 
@@ -306,7 +285,7 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -
 
 
 # ---------------------------------------------------------------------------
-# Exact operator norms, probes, measurement
+# Exact operator norms and probes
 
 
 @dataclass(frozen=True)
@@ -430,31 +409,3 @@ def projector_defect(p: LinearMap, probes: int = 32, seed: int = 0) -> float:
         worst = max(worst, float(np.linalg.norm(p.apply(pv) - pv)))
         worst = max(worst, abs(complex(np.vdot(u, pv)) - complex(np.vdot(p.apply(u), v))))
     return worst
-
-
-def register_distribution(state: StateVector, register: str) -> np.ndarray:
-    """Marginal computational-basis distribution of one register."""
-    layout = state.layout
-    k = layout.axis(register)
-    t = np.abs(state.amplitudes.reshape(layout.dims)) ** 2
-    other = tuple(i for i in range(len(layout.dims)) if i != k)
-    return t.sum(axis=other)
-
-
-def measure(
-    register: str, state: StateVector, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Sample a computational-basis measurement of one register and collapse."""
-    layout = state.layout
-    probs = register_distribution(state, register)
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("cannot measure a zero-norm state")
-    probs = probs / total
-    outcome = int(rng.choice(len(probs), p=probs))
-    t = state.amplitudes.reshape(layout.dims)
-    amps = np.where(layout.values(register) == outcome, t, 0.0).reshape(-1)
-    nrm = np.linalg.norm(amps)
-    if nrm == 0:
-        raise ValueError("collapsed onto a zero-norm branch")
-    return outcome, StateVector(layout, amps / nrm)

@@ -30,9 +30,11 @@ built:
 
 * The query and blinded-sign unitaries are XOR involutions on basis states,
   so each is one int64 gather index applied as ``v[perm]``
-  (:class:`Permutation`).  The query unitary's index also gives its phase in
-  the Hadamard frame of ``y`` (:func:`query_phase_splits`), which is what the
-  exact commutator norms read.
+  (:class:`Permutation`).  The query unitary's index is read once as the
+  function f(x, gamma) it XORs into ``y``: the oracle-consistency check
+  compares f with the classical reprogrammed oracle
+  (:func:`query_unitary_as_function`), and the exact commutator norms read
+  its phase in the Hadamard frame of ``y`` (:func:`query_phase_splits`).
 * Every projector is a product of uniform projectors and their complements on
   chain registers.  The uniform projector is H|0><0|H, so in the Hadamard
   frame of the chain registers each projector is a diagonal 0/1 (or
@@ -236,15 +238,7 @@ class ChainWorld:
 
     def overlay_oracle(self, assignment: Mapping[str, int]) -> rom.ReprogrammedOracle:
         """The classical reprogrammed oracle consistent with sampled chain values."""
-        return rom.ReprogrammedOracle(self.base_oracle, self.chain_tuple(assignment), mode="xor")
-
-    def verify(self, m: int, sigma: Sequence[int], assignment: Mapping[str, int]) -> bool:
-        """Run the scheme verifier against the oracle reprogrammed on sampled chains."""
-        oracle = self.overlay_oracle(assignment)
-        if self.scheme == "lamport":
-            pk = self.p  # index 2*i + j, matching the classical layout
-            return ots.lamport_verify(self.params, pk, m, sigma, oracle)
-        return ots.wots_verify(self.params, self.p, m, sigma, oracle)
+        return rom.ReprogrammedOracle(self.base_oracle, self.chain_tuple(assignment))
 
 
 def lamport_world(
@@ -367,51 +361,41 @@ def build_query_unitary(world: ChainWorld, layout: RegisterLayout | None = None)
     return Permutation(layout, overlay_table(world, layout) << layout.shift("y"), "U_h")
 
 
-def query_phase_splits(u_h: Permutation) -> np.ndarray:
-    """The query unitary in the Hadamard frame of ``y``, read from its gather
-    index: B[x, k, gamma] = [k . f(x, gamma) is odd].
-
-    U_h XORs f(x, gamma) into ``y`` and f never reads ``y``, so in the frame
-    of ``y`` (index k) U_h is the diagonal phase (-1)^{k . f(x, gamma)}: one
-    +-1 diagonal 1 - 2 B[x, k] over gamma per block (x, k).  gamma indexes
-    the registers after ``x`` and ``y`` in layout order.  Raises ValueError
-    when the index flips a bit outside ``y`` or depends on ``y``, since the
-    blocks rest on both.
-    """
+def _query_function(u_h: Permutation) -> np.ndarray:
+    """f[x, gamma]: the value the query unitary XORs into ``y``, read from its
+    gather index.  gamma indexes the registers after ``x`` and ``y`` in layout
+    order.  Raises ValueError when the index flips a bit outside ``y`` or
+    depends on ``y``: U_h is then not |x, y, gamma> -> |x, y ^ f, gamma>."""
     layout = u_h.layout
     if layout.names[:2] != ("x", "y"):
-        raise ValueError(f"phase splits need a layout that starts with x, y; got {layout!r}")
+        raise ValueError(f"query function needs a layout that starts with x, y; got {layout!r}")
     shift, width = layout.shift("y"), layout.width("y")
     delta = (u_h.perm ^ layout.arange()).reshape(1 << layout.width("x"), 1 << width, -1)
     if np.any(delta & ~(((1 << width) - 1) << shift)):
         raise ValueError(f"{u_h.label} flips bits outside y")
-    f = delta[:, :1] >> shift
-    if np.any(delta >> shift != f):
+    f = delta[:, 0] >> shift
+    if np.any(delta >> shift != f[:, None]):
         raise ValueError(f"{u_h.label} depends on y")
-    return qsim.parity(np.arange(1 << width)[:, None] & f)
+    return f
 
 
-def query_unitary_as_function(world: ChainWorld, assignment: Mapping[str, int]) -> dict[int, int]:
-    """Evaluate the query unitary on every |x>|0>|assignment> basis state.
+def query_phase_splits(u_h: Permutation) -> np.ndarray:
+    """The query unitary in the Hadamard frame of ``y``:
+    B[x, k, gamma] = [k . f(x, gamma) is odd], f from :func:`_query_function`.
 
-    Returns {x: y}; raises if any output fails to be a computational basis
-    state (it never should: the unitary is a basis permutation).
+    In the frame of ``y`` (index k) U_h is the diagonal phase
+    (-1)^{k . f(x, gamma)}: one +-1 diagonal 1 - 2 B[x, k] over gamma per
+    block (x, k).
     """
-    layout = world.norm_layout()
-    u = build_query_unitary(world, layout)
-    out = {}
-    for x in range(1 << world.n):
-        full = dict(assignment)
-        full["x"] = x
-        full["y"] = 0
-        state = qsim.basis_state(layout, full)
-        res = u.apply(state.amplitudes)
-        hits = np.nonzero(np.abs(res) > 1e-12)[0]
-        if len(hits) != 1 or abs(res[hits[0]] - 1.0) > 1e-9:
-            raise AssertionError("query unitary left the computational basis")
-        idx = int(hits[0])
-        out[x] = int((idx >> layout.shift("y")) & ((1 << world.n) - 1))
-    return out
+    f = _query_function(u_h)
+    return qsim.parity(np.arange(1 << u_h.layout.width("y"))[:, None] & f[:, None, :])
+
+
+def query_unitary_as_function(world: ChainWorld) -> np.ndarray:
+    """f[x, gamma]: the query unitary's answer to input x under every chain
+    assignment gamma (chain registers in layout order, the first one most
+    significant), read from one compiled :func:`build_query_unitary`."""
+    return _query_function(build_query_unitary(world, world.norm_layout()))
 
 
 def build_blinded_sign_unitary(

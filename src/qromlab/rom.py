@@ -3,12 +3,8 @@
 A :class:`RandomOracleTable` lazily samples a uniformly random function on
 n-bit strings: once an input has been queried its image is fixed for the
 lifetime of the table.  :class:`ReprogrammedOracle` layers hash-chain
-consistency on top of a base oracle in one of two modes:
-
-* ``"function"`` — the overlay pairs ``chain[j] -> chain[j+1]`` form a partial
-  function (requires collision-consistent chains);
-* ``"xor"`` — a query XORs the successors of *every* chain entry equal to the
-  input, so independently sampled chains with collisions stay well-defined.
+consistency on top of a base oracle: a query XORs the successors of *every*
+chain entry equal to the input, so chains with collisions stay well-defined.
 
 The exact distribution of chain tuples generated by iterating a lazily
 sampled oracle is computed in closed form, never by Monte Carlo: a tuple
@@ -116,33 +112,20 @@ class ChainTuple:
     def flat(self) -> tuple[int, ...]:
         return tuple(v for row in self.gamma for v in row)
 
-    def endpoints(self) -> tuple[int, ...]:
-        return tuple(row[-1] for row in self.gamma)
-
 
 class ReprogrammedOracle:
-    """Base oracle with a hash-chain overlay; see the module docstring for modes."""
+    """Base oracle with a hash-chain overlay: a query XORs the successors of
+    every chain entry equal to the input, and falls back to the base oracle
+    when none matches."""
 
-    def __init__(self, base: Oracle, chains: ChainTuple, mode: str = "function"):
-        if mode not in ("function", "xor"):
-            raise ValueError(f"unknown overlay mode {mode!r}")
+    def __init__(self, base: Oracle, chains: ChainTuple):
         self.base = base
         self.chains = chains
-        self.mode = mode
         self.overrides: tuple[tuple[int, int], ...] = tuple(
             (row[j], row[j + 1]) for row in chains.gamma for j in range(chains.w - 1)
         )
-        if mode == "function":
-            table: dict[int, int] = {}
-            for x, y in self.overrides:
-                if table.setdefault(x, y) != y:
-                    raise ValueError("function overlay needs collision-consistent chains")
-            self._function = table
 
     def query(self, x: int) -> int:
-        if self.mode == "function":
-            y = self._function.get(x)
-            return self.base(x) if y is None else y
         acc = 0
         hit = False
         for inp, out in self.overrides:
@@ -152,55 +135,6 @@ class ReprogrammedOracle:
         return acc if hit else self.base(x)
 
     __call__ = query
-
-
-# ---------------------------------------------------------------------------
-# Chain sampling
-
-
-def _uniform(n: int, rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 1 << n))
-
-
-def sample_real_chains(
-    n: int, l: int, w: int, oracle: Oracle, rng: np.random.Generator
-) -> ChainTuple:
-    """Chains grown by iterating the oracle on fresh uniform start values."""
-    rows = []
-    for _ in range(l):
-        row = [_uniform(n, rng)]
-        for _ in range(w - 1):
-            row.append(oracle(row[-1]))
-        rows.append(tuple(row))
-    return ChainTuple(n=n, l=l, w=w, gamma=tuple(rows))
-
-
-def sample_consistent_chains(n: int, l: int, w: int, rng: np.random.Generator) -> ChainTuple:
-    """Chains sampled position-major, uniformly except on collision ties.
-
-    Whenever the current entry equals an already-extended entry elsewhere, the
-    successor is copied instead of freshly sampled, so the tuple stays
-    consistent with *some* function.  Equal in distribution to
-    :func:`sample_real_chains` over a fresh lazy oracle.
-    """
-    f: dict[int, int] = {}
-    grid = [[_uniform(n, rng)] for _ in range(l)]
-    for j in range(1, w):
-        for i in range(l):
-            x = grid[i][j - 1]
-            y = f.get(x)
-            if y is None:
-                y = _uniform(n, rng)
-                f[x] = y
-            grid[i].append(y)
-    return ChainTuple(n=n, l=l, w=w, gamma=tuple(tuple(row) for row in grid))
-
-
-def sample_independent_chains(n: int, l: int, w: int, rng: np.random.Generator) -> ChainTuple:
-    """All l*w entries i.i.d. uniform, collisions allowed."""
-    flat = [_uniform(n, rng) for _ in range(l * w)]
-    rows = tuple(tuple(flat[i * w : (i + 1) * w]) for i in range(l))
-    return ChainTuple(n=n, l=l, w=w, gamma=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,39 @@
-"""Reference operator algebra and the iterative norm solver, kept as
-cross-checks for the exact block norms of ``qsim.operator_norm``.
+"""Independent references for the tests: code no CLI path runs, kept to
+cross-check the fast paths of the package.
 
-Everything here works on ``qsim.LinearMap`` objects through their apply
-contract only, independent of the compiled gather indices and frame tables.
+* Operator algebra and the iterative Lanczos norm solver, against the exact
+  block norms of ``qsim.operator_norm``.  They work on ``qsim.LinearMap``
+  objects through their apply contract only, independent of the compiled
+  gather indices and frame tables.
+* Basis states, a structured XOR map and register measurement.
+* The sampling game engine: measure the evolved state register by register
+  and run the scheme verifier against the reprogrammed oracle, against the
+  exact outcome tensors and acceptance table of ``game.analyze_game``.
+* Chain samplers, against the closed-form chain distributions of ``rom``.
+* Subset enumeration of the classical search attack, against its first-hit
+  combinatorics.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from qromlab import qsim
-from qromlab.qsim import LinearMap, RegisterLayout
+from qromlab import attacks, game, ots, qsim, rom
+from qromlab.qsim import LinearMap, RegisterLayout, StateVector
+from qromlab.qworlds import ChainWorld, build_q_projectors
+
+
+def identity_map(dim: int) -> LinearMap:
+    return LinearMap(dim, lambda v: v.copy(), label="1", self_adjoint=True)
+
+
+def zero_map(dim: int) -> LinearMap:
+    return LinearMap(dim, lambda v: np.zeros_like(v), label="0", self_adjoint=True)
 
 
 def compose(*maps: LinearMap) -> LinearMap:
@@ -121,3 +141,167 @@ def lanczos_norm(a: LinearMap, seed: int = 0) -> LanczosEstimate:
         betas.append(beta)
         v = w / beta
     return LanczosEstimate(float(np.sqrt(max(theta, 0.0))), k + 1, converged, residual)
+
+
+# ---------------------------------------------------------------------------
+# States, a structured XOR map, measurement
+
+
+def basis_state(layout: RegisterLayout, assignment: Mapping[str, int]) -> StateVector:
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps[layout.basis_index(assignment)] = 1.0
+    return StateVector(layout, amps)
+
+
+def xor_register_map(layout: RegisterLayout, src: str, dst: str) -> LinearMap:
+    """CNOT^(x)n with ``src`` as controls and ``dst`` as targets: dst ^= src."""
+    if layout.width(src) != layout.width(dst):
+        raise ValueError("xor needs registers of equal width")
+    shift = layout.shift(dst)
+
+    def ap(v):
+        return v[layout.arange() ^ (layout.field(src) << shift)]
+
+    return LinearMap(layout.dim, ap, label=f"xor({src}->{dst})", self_adjoint=True)
+
+
+def register_distribution(state: StateVector, register: str) -> np.ndarray:
+    """Marginal computational-basis distribution of one register."""
+    layout = state.layout
+    k = layout.axis(register)
+    t = np.abs(state.amplitudes.reshape(layout.dims)) ** 2
+    return t.sum(axis=tuple(i for i in range(len(layout.dims)) if i != k))
+
+
+def measure(register: str, state: StateVector, rng: np.random.Generator):
+    """Sample a computational-basis measurement of one register and collapse:
+    (outcome, post-measurement state)."""
+    layout = state.layout
+    probs = register_distribution(state, register)
+    total = probs.sum()
+    if total <= 0:
+        raise ValueError("cannot measure a zero-norm state")
+    outcome = int(rng.choice(len(probs), p=probs / total))
+    t = state.amplitudes.reshape(layout.dims)
+    amps = np.where(layout.values(register) == outcome, t, 0.0).reshape(-1)
+    nrm = np.linalg.norm(amps)
+    if nrm == 0:
+        raise ValueError("collapsed onto a zero-norm branch")
+    return outcome, StateVector(layout, amps / nrm)
+
+
+# ---------------------------------------------------------------------------
+# The sampling game engine
+
+
+def verify(world: ChainWorld, m: int, sigma: Sequence[int], assignment: Mapping[str, int]) -> bool:
+    """The scheme verifier against the oracle reprogrammed on sampled chains."""
+    oracle = world.overlay_oracle(assignment)
+    if world.scheme == "lamport":
+        return ots.lamport_verify(world.params, world.p, m, sigma, oracle)
+    return ots.wots_verify(world.params, world.p, m, sigma, oracle)
+
+
+def sample_run(states: game.EvolvedStates, world: ChainWorld, mode: str, rng):
+    """One measurement cascade on the evolved state: message, signature
+    blocks, (in modified mode) the outcome projectors, then every chain
+    register.  Returns (m_star, sigma, outcome index, assignment, win)."""
+    layout = states.layout
+    sv = StateVector(layout, states.final / np.linalg.norm(states.final))
+    m_star, sv = measure("m", sv, rng)
+    sigma = []
+    for name in world.sigma_registers():
+        v, sv = measure(name, sv, rng)
+        sigma.append(v)
+    q_outcome = None
+    if mode == "modified":
+        projectors = build_q_projectors(world, m_star, layout)
+        branches = [q.apply(sv.amplitudes) for q in projectors]
+        weights = [q.weight * float(np.real(np.vdot(b, b))) for q, b in zip(projectors, branches)]
+        k = game._sample_from(np.array(weights), rng)
+        q_outcome = k + 1
+        sv = StateVector(layout, branches[k] / np.linalg.norm(branches[k]))
+    assignment = {}
+    for name in world.chain_registers():
+        v, sv = measure(name, sv, rng)
+        assignment[name] = v
+    win = m_star in world.blinding and verify(world, m_star, sigma, assignment)
+    return m_star, sigma, q_outcome, assignment, win
+
+
+def estimate_success_sampling(
+    program: game.AdversaryProgram, world: ChainWorld, mode: str, trials: int, seed: int
+) -> tuple[float, float]:
+    """Wilson interval (z = 3) of the winning rate over ``trials`` sampled runs."""
+    states = game.evolve_program(program, world)
+    rng = np.random.default_rng(rom.derive_seed(seed, "game-mc"))
+    wins = sum(sample_run(states, world, mode, rng)[4] for _ in range(trials))
+    return game.wilson_interval(wins, trials)
+
+
+# ---------------------------------------------------------------------------
+# Chain samplers
+
+
+def _uniform(n: int, rng: np.random.Generator) -> int:
+    return int(rng.integers(0, 1 << n))
+
+
+def sample_real_chains(n: int, l: int, w: int, oracle, rng: np.random.Generator) -> rom.ChainTuple:
+    """Chains grown by iterating the oracle on fresh uniform start values."""
+    rows = []
+    for _ in range(l):
+        row = [_uniform(n, rng)]
+        for _ in range(w - 1):
+            row.append(oracle(row[-1]))
+        rows.append(tuple(row))
+    return rom.ChainTuple(n=n, l=l, w=w, gamma=tuple(rows))
+
+
+def sample_consistent_chains(n: int, l: int, w: int, rng: np.random.Generator) -> rom.ChainTuple:
+    """Chains sampled position-major, uniformly except on collision ties.
+
+    Whenever the current entry equals an already-extended entry elsewhere, the
+    successor is copied instead of freshly sampled, so the tuple stays
+    consistent with *some* function.  Equal in distribution to
+    :func:`sample_real_chains` over a fresh lazy oracle.
+    """
+    f: dict[int, int] = {}
+    grid = [[_uniform(n, rng)] for _ in range(l)]
+    for j in range(1, w):
+        for i in range(l):
+            x = grid[i][j - 1]
+            y = f.get(x)
+            if y is None:
+                y = f[x] = _uniform(n, rng)
+            grid[i].append(y)
+    return rom.ChainTuple(n=n, l=l, w=w, gamma=tuple(tuple(row) for row in grid))
+
+
+def sample_independent_chains(n: int, l: int, w: int, rng: np.random.Generator) -> rom.ChainTuple:
+    """All l*w entries i.i.d. uniform, collisions allowed."""
+    flat = [_uniform(n, rng) for _ in range(l * w)]
+    rows = tuple(tuple(flat[i * w : (i + 1) * w]) for i in range(l))
+    return rom.ChainTuple(n=n, l=l, w=w, gamma=rows)
+
+
+# ---------------------------------------------------------------------------
+# Subset enumeration of the classical search attack
+
+
+def exact_win_by_subset_enumeration(n: int, l: int, q: int, world_seed: int) -> float:
+    """Average the deterministic attack verdict over every possible query
+    subset.  Only feasible at small n; cross-checks the first-hit
+    combinatorics of ``attacks.classical_search_attack``."""
+    oracle, keypair, blinding = attacks._trial_world(ots.LamportParams(n=n, l=l), world_seed)
+    hits = dict(attacks._hit_wins(l, oracle, keypair.pk, blinding))
+    space = 1 << n
+    q = min(q, space)
+    wins = 0
+    total = 0
+    for subset in itertools.combinations(range(space), q):
+        total += 1
+        first = next((y for y in subset if y in hits), None)
+        if first is not None and hits[first]:
+            wins += 1
+    return wins / total if total else 0.0

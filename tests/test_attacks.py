@@ -2,13 +2,13 @@ import math
 
 import pytest
 
+import reference
 from qromlab import attacks, cli, ots, rom
 from qromlab.attacks import (
     _first_hit_exact,
     _first_hit_weights,
     _hit_wins,
     _trial_world,
-    exact_win_by_subset_enumeration,
 )
 
 
@@ -34,7 +34,7 @@ class TestClassicalAttack:
                 hits = _hit_wins(1, oracle, keypair.pk, blinding)
                 p_win, _ = _first_hit_exact(_first_hit_weights(3, q), hits)
                 assert p_win == pytest.approx(
-                    exact_win_by_subset_enumeration(3, 1, q, seed), abs=1e-12
+                    reference.exact_win_by_subset_enumeration(3, 1, q, seed), abs=1e-12
                 )
 
     @pytest.mark.parametrize("n,q", [(3, 4), (4, 8)])

@@ -72,11 +72,18 @@ class TestCommutatorChecks:
         assert rep.passed
         assert rep.bound == pytest.approx(12 / np.sqrt(2))
 
+    @pytest.mark.parametrize("j_prime", [-1, -5, 2])
+    def test_prefix_without_a_quantum_register_rejected(self, j_prime):
+        # below 0 the target would be the identity and the row a vacuous PASS;
+        # at w-1 and above the position is the pinned endpoint
+        with pytest.raises(ValueError, match="no quantum register"):
+            lemmas.check_uniform_register_commutator("winternitz", 2, 1, 3, j_prime=j_prime)
+
     def test_identity_target_commutes(self):
         world = chain_world(1, 1, 2, seed=0)
         layout = world.norm_layout()
         u = build_query_unitary(world, layout)
-        comm = reference.commutator(u, qsim.identity_map(layout.dim))
+        comm = reference.commutator(u, reference.identity_map(layout.dim))
         assert qsim.is_zero_map(comm)
 
     def test_invariant_commutator_lamport(self):

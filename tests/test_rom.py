@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from qromlab import rom
 
 
@@ -60,7 +61,7 @@ def chain_major(l: int, w: int) -> list[tuple[int, int]]:
 
 
 def position_major(l: int, w: int) -> list[tuple[int, int]]:
-    """The growth order of :func:`rom.sample_consistent_chains`."""
+    """The growth order of :func:`reference.sample_consistent_chains`."""
     return [(i, j) for j in range(1, w) for i in range(l)]
 
 
@@ -167,27 +168,23 @@ class TestLazyTable:
 
 
 class TestReprogramming:
-    def test_function_overlay_follows_chains(self):
+    def test_xor_overlay_follows_collision_free_chains(self):
         base = rom.RandomOracleTable(4, seed=2)
-        chains = rom.sample_consistent_chains(4, 2, 3, np.random.default_rng(3))
-        o = rom.ReprogrammedOracle(base, chains, mode="function")
+        chains = rom.ChainTuple(n=4, l=2, w=3, gamma=((1, 2, 3), (4, 5, 6)))
+        o = rom.ReprogrammedOracle(base, chains)
         for row in chains.gamma:
             for j in range(2):
                 assert o(row[j]) == row[j + 1]
+        assert o(7) == base(7)
 
     def test_xor_overlay_adds_both_successors_on_collision(self):
         # two chains starting at the same value: the query answers with the
         # XOR of both successors
         chains = rom.ChainTuple(n=4, l=2, w=2, gamma=((5, 9), (5, 12)))
         base = rom.RandomOracleTable(4, seed=4)
-        o = rom.ReprogrammedOracle(base, chains, mode="xor")
+        o = rom.ReprogrammedOracle(base, chains)
         assert o(5) == 9 ^ 12
         assert o(6) == base(6)
-
-    def test_function_overlay_rejects_inconsistent_chains(self):
-        chains = rom.ChainTuple(n=4, l=2, w=2, gamma=((5, 9), (5, 12)))
-        with pytest.raises(ValueError):
-            rom.ReprogrammedOracle(rom.RandomOracleTable(4, seed=0), chains, mode="function")
 
 
 class TestSampling:
@@ -195,25 +192,25 @@ class TestSampling:
         table = {0b00: 0b01, 0b01: 0b11}
         oracle = lambda x: table.get(x, 0)
         rng = np.random.default_rng(12)  # first draw at n=2 is deterministic per seed
-        chains = rom.sample_real_chains(2, 1, 3, oracle, rng)
+        chains = reference.sample_real_chains(2, 1, 3, oracle, rng)
         start = chains.gamma[0][0]
         assert chains.gamma[0][1] == oracle(start)
         assert chains.gamma[0][2] == oracle(oracle(start))
 
     def test_lamport_shape_is_two_long(self):
         oracle = rom.RandomOracleTable(3, seed=8)
-        chains = rom.sample_real_chains(3, 4, 2, oracle, np.random.default_rng(8))
+        chains = reference.sample_real_chains(3, 4, 2, oracle, np.random.default_rng(8))
         for row in chains.gamma:
             assert row == (row[0], oracle(row[0]))
 
     def test_seed_determinism(self):
         oracle1 = rom.RandomOracleTable(3, seed=9)
         oracle2 = rom.RandomOracleTable(3, seed=9)
-        c1 = rom.sample_real_chains(3, 2, 3, oracle1, np.random.default_rng(9))
-        c2 = rom.sample_real_chains(3, 2, 3, oracle2, np.random.default_rng(9))
+        c1 = reference.sample_real_chains(3, 2, 3, oracle1, np.random.default_rng(9))
+        c2 = reference.sample_real_chains(3, 2, 3, oracle2, np.random.default_rng(9))
         assert c1 == c2
-        i1 = rom.sample_independent_chains(3, 2, 3, np.random.default_rng(10))
-        i2 = rom.sample_independent_chains(3, 2, 3, np.random.default_rng(10))
+        i1 = reference.sample_independent_chains(3, 2, 3, np.random.default_rng(10))
+        i2 = reference.sample_independent_chains(3, 2, 3, np.random.default_rng(10))
         assert i1 == i2
 
     def test_independent_marginals_uniform(self):
@@ -222,7 +219,7 @@ class TestSampling:
         rng = np.random.default_rng(11)
         counts = np.zeros((l * w, 2))
         for _ in range(trials):
-            flat = rom.sample_independent_chains(n, l, w, rng).flat()
+            flat = reference.sample_independent_chains(n, l, w, rng).flat()
             for k, v in enumerate(flat):
                 counts[k, v] += 1
         expected = trials / 2
@@ -235,8 +232,8 @@ class TestSampling:
         seen = {}
         trials = 8000
         for _ in range(trials):
-            seen.setdefault(rom.sample_independent_chains(1, 1, 2, rng).flat(), 0)
-            seen[rom.sample_independent_chains(1, 1, 2, rng).flat()] = 0
+            seen.setdefault(reference.sample_independent_chains(1, 1, 2, rng).flat(), 0)
+            seen[reference.sample_independent_chains(1, 1, 2, rng).flat()] = 0
         # all four tuples occur
         assert len({t for t in seen}) == 4
 
@@ -343,7 +340,7 @@ class TestSamplerMatchesEnumeration:
         counts = {}
         for t in range(trials):
             oracle = rom.RandomOracleTable(n, seed=rom.derive_seed(321, "s", t))
-            key = rom.sample_real_chains(n, l, w, oracle, rng).flat()
+            key = reference.sample_real_chains(n, l, w, oracle, rng).flat()
             counts[key] = counts.get(key, 0) + 1
         chi2 = sum(
             (counts.get(k, 0) - trials * pk) ** 2 / (trials * pk) for k, pk in p.items()
@@ -357,7 +354,7 @@ class TestSamplerMatchesEnumeration:
         rng = np.random.default_rng(654)
         counts = {}
         for _ in range(trials):
-            key = rom.sample_consistent_chains(n, l, w, rng).flat()
+            key = reference.sample_consistent_chains(n, l, w, rng).flat()
             counts[key] = counts.get(key, 0) + 1
         chi2 = sum(
             (counts.get(k, 0) - trials * pk) ** 2 / (trials * pk) for k, pk in pc.items()
