@@ -327,32 +327,31 @@ class EvolvedStates:
     layout: qsim.RegisterLayout
     final: np.ndarray
     pre_sign: np.ndarray | None
-    post_sign: np.ndarray | None
 
 
 def evolve_program(program: AdversaryProgram, world: ChainWorld) -> EvolvedStates:
-    """Run all unitary steps; capture the states bracketing the signing query.
+    """Run all unitary steps; keep the final state and the state just before
+    the signing query (no step writes into its input, so neither is copied).
     The layout carries x and y exactly when the program makes hash queries."""
     needs_xy = any(isinstance(s, HashQuery) for s in program.steps)
     layout = world.game_layout(include_xy=needs_xy)
     state = world.initial_state(layout).amplitudes
     u_h = build_query_unitary(world, layout) if needs_xy else None
     bsign = build_blinded_sign_unitary(world, layout)
-    pre_sign = post_sign = None
+    pre_sign = None
     for step in program.steps:
         if isinstance(step, ApplyUnitary):
             state = qsim.embed(step.matrix, step.registers, layout).apply(state)
         elif isinstance(step, HashQuery):
             state = u_h.apply(state)
         elif isinstance(step, SignQuery):
-            pre_sign = state.copy()
+            pre_sign = state
             state = bsign.apply(state)
-            post_sign = state.copy()
         elif isinstance(step, (MeasureM, MeasureSigma)):
             break
         else:
             raise TypeError(f"unknown step {step!r}")
-    return EvolvedStates(layout=layout, final=state, pre_sign=pre_sign, post_sign=post_sign)
+    return EvolvedStates(layout=layout, final=state, pre_sign=pre_sign)
 
 
 def _tensor_dims(layout: qsim.RegisterLayout, world: ChainWorld) -> tuple[int, int, int, int, int]:
@@ -433,8 +432,11 @@ def analyze_game(
     layout = states.layout
     t_plain = probability_tensor(states.final, layout, world)
     qtilde = build_qtilde(world, layout)
+    # The maps share one frame: change the state into it once, then apply
+    # each table and change back.
+    h_final = qtilde[0].to_frame(states.final)
     t_outcomes = [
-        probability_tensor(q.apply(states.final), layout, world) for q in qtilde
+        probability_tensor(q.to_frame(q.in_frame(h_final)), layout, world) for q in qtilde
     ]
     accept = acceptance_table(world)
     blinded = np.zeros(1 << world.message_bits, dtype=bool)

@@ -107,17 +107,6 @@ class RegisterLayout:
         shape[self.axis(name)] = -1
         return np.arange(1 << self._widths[name], dtype=np.int64).reshape(shape)
 
-    def basis_index(self, assignment: Mapping[str, int]) -> int:
-        missing = set(self.names) - set(assignment)
-        if missing:
-            raise ValueError(f"unassigned registers: {sorted(missing)}")
-        out = 0
-        for name, value in assignment.items():
-            if not 0 <= value < (1 << self._widths[name]):
-                raise ValueError(f"value {value} out of range for register {name!r}")
-            out |= value << self._shifts[name]
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RegisterLayout) and self.registers == other.registers
 
@@ -252,6 +241,17 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -
 
     ``op`` is a dense matrix on the tensor product of the target registers,
     taken in the order given by ``targets``.
+
+    When the targets are adjacent and in layout order (every Hadamard-frame
+    block is: the chain registers trail the layout), the state is read as
+    ``(pre, d, post)`` with d the targets' dimension and changed by one gemm
+    without a transpose or copy: ``v @ M^T`` on ``(pre, d)`` when nothing
+    follows the targets, ``M @ v`` on ``(d, post)`` when nothing precedes
+    them, a batched matmul otherwise.  Other targets go through
+    ``np.moveaxis`` and a contiguous copy each way.  For a real-valued ``op``
+    (the frame changes) both paths give the same bits; for a complex one
+    OpenBLAS may pick another kernel when a gemm side is 2 wide, and the
+    results then agree to rounding.
     """
     matrix = np.asarray(op, dtype=np.complex128)
     axes = [layout.axis(t) for t in targets]
@@ -262,18 +262,31 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -
         raise ValueError(
             f"local operator has shape {matrix.shape}, targets span dimension {d_local}"
         )
-    local_dims = tuple(1 << layout.width(t) for t in targets)
     k = len(axes)
+    start = axes[0] if axes else 0
+    if axes == list(range(start, start + k)):
+        pre = 1 << sum(layout.width(name) for name in layout.names[:start])
+        post = layout.dim // (pre * d_local)
 
-    def _run(mat: np.ndarray, v: Vector) -> Vector:
-        t = v.reshape(layout.dims)
-        t = np.moveaxis(t, axes, range(k))
-        rest = t.shape[k:]
-        t = np.ascontiguousarray(t).reshape(d_local, -1)
-        t = mat @ t
-        t = t.reshape(local_dims + rest)
-        t = np.moveaxis(t, range(k), axes)
-        return np.ascontiguousarray(t).reshape(-1)
+        def _run(mat: np.ndarray, v: Vector) -> Vector:
+            if post == 1:
+                return (v.reshape(pre, d_local) @ mat.T).reshape(-1)
+            if pre == 1:
+                return (mat @ v.reshape(d_local, post)).reshape(-1)
+            return np.matmul(mat, v.reshape(pre, d_local, post)).reshape(-1)
+
+    else:
+        local_dims = tuple(1 << layout.width(t) for t in targets)
+
+        def _run(mat: np.ndarray, v: Vector) -> Vector:
+            t = v.reshape(layout.dims)
+            t = np.moveaxis(t, axes, range(k))
+            rest = t.shape[k:]
+            t = np.ascontiguousarray(t).reshape(d_local, -1)
+            t = mat @ t
+            t = t.reshape(local_dims + rest)
+            t = np.moveaxis(t, range(k), axes)
+            return np.ascontiguousarray(t).reshape(-1)
 
     mat_h = matrix.conj().T
     return LinearMap(

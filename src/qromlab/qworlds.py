@@ -38,8 +38,11 @@ built:
 * Every projector is a product of uniform projectors and their complements on
   chain registers.  The uniform projector is H|0><0|H, so in the Hadamard
   frame of the chain registers each projector is a diagonal 0/1 (or
-  sqrt-weight) table: :class:`FrameDiagonal` changes into the frame with
-  dense Sylvester gates, multiplies by the table and changes back.
+  sqrt-weight) table.  :class:`FrameDiagonal` splits its apply in two: the
+  frame change ``to_frame`` (dense Sylvester gates, one gemm per block of
+  chain registers, its own inverse) and the table multiply ``in_frame``.
+  The game changes its final state into the frame once and reads every
+  outcome map from there.
 """
 
 from __future__ import annotations
@@ -469,28 +472,39 @@ def _hadamard_frame(world: ChainWorld, layout: RegisterLayout) -> list[LinearMap
 class FrameDiagonal(LinearMap):
     """A diagonal ``table`` in the Hadamard frame of the chain registers.
 
-    ``apply`` changes into the frame, multiplies by the table (broadcast over
-    the registers it does not read) and changes back.  A 0/1 table is an
-    orthogonal projector.  ``term_count`` is the table's support size, one
-    rank-one frame term per nonzero entry, and ``is_zero`` means it is 0.
+    :meth:`to_frame` is the change into the frame, H on every chain qubit; it
+    is its own inverse.  :meth:`in_frame` multiplies a vector already in the
+    frame by the table (broadcast over the registers it does not read).
+    ``apply`` is ``to_frame(in_frame(to_frame(v)))``.  Maps on one layout
+    share the frame, so a caller applying several of them to one state
+    changes it into the frame once and changes back each product.  A 0/1
+    table is an orthogonal projector.  ``term_count`` is the table's support
+    size, one rank-one frame term per nonzero entry, and ``is_zero`` means it
+    is 0.
     """
 
     def __init__(self, world: ChainWorld, layout: RegisterLayout, table: np.ndarray, label: str):
-        frame = _hadamard_frame(world, layout)
+        self._frame = _hadamard_frame(world, layout)
         self.layout = layout
         self.table = np.asarray(table, dtype=np.float64)
         self.term_count = int(np.count_nonzero(self.table))
         self.is_zero = self.term_count == 0
+        super().__init__(
+            layout.dim,
+            lambda v: self.to_frame(self.in_frame(self.to_frame(v))),
+            label=label,
+            self_adjoint=True,
+        )
 
-        def ap(v):
-            for h in frame:
-                v = h.apply(v)
-            v = (v.reshape(layout.dims) * self.table).reshape(-1)
-            for h in frame:
-                v = h.apply(v)
-            return v
+    def to_frame(self, v: np.ndarray) -> np.ndarray:
+        """H on every chain qubit: into the frame, and back out of it."""
+        for h in self._frame:
+            v = h.apply(v)
+        return v
 
-        super().__init__(layout.dim, ap, label=label, self_adjoint=True)
+    def in_frame(self, hv: np.ndarray) -> np.ndarray:
+        """The table times a vector given in the frame."""
+        return (hv.reshape(self.layout.dims) * self.table).reshape(-1)
 
 
 def frame_product_norm(a: FrameDiagonal, b: FrameDiagonal) -> float:

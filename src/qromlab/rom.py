@@ -79,9 +79,6 @@ class RandomOracleTable:
 
     __call__ = query
 
-    def known(self) -> dict[int, int]:
-        return dict(self._table)
-
     def full_table(self) -> tuple[int, ...]:
         """The whole domain's images, filling the memo in one pass; only
         sensible at small n."""
@@ -108,9 +105,6 @@ class ChainTuple:
         top = 1 << self.n
         if any(not 0 <= v < top for row in self.gamma for v in row):
             raise ValueError("chain entry out of n-bit range")
-
-    def flat(self) -> tuple[int, ...]:
-        return tuple(v for row in self.gamma for v in row)
 
 
 class ReprogrammedOracle:

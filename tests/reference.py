@@ -5,11 +5,12 @@ cross-check the fast paths of the package.
   block norms of ``qsim.operator_norm``.  They work on ``qsim.LinearMap``
   objects through their apply contract only, independent of the compiled
   gather indices and frame tables.
-* Basis states, a structured XOR map and register measurement.
+* Basis indices and states, a structured XOR map and register measurement.
 * The sampling game engine: measure the evolved state register by register
   and run the scheme verifier against the reprogrammed oracle, against the
   exact outcome tensors and acceptance table of ``game.analyze_game``.
-* Chain samplers, against the closed-form chain distributions of ``rom``.
+* The oracle memo, a chain tuple as one key, and chain samplers, against
+  the closed-form chain distributions of ``rom``.
 * Subset enumeration of the classical search attack, against its first-hit
   combinatorics.
 """
@@ -84,6 +85,36 @@ def equality_projector_map(layout: RegisterLayout, reg_a: str, reg_b: str) -> Li
     )
 
 
+def embed_moveaxis(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
+    """``qsim.embed`` through its general path on any targets: move the
+    target axes to the front, one gemm on a contiguous copy, move them back."""
+    matrix = np.asarray(op, dtype=np.complex128)
+    axes = [layout.axis(t) for t in targets]
+    local_dims = tuple(1 << layout.width(t) for t in targets)
+    k = len(axes)
+
+    def run(mat, v):
+        t = np.moveaxis(v.reshape(layout.dims), axes, range(k))
+        rest = t.shape[k:]
+        t = mat @ np.ascontiguousarray(t).reshape(mat.shape[0], -1)
+        t = np.moveaxis(t.reshape(local_dims + rest), range(k), axes)
+        return np.ascontiguousarray(t).reshape(-1)
+
+    mat_h = matrix.conj().T
+    return LinearMap(layout.dim, lambda v: run(matrix, v), lambda v: run(mat_h, v))
+
+
+def embed_dense(op, targets: Sequence[str], layout: RegisterLayout) -> np.ndarray:
+    """The full matrix of ``op`` on ``targets``: kron(op, 1) over the
+    registers reordered targets-first, conjugated back into layout order."""
+    order = [layout.axis(t) for t in targets]
+    order += [a for a in range(len(layout.names)) if a not in order]
+    rest = layout.dim // np.shape(op)[0]
+    reordered = np.arange(layout.dim).reshape(layout.dims).transpose(order).reshape(-1)
+    to_order = np.eye(layout.dim)[reordered]
+    return to_order.T @ np.kron(op, np.eye(rest)) @ to_order
+
+
 def dense(a: LinearMap) -> np.ndarray:
     """The matrix of a map, one apply per basis column."""
     return np.column_stack([a.apply(e) for e in np.eye(a.dim)])
@@ -144,12 +175,25 @@ def lanczos_norm(a: LinearMap, seed: int = 0) -> LanczosEstimate:
 
 
 # ---------------------------------------------------------------------------
-# States, a structured XOR map, measurement
+# Basis indices, states, a structured XOR map, measurement
+
+
+def basis_index(layout: RegisterLayout, assignment: Mapping[str, int]) -> int:
+    """Flat amplitude index of the basis state that assigns every register."""
+    missing = set(layout.names) - set(assignment)
+    if missing:
+        raise ValueError(f"unassigned registers: {sorted(missing)}")
+    out = 0
+    for name, value in assignment.items():
+        if not 0 <= value < (1 << layout.width(name)):
+            raise ValueError(f"value {value} out of range for register {name!r}")
+        out |= value << layout.shift(name)
+    return out
 
 
 def basis_state(layout: RegisterLayout, assignment: Mapping[str, int]) -> StateVector:
     amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[layout.basis_index(assignment)] = 1.0
+    amps[basis_index(layout, assignment)] = 1.0
     return StateVector(layout, amps)
 
 
@@ -240,7 +284,17 @@ def estimate_success_sampling(
 
 
 # ---------------------------------------------------------------------------
-# Chain samplers
+# The oracle memo, chain keys and chain samplers
+
+
+def known(oracle: rom.RandomOracleTable) -> dict[int, int]:
+    """The oracle's memo: every input answered so far and its image."""
+    return dict(oracle._table)
+
+
+def flat(chains: rom.ChainTuple) -> tuple[int, ...]:
+    """The chain entries row by row, as one hashable key."""
+    return tuple(v for row in chains.gamma for v in row)
 
 
 def _uniform(n: int, rng: np.random.Generator) -> int:

@@ -10,6 +10,7 @@ import pytest
 from qromlab import attacks, cli, game, lemmas, ots, rom
 from qromlab.qworlds import (
     BlindingSet,
+    build_blinded_sign_unitary,
     build_invariant_projector,
     lamport_world,
     winternitz_world,
@@ -125,7 +126,8 @@ def test_criterion_05_no_hash_invariance():
             prog = game.random_program(world, 0, 0, seed=rom.derive_seed(505, scheme, k))
             states = game.evolve_program(prog, world)
             p = build_invariant_projector(world, states.layout)
-            dist = float(np.linalg.norm(p.apply(states.post_sign) - states.post_sign))
+            post_sign = build_blinded_sign_unitary(world, states.layout).apply(states.pre_sign)
+            dist = float(np.linalg.norm(p.apply(post_sign) - post_sign))
             assert dist < 1e-9
             worst = max(worst, dist)
             counts[scheme] += 1

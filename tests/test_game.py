@@ -181,6 +181,27 @@ class TestQuantumGame:
         )
         assert sum(t.sum() for t in t_out) == pytest.approx(t_plain.sum(), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "world",
+        [
+            lamport_world(2, 1, blinding=BlindingSet.explicit(1, {1}), seed=12),
+            winternitz_world(1, 1, 3, blinding=BlindingSet.explicit(1, {0}), seed=13),
+        ],
+        ids=["lamport", "winternitz"],
+    )
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_outcome_tensors_match_two_sided_applies(self, world, q):
+        # analyze_game changes the final state into the frame once; each map's
+        # own apply changes into it and back per map
+        assert world.game_layout().total <= 14
+        prog = game.random_program(world, q, q, seed=14 + q)
+        states, _, t_out, _, _ = game.analyze_game(prog, world)
+        qtilde = qworlds.build_qtilde(world, states.layout)
+        assert len(t_out) == len(qtilde) == world.l_sem + 1
+        for t, q_map in zip(t_out, qtilde):
+            want = game.probability_tensor(q_map.apply(states.final), states.layout, world)
+            assert np.allclose(t, want, rtol=0, atol=1e-12)
+
     def test_modified_game_sampled_transcript(self):
         world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {0, 1}, 1.0), seed=11)
         prog = game.random_program(world, 0, 0, seed=11)
@@ -218,7 +239,9 @@ class TestQuantumGame:
                 prog = game.random_program(world, 0, 0, seed=seed)
                 states = game.evolve_program(prog, world)
                 p = build_invariant_projector(world, states.layout)
-                psi1 = states.post_sign
+                psi1 = qworlds.build_blinded_sign_unitary(world, states.layout).apply(
+                    states.pre_sign
+                )
                 assert np.linalg.norm(p.apply(psi1) - psi1) < 1e-9
 
     def test_sign_query_cardinality_enforced(self):

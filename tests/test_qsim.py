@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference
-from qromlab import qsim
+from qromlab import qsim, qworlds
 from qromlab.qsim import RegisterLayout
 
 
@@ -15,7 +15,7 @@ class TestLayout:
     def test_msb_first_indexing(self):
         layout = RegisterLayout([("a", 2), ("b", 1)])
         assert layout.dim == 8
-        assert layout.basis_index({"a": 0b10, "b": 1}) == 0b101
+        assert reference.basis_index(layout, {"a": 0b10, "b": 1}) == 0b101
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -45,7 +45,7 @@ class TestStates:
         layout = RegisterLayout([("a", 2), ("b", 1)])
         s = qsim.uniform_state(layout, set(), {"a": 2, "b": 1})
         assert np.count_nonzero(s.amplitudes) == 1
-        assert s.amplitudes[layout.basis_index({"a": 2, "b": 1})] == 1.0
+        assert s.amplitudes[reference.basis_index(layout, {"a": 2, "b": 1})] == 1.0
 
     def test_unassigned_register_rejected(self):
         layout = RegisterLayout([("a", 1), ("b", 1)])
@@ -77,7 +77,7 @@ class TestEmbed:
         mv = reference.xor_register_map(layout, "g", "y")
         s = reference.basis_state(layout, {"g": 0b10, "y": 0b01})
         out = mv.apply(s.amplitudes)
-        assert out[layout.basis_index({"g": 0b10, "y": 0b11})] == 1.0
+        assert out[reference.basis_index(layout, {"g": 0b10, "y": 0b11})] == 1.0
 
     def test_embedded_dense_matches_structured_xor(self):
         layout = RegisterLayout([("g", 2), ("y", 2)])
@@ -97,8 +97,94 @@ class TestEmbed:
         ab = qsim.embed(cnot, ("a", "b"), layout)  # a controls b
         ba = qsim.embed(cnot, ("b", "a"), layout)  # b controls a
         s = reference.basis_state(layout, {"a": 1, "b": 0})
-        assert ab.apply(s.amplitudes)[layout.basis_index({"a": 1, "b": 1})] == 1.0
-        assert ba.apply(s.amplitudes)[layout.basis_index({"a": 1, "b": 0})] == 1.0
+        assert ab.apply(s.amplitudes)[reference.basis_index(layout, {"a": 1, "b": 1})] == 1.0
+        assert ba.apply(s.amplitudes)[reference.basis_index(layout, {"a": 1, "b": 0})] == 1.0
+
+
+# (layout, targets): targets adjacent and in layout order, so embed reads the
+# state as (pre, d, post) with one gemm; d = 2 and a 2-wide pre or post are
+# the narrowest gemm sides.
+FAST_CASES = {
+    "post=1": ([("a", 2), ("b", 3), ("c", 1)], ("b", "c")),
+    "post=1,d=2": ([("a", 3), ("c", 1)], ("c",)),
+    "pre=1": ([("a", 2), ("b", 3), ("c", 1)], ("a", "b")),
+    "pre=1,d=2": ([("a", 1), ("c", 3)], ("a",)),
+    "batched": ([("a", 2), ("b", 3), ("c", 2)], ("b",)),
+    "batched,2-wide": ([("a", 1), ("b", 2), ("c", 1)], ("b",)),
+}
+
+
+def _operator(kind: str, dim: int, rng) -> np.ndarray:
+    if kind == "sylvester":  # the Hadamard-frame change itself
+        return qworlds._sylvester(dim.bit_length() - 1)
+    if kind == "real":
+        return rng.standard_normal((dim, dim))
+    return qsim.haar_unitary(dim, rng)
+
+
+class TestEmbedFastPath:
+    @pytest.mark.parametrize("kind", ["sylvester", "real"])
+    @pytest.mark.parametrize("case", sorted(FAST_CASES))
+    def test_real_operators_bit_identical_to_moveaxis(self, case, kind, monkeypatch):
+        registers, targets = FAST_CASES[case]
+        layout = RegisterLayout(registers)
+        rng = np.random.default_rng(len(case))
+        op = _operator(kind, 1 << sum(layout.width(t) for t in targets), rng)
+        v = qsim.random_state_vector(layout.dim, rng)
+        ref = reference.embed_moveaxis(op, targets, layout)
+        want = ref.apply(v), ref.adjoint_apply(v)
+        fast = qsim.embed(op, targets, layout)
+        # The fast path is taken: it never moves an axis.
+        monkeypatch.setattr(np, "moveaxis", None)
+        assert np.array_equal(fast.apply(v), want[0])
+        assert np.array_equal(fast.adjoint_apply(v), want[1])
+
+    @pytest.mark.parametrize("case", sorted(FAST_CASES))
+    def test_complex_operators_match_moveaxis_to_rounding(self, case):
+        # Bit-identical wherever both paths reach the same BLAS kernel; at a
+        # 2-wide gemm side OpenBLAS may pick another and the sums round apart.
+        registers, targets = FAST_CASES[case]
+        layout = RegisterLayout(registers)
+        rng = np.random.default_rng(len(case))
+        op = _operator("haar", 1 << sum(layout.width(t) for t in targets), rng)
+        v = qsim.random_state_vector(layout.dim, rng)
+        ref = reference.embed_moveaxis(op, targets, layout)
+        fast = qsim.embed(op, targets, layout)
+        assert np.allclose(fast.apply(v), ref.apply(v), rtol=0, atol=1e-14)
+        assert np.allclose(fast.adjoint_apply(v), ref.adjoint_apply(v), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("case", sorted(FAST_CASES) + ["general"])
+    def test_wrong_length_vector_rejected(self, case):
+        registers, targets = FAST_CASES.get(case, ([("a", 1), ("b", 2), ("c", 1)], ("c", "a")))
+        layout = RegisterLayout(registers)
+        d = 1 << sum(layout.width(t) for t in targets)
+        m = qsim.embed(np.eye(d), targets, layout)
+        # dim + d is a multiple of d, which an open reshape(-1, d) would take.
+        for length in (layout.dim - 1, layout.dim + d, 2 * layout.dim):
+            with pytest.raises(ValueError):
+                m.apply(np.ones(length))
+            with pytest.raises(ValueError):
+                m.adjoint_apply(np.ones(length))
+
+    @pytest.mark.parametrize(
+        "targets", [("c", "a"), ("a", "c"), ("b", "a"), ("c", "b"), ("c", "a", "b")]
+    )
+    def test_shuffled_targets_match_dense_kron(self, targets):
+        layout = RegisterLayout([("a", 1), ("b", 2), ("c", 1)])
+        rng = np.random.default_rng(7)
+        op = _operator("haar", 1 << sum(layout.width(t) for t in targets), rng)
+        full = reference.embed_dense(op, targets, layout)
+        m = qsim.embed(op, targets, layout)
+        for v in (qsim.random_state_vector(layout.dim, rng) for _ in range(3)):
+            assert np.allclose(m.apply(v), full @ v, rtol=0, atol=1e-14)
+            assert np.allclose(m.adjoint_apply(v), full.conj().T @ v, rtol=0, atol=1e-14)
+
+    def test_dense_kron_reference_on_adjacent_targets(self):
+        layout = RegisterLayout([("a", 1), ("b", 2), ("c", 1)])
+        op = _operator("haar", 4, np.random.default_rng(8))
+        full = reference.embed_dense(op, ("b",), layout)
+        assert np.allclose(full, np.kron(np.kron(np.eye(2), op), np.eye(2)), rtol=0, atol=1e-15)
+        assert np.allclose(reference.dense(qsim.embed(op, ("b",), layout)), full, rtol=0, atol=1e-14)
 
 
 class TestOperatorNorm:

@@ -209,7 +209,7 @@ class TestQueryUnitary:
         assignment = {"g0_0": 1, "g0_1": 2, "g1_0": 3, "g1_1": 0}
         state = reference.basis_state(layout, {"x": 1, "y": 0, **assignment})
         out = u.apply(state.amplitudes)
-        expect = layout.basis_index({"x": 1, "y": 2, **assignment})
+        expect = reference.basis_index(layout, {"x": 1, "y": 2, **assignment})
         assert out[expect] == pytest.approx(1.0)
 
     def test_fresh_input_falls_back_to_base_function(self):
@@ -220,7 +220,7 @@ class TestQueryUnitary:
         x = 2
         state = reference.basis_state(layout, {"x": x, "y": 0, **assignment})
         out = u.apply(state.amplitudes)
-        expect = layout.basis_index({"x": x, "y": world.h_table[x], **assignment})
+        expect = reference.basis_index(layout, {"x": x, "y": world.h_table[x], **assignment})
         assert out[expect] == pytest.approx(1.0)
 
     def test_collision_xors_both_successors(self):
@@ -273,7 +273,7 @@ class TestQueryUnitary:
                 }
                 out = u.apply(reference.basis_state(layout, {"x": x, "y": 0, **gamma}).amplitudes)
                 want = np.zeros(layout.dim)
-                want[layout.basis_index({"x": x, "y": int(f[x, bits]), **gamma})] = 1.0
+                want[reference.basis_index(layout, {"x": x, "y": int(f[x, bits]), **gamma})] = 1.0
                 assert np.array_equal(out, want)
 
     def test_exactly_one_factor_acts_without_collisions(self):
@@ -376,7 +376,9 @@ class TestBlindedSign:
             layout, {"m": 0, "sig0": 0, "b": 0, "e": 0, "g0_0": 3, "g1_0": 1}
         )
         out = bsign.apply(state.amplitudes)
-        expect = layout.basis_index({"m": 0, "sig0": 3, "b": 0, "e": 0, "g0_0": 3, "g1_0": 1})
+        expect = reference.basis_index(
+            layout, {"m": 0, "sig0": 3, "b": 0, "e": 0, "g0_0": 3, "g1_0": 1}
+        )
         assert out[expect] == pytest.approx(1.0)
 
     def test_winternitz_endpoint_digit_signs_public_string(self):
@@ -389,8 +391,8 @@ class TestBlindedSign:
             layout, {"m": 0, "sig0": 0, "sig1": 0, "b": 0, "e": 0, "g0_0": 1, "g1_0": 2}
         )
         out = bsign.apply(state.amplitudes)
-        expect = layout.basis_index(
-            {"m": 0, "sig0": 1, "sig1": world.p[1], "b": 0, "e": 0, "g0_0": 1, "g1_0": 2}
+        expect = reference.basis_index(
+            layout, {"m": 0, "sig0": 1, "sig1": world.p[1], "b": 0, "e": 0, "g0_0": 1, "g1_0": 2}
         )
         assert out[expect] == pytest.approx(1.0)
 
@@ -545,6 +547,32 @@ class TestQtilde:
                 q = build_q_projectors(world, m, layout)[i]
                 manual += np.sqrt(q.weight) * q.apply(np.where(mfield == m, v, 0.0))
             assert np.allclose(qt.apply(v), manual)
+
+
+FRAME_WORLDS = [
+    lambda: lamport_world(2, 1, blinding=BlindingSet.explicit(1, {1}), seed=25),
+    lambda: winternitz_world(1, 1, 3, blinding=BlindingSet.explicit(1, {0}), seed=26),
+]
+
+
+class TestFrameSplit:
+    @pytest.mark.parametrize("maker", FRAME_WORLDS)
+    def test_to_frame_is_an_involution(self, maker):
+        world = maker()
+        layout = world.game_layout()
+        v = random_probe(layout, 27)
+        for fd in [build_invariant_projector(world, layout), *build_qtilde(world, layout)]:
+            hv = fd.to_frame(v)
+            assert np.allclose(fd.to_frame(hv), v, rtol=0, atol=1e-12)
+            assert np.linalg.norm(hv) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("maker", FRAME_WORLDS)
+    def test_apply_is_frame_table_frame(self, maker):
+        world = maker()
+        layout = world.game_layout()
+        v = random_probe(layout, 28)
+        for fd in [build_invariant_projector(world, layout), *build_qtilde(world, layout)]:
+            assert np.array_equal(fd.apply(v), fd.to_frame(fd.in_frame(fd.to_frame(v))))
 
 
 class TestGameLayoutReferences:
