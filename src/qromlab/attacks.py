@@ -89,7 +89,7 @@ def _forge(handles: game.ClassicalHandles, y_star: int, pk_index: int):
     return m_prime, tuple(sigma)
 
 
-def _classical_adversary(q: int, rng: np.random.Generator, found: list):
+def _classical_adversary(q: int, rng: np.random.Generator):
     def adversary(handles: game.ClassicalHandles):
         n = handles.params.n
         space = 1 << n
@@ -102,7 +102,6 @@ def _classical_adversary(q: int, rng: np.random.Generator, found: list):
                 y_star, pk_index = y, handles.pk.index(hy)  # first matching string
         if pk_index is None:
             return None  # concede: no preimage found
-        found.append(y_star)
         return _forge(handles, y_star, pk_index)  # None when the sign query was blinded
 
     return adversary
@@ -142,15 +141,6 @@ def _first_hit_exact(
     return p_win, p_hit
 
 
-def _trial_world(params: ots.LamportParams, seed: int):
-    oracle = rom.RandomOracleTable(params.n, seed=rom.derive_seed(seed, "oracle"))
-    keypair = ots.lamport_keygen(params, oracle, np.random.default_rng(rom.derive_seed(seed, "keygen")))
-    blinding = game.sample_blinding_set(
-        0.5, params.l, np.random.default_rng(rom.derive_seed(seed, "blinding"))
-    )
-    return oracle, keypair, blinding
-
-
 def _hit_wins(l: int, oracle: rom.RandomOracleTable, pk, blinding) -> list[tuple[int, bool]]:
     """All oracle inputs mapping onto the public key, ascending, with the win
     verdict the forgery pipeline reaches if that input is the first hit."""
@@ -162,46 +152,39 @@ def _hit_wins(l: int, oracle: rom.RandomOracleTable, pk, blinding) -> list[tuple
     return [(y, verdict[h]) for y, h in enumerate(oracle.full_table()) if h in verdict]
 
 
-def classical_search_attack(n: int, l: int, q: int, trials: int, seed: int = 0) -> AttackReport:
-    """Monte-Carlo runs of the search attack plus its exact per-world reference."""
-    if q < 0:
-        raise ValueError("query count must be nonnegative")
+def _run_attack(kind: str, label: str, n: int, l: int, q: int, trials: int, seed: int, trial):
+    """The trial loop both attacks share, and their report.
+
+    Each trial builds the game's world at its own seed (blinding rate 1/2).
+    ``trial(trial_seed, oracle, keypair, blinding)`` returns the exact (win,
+    hit) probabilities on that world and the adversary, whose forgery the game
+    then judges.  An adversary makes its one signing query exactly when its
+    search found a preimage, so that query counts the search hits.
+    """
     params = ots.LamportParams(n=n, l=l)
-    weight = _first_hit_weights(n, q)
-    wins = 0
-    searches = 0
-    exact_sum = 0.0
-    exact_var = 0.0
-    search_exact_sum = 0.0
+    wins = searches = 0
+    exact_sum = exact_var = search_exact_sum = 0.0
     for t in range(trials):
-        trial_seed = rom.derive_seed(seed, "classical", t)
-        oracle, keypair, blinding = _trial_world(params, trial_seed)
-        # Exact reference uses the same world; the sampled run must match it on average.
-        hits = _hit_wins(l, oracle, keypair.pk, blinding)
-        p_win, p_hit = _first_hit_exact(weight, hits) if q > 0 else (0.0, 0.0)
+        trial_seed = rom.derive_seed(seed, label, t)
+        world = game.classical_world(params, 0.5, trial_seed)
+        p_win, p_hit, adversary = trial(trial_seed, *world)
         exact_sum += p_win
         exact_var += p_win * (1.0 - p_win)
         search_exact_sum += p_hit
-        rng = np.random.default_rng(rom.derive_seed(trial_seed, "queries"))
-        found: list = []
-        adversary = _classical_adversary(q, rng, found) if q > 0 else (lambda h: None)
-        transcript = game.run_with_world_classical(adversary, params, oracle, keypair, blinding, trial_seed)
-        if transcript.verdict == "win":
-            wins += 1
-        if found:
-            searches += 1
-    empirical = wins / trials if trials else 0.0
+        transcript = game.run_with_world_classical(adversary, params, *world, trial_seed)
+        wins += transcript.verdict == "win"
+        searches += transcript.sign_queries
     low, high = wilson_interval(wins, trials)
     full, simple = lemmas.forgery_bound_lamport(q, l, n)
     return AttackReport(
-        kind="classical-search",
+        kind=kind,
         n=n,
         l=l,
         q=q,
         trials=trials,
         seed=seed,
         wins=wins,
-        empirical=empirical,
+        empirical=wins / trials if trials else 0.0,
         wilson_low=low,
         wilson_high=high,
         p_search_formula=p_search_formula(q, l, n),
@@ -212,6 +195,22 @@ def classical_search_attack(n: int, l: int, q: int, trials: int, seed: int = 0) 
         bound_full=full,
         bound_simple=simple,
     )
+
+
+def classical_search_attack(n: int, l: int, q: int, trials: int, seed: int = 0) -> AttackReport:
+    """Monte-Carlo runs of the search attack plus its exact per-world reference."""
+    if q < 0:
+        raise ValueError("query count must be nonnegative")
+    weight = _first_hit_weights(n, q)
+
+    def trial(trial_seed, oracle, keypair, blinding):
+        # Exact reference uses the same world; the sampled run must match it on average.
+        hits = _hit_wins(l, oracle, keypair.pk, blinding)
+        p_win, p_hit = _first_hit_exact(weight, hits) if q > 0 else (0.0, 0.0)
+        rng = np.random.default_rng(rom.derive_seed(trial_seed, "queries"))
+        return p_win, p_hit, _classical_adversary(q, rng) if q > 0 else (lambda h: None)
+
+    return _run_attack("classical-search", "classical", n, l, q, trials, seed, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -247,23 +246,16 @@ def grover_attack(
 ) -> AttackReport:
     """Grover preimage search feeding the same forgery pipeline.
 
-    The measured candidate is always submitted; with zero iterations this
-    degenerates to a uniform guess.
+    A measured preimage is submitted; a miss concedes.  With zero iterations
+    the search degenerates to a uniform guess.
     """
     if iterations is None:
         iterations = default_grover_iterations(n, l)
-    params = ots.LamportParams(n=n, l=l)
     # Measurement distribution and search success per marked set; worlds
     # repeat marked sets often at these register sizes.
     by_marked: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
-    wins = 0
-    search_hits = 0
-    exact_sum = 0.0
-    exact_var = 0.0
-    search_exact_sum = 0.0
-    for t in range(trials):
-        trial_seed = rom.derive_seed(seed, "grover", t)
-        oracle, keypair, blinding = _trial_world(params, trial_seed)
+
+    def trial(trial_seed, oracle, keypair, blinding):
         hit_wins = dict(_hit_wins(l, oracle, keypair.pk, blinding))
         marked = tuple(hit_wins)
         if marked not in by_marked:
@@ -272,43 +264,17 @@ def grover_attack(
             by_marked[marked] = probs, float(sum(probs[y] for y in marked))
         probs, p_search = by_marked[marked]
         p_win = float(sum(probs[y] for y, ok in hit_wins.items() if ok))
-        search_exact_sum += p_search
-        exact_sum += p_win
-        exact_var += p_win * (1.0 - p_win)
         rng = np.random.default_rng(rom.derive_seed(trial_seed, "measure"))
         y_star = int(rng.choice(len(probs), p=probs))
-        if y_star not in hit_wins:
-            continue
-        search_hits += 1
-        handles = game.ClassicalHandles(keypair, blinding, oracle)
-        forged = _forge(handles, y_star, keypair.pk.index(oracle(y_star)))
-        if forged is not None:
-            m_star, sigma_star = forged
-            ok = ots.lamport_verify(params, keypair.pk, m_star, sigma_star, oracle)
-            if ok and m_star in blinding:
-                wins += 1
-    empirical = wins / trials if trials else 0.0
-    low, high = wilson_interval(wins, trials)
-    full, simple = lemmas.forgery_bound_lamport(iterations, l, n)
-    return AttackReport(
-        kind="grover",
-        n=n,
-        l=l,
-        q=iterations,
-        trials=trials,
-        seed=seed,
-        wins=wins,
-        empirical=empirical,
-        wilson_low=low,
-        wilson_high=high,
-        p_search_formula=p_search_formula(iterations, l, n),
-        exact_reference=exact_sum / trials if trials else 0.0,
-        reference_sigma=math.sqrt(exact_var) / trials if trials else 0.0,
-        search_rate=search_hits / trials if trials else 0.0,
-        search_exact=search_exact_sum / trials if trials else 0.0,
-        bound_full=full,
-        bound_simple=simple,
-    )
+
+        def adversary(handles: game.ClassicalHandles):
+            if y_star not in hit_wins:
+                return None
+            return _forge(handles, y_star, handles.pk.index(handles.hash_query(y_star)))
+
+        return p_win, p_search, adversary
+
+    return _run_attack("grover", "grover", n, l, iterations, trials, seed, trial)
 
 
 def grover_schedule_sensitivity(
@@ -323,7 +289,7 @@ def grover_schedule_sensitivity(
     totals = [0.0] * (max_iterations + 1)
     for t in range(trials):
         trial_seed = rom.derive_seed(seed, "sens", t)
-        oracle, keypair, blinding = _trial_world(params, trial_seed)
+        oracle, keypair, blinding = game.classical_world(params, 0.5, trial_seed)
         marked = set(y for y, _ in _hit_wins(l, oracle, keypair.pk, blinding))
         states = itertools.islice(_grover_iterates(n, marked), max_iterations + 1)
         for iters, psi in enumerate(states):

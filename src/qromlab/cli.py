@@ -23,7 +23,22 @@ from .qworlds import world_descriptor_json
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("QROMLAB_SEED", "0"))
+    text = os.environ.get("QROMLAB_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"QROMLAB_SEED must be an integer, got {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """argparse type: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def _write(path: str | None, text: str) -> None:
@@ -242,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--w", type=int, default=2)
     p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--q0", type=int, default=0)
-    p.add_argument("--q1", type=int, default=0)
+    p.add_argument("--q0", type=_count, default=0)
+    p.add_argument("--q1", type=_count, default=0)
     p.add_argument("--mode", choices=("plain", "modified"), default="plain")
     p.set_defaults(func=_cmd_qgame)
 
@@ -252,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--w", type=int, default=2)
-    p.add_argument("--q0", type=int, default=1)
-    p.add_argument("--q1", type=int, default=1)
+    p.add_argument("--q0", type=_count, default=1)
+    p.add_argument("--q1", type=_count, default=1)
     p.add_argument("--sweep", action="store_true", help="run the default grid")
     p.set_defaults(func=_cmd_lemmas)
 
@@ -270,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("classical", "grover"), default="classical")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--q", type=int, default=1)
+    p.add_argument("--q", type=_count, default=1)
     p.add_argument("--iterations", type=int, default=-1, help="-1 = schedule default")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_count, default=1000)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--sensitivity", type=int, default=0,
                    help="grover only: also sweep success over 0..N iterations")
@@ -280,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="print the closed-form success bounds")
     common(p)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_count, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--w", type=int, default=None)
@@ -290,15 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    if args.func is None:
-        parser.print_help()
-        return 1
-    try:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 1 if exc.code not in (0, None) else 0
+        if args.func is None:
+            parser.print_help()
+            return 1
         return args.func(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -162,17 +162,24 @@ def run_classical_game(
     aborts the run with a losing transcript; an adversary may concede by
     returning None instead of a forgery.
     """
-    scheme = "lamport" if isinstance(params, ots.LamportParams) else "winternitz"
+    oracle, keypair, blinding = classical_world(params, epsilon, seed)
+    return run_with_world_classical(adversary, params, oracle, keypair, blinding, seed)
+
+
+def classical_world(params, epsilon: float, seed: int):
+    """(oracle, keypair, blinding) of one run at ``seed``: the lazily sampled
+    oracle, a key pair for the scheme of ``params``, and a blinding set that
+    holds each message with probability ``epsilon``."""
     oracle = rom.RandomOracleTable(params.n, seed=rom.derive_seed(seed, "oracle"))
     key_rng = np.random.default_rng(rom.derive_seed(seed, "keygen"))
-    if scheme == "lamport":
+    if isinstance(params, ots.LamportParams):
         keypair = ots.lamport_keygen(params, oracle, key_rng)
     else:
         keypair = ots.wots_keygen(params, oracle, key_rng)
     blinding = sample_blinding_set(
         epsilon, params.message_bits, np.random.default_rng(rom.derive_seed(seed, "blinding"))
     )
-    return run_with_world_classical(adversary, params, oracle, keypair, blinding, seed)
+    return oracle, keypair, blinding
 
 
 def run_with_world_classical(

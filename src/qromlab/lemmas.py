@@ -232,11 +232,15 @@ def check_uniform_register_commutator(
     return [_report("uniform-commutator", scheme, n, l, w, 0, 0, worst, bound, t0)]
 
 
-def _find_wots_a(l: int, w: int) -> int | None:
+def _scheme_world(scheme: str, n: int, l: int, w: int, seed: int, blinding=None):
+    """The Lamport world on l message bits, or the Winternitz world whose
+    message length encodes to l blocks at w; None when no length does.
+    ``blinding`` maps the world's message width to its blinding set."""
+    if scheme == "lamport":
+        return lamport_world(n, l, blinding=blinding and blinding(l), seed=seed)
     for a in range(1, 17):
-        p = ots.derive_wots_params(a, w, 2, require_power_of_two=False)
-        if p.l == l:
-            return a
+        if ots.derive_wots_params(a, w, 2, require_power_of_two=False).l == l:
+            return winternitz_world(n, a, w, blinding=blinding and blinding(a), seed=seed)
     return None
 
 
@@ -251,23 +255,14 @@ def _blinding_for(world_bits: int, seed: int, require_unblinded: bool = True) ->
 
 def _delta_world(scheme: str, n: int, l: int, w: int, seed: int):
     """A world plus the threshold vectors its invariant projector is built from."""
-    if scheme == "lamport":
-        world = lamport_world(
-            n, l, blinding=_blinding_for(l, seed), seed=rom.derive_seed(seed, "delta-world")
-        )
-        thresholds = [world.thresholds(m) for m in world.unblinded()]
-        return world, thresholds
-    a = _find_wots_a(l, w)
-    if a is not None:
-        world = winternitz_world(
-            n, a, w, blinding=_blinding_for(a, seed), seed=rom.derive_seed(seed, "delta-world")
-        )
-        thresholds = [world.thresholds(m) for m in world.unblinded()]
-        return world, thresholds
+    world_seed = rom.derive_seed(seed, "delta-world")
+    world = _scheme_world(scheme, n, l, w, world_seed, lambda bits: _blinding_for(bits, seed))
+    if world is not None:
+        return world, [world.thresholds(m) for m in world.unblinded()]
     # No message length encodes to l blocks; exercise the projector on explicit
     # per-chain reveal thresholds instead (the commutator bound only needs the
     # threshold-union structure, not the checksum).
-    world = chain_world(n, l, w, seed=rom.derive_seed(seed, "delta-world"))
+    world = chain_world(n, l, w, seed=world_seed)
     rng = np.random.default_rng(rom.derive_seed(seed, "delta-thresholds"))
     count = 1 + int(rng.integers(0, 3))
     thresholds = [tuple(int(rng.integers(0, w)) for _ in range(l)) for _ in range(count)]
@@ -308,29 +303,10 @@ def check_orthogonality(
     scheme: str, n: int, l: int, w: int, blinding: BlindingSet, m_star: int, seed: int = 0
 ) -> list[CheckReport]:
     """The none-uniform forgery outcome annihilates the invariant subspace."""
-    if scheme == "lamport":
-        world = lamport_world(n, l, blinding=blinding, seed=rom.derive_seed(seed, "orth-world"))
-    else:
-        a = _find_wots_a(l, w)
-        if a is None:
-            raise ValueError(f"no message length encodes to {l} blocks at w={w}")
-        world = winternitz_world(
-            n, a, w, blinding=blinding, seed=rom.derive_seed(seed, "orth-world")
-        )
-    return [orthogonality_report(world, m_star)]
-
-
-def _drift_world(scheme: str, n: int, l: int, w: int, seed: int) -> ChainWorld:
-    if scheme == "lamport":
-        return lamport_world(
-            n, l, blinding=_blinding_for(l, seed), seed=rom.derive_seed(seed, "drift-world")
-        )
-    a = _find_wots_a(l, w)
-    if a is None:
+    world = _scheme_world(scheme, n, l, w, rom.derive_seed(seed, "orth-world"), lambda _: blinding)
+    if world is None:
         raise ValueError(f"no message length encodes to {l} blocks at w={w}")
-    return winternitz_world(
-        n, a, w, blinding=_blinding_for(a, seed), seed=rom.derive_seed(seed, "drift-world")
-    )
+    return [orthogonality_report(world, m_star)]
 
 
 def check_state_drift(
@@ -343,7 +319,12 @@ def check_state_drift(
     (c) mass of the none-uniform outcome on blinded forgery messages.
     """
     t0 = time.perf_counter()
-    world = _drift_world(scheme, n, l, w, program_seed)
+    world = _scheme_world(
+        scheme, n, l, w, rom.derive_seed(program_seed, "drift-world"),
+        lambda bits: _blinding_for(bits, program_seed),
+    )
+    if world is None:
+        raise ValueError(f"no message length encodes to {l} blocks at w={w}")
     program = game.random_program(world, q0, q1, seed=rom.derive_seed(program_seed, "drift-prog"))
     states = game.evolve_program(program, world)
     layout = states.layout
@@ -444,14 +425,8 @@ def check_oracle_reprogramming_consistency(
     index once; the classical side is the reprogrammed oracle of each chain
     assignment, queried input by input."""
     t0 = time.perf_counter()
-    if scheme == "lamport":
-        world = lamport_world(n, l, seed=rom.derive_seed(seed, "iw-world"))
-    else:
-        a = _find_wots_a(l, w)
-        if a is not None:
-            world = winternitz_world(n, a, w, seed=rom.derive_seed(seed, "iw-world"))
-        else:
-            world = chain_world(n, l, w, seed=rom.derive_seed(seed, "iw-world"))
+    world_seed = rom.derive_seed(seed, "iw-world")
+    world = _scheme_world(scheme, n, l, w, world_seed) or chain_world(n, l, w, seed=world_seed)
     regs = world.chain_registers()
     if len(regs) * n > 10:
         raise ValueError("chain assignment space too large for exhaustive comparison")

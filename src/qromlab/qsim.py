@@ -16,9 +16,10 @@ Conventions:
   start from products of uniform and basis registers (:func:`uniform_state`).
   Outcomes are read as exact probability tensors by the game, never sampled
   here.
-* The random-vector probes (:func:`probe_max_ratio`, :func:`unitarity_defect`,
-  :func:`projector_defect`, :func:`is_zero_map`) decide nothing in a report;
-  they cross-check maps that have no compiled structure to read.
+* The three random-vector probes (:func:`probe_max_ratio`,
+  :func:`unitarity_defect`, :func:`projector_defect`) decide nothing in a
+  report; they cross-check maps that have no compiled structure to read, and
+  the benchmark's trace times them.
 """
 
 from __future__ import annotations
@@ -132,9 +133,6 @@ class StateVector:
             nrm = np.linalg.norm(self.amplitudes)
             if abs(nrm - 1.0) > 1e-9:
                 raise ValueError(f"state norm {nrm} is not 1 within 1e-9")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 class LinearMap:
@@ -395,10 +393,6 @@ def probe_max_ratio(a: LinearMap, probes: int = 32, seed: int = 0) -> float:
         v = random_state_vector(a.dim, rng)
         worst = max(worst, float(np.linalg.norm(a.apply(v))))
     return worst
-
-
-def is_zero_map(a: LinearMap, probes: int = 32, seed: int = 0, threshold: float = 1e-10) -> bool:
-    return probe_max_ratio(a, probes=probes, seed=seed) < threshold
 
 
 def unitarity_defect(u: LinearMap, probes: int = 32, seed: int = 0) -> float:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -96,7 +96,13 @@ class BlindingSet:
 
 
 class ChainWorld:
-    """Chains-in-superposition world for one scheme instance."""
+    """Chains-in-superposition world for one scheme instance.
+
+    Everything random is a function of ``seed``: the oracle table ``h_table``
+    and the public endpoints ``p`` (one per chain) come from its "oracle" and
+    "endpoints" sub-seeds.  The message space is ``params.message_bits`` wide;
+    a world without ``params`` has none.
+    """
 
     def __init__(
         self,
@@ -105,22 +111,14 @@ class ChainWorld:
         w: int,
         chain_count: int,
         l_sem: int,
-        message_bits: int | None,
         params,
-        p: Sequence[int],
-        h_table: Sequence[int],
         blinding: BlindingSet | None,
         seed: int,
         workspace_qubits: int = 2,
     ):
-        if scheme not in ("lamport", "winternitz"):
-            raise ValueError(f"unknown scheme {scheme!r}")
         if w < 2:
             raise ValueError("chains need at least two positions")
-        if len(p) != chain_count:
-            raise ValueError("need one public endpoint per chain")
-        if len(h_table) != (1 << n):
-            raise ValueError("oracle table must cover the full n-bit domain")
+        message_bits = None if params is None else params.message_bits
         if blinding is not None and message_bits is not None and blinding.nbits != message_bits:
             raise ValueError("blinding set width does not match the message space")
         self.scheme = scheme
@@ -130,8 +128,9 @@ class ChainWorld:
         self.l_sem = l_sem
         self.message_bits = message_bits
         self.params = params
-        self.p = tuple(int(v) for v in p)
-        self.h_table = tuple(int(v) for v in h_table)
+        self.h_table = rom.RandomOracleTable(n, seed=rom.derive_seed(seed, "oracle")).full_table()
+        rng = np.random.default_rng(rom.derive_seed(seed, "endpoints"))
+        self.p = tuple(int(rng.integers(0, 1 << n)) for _ in range(chain_count))
         self.blinding = blinding
         self.seed = seed
         self.workspace_qubits = workspace_qubits
@@ -252,23 +251,7 @@ def lamport_world(
     workspace_qubits: int = 2,
 ) -> ChainWorld:
     params = ots.LamportParams(n=n, l=l)
-    h_table = rom.RandomOracleTable(n, seed=rom.derive_seed(seed, "oracle")).full_table()
-    rng = np.random.default_rng(rom.derive_seed(seed, "endpoints"))
-    p = tuple(int(rng.integers(0, 1 << n)) for _ in range(2 * l))
-    return ChainWorld(
-        scheme="lamport",
-        n=n,
-        w=2,
-        chain_count=2 * l,
-        l_sem=l,
-        message_bits=l,
-        params=params,
-        p=p,
-        h_table=h_table,
-        blinding=blinding,
-        seed=seed,
-        workspace_qubits=workspace_qubits,
-    )
+    return ChainWorld("lamport", n, 2, 2 * l, l, params, blinding, seed, workspace_qubits)
 
 
 def winternitz_world(
@@ -282,43 +265,12 @@ def winternitz_world(
     # Lab worlds accept any w >= 2; the scheme-level power-of-two restriction
     # only concerns the classical signing API.
     params = ots.derive_wots_params(a, w, n, require_power_of_two=False)
-    h_table = rom.RandomOracleTable(n, seed=rom.derive_seed(seed, "oracle")).full_table()
-    rng = np.random.default_rng(rom.derive_seed(seed, "endpoints"))
-    p = tuple(int(rng.integers(0, 1 << n)) for _ in range(params.l))
-    return ChainWorld(
-        scheme="winternitz",
-        n=n,
-        w=w,
-        chain_count=params.l,
-        l_sem=params.l,
-        message_bits=a,
-        params=params,
-        p=p,
-        h_table=h_table,
-        blinding=blinding,
-        seed=seed,
-        workspace_qubits=workspace_qubits,
-    )
+    return ChainWorld("winternitz", n, w, params.l, params.l, params, blinding, seed, workspace_qubits)
 
 
 def chain_world(n: int, l: int, w: int, seed: int = 0) -> ChainWorld:
     """Bare chain structure with no message space; enough for oracle-side checks."""
-    h_table = rom.RandomOracleTable(n, seed=rom.derive_seed(seed, "oracle")).full_table()
-    rng = np.random.default_rng(rom.derive_seed(seed, "endpoints"))
-    p = tuple(int(rng.integers(0, 1 << n)) for _ in range(l))
-    return ChainWorld(
-        scheme="winternitz",
-        n=n,
-        w=w,
-        chain_count=l,
-        l_sem=l,
-        message_bits=None,
-        params=None,
-        p=p,
-        h_table=h_table,
-        blinding=None,
-        seed=seed,
-    )
+    return ChainWorld("winternitz", n, w, l, l, None, None, seed)
 
 
 # ---------------------------------------------------------------------------

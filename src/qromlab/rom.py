@@ -136,6 +136,8 @@ class ReprogrammedOracle:
 
 
 def _check_enum_size(n: int, l: int, w: int) -> None:
+    if min(n, l, w) < 1:
+        raise ValueError(f"chain shape needs n, l, w >= 1; got n={n} l={l} w={w}")
     if n * l * w > MAX_ENUM_BITS:
         raise ValueError(f"enumeration guard: n*l*w = {n * l * w} exceeds {MAX_ENUM_BITS}")
 

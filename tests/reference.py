@@ -1,10 +1,10 @@
 """Independent references for the tests: code no CLI path runs, kept to
 cross-check the fast paths of the package.
 
-* Operator algebra and the iterative Lanczos norm solver, against the exact
-  block norms of ``qsim.operator_norm``.  They work on ``qsim.LinearMap``
-  objects through their apply contract only, independent of the compiled
-  gather indices and frame tables.
+* Operator algebra, a random-probe zero-map test and the iterative Lanczos
+  norm solver, against the exact block norms of ``qsim.operator_norm``.
+  They work on ``qsim.LinearMap`` objects through their apply contract only,
+  independent of the compiled gather indices and frame tables.
 * Basis indices and states, a structured XOR map and register measurement.
 * The sampling game engine: measure the evolved state register by register
   and run the scheme verifier against the reprogrammed oracle, against the
@@ -35,6 +35,10 @@ def identity_map(dim: int) -> LinearMap:
 
 def zero_map(dim: int) -> LinearMap:
     return LinearMap(dim, lambda v: np.zeros_like(v), label="0", self_adjoint=True)
+
+
+def is_zero_map(a: LinearMap, probes: int = 32, seed: int = 0, threshold: float = 1e-10) -> bool:
+    return qsim.probe_max_ratio(a, probes=probes, seed=seed) < threshold
 
 
 def compose(*maps: LinearMap) -> LinearMap:
@@ -347,7 +351,7 @@ def exact_win_by_subset_enumeration(n: int, l: int, q: int, world_seed: int) -> 
     """Average the deterministic attack verdict over every possible query
     subset.  Only feasible at small n; cross-checks the first-hit
     combinatorics of ``attacks.classical_search_attack``."""
-    oracle, keypair, blinding = attacks._trial_world(ots.LamportParams(n=n, l=l), world_seed)
+    oracle, keypair, blinding = game.classical_world(ots.LamportParams(n=n, l=l), 0.5, world_seed)
     hits = dict(attacks._hit_wins(l, oracle, keypair.pk, blinding))
     space = 1 << n
     q = min(q, space)

@@ -3,12 +3,11 @@ import math
 import pytest
 
 import reference
-from qromlab import attacks, cli, ots, rom
+from qromlab import attacks, cli, game, ots, rom
 from qromlab.attacks import (
     _first_hit_exact,
     _first_hit_weights,
     _hit_wins,
-    _trial_world,
 )
 
 
@@ -30,7 +29,7 @@ class TestClassicalAttack:
         for ws in range(6):
             for q in (1, 2, 4):
                 seed = rom.derive_seed(5, "xc", ws, q)
-                oracle, keypair, blinding = _trial_world(ots.LamportParams(n=3, l=1), seed)
+                oracle, keypair, blinding = game.classical_world(ots.LamportParams(n=3, l=1), 0.5, seed)
                 hits = _hit_wins(1, oracle, keypair.pk, blinding)
                 p_win, _ = _first_hit_exact(_first_hit_weights(3, q), hits)
                 assert p_win == pytest.approx(
@@ -87,6 +86,26 @@ class TestGrover:
         assert rep.empirical <= min(1.0, rep.bound_full) + 3 * sigma
 
 
+@pytest.mark.parametrize("attack", [
+    lambda: attacks.classical_search_attack(3, 1, 4, trials=60, seed=2),
+    lambda: attacks.grover_attack(3, 1, None, trials=60, seed=2),
+], ids=["classical", "grover"])
+def test_game_judges_every_trial_once(attack, monkeypatch):
+    # both attacks hand each trial's forgery to the game's one verdict path
+    verdicts = []
+    judge = game.run_with_world_classical
+
+    def counted(*args):
+        transcript = judge(*args)
+        verdicts.append(transcript.verdict)
+        return transcript
+
+    monkeypatch.setattr(game, "run_with_world_classical", counted)
+    rep = attack()
+    assert len(verdicts) == rep.trials == 60
+    assert verdicts.count("win") == rep.wins > 0
+
+
 class TestBounds:
     def test_dispatch(self):
         doc = attacks.security_bounds("lamport", 1, 20, 1)
@@ -134,7 +153,7 @@ def reference_schedule_sensitivity(n, l, max_iterations, trials, seed):
     params = ots.LamportParams(n=n, l=l)
     worlds = []
     for t in range(trials):
-        oracle, keypair, blinding = _trial_world(params, rom.derive_seed(seed, "sens", t))
+        oracle, keypair, blinding = game.classical_world(params, 0.5, rom.derive_seed(seed, "sens", t))
         worlds.append(set(y for y, _ in _hit_wins(l, oracle, keypair.pk, blinding)))
     out = []
     for iters in range(max_iterations + 1):

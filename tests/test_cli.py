@@ -147,6 +147,35 @@ class TestErrors:
                                   "--l", "1", "--n", "8"])
         assert args.seed == 123
 
+    def test_non_integer_env_seed_is_an_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("QROMLAB_SEED", "abc")
+        code, out, err = run(capsys, "bounds", "--scheme", "lamport", "--q", "1",
+                             "--l", "1", "--n", "8")
+        assert code == 1 and out == ""
+        assert err == "error: QROMLAB_SEED must be an integer, got 'abc'\n"
+
+    def test_negative_trials_rejected(self, capsys):
+        code, out, err = run(capsys, "attack", "--n", "3", "--l", "1", "--trials", "-5")
+        assert code == 1 and out == ""
+        assert "argument --trials: expected a nonnegative integer, got '-5'" in err
+
+    def test_negative_lemma_queries_rejected(self, capsys):
+        code, out, err = run(capsys, "lemmas", "--q0", "-1")
+        assert code == 1 and out == ""
+        assert "argument --q0: expected a nonnegative integer, got '-1'" in err
+
+    def test_negative_qgame_queries_rejected(self, capsys):
+        code, out, err = run(capsys, "qgame", "--n", "1", "--a", "1", "--q0", "-3")
+        assert code == 1 and out == ""
+        assert "argument --q0: expected a nonnegative integer, got '-3'" in err
+
+    @pytest.mark.parametrize("shape", [("0", "1", "2"), ("2", "0", "2"), ("2", "1", "0")])
+    def test_empty_chain_shape_rejected(self, capsys, shape):
+        n, l, w = shape
+        code, out, err = run(capsys, "worlds", "--n", n, "--l", l, "--w", w)
+        assert code == 1 and out == ""
+        assert err == f"error: chain shape needs n, l, w >= 1; got n={n} l={l} w={w}\n"
+
 
 class TestAttackFormats:
     def test_csv_format(self, tmp_path):

@@ -84,7 +84,7 @@ class TestCommutatorChecks:
         layout = world.norm_layout()
         u = build_query_unitary(world, layout)
         comm = reference.commutator(u, reference.identity_map(layout.dim))
-        assert qsim.is_zero_map(comm)
+        assert reference.is_zero_map(comm)
 
     def test_invariant_commutator_lamport(self):
         (rep,) = lemmas.check_invariant_commutator("lamport", 2, 1, seed=1)
@@ -105,7 +105,7 @@ class TestCommutatorChecks:
         layout = world.norm_layout()
         p = build_invariant_projector(world, layout)
         u = build_query_unitary(world, layout)
-        assert qsim.is_zero_map(reference.commutator(u, p))
+        assert reference.is_zero_map(reference.commutator(u, p))
 
     def test_winternitz_raw_chain_fallback(self):
         # block count with no message encoding still exercises the projector

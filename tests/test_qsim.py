@@ -247,12 +247,12 @@ class TestCommutator:
 
     def test_self_commutator_vanishes(self, xy2):
         p = qsim.uniform_projector_map(xy2, ("x",))
-        assert qsim.is_zero_map(reference.commutator(p, p))
+        assert reference.is_zero_map(reference.commutator(p, p))
 
     def test_disjoint_supports_commute(self, xy2):
         a = qsim.uniform_projector_map(xy2, ("x",))
         b = qsim.uniform_projector_map(xy2, ("y",))
-        assert qsim.is_zero_map(reference.commutator(a, b))
+        assert reference.is_zero_map(reference.commutator(a, b))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_equality_vs_uniform_commutator_bound(self, n):

@@ -188,6 +188,31 @@ class TestWorldConstruction:
         assert doc["scheme"] == "winternitz" and doc["blinding_set"] == [0]
         assert len(doc["p"]) == world.chain_count
 
+    # (seed, public endpoints, oracle table) recorded from the worlds as built
+    # before ChainWorld drew them itself; a Lamport and a Winternitz world on
+    # two message bits share the first four endpoints of their seed.
+    PINNED = [(0, [3, 1, 1, 2], (3, 1, 2, 2)), (5, [2, 3, 0, 2], (0, 2, 3, 3))]
+
+    @pytest.mark.parametrize("seed,p,h_table", PINNED)
+    def test_descriptors_are_pinned(self, seed, p, h_table):
+        import json
+
+        blinding = BlindingSet.explicit(2, {1, 2}, 0.5)
+        marks = {"blinding_set": [1, 2], "epsilon": 0.5, "message_bits": 2, "n": 2, "seed": seed}
+        cases = [
+            (lamport_world(2, 2, blinding=blinding, seed=seed),
+             dict(marks, scheme="lamport", chains=4, l=2, w=2, p=p)),
+            (winternitz_world(2, 2, 3, blinding=blinding, seed=seed),
+             dict(marks, scheme="winternitz", chains=4, l=4, w=3, p=p)),
+            (qworlds.chain_world(2, 2, 3, seed=seed),
+             dict(scheme="winternitz", chains=2, l=2, n=2, w=3, seed=seed, p=p[:2])),
+        ]
+        for world, doc in cases:
+            assert qworlds.world_descriptor_json(world) == (
+                json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            )
+            assert world.h_table == h_table
+
 
 class TestQueryUnitary:
     @pytest.mark.parametrize(

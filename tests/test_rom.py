@@ -312,6 +312,12 @@ class TestExactDistributions:
             rom.tv_and_collision_stats(p[:-1], q[:-1], 2, 1, 2)
 
 
+@pytest.mark.parametrize("n,l,w", [(0, 1, 2), (2, 0, 2), (2, 1, 0), (-1, 2, 2)])
+def test_enumeration_rejects_empty_chain_shapes(n, l, w):
+    with pytest.raises(ValueError, match="chain shape needs n, l, w >= 1"):
+        rom.enumerate_chain_distributions(n, l, w)
+
+
 class TestSeedDerivation:
     def test_labels_split_the_stream(self):
         a = rom.derive_seed(7, "x")

@@ -1,0 +1,38 @@
+"""The package holds only what its own code runs.
+
+Every module-level function or class in ``src/qromlab`` must be referenced
+by name somewhere in ``src/qromlab`` other than its own definition.  The
+three random-vector probes are the exception: no CLI path runs them, and the
+benchmark's trace wraps them by name.  Code that only the tests use belongs
+in ``tests/reference.py``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qromlab"
+TRACED_PROBES = {"qsim.probe_max_ratio", "qsim.unitarity_defect", "qsim.projector_defect"}
+
+
+def _definitions_and_references():
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[f"{path.stem}.{node.name}"] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return defined, referenced
+
+
+def test_every_module_level_name_is_used_in_src():
+    defined, referenced = _definitions_and_references()
+    unused = sorted(q for q, name in defined.items() if name not in referenced)
+    assert unused == sorted(TRACED_PROBES)
