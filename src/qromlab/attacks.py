@@ -171,7 +171,7 @@ def _run_attack(kind: str, label: str, n: int, l: int, q: int, trials: int, seed
         exact_sum += p_win
         exact_var += p_win * (1.0 - p_win)
         search_exact_sum += p_hit
-        transcript = game.run_with_world_classical(adversary, params, *world, trial_seed)
+        transcript = game.run_with_world_classical(adversary, *world, trial_seed)
         wins += transcript.verdict == "win"
         searches += transcript.sign_queries
     low, high = wilson_interval(wins, trials)

@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attacks, game, lemmas, ots, rom
-from .qworlds import world_descriptor_json
+from . import attacks, game, lemmas, ots, qworlds, rom
 
 
 def _default_seed() -> int:
@@ -41,6 +40,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _iterations(text: str) -> int:
+    """argparse type: -1 (the schedule default) or a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -2
+    if value < -1:
+        raise argparse.ArgumentTypeError(f"expected -1 or a nonnegative integer, got {text!r}")
+    return value
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -48,52 +58,33 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _params_from_args(args) -> tuple[str, object]:
-    if args.scheme == "lamport":
-        return "lamport", ots.LamportParams(n=args.n, l=args.a)
-    return "winternitz", ots.derive_wots_params(args.a, args.w, args.n)
+def _key_oracle(n: int, seed: int) -> rom.RandomOracleTable:
+    # The lazily sampled function used at keygen is reproducible from the seed;
+    # signing and verification must consult the same one.
+    return rom.RandomOracleTable(n, seed=rom.derive_seed(seed, "keygen-oracle"))
 
 
 def _cmd_keygen(args) -> int:
-    scheme, params = _params_from_args(args)
-    oracle = rom.RandomOracleTable(args.n, seed=rom.derive_seed(args.seed, "keygen-oracle"))
+    params = ots.scheme_params(args.scheme, args.n, args.a, args.w)
     rng = np.random.default_rng(rom.derive_seed(args.seed, "keygen"))
-    if scheme == "lamport":
-        kp = ots.lamport_keygen(params, oracle, rng)
-    else:
-        kp = ots.wots_keygen(params, oracle, rng)
+    kp = ots.keygen(params, _key_oracle(args.n, args.seed), rng)
     _write(args.out, ots.keypair_to_json(kp))
     return 0
 
 
-def _oracle_for_key(kp: ots.KeyPair, seed: int) -> rom.RandomOracleTable:
-    # The lazily sampled function used at keygen is reproducible from the seed;
-    # signing and verification must consult the same one.
-    oracle = rom.RandomOracleTable(kp.params.n, seed=rom.derive_seed(seed, "keygen-oracle"))
-    return oracle
-
-
 def _cmd_sign(args) -> int:
     kp = ots.load_keypair(args.key)
-    oracle = _oracle_for_key(kp, args.seed)
     m = int(args.message, 0)
-    if kp.scheme == "lamport":
-        sig = ots.lamport_sign(kp.params, kp.sk, m)
-    else:
-        sig = ots.wots_sign(kp.params, kp.sk, m, oracle)
-    _write(args.out, ots.signature_to_json(kp.scheme, kp.params, sig))
+    sig = ots.sign(kp.params, kp.sk, m, _key_oracle(kp.params.n, args.seed))
+    _write(args.out, ots.signature_to_json(kp.params, sig))
     return 0
 
 
 def _cmd_verify(args) -> int:
     kp = ots.load_keypair(args.key)
-    oracle = _oracle_for_key(kp, args.seed)
     sig = ots.signature_from_json(Path(args.sig).read_text())
     m = int(args.message, 0)
-    if kp.scheme == "lamport":
-        ok = ots.lamport_verify(kp.params, kp.pk, m, sig.sigma, oracle)
-    else:
-        ok = ots.wots_verify(kp.params, kp.pk, m, sig.sigma, oracle)
+    ok = ots.verify(kp.params, kp.pk, m, sig.sigma, _key_oracle(kp.params.n, args.seed))
     # The verification outcome is data, not an error.
     print("acc" if ok else "rej")
     return 0
@@ -119,7 +110,7 @@ def _random_forger(seed: int):
 
 
 def _cmd_game(args) -> int:
-    scheme, params = _params_from_args(args)
+    params = ots.scheme_params(args.scheme, args.n, args.a, args.w)
     adversary = _replay_adversary if args.adversary == "replay" else _random_forger(args.seed)
     transcript = game.run_classical_game(adversary, params, args.epsilon, args.seed)
     _write(args.out, transcript.to_json())
@@ -127,8 +118,6 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_qgame(args) -> int:
-    from . import qworlds
-
     blinding = game.sample_blinding_set(
         args.epsilon, args.a, np.random.default_rng(rom.derive_seed(args.seed, "blinding"))
     )
@@ -139,7 +128,7 @@ def _cmd_qgame(args) -> int:
     program = game.random_program(world, args.q0, args.q1, seed=args.seed)
     transcript, analysis = game.run_quantum_game(program, world, mode=args.mode, seed=args.seed)
     doc = json.loads(transcript.to_json())
-    doc["world"] = json.loads(world_descriptor_json(world))
+    doc["world"] = qworlds.world_descriptor(world)
     doc["p_win_plain"] = analysis.p_win_plain
     doc["p_win_modified"] = analysis.p_win_modified
     doc["p_forced_outcome_blinded"] = analysis.p_forced_outcome_blinded
@@ -189,7 +178,7 @@ def _cmd_attack(args) -> int:
     if args.kind == "classical":
         report = attacks.classical_search_attack(args.n, args.l, args.q, args.trials, seed=args.seed)
     else:
-        iterations = args.iterations if args.iterations >= 0 else None
+        iterations = None if args.iterations == -1 else args.iterations
         report = attacks.grover_attack(args.n, args.l, iterations, args.trials, seed=args.seed)
     if args.format == "csv":
         _write(args.out, attacks.reports_to_csv([report]))
@@ -286,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--q", type=_count, default=1)
-    p.add_argument("--iterations", type=int, default=-1, help="-1 = schedule default")
+    p.add_argument("--iterations", type=_iterations, default=-1, help="-1 = schedule default")
     p.add_argument("--trials", type=_count, default=1000)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--sensitivity", type=int, default=0,
+    p.add_argument("--sensitivity", type=_count, default=0,
                    help="grover only: also sweep success over 0..N iterations")
     p.set_defaults(func=_cmd_attack)
 

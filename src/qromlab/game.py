@@ -74,11 +74,7 @@ def blinded_sign(
     params = keypair.params
     if m in blinding:
         return BlindedSignature(payload=(0,) * params.l, flag=1)
-    if keypair.scheme == "lamport":
-        sig = ots.lamport_sign(params, keypair.sk, m)
-    else:
-        sig = ots.wots_sign(params, keypair.sk, m, oracle)
-    return BlindedSignature(payload=sig.sigma, flag=0)
+    return BlindedSignature(payload=ots.sign(params, keypair.sk, m, oracle).sigma, flag=0)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +90,6 @@ class ClassicalHandles:
 
     def __init__(self, keypair: ots.KeyPair, blinding: BlindingSet, oracle: rom.Oracle):
         self.params = keypair.params
-        self.scheme = keypair.scheme
         self.pk = keypair.pk
         self._keypair = keypair
         self._blinding = blinding
@@ -158,12 +153,12 @@ def run_classical_game(
 ) -> GameTranscript:
     """One blind-forgery run: keygen, blinding-set sampling, adversary, verdict.
 
-    The scheme is inferred from the parameter type.  A second signing query
+    The scheme is the one ``params`` names.  A second signing query
     aborts the run with a losing transcript; an adversary may concede by
     returning None instead of a forgery.
     """
     oracle, keypair, blinding = classical_world(params, epsilon, seed)
-    return run_with_world_classical(adversary, params, oracle, keypair, blinding, seed)
+    return run_with_world_classical(adversary, oracle, keypair, blinding, seed)
 
 
 def classical_world(params, epsilon: float, seed: int):
@@ -171,11 +166,7 @@ def classical_world(params, epsilon: float, seed: int):
     oracle, a key pair for the scheme of ``params``, and a blinding set that
     holds each message with probability ``epsilon``."""
     oracle = rom.RandomOracleTable(params.n, seed=rom.derive_seed(seed, "oracle"))
-    key_rng = np.random.default_rng(rom.derive_seed(seed, "keygen"))
-    if isinstance(params, ots.LamportParams):
-        keypair = ots.lamport_keygen(params, oracle, key_rng)
-    else:
-        keypair = ots.wots_keygen(params, oracle, key_rng)
+    keypair = ots.keygen(params, oracle, np.random.default_rng(rom.derive_seed(seed, "keygen")))
     blinding = sample_blinding_set(
         epsilon, params.message_bits, np.random.default_rng(rom.derive_seed(seed, "blinding"))
     )
@@ -183,34 +174,28 @@ def classical_world(params, epsilon: float, seed: int):
 
 
 def run_with_world_classical(
-    adversary: Adversary, params, oracle, keypair, blinding: BlindingSet, seed: int
+    adversary: Adversary, oracle, keypair: ots.KeyPair, blinding: BlindingSet, seed: int
 ) -> GameTranscript:
     """The blind-forgery run against pre-built world pieces, so an exact
     reference computation can share the identical keys, oracle, and blinding."""
-    scheme = keypair.scheme
     handles = ClassicalHandles(keypair, blinding, oracle)
     transcript = GameTranscript(
-        scheme=scheme, seed=seed, epsilon=blinding.epsilon, blinding=blinding.sorted_members()
+        scheme=keypair.scheme, seed=seed, epsilon=blinding.epsilon, blinding=blinding.sorted_members()
     )
     try:
         forgery = adversary(handles)
     except SecondSignQuery:
         transcript.aborted = True
         transcript.verdict = "abort"
-        transcript.hash_queries = handles.hash_queries
-        transcript.sign_queries = handles.sign_queries
-        return transcript
+        forgery = None
     transcript.hash_queries = handles.hash_queries
     transcript.sign_queries = handles.sign_queries
-    if forgery is None:  # the adversary may concede instead of guessing
+    if forgery is None:  # an abort, or the adversary conceded instead of guessing
         return transcript
     m_star, sigma_star = forgery
     transcript.m_star = int(m_star)
     transcript.sigma_star = tuple(int(s) for s in sigma_star)
-    if scheme == "lamport":
-        ok = ots.lamport_verify(params, keypair.pk, transcript.m_star, transcript.sigma_star, oracle)
-    else:
-        ok = ots.wots_verify(params, keypair.pk, transcript.m_star, transcript.sigma_star, oracle)
+    ok = ots.verify(keypair.params, keypair.pk, transcript.m_star, transcript.sigma_star, oracle)
     transcript.verdict = "win" if (ok and transcript.m_star in blinding) else "lose"
     return transcript
 

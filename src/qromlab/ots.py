@@ -1,15 +1,16 @@
-"""Lamport and Winternitz (hash-chain) one-time signatures.
+"""Lamport and Winternitz one-time signatures as one hash-chain scheme.
 
 All strings are unsigned integers with an explicit bit width: messages carry
 ``a`` (or ``l``) bits, key and signature entries carry ``n`` bits.  The hash
 is any callable ``int -> int`` on n-bit values, typically a
 :class:`qromlab.rom.RandomOracleTable`.
 
-Lamport secret keys are flat tuples of ``2l`` entries in index order
-``(i ascending, j ascending)``, i.e. ``sk[2*i + j]`` is the string signing
-bit value ``j`` of message position ``i``.  Winternitz keys hold one chain
-start per block; the chain key of the plain-hash instantiation is trivial and
-is not serialized.
+A key is ``params.chains`` hash chains of length ``params.w``: Lamport has 2l
+chains of length 2 (chain ``2*i + j`` signs bit value ``j`` at position
+``i``), Winternitz one chain per message and checksum digit.  :func:`revealed`
+is the one rule that tells the schemes apart; keygen, sign, verify and the
+file format are written once over chains.  The chain key of the plain-hash
+Winternitz instantiation is trivial and is not serialized.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ DigitVector = tuple[int, ...]
 class LamportParams:
     n: int
     l: int
+    scheme = "lamport"
+    w = 2
 
     def __post_init__(self):
         if self.n < 1 or self.l < 1:
@@ -38,6 +41,10 @@ class LamportParams:
     @property
     def message_bits(self) -> int:
         return self.l
+
+    @property
+    def chains(self) -> int:
+        return 2 * self.l
 
 
 @dataclass(frozen=True)
@@ -48,10 +55,15 @@ class WotsParams:
     l1: int
     l2: int
     l: int
+    scheme = "winternitz"
 
     @property
     def message_bits(self) -> int:
         return self.a
+
+    @property
+    def chains(self) -> int:
+        return self.l
 
 
 def derive_wots_params(a: int, w: int, n: int, require_power_of_two: bool = True) -> WotsParams:
@@ -113,64 +125,43 @@ def digit_vector(m: int, params: WotsParams) -> DigitVector:
     return append_checksum(base_w_digits(m, params), params)
 
 
+def scheme_params(scheme: str, n: int, a: int, w: int):
+    """Parameters of ``scheme`` for a-bit messages on n-bit strings; only
+    Winternitz reads ``w``."""
+    if scheme == "lamport":
+        return LamportParams(n=n, l=a)
+    if scheme == "winternitz":
+        return derive_wots_params(a, w, n)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def revealed(params, m: int) -> tuple[tuple[int, int], ...]:
+    """The chain position (c, j) that signing ``m`` reveals, one per
+    signature block in order: (2i + bit_i, 0) for Lamport, (i, b_i) for
+    Winternitz digit b_i.  Raises ValueError outside the message space."""
+    if not 0 <= m < (1 << params.message_bits):
+        raise ValueError(f"message {m} is not an {params.message_bits}-bit value")
+    if params.scheme == "lamport":
+        l = params.l
+        return tuple((2 * i + ((m >> (l - 1 - i)) & 1), 0) for i in range(l))
+    return tuple(enumerate(digit_vector(m, params)))
+
+
 @dataclass(frozen=True)
 class KeyPair:
-    scheme: str
     params: object
     sk: tuple[int, ...]
     pk: tuple[int, ...]
+
+    @property
+    def scheme(self) -> str:
+        return self.params.scheme
 
 
 @dataclass(frozen=True)
 class Signature:
     n: int
     sigma: tuple[int, ...]
-
-
-def _random_string(n: int, rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 1 << n))
-
-
-# ---------------------------------------------------------------------------
-# Lamport
-
-
-def lamport_keygen(params: LamportParams, oracle: Oracle, rng: np.random.Generator) -> KeyPair:
-    sk = tuple(_random_string(params.n, rng) for _ in range(2 * params.l))
-    pk = tuple(oracle(s) for s in sk)
-    return KeyPair(scheme="lamport", params=params, sk=sk, pk=pk)
-
-
-def lamport_sign(params: LamportParams, sk: Sequence[int], m: int) -> Signature:
-    if not 0 <= m < (1 << params.l):
-        raise ValueError(f"message {m} is not an {params.l}-bit value")
-    bits = [(m >> (params.l - 1 - i)) & 1 for i in range(params.l)]
-    return Signature(n=params.n, sigma=tuple(sk[2 * i + bits[i]] for i in range(params.l)))
-
-
-def lamport_verify(
-    params: LamportParams, pk: Sequence[int], m: int, sigma: Sequence[int], oracle: Oracle
-) -> bool:
-    """True iff h(sigma_i) equals the public string selected by each message bit.
-
-    Any length or range mismatch rejects rather than raising: a malformed
-    signature is data, not a caller error.
-    """
-    if not 0 <= m < (1 << params.l):
-        return False
-    if len(sigma) != params.l or len(pk) != 2 * params.l:
-        return False
-    if any(not 0 <= s < (1 << params.n) for s in sigma):
-        return False
-    for i in range(params.l):
-        bit = (m >> (params.l - 1 - i)) & 1
-        if oracle(sigma[i]) != pk[2 * i + bit]:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Winternitz
 
 
 def chain_eval(x: int, i: int, j: int, oracle: Oracle) -> int:
@@ -182,92 +173,93 @@ def chain_eval(x: int, i: int, j: int, oracle: Oracle) -> int:
     return x
 
 
-def wots_keygen(params: WotsParams, oracle: Oracle, rng: np.random.Generator) -> KeyPair:
-    sk = tuple(_random_string(params.n, rng) for _ in range(params.l))
+def _chain_keygen(params, oracle: Oracle, rng: np.random.Generator) -> KeyPair:
+    sk = tuple(int(rng.integers(0, 1 << params.n)) for _ in range(params.chains))
     pk = tuple(chain_eval(s, 0, params.w - 1, oracle) for s in sk)
-    return KeyPair(scheme="winternitz", params=params, sk=sk, pk=pk)
+    return KeyPair(params=params, sk=sk, pk=pk)
 
 
-def wots_sign(params: WotsParams, sk: Sequence[int], m: int, oracle: Oracle) -> Signature:
-    b = digit_vector(m, params)
-    return Signature(
-        n=params.n, sigma=tuple(chain_eval(sk[i], 0, b[i], oracle) for i in range(params.l))
-    )
+def _chain_verify(params, pk: Sequence[int], m: int, sigma: Sequence[int], oracle: Oracle) -> bool:
+    """True iff walking each signature block from its revealed position to
+    the chain end hits the public key.
 
-
-def wots_verify(
-    params: WotsParams, pk: Sequence[int], m: int, sigma: Sequence[int], oracle: Oracle
-) -> bool:
-    """True iff walking each signature block to the chain end hits the public key."""
-    if not 0 <= m < (1 << params.a):
+    Any length or range mismatch rejects rather than raising: a malformed
+    signature is data, not a caller error.
+    """
+    if not 0 <= m < (1 << params.message_bits):
         return False
-    if len(sigma) != params.l or len(pk) != params.l:
+    if len(sigma) != params.l or len(pk) != params.chains:
         return False
     if any(not 0 <= s < (1 << params.n) for s in sigma):
         return False
-    b = digit_vector(m, params)
-    for i in range(params.l):
-        if chain_eval(sigma[i], b[i], params.w - 1, oracle) != pk[i]:
-            return False
-    return True
+    return all(
+        chain_eval(s, j, params.w - 1, oracle) == pk[c]
+        for s, (c, j) in zip(sigma, revealed(params, m))
+    )
+
+
+# The benchmark's trace counts keygen and verify calls through these four
+# names; each runs the shared chain code.
+def lamport_keygen(params, oracle, rng):
+    return _chain_keygen(params, oracle, rng)
+
+
+def wots_keygen(params, oracle, rng):
+    return _chain_keygen(params, oracle, rng)
+
+
+def lamport_verify(params, pk, m, sigma, oracle):
+    return _chain_verify(params, pk, m, sigma, oracle)
+
+
+def wots_verify(params, pk, m, sigma, oracle):
+    return _chain_verify(params, pk, m, sigma, oracle)
+
+
+def keygen(params, oracle: Oracle, rng: np.random.Generator) -> KeyPair:
+    """One random start per chain, walked to the chain end for the public key."""
+    return (lamport_keygen if params.scheme == "lamport" else wots_keygen)(params, oracle, rng)
+
+
+def sign(params, sk: Sequence[int], m: int, oracle: Oracle) -> Signature:
+    """Each block is the secret chain start walked to its revealed position."""
+    return Signature(
+        n=params.n, sigma=tuple(chain_eval(sk[c], 0, j, oracle) for c, j in revealed(params, m))
+    )
+
+
+def verify(params, pk: Sequence[int], m: int, sigma: Sequence[int], oracle: Oracle) -> bool:
+    """True iff ``sigma`` is a valid signature of ``m`` under ``pk``."""
+    verifier = lamport_verify if params.scheme == "lamport" else wots_verify
+    return verifier(params, pk, m, sigma, oracle)
 
 
 # ---------------------------------------------------------------------------
 # Serialization: hex, lowercase, fixed width, index order
 
 
-def _hex_width(n: int) -> int:
-    return (n + 3) // 4
-
-
-def _to_hex(value: int, n: int) -> str:
-    return format(value, f"0{_hex_width(n)}x")
+def _to_json(params, **strings: Sequence[int]) -> str:
+    """The scheme header of ``params``, then each list of n-bit strings in hex."""
+    doc = {"scheme": params.scheme, "n": params.n, "a": params.message_bits, "w": params.w}
+    width = (params.n + 3) // 4
+    doc.update((key, [format(s, f"0{width}x") for s in values]) for key, values in strings.items())
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def keypair_to_json(kp: KeyPair) -> str:
-    p = kp.params
-    if kp.scheme == "lamport":
-        a, w = p.l, 2
-    else:
-        a, w = p.a, p.w
-    doc = {
-        "scheme": kp.scheme,
-        "n": p.n,
-        "a": a,
-        "w": w,
-        "sk": [_to_hex(s, p.n) for s in kp.sk],
-        "pk": [_to_hex(s, p.n) for s in kp.pk],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _to_json(kp.params, sk=kp.sk, pk=kp.pk)
 
 
 def keypair_from_json(text: str) -> KeyPair:
     doc = json.loads(text)
-    scheme, n = doc["scheme"], doc["n"]
-    if scheme == "lamport":
-        params: object = LamportParams(n=n, l=doc["a"])
-    elif scheme == "winternitz":
-        params = derive_wots_params(doc["a"], doc["w"], n)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    params = scheme_params(doc["scheme"], doc["n"], doc["a"], doc["w"])
     sk = tuple(int(s, 16) for s in doc["sk"])
     pk = tuple(int(s, 16) for s in doc["pk"])
-    return KeyPair(scheme=scheme, params=params, sk=sk, pk=pk)
+    return KeyPair(params=params, sk=sk, pk=pk)
 
 
-def signature_to_json(scheme: str, params, sig: Signature) -> str:
-    if scheme == "lamport":
-        a, w = params.l, 2
-    else:
-        a, w = params.a, params.w
-    doc = {
-        "scheme": scheme,
-        "n": params.n,
-        "a": a,
-        "w": w,
-        "sigma": [_to_hex(s, params.n) for s in sig.sigma],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+def signature_to_json(params, sig: Signature) -> str:
+    return _to_json(params, sigma=sig.sigma)
 
 
 def signature_from_json(text: str) -> Signature:

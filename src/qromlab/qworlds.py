@@ -22,8 +22,10 @@ public-key string ``p[c]``, and every operator that formally touches it folds
 the pinned value in exactly (a constant XOR for oracle and signing queries, a
 scalar outcome weight for measurements).
 
-Lamport is represented as 2l chains of length 2, chain ``2*i + j`` carrying
-the secret string that signs bit value ``j`` at message position ``i``.
+Lamport keys are 2l chains of length 2, chain ``2*i + j`` carrying the
+secret string that signs bit value ``j`` at message position ``i``, as in
+:mod:`qromlab.ots`; :meth:`ChainWorld.revealed` is its
+:func:`~qromlab.ots.revealed`, the one rule that tells the schemes apart.
 
 Every world operator has one of two representations, compiled once when it is
 built:
@@ -47,7 +49,6 @@ built:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -203,11 +204,9 @@ class ChainWorld:
 
     def revealed(self, m: int) -> tuple[tuple[int, int], ...]:
         """The chain position (c, j) that signing ``m`` reveals, one per
-        signature block in semantic order; j = w-1 is the pinned endpoint p[c]."""
-        if self.scheme == "lamport":
-            l = self.params.l
-            return tuple((2 * i + ((m >> (l - 1 - i)) & 1), 0) for i in range(l))
-        return tuple(enumerate(ots.digit_vector(m, self.params)))
+        signature block in semantic order (:func:`qromlab.ots.revealed`);
+        j = w-1 is the pinned endpoint p[c]."""
+        return ots.revealed(self.params, m)
 
     def thresholds(self, m: int) -> tuple[int, ...]:
         """Per chain, the lowest position revealed by signing ``m``.
@@ -251,7 +250,7 @@ def lamport_world(
     workspace_qubits: int = 2,
 ) -> ChainWorld:
     params = ots.LamportParams(n=n, l=l)
-    return ChainWorld("lamport", n, 2, 2 * l, l, params, blinding, seed, workspace_qubits)
+    return ChainWorld("lamport", n, params.w, params.chains, l, params, blinding, seed, workspace_qubits)
 
 
 def winternitz_world(
@@ -424,8 +423,8 @@ def _hadamard_frame(world: ChainWorld, layout: RegisterLayout) -> list[LinearMap
 class FrameDiagonal(LinearMap):
     """A diagonal ``table`` in the Hadamard frame of the chain registers.
 
-    :meth:`to_frame` is the change into the frame, H on every chain qubit; it
-    is its own inverse.  :meth:`in_frame` multiplies a vector already in the
+    ``to_frame`` is the change into the frame, H on every chain qubit; it is
+    its own inverse.  ``in_frame`` multiplies a vector already in the
     frame by the table (broadcast over the registers it does not read).
     ``apply`` is ``to_frame(in_frame(to_frame(v)))``.  Maps on one layout
     share the frame, so a caller applying several of them to one state
@@ -436,27 +435,29 @@ class FrameDiagonal(LinearMap):
     """
 
     def __init__(self, world: ChainWorld, layout: RegisterLayout, table: np.ndarray, label: str):
-        self._frame = _hadamard_frame(world, layout)
+        frame = _hadamard_frame(world, layout)
+        table = np.asarray(table, dtype=np.float64)
+
+        # The maps close over locals, not over self, so a dropped map is freed
+        # by reference count rather than only by the cycle collector.
+        def to_frame(v: np.ndarray) -> np.ndarray:
+            """H on every chain qubit: into the frame, and back out of it."""
+            for h in frame:
+                v = h.apply(v)
+            return v
+
+        def in_frame(hv: np.ndarray) -> np.ndarray:
+            """The table times a vector given in the frame."""
+            return (hv.reshape(layout.dims) * table).reshape(-1)
+
+        self.to_frame, self.in_frame = to_frame, in_frame
         self.layout = layout
-        self.table = np.asarray(table, dtype=np.float64)
-        self.term_count = int(np.count_nonzero(self.table))
+        self.table = table
+        self.term_count = int(np.count_nonzero(table))
         self.is_zero = self.term_count == 0
         super().__init__(
-            layout.dim,
-            lambda v: self.to_frame(self.in_frame(self.to_frame(v))),
-            label=label,
-            self_adjoint=True,
+            layout.dim, lambda v: to_frame(in_frame(to_frame(v))), label=label, self_adjoint=True
         )
-
-    def to_frame(self, v: np.ndarray) -> np.ndarray:
-        """H on every chain qubit: into the frame, and back out of it."""
-        for h in self._frame:
-            v = h.apply(v)
-        return v
-
-    def in_frame(self, hv: np.ndarray) -> np.ndarray:
-        """The table times a vector given in the frame."""
-        return (hv.reshape(self.layout.dims) * self.table).reshape(-1)
 
 
 def frame_product_norm(a: FrameDiagonal, b: FrameDiagonal) -> float:
@@ -596,6 +597,3 @@ def world_descriptor(world: ChainWorld) -> dict:
         doc["blinding_set"] = list(world.blinding.sorted_members())
     return doc
 
-
-def world_descriptor_json(world: ChainWorld) -> str:
-    return json.dumps(world_descriptor(world), indent=2, sort_keys=True) + "\n"

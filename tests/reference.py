@@ -13,18 +13,20 @@ cross-check the fast paths of the package.
   the closed-form chain distributions of ``rom``.
 * Subset enumeration of the classical search attack, against its first-hit
   combinatorics.
+* A world descriptor as the JSON text the ``qgame`` report embeds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from qromlab import attacks, game, ots, qsim, rom
+from qromlab import attacks, game, ots, qsim, qworlds, rom
 from qromlab.qsim import LinearMap, RegisterLayout, StateVector
 from qromlab.qworlds import ChainWorld, build_q_projectors
 
@@ -244,10 +246,7 @@ def measure(register: str, state: StateVector, rng: np.random.Generator):
 
 def verify(world: ChainWorld, m: int, sigma: Sequence[int], assignment: Mapping[str, int]) -> bool:
     """The scheme verifier against the oracle reprogrammed on sampled chains."""
-    oracle = world.overlay_oracle(assignment)
-    if world.scheme == "lamport":
-        return ots.lamport_verify(world.params, world.p, m, sigma, oracle)
-    return ots.wots_verify(world.params, world.p, m, sigma, oracle)
+    return ots.verify(world.params, world.p, m, sigma, world.overlay_oracle(assignment))
 
 
 def sample_run(states: game.EvolvedStates, world: ChainWorld, mode: str, rng):
@@ -363,3 +362,11 @@ def exact_win_by_subset_enumeration(n: int, l: int, q: int, world_seed: int) -> 
         if first is not None and hits[first]:
             wins += 1
     return wins / total if total else 0.0
+
+
+# ---------------------------------------------------------------------------
+# World descriptors
+
+
+def world_descriptor_json(world: ChainWorld) -> str:
+    return json.dumps(qworlds.world_descriptor(world), indent=2, sort_keys=True) + "\n"

@@ -33,19 +33,19 @@ def test_criterion_01_correctness_exhaustive():
         for l in range(1, 9):
             params = ots.LamportParams(n=n, l=l)
             oracle = rom.RandomOracleTable(n, seed=rom.derive_seed(1, "c1", n, l))
-            kp = ots.lamport_keygen(params, oracle, np.random.default_rng(l * n))
+            kp = ots.keygen(params, oracle, np.random.default_rng(l * n))
             for m in range(1 << l):
-                sig = ots.lamport_sign(params, kp.sk, m)
-                assert ots.lamport_verify(params, kp.pk, m, sig.sigma, oracle)
+                sig = ots.sign(params, kp.sk, m, oracle)
+                assert ots.verify(params, kp.pk, m, sig.sigma, oracle)
                 checked += 1
     for w in (2, 4):
         for a in range(1, 9):
             params = ots.derive_wots_params(a, w, 4)
             oracle = rom.RandomOracleTable(4, seed=rom.derive_seed(1, "c1w", a, w))
-            kp = ots.wots_keygen(params, oracle, np.random.default_rng(a * w))
+            kp = ots.keygen(params, oracle, np.random.default_rng(a * w))
             for m in range(1 << a):
-                sig = ots.wots_sign(params, kp.sk, m, oracle)
-                assert ots.wots_verify(params, kp.pk, m, sig.sigma, oracle)
+                sig = ots.sign(params, kp.sk, m, oracle)
+                assert ots.verify(params, kp.pk, m, sig.sigma, oracle)
                 checked += 1
     report("criterion 1 correctness", time.time() - t0, 10, f"{checked} sign/verify pairs")
 

@@ -159,6 +159,19 @@ class TestErrors:
         assert code == 1 and out == ""
         assert "argument --trials: expected a nonnegative integer, got '-5'" in err
 
+    @pytest.mark.parametrize("value", ["-2", "-5", "x"])
+    def test_iterations_other_than_minus_one_or_a_count_rejected(self, capsys, value):
+        code, out, err = run(capsys, "attack", "--kind", "grover", "--n", "3", "--l", "1",
+                             "--iterations", value)
+        assert code == 1 and out == ""
+        assert f"argument --iterations: expected -1 or a nonnegative integer, got '{value}'" in err
+
+    def test_negative_sensitivity_rejected(self, capsys):
+        code, out, err = run(capsys, "attack", "--kind", "grover", "--n", "3", "--l", "1",
+                             "--sensitivity", "-2")
+        assert code == 1 and out == ""
+        assert "argument --sensitivity: expected a nonnegative integer, got '-2'" in err
+
     def test_negative_lemma_queries_rejected(self, capsys):
         code, out, err = run(capsys, "lemmas", "--q0", "-1")
         assert code == 1 and out == ""

@@ -39,7 +39,7 @@ class TestBlindedSign:
     def setup_method(self):
         self.params = ots.LamportParams(n=4, l=2)
         self.oracle = rom.RandomOracleTable(4, seed=2)
-        self.kp = ots.lamport_keygen(self.params, self.oracle, np.random.default_rng(2))
+        self.kp = ots.keygen(self.params, self.oracle, np.random.default_rng(2))
 
     def test_blinded_gets_flagged_zeros(self):
         b = BlindingSet.explicit(2, {3})
@@ -50,14 +50,14 @@ class TestBlindedSign:
         b = BlindingSet.explicit(2, {3})
         out = game.blinded_sign(b, self.kp, 1, self.oracle)
         assert not out.blinded
-        assert out.payload == ots.lamport_sign(self.params, self.kp.sk, 1).sigma
+        assert out.payload == ots.sign(self.params, self.kp.sk, 1, self.oracle).sigma
 
     def test_empty_blinding_is_plain_signing(self):
         b = BlindingSet.none(2)
         for m in range(4):
             out = game.blinded_sign(b, self.kp, m, self.oracle)
             assert out.flag == 0
-            assert out.payload == ots.lamport_sign(self.params, self.kp.sk, m).sigma
+            assert out.payload == ots.sign(self.params, self.kp.sk, m, self.oracle).sigma
 
 
 class TestClassicalGame:
@@ -94,7 +94,7 @@ class TestClassicalGame:
         for t in range(trials):
             seed = rom.derive_seed(77, "forge", t)
             oracle = rom.RandomOracleTable(2, seed=rom.derive_seed(seed, "oracle"))
-            kp = ots.lamport_keygen(params, oracle, np.random.default_rng(rom.derive_seed(seed, "keygen")))
+            kp = ots.keygen(params, oracle, np.random.default_rng(rom.derive_seed(seed, "keygen")))
             blinding = sample_blinding_set(
                 0.5, 1, np.random.default_rng(rom.derive_seed(seed, "blinding"))
             )
@@ -106,7 +106,7 @@ class TestClassicalGame:
                 count = sum(oracle(y) == kp.pk[bit] for y in range(4))
                 exact += count / 4.0
             tr = game.run_with_world_classical(
-                lambda h: (m, sigma), params, oracle, kp, blinding, seed
+                lambda h: (m, sigma), oracle, kp, blinding, seed
             )
             wins += tr.verdict == "win"
         rate = wins / trials

@@ -70,47 +70,48 @@ class TestLamport:
     def test_keygen_structure(self):
         params = ots.LamportParams(n=1, l=1)
         oracle = fresh_oracle(1)
-        kp = ots.lamport_keygen(params, oracle, np.random.default_rng(0))
+        kp = ots.keygen(params, oracle, np.random.default_rng(0))
         assert len(kp.sk) == 2 and len(kp.pk) == 2
         assert kp.pk == tuple(oracle(s) for s in kp.sk)
 
     def test_keygen_deterministic(self):
         params = ots.LamportParams(n=4, l=3)
-        kp1 = ots.lamport_keygen(params, fresh_oracle(4, 7), np.random.default_rng(7))
-        kp2 = ots.lamport_keygen(params, fresh_oracle(4, 7), np.random.default_rng(7))
+        kp1 = ots.keygen(params, fresh_oracle(4, 7), np.random.default_rng(7))
+        kp2 = ots.keygen(params, fresh_oracle(4, 7), np.random.default_rng(7))
         assert kp1 == kp2
 
     def test_sign_selects_by_bit(self):
         params = ots.LamportParams(n=4, l=2)
         sk = (1, 2, 3, 4)
-        assert ots.lamport_sign(params, sk, 0b01).sigma == (1, 4)
-        assert ots.lamport_sign(params, sk, 0b00).sigma == (1, 3)
-        assert ots.lamport_sign(params, sk, 0b11).sigma == (2, 4)
+        oracle = fresh_oracle(4)
+        assert ots.sign(params, sk, 0b01, oracle).sigma == (1, 4)
+        assert ots.sign(params, sk, 0b00, oracle).sigma == (1, 3)
+        assert ots.sign(params, sk, 0b11, oracle).sigma == (2, 4)
 
     def test_verify_round_trip_exhaustive(self):
         params = ots.LamportParams(n=4, l=4)
         oracle = fresh_oracle(4, 3)
-        kp = ots.lamport_keygen(params, oracle, np.random.default_rng(3))
+        kp = ots.keygen(params, oracle, np.random.default_rng(3))
         for m in range(1 << params.l):
-            sig = ots.lamport_sign(params, kp.sk, m)
-            assert ots.lamport_verify(params, kp.pk, m, sig.sigma, oracle)
+            sig = ots.sign(params, kp.sk, m, oracle)
+            assert ots.verify(params, kp.pk, m, sig.sigma, oracle)
 
     def test_verify_flipped_bit(self):
         params = ots.LamportParams(n=6, l=2)
         oracle = fresh_oracle(6, 5)
-        kp = ots.lamport_keygen(params, oracle, np.random.default_rng(5))
-        sig = ots.lamport_sign(params, kp.sk, 0b10)
+        kp = ots.keygen(params, oracle, np.random.default_rng(5))
+        sig = ots.sign(params, kp.sk, 0b10, oracle)
         tampered = (sig.sigma[0] ^ 1,) + sig.sigma[1:]
         expected = oracle(tampered[0]) == kp.pk[2 * 0 + 1]
-        assert ots.lamport_verify(params, kp.pk, 0b10, tampered, oracle) == expected
+        assert ots.verify(params, kp.pk, 0b10, tampered, oracle) == expected
 
     def test_verify_rejects_bad_lengths(self):
         params = ots.LamportParams(n=4, l=2)
         oracle = fresh_oracle(4)
-        kp = ots.lamport_keygen(params, oracle, np.random.default_rng(0))
-        sig = ots.lamport_sign(params, kp.sk, 0)
-        assert not ots.lamport_verify(params, kp.pk, 4, sig.sigma, oracle)  # m too wide
-        assert not ots.lamport_verify(params, kp.pk, 0, sig.sigma[:1], oracle)
+        kp = ots.keygen(params, oracle, np.random.default_rng(0))
+        sig = ots.sign(params, kp.sk, 0, oracle)
+        assert not ots.verify(params, kp.pk, 4, sig.sigma, oracle)  # m too wide
+        assert not ots.verify(params, kp.pk, 0, sig.sigma[:1], oracle)
 
 
 class TestChains:
@@ -136,20 +137,20 @@ class TestWinternitz:
     def test_round_trip_exhaustive(self, a, w):
         params = ots.derive_wots_params(a, w, 4)
         oracle = fresh_oracle(4, a * w)
-        kp = ots.wots_keygen(params, oracle, np.random.default_rng(a * w))
+        kp = ots.keygen(params, oracle, np.random.default_rng(a * w))
         for m in range(1 << a):
-            sig = ots.wots_sign(params, kp.sk, m, oracle)
-            assert ots.wots_verify(params, kp.pk, m, sig.sigma, oracle)
+            sig = ots.sign(params, kp.sk, m, oracle)
+            assert ots.verify(params, kp.pk, m, sig.sigma, oracle)
 
     def test_all_max_digits_reveal_public_prefix(self):
         # a message whose digits are all w-1 (with zero checksum) signs with
         # the chain endpoints themselves
         params = ots.derive_wots_params(4, 4, 8)
         oracle = fresh_oracle(8, 2)
-        kp = ots.wots_keygen(params, oracle, np.random.default_rng(2))
+        kp = ots.keygen(params, oracle, np.random.default_rng(2))
         m = (1 << params.a) - 1
         assert ots.digit_vector(m, params)[: params.l1] == (3, 3)
-        sig = ots.wots_sign(params, kp.sk, m, oracle)
+        sig = ots.sign(params, kp.sk, m, oracle)
         assert sig.sigma[: params.l1] == kp.pk[: params.l1]
 
     def test_smaller_digit_forgery_rejected_without_inversion(self):
@@ -157,31 +158,31 @@ class TestWinternitz:
         # not smaller ones
         params = ots.derive_wots_params(2, 4, 4)
         oracle = fresh_oracle(4, 11)
-        kp = ots.wots_keygen(params, oracle, np.random.default_rng(11))
+        kp = ots.keygen(params, oracle, np.random.default_rng(11))
         m_small, m_big = 1, 2  # digit vectors (1,2) and (2,1)
         assert ots.digit_vector(m_small, params)[0] < ots.digit_vector(m_big, params)[0]
-        sig = ots.wots_sign(params, kp.sk, m_big, oracle)
-        assert ots.wots_verify(params, kp.pk, m_big, sig.sigma, oracle)
+        sig = ots.sign(params, kp.sk, m_big, oracle)
+        assert ots.verify(params, kp.pk, m_big, sig.sigma, oracle)
         # the same blocks cannot vouch for the message with the smaller digit
         # unless the oracle happens to be invertible there
         inverted = any(
             oracle(y) == sig.sigma[0] for y in range(1 << params.n)
         )
         if not inverted:
-            assert not ots.wots_verify(params, kp.pk, m_small, sig.sigma, oracle)
+            assert not ots.verify(params, kp.pk, m_small, sig.sigma, oracle)
 
 
 class TestSerialization:
     def test_lamport_round_trip(self):
         params = ots.LamportParams(n=8, l=2)
         oracle = fresh_oracle(8, 21)
-        kp = ots.lamport_keygen(params, oracle, np.random.default_rng(21))
+        kp = ots.keygen(params, oracle, np.random.default_rng(21))
         assert ots.keypair_from_json(ots.keypair_to_json(kp)) == kp
 
     def test_wots_round_trip_and_format(self):
         params = ots.derive_wots_params(4, 4, 8)
         oracle = fresh_oracle(8, 22)
-        kp = ots.wots_keygen(params, oracle, np.random.default_rng(22))
+        kp = ots.keygen(params, oracle, np.random.default_rng(22))
         text = ots.keypair_to_json(kp)
         assert ots.keypair_from_json(text) == kp
         import json
@@ -193,34 +194,70 @@ class TestSerialization:
     def test_signature_round_trip(self):
         params = ots.derive_wots_params(4, 2, 8)
         oracle = fresh_oracle(8, 23)
-        kp = ots.wots_keygen(params, oracle, np.random.default_rng(23))
-        sig = ots.wots_sign(params, kp.sk, 3, oracle)
-        text = ots.signature_to_json("winternitz", params, sig)
+        kp = ots.keygen(params, oracle, np.random.default_rng(23))
+        sig = ots.sign(params, kp.sk, 3, oracle)
+        text = ots.signature_to_json(params, sig)
         assert ots.signature_from_json(text) == sig
 
 
 class TestGoldenFixture:
-    def test_key_file_bytes_are_pinned(self):
-        # byte-format stability gate: regenerating from the same seed must
-        # reproduce this fixture exactly
-        params = ots.LamportParams(n=8, l=1)
-        oracle = rom.RandomOracleTable(8, seed=rom.derive_seed(99, "golden"))
-        kp = ots.lamport_keygen(params, oracle, np.random.default_rng(99))
-        text = ots.keypair_to_json(kp)
-        again = ots.keypair_to_json(
-            ots.lamport_keygen(
-                params,
-                rom.RandomOracleTable(8, seed=rom.derive_seed(99, "golden")),
-                np.random.default_rng(99),
-            )
-        )
-        assert text == again
-        doc_lines = text.splitlines()
-        assert doc_lines[0] == "{"
-        import json
+    # Key and signature files as written before keygen, sign and verify were
+    # one chain code: the byte format of both schemes must not drift.
+    LAMPORT_KEY = (
+        '{\n  "scheme": "lamport",\n  "n": 8,\n  "a": 1,\n  "w": 2,\n'
+        '  "sk": [\n    "f5",\n    "81"\n  ],\n  "pk": [\n    "ef",\n    "0c"\n  ]\n}\n'
+    )
+    LAMPORT_SIG = '{\n  "scheme": "lamport",\n  "n": 8,\n  "a": 1,\n  "w": 2,\n  "sigma": [\n    "81"\n  ]\n}\n'
+    WOTS_KEY = (
+        '{\n  "scheme": "winternitz",\n  "n": 8,\n  "a": 2,\n  "w": 4,\n'
+        '  "sk": [\n    "55",\n    "f1"\n  ],\n  "pk": [\n    "fc",\n    "c7"\n  ]\n}\n'
+    )
+    WOTS_SIG = (
+        '{\n  "scheme": "winternitz",\n  "n": 8,\n  "a": 2,\n  "w": 4,\n'
+        '  "sigma": [\n    "5a",\n    "2f"\n  ]\n}\n'
+    )
 
-        doc = json.loads(text)
-        assert [len(h) for h in doc["sk"]] == [2, 2]
+    @staticmethod
+    def _key(params, seed):
+        oracle = rom.RandomOracleTable(8, seed=rom.derive_seed(seed, "golden"))
+        return ots.keygen(params, oracle, np.random.default_rng(seed)), oracle
+
+    def test_key_file_bytes_are_pinned(self):
+        kp, _ = self._key(ots.LamportParams(n=8, l=1), 99)
+        assert ots.keypair_to_json(kp) == self.LAMPORT_KEY
+        kp, _ = self._key(ots.derive_wots_params(2, 4, 8), 98)
+        assert ots.keypair_to_json(kp) == self.WOTS_KEY
+
+    def test_signature_file_bytes_are_pinned(self):
+        for params, seed, m, text in (
+            (ots.LamportParams(n=8, l=1), 99, 1, self.LAMPORT_SIG),
+            (ots.derive_wots_params(2, 4, 8), 98, 2, self.WOTS_SIG),
+        ):
+            kp, oracle = self._key(params, seed)
+            sig = ots.sign(params, kp.sk, m, oracle)
+            assert ots.signature_to_json(params, sig) == text
+            assert ots.verify(params, kp.pk, m, ots.signature_from_json(text).sigma, oracle)
+
+
+class TestRevealed:
+    @pytest.mark.parametrize("params", [ots.LamportParams(n=4, l=2), ots.derive_wots_params(2, 4, 4)])
+    @pytest.mark.parametrize("m", [-1, 4])
+    def test_rejects_messages_outside_the_message_space(self, params, m):
+        with pytest.raises(ValueError, match=f"message {m} is not an 2-bit value"):
+            ots.revealed(params, m)
+
+    def test_lamport_signing_makes_no_oracle_query(self):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return x
+
+        params = ots.LamportParams(n=4, l=3)
+        sk = tuple(range(6))
+        for m in range(8):
+            ots.sign(params, sk, m, counting)
+        assert calls == []
 
 
 class TestBaseAnyW:

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -168,23 +170,18 @@ class TestWorldConstruction:
         # every block; j = w-1 is the public key entry
         oracle = rom.RandomOracleTable(world.n, seed=5)
         rng = np.random.default_rng(5)
-        if world.scheme == "lamport":
-            kp = ots.lamport_keygen(world.params, oracle, rng)
-            sign = lambda m: ots.lamport_sign(world.params, kp.sk, m)
-        else:
-            kp = ots.wots_keygen(world.params, oracle, rng)
-            sign = lambda m: ots.wots_sign(world.params, kp.sk, m, oracle)
+        kp = ots.keygen(world.params, oracle, rng)
         for m in world.messages():
             revealed = world.revealed(m)
             assert len(revealed) == world.l_sem
-            for s, (c, j) in zip(sign(m).sigma, revealed):
+            for s, (c, j) in zip(ots.sign(world.params, kp.sk, m, oracle).sigma, revealed):
                 assert s == ots.chain_eval(kp.sk[c], 0, j, oracle)
 
     def test_descriptor_round_trip(self):
         world = winternitz_world(2, 1, 2, blinding=BlindingSet.explicit(1, {0}), seed=4)
         import json
 
-        doc = json.loads(qworlds.world_descriptor_json(world))
+        doc = json.loads(reference.world_descriptor_json(world))
         assert doc["scheme"] == "winternitz" and doc["blinding_set"] == [0]
         assert len(doc["p"]) == world.chain_count
 
@@ -208,7 +205,7 @@ class TestWorldConstruction:
              dict(scheme="winternitz", chains=2, l=2, n=2, w=3, seed=seed, p=p[:2])),
         ]
         for world, doc in cases:
-            assert qworlds.world_descriptor_json(world) == (
+            assert reference.world_descriptor_json(world) == (
                 json.dumps(doc, indent=2, sort_keys=True) + "\n"
             )
             assert world.h_table == h_table
@@ -598,6 +595,17 @@ class TestFrameSplit:
         v = random_probe(layout, 28)
         for fd in [build_invariant_projector(world, layout), *build_qtilde(world, layout)]:
             assert np.array_equal(fd.apply(v), fd.to_frame(fd.in_frame(fd.to_frame(v))))
+
+    def test_dropped_map_is_freed_without_the_cycle_collector(self):
+        world = FRAME_WORLDS[0]()
+        fd = build_invariant_projector(world, world.game_layout())
+        ref = weakref.ref(fd)
+        gc.disable()
+        try:
+            del fd
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestGameLayoutReferences:

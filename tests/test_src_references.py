@@ -5,6 +5,9 @@ by name somewhere in ``src/qromlab`` other than its own definition.  The
 three random-vector probes are the exception: no CLI path runs them, and the
 benchmark's trace wraps them by name.  Code that only the tests use belongs
 in ``tests/reference.py``.
+
+Which of Lamport and Winternitz runs is decided in ``ots`` alone: no other
+module names a per-scheme keygen or verifier or the Winternitz digit vector.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qromlab"
 TRACED_PROBES = {"qsim.probe_max_ratio", "qsim.unitarity_defect", "qsim.projector_defect"}
+SCHEME_PRIVATE = {"lamport_keygen", "wots_keygen", "lamport_verify", "wots_verify", "digit_vector"}
 
 
 def _definitions_and_references():
@@ -36,3 +40,18 @@ def test_every_module_level_name_is_used_in_src():
     defined, referenced = _definitions_and_references()
     unused = sorted(q for q, name in defined.items() if name not in referenced)
     assert unused == sorted(TRACED_PROBES)
+
+
+def test_only_ots_names_the_per_scheme_code():
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ots.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.alias):
+                name = node.name
+            else:
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in SCHEME_PRIVATE:
+                named.add(f"{path.stem}: {name}")
+    assert sorted(named) == []
