@@ -5,10 +5,16 @@ oracle and a blinded signing oracle that answers at most once.  The quantum
 harness executes a fixed :class:`AdversaryProgram` over a
 :class:`~qromlab.qworlds.ChainWorld` and evaluates the winning probability
 exactly by enumerating the joint outcome space of message and signature
-registers.  This is the one quantum game engine: every probability comes
-from the outcome tensors and the acceptance table, and the one transcript a
-run reports is drawn from them.  No world that fits the statevector cap
-exceeds the enumeration cap; the cap stays as a fail-fast guard.
+registers.  The run has a fixed shape: it starts from the world's initial
+state (chain registers uniform, the rest |0>), applies the program's
+unitaries and queries, and ends by measuring the message and then the
+signature, so a program carries no measurement steps and every outcome
+tensor reads the game layout's fixed axis order.  The blinded messages are
+one bool mask over the message space.  This is the one quantum game engine:
+every probability comes from the outcome tensors and the acceptance table,
+and the one transcript a run reports is drawn from them.  No world that fits
+the statevector cap exceeds the enumeration cap; the cap stays as a
+fail-fast guard.
 
 Winning means: the forged message is blinded, and the scheme verifier accepts
 the forged signature against the oracle reprogrammed on the chain values
@@ -18,7 +24,7 @@ sampled from the final state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -220,50 +226,27 @@ class SignQuery:
     pass
 
 
-@dataclass(frozen=True)
-class MeasureM:
-    pass
-
-
-@dataclass(frozen=True)
-class MeasureSigma:
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class AdversaryProgram:
+    """Unitaries, hash queries and at most one signing query, in order.  A
+    run ends by measuring the message and then the signature; ``q0`` and
+    ``q1`` count the hash queries before and after the signing query."""
+
     steps: tuple
+    q0: int = field(init=False)
+    q1: int = field(init=False)
 
     def __post_init__(self):
-        kinds = [type(s) for s in self.steps]
-        if kinds.count(SignQuery) > 1:
+        counts = [0]
+        for s in self.steps:
+            if isinstance(s, SignQuery):
+                counts.append(0)
+            elif isinstance(s, HashQuery):
+                counts[-1] += 1
+        if len(counts) > 2:
             raise ValueError("at most one signing query per program")
-        if kinds.count(MeasureM) != 1 or kinds.count(MeasureSigma) != 1:
-            raise ValueError("programs end with one message and one signature measurement")
-        if kinds[-2:] != [MeasureM, MeasureSigma]:
-            raise ValueError("measurements must be the final two steps")
-
-    @property
-    def q0(self) -> int:
-        before = True
-        count = 0
-        for s in self.steps:
-            if isinstance(s, SignQuery):
-                before = False
-            elif isinstance(s, HashQuery) and before:
-                count += 1
-        return count
-
-    @property
-    def q1(self) -> int:
-        after = False
-        count = 0
-        for s in self.steps:
-            if isinstance(s, SignQuery):
-                after = True
-            elif isinstance(s, HashQuery) and after:
-                count += 1
-        return count
+        object.__setattr__(self, "q0", counts[0])
+        object.__setattr__(self, "q1", counts[1] if len(counts) == 2 else 0)
 
 
 def random_local_unitary(
@@ -290,8 +273,8 @@ def random_local_unitary(
 
 def random_program(world: ChainWorld, q0: int, q1: int, seed: int) -> AdversaryProgram:
     """Random adversary: local Haar unitaries interleaved with q0 hash queries,
-    one signing query, q1 more hash queries, then the final measurements.
-    The unitaries act on x and y only when the program makes hash queries."""
+    one signing query, q1 more hash queries and a last unitary.  The
+    unitaries act on x and y only when the program makes hash queries."""
     layout = world.game_layout(include_xy=q0 + q1 > 0)
     chain_regs = set(world.chain_registers())
     candidates = [name for name in layout.names if name not in chain_regs]
@@ -305,8 +288,6 @@ def random_program(world: ChainWorld, q0: int, q1: int, seed: int) -> AdversaryP
         steps.append(random_local_unitary(layout, candidates, rng))
         steps.append(HashQuery())
     steps.append(random_local_unitary(layout, candidates, rng))
-    steps.append(MeasureM())
-    steps.append(MeasureSigma())
     return AdversaryProgram(tuple(steps))
 
 
@@ -327,7 +308,7 @@ def evolve_program(program: AdversaryProgram, world: ChainWorld) -> EvolvedState
     The layout carries x and y exactly when the program makes hash queries."""
     needs_xy = any(isinstance(s, HashQuery) for s in program.steps)
     layout = world.game_layout(include_xy=needs_xy)
-    state = world.initial_state(layout).amplitudes
+    state = world.initial_state(layout)
     u_h = build_query_unitary(world, layout) if needs_xy else None
     bsign = build_blinded_sign_unitary(world, layout)
     pre_sign = None
@@ -339,36 +320,23 @@ def evolve_program(program: AdversaryProgram, world: ChainWorld) -> EvolvedState
         elif isinstance(step, SignQuery):
             pre_sign = state
             state = bsign.apply(state)
-        elif isinstance(step, (MeasureM, MeasureSigma)):
-            break
         else:
             raise TypeError(f"unknown step {step!r}")
     return EvolvedStates(layout=layout, final=state, pre_sign=pre_sign)
 
 
-def _tensor_dims(layout: qsim.RegisterLayout, world: ChainWorld) -> tuple[int, int, int, int, int]:
-    """(pre, message, signature, mid, chains) axis sizes, using the layout order."""
-    names = list(layout.names)
-    m_at = names.index("m")
-    sig_names = list(world.sigma_registers())
-    first_sig = names.index(sig_names[0])
-    chain_names = list(world.chain_registers())
-    first_chain = names.index(chain_names[0])
-    pre = 1
-    for name in names[:m_at]:
-        pre <<= layout.width(name)
-    m_dim = 1 << layout.width("m")
-    sig_dim = 1 << (world.n * world.l_sem)
-    mid = 1
-    for name in names[first_sig + len(sig_names) : first_chain]:
-        mid <<= layout.width(name)
-    gamma = 1 << (world.n * len(chain_names))
-    return pre, m_dim, sig_dim, mid, gamma
-
-
-def probability_tensor(amps: np.ndarray, layout: qsim.RegisterLayout, world: ChainWorld) -> np.ndarray:
-    """Joint outcome weights over (message, signature, chains), tracing the rest."""
-    dims = _tensor_dims(layout, world)
+def probability_tensor(amps: np.ndarray, world: ChainWorld) -> np.ndarray:
+    """Joint outcome weights over (message, signature, chains), tracing the
+    rest.  A game layout is [x, y,] m, the signature blocks, b, e, then the
+    chain registers, so the state reads as (x y, m, sigma, b e, chains)."""
+    n = world.n
+    dims = (
+        -1,
+        1 << world.message_bits,
+        1 << (n * world.l_sem),
+        1 << (1 + world.workspace_qubits),
+        1 << (n * len(world.chain_registers())),
+    )
     t = np.abs(amps.reshape(dims)) ** 2
     return t.sum(axis=(0, 3))
 
@@ -421,19 +389,14 @@ def analyze_game(
             f"enumeration cap {EXACT_OUTCOME_CAP}"
         )
     states = evolve_program(program, world)
-    layout = states.layout
-    t_plain = probability_tensor(states.final, layout, world)
-    qtilde = build_qtilde(world, layout)
+    t_plain = probability_tensor(states.final, world)
+    qtilde = build_qtilde(world, states.layout)
     # The maps share one frame: change the state into it once, then apply
     # each table and change back.
     h_final = qtilde[0].to_frame(states.final)
-    t_outcomes = [
-        probability_tensor(q.to_frame(q.in_frame(h_final)), layout, world) for q in qtilde
-    ]
+    t_outcomes = [probability_tensor(q.to_frame(q.in_frame(h_final)), world) for q in qtilde]
     accept = acceptance_table(world)
-    blinded = np.zeros(1 << world.message_bits, dtype=bool)
-    for m in world.blinding.members if world.blinding else ():
-        blinded[m] = True
+    blinded = world.blinding.mask()
     p_plain = float((t_plain[blinded] * accept[blinded]).sum())
     p_mod = float(sum((t[blinded] * accept[blinded]).sum() for t in t_outcomes))
     p_forced = float(t_outcomes[-1][blinded].sum())

@@ -206,27 +206,25 @@ def check_uniform_register_commutator(
 ) -> list[CheckReport]:
     """Oracle-query unitary vs the projector keeping chain prefixes uniform.
 
-    Lamport targets are the 2l single secret-string registers; the chain
-    scheme targets are the per-chain prefix products up to position j'.  The
+    The targets are the per-chain prefix products up to position j' (every
+    j' by default), on l chains of length w, or on 2l chains of length 2 for
+    Lamport, whose targets are then its single secret-string registers.  The
     prefix (c, 0..j') is the invariant projector of the one threshold vector
     with j'+1 at chain c and 0 elsewhere.  The worst norm over all targets is
     reported against one bound.
     """
     t0 = time.perf_counter()
-    if scheme == "lamport":
-        world = lamport_world(n, l, seed=rom.derive_seed(seed, "eps-world"))
-        prefixes = [(c, 0) for c in range(world.chain_count)]
-    else:
-        world = chain_world(n, l, w, seed=rom.derive_seed(seed, "eps-world"))
-        if j_prime is not None and not 0 <= j_prime <= w - 2:
-            raise ValueError(f"no quantum register at chain position {j_prime}")
-        js = range(w - 1) if j_prime is None else [j_prime]
-        prefixes = [(i, jp) for i in range(l) for jp in js]
+    chains, length = (2 * l, 2) if scheme == "lamport" else (l, w)
+    world = chain_world(n, chains, length, seed=rom.derive_seed(seed, "eps-world"))
+    if j_prime is not None and not 0 <= j_prime <= length - 2:
+        raise ValueError(f"no quantum register at chain position {j_prime}")
+    js = range(length - 1) if j_prime is None else [j_prime]
     projectors = []
-    for c, jp in prefixes:
-        t = [0] * world.chain_count
-        t[c] = jp + 1
-        projectors.append(invariant_projector_from_thresholds(world, [t], world.norm_layout()))
+    for c in range(chains):
+        for jp in js:
+            t = [0] * chains
+            t[c] = jp + 1
+            projectors.append(invariant_projector_from_thresholds(world, [t], world.norm_layout()))
     worst = max(_query_commutator_norms(world, projectors))
     bound = _eps_bound(scheme, n, w)
     return [_report("uniform-commutator", scheme, n, l, w, 0, 0, worst, bound, t0)]
@@ -284,14 +282,12 @@ def check_invariant_commutator(
 
 def orthogonality_report(world: ChainWorld, m_star: int) -> CheckReport:
     """Exact norm of Q_{l+1} P on a blinded forgery message, decided by
-    comparing the two Hadamard-frame tables."""
+    comparing the two Hadamard-frame tables.  The claim covers blinded
+    messages only, so an unblinded ``m_star`` raises ValueError."""
     t0 = time.perf_counter()
     scheme, n, l, w = world.scheme, world.n, world.l_sem, world.w
     if world.blinding is None or m_star not in world.blinding:
-        return _report(
-            "orthogonality", scheme, n, l, w, 0, 0, 0.0, ORTHOGONALITY_BOUND, t0,
-            note="skipped: forgery message not blinded, outside claim scope",
-        )
+        raise ValueError(f"forgery message {m_star} is not blinded; the claim covers blinded ones")
     layout = world.chain_layout()
     p = build_invariant_projector(world, layout)
     q_last = build_q_projectors(world, m_star, layout)[-1]
@@ -345,12 +341,10 @@ def check_state_drift(
     rep_b = _report("drift-invariant", scheme, n, l, w, q0, q1, b_meas, bc_bound, t1, note=bc_note)
 
     t2 = time.perf_counter()
-    mfield = layout.field("m")
-    blinded_mask = np.zeros(layout.dim, dtype=bool)
-    for m in world.blinding.members:
-        blinded_mask |= mfield == m
+    blinded = world.blinding.mask()[layout.values("m")]
+    psi1_blinded = np.where(blinded, psi1.reshape(layout.dims), 0.0).reshape(-1)
     q_last = build_qtilde(world, layout)[-1]
-    c_meas = float(np.linalg.norm(q_last.apply(np.where(blinded_mask, psi1, 0.0))))
+    c_meas = float(np.linalg.norm(q_last.apply(psi1_blinded)))
     rep_c = _report("drift-forced-outcome", scheme, n, l, w, q0, q1, c_meas, bc_bound, t2, note=bc_note)
     return [rep_a, rep_b, rep_c]
 

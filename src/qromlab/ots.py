@@ -255,6 +255,9 @@ def keypair_from_json(text: str) -> KeyPair:
     params = scheme_params(doc["scheme"], doc["n"], doc["a"], doc["w"])
     sk = tuple(int(s, 16) for s in doc["sk"])
     pk = tuple(int(s, 16) for s in doc["pk"])
+    for name, strings in (("sk", sk), ("pk", pk)):
+        if len(strings) != params.chains or any(s >> params.n for s in strings):
+            raise ValueError(f"key {name} needs {params.chains} strings of at most {params.n} bits")
     return KeyPair(params=params, sk=sk, pk=pk)
 
 

@@ -12,10 +12,10 @@ Conventions:
 * Operator norms are exact: :func:`operator_norm` takes a map that is
   block-diagonal, each block a submatrix of one projector diagonal in the
   Hadamard frame, and solves every distinct block densely.
-* States are plain complex128 vectors of length ``2**total``; the programs
-  start from products of uniform and basis registers (:func:`uniform_state`).
-  Outcomes are read as exact probability tensors by the game, never sampled
-  here.
+* States are plain complex128 vectors of length ``2**total``; a game starts
+  from every chain register uniform and every other register |0>
+  (:meth:`qromlab.qworlds.ChainWorld.initial_state`).  Outcomes are read as
+  exact probability tensors by the game, never sampled here.
 * The three random-vector probes (:func:`probe_max_ratio`,
   :func:`unitarity_defect`, :func:`projector_defect`) decide nothing in a
   report; they cross-check maps that have no compiled structure to read, and
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class RegisterLayout:
             pos -= width
             self._shifts[name] = pos
             self._widths[name] = width
-        self._field_cache: dict[str, np.ndarray] = {}
         self._arange: np.ndarray | None = None
 
     def arange(self) -> np.ndarray:
@@ -91,16 +90,6 @@ class RegisterLayout:
     def axis(self, name: str) -> int:
         return self.names.index(name)
 
-    def field(self, name: str) -> np.ndarray:
-        """Register value of every basis index, as a read-only int64 array."""
-        cached = self._field_cache.get(name)
-        if cached is None:
-            idx = np.arange(self.dim, dtype=np.int64)
-            cached = (idx >> self._shifts[name]) & ((1 << self._widths[name]) - 1)
-            cached.setflags(write=False)
-            self._field_cache[name] = cached
-        return cached
-
     def values(self, name: str) -> np.ndarray:
         """Values of one register along its own axis of ``dims``, shaped to
         broadcast against ``amplitudes.reshape(dims)``."""
@@ -117,22 +106,6 @@ class RegisterLayout:
     def __repr__(self) -> str:
         body = ", ".join(f"{n}:{w}" for n, w in self.registers)
         return f"RegisterLayout({body})"
-
-
-@dataclass
-class StateVector:
-    layout: RegisterLayout
-    amplitudes: Vector
-    normalized: bool = True
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (self.layout.dim,):
-            raise ValueError("amplitude length does not match layout dimension")
-        if self.normalized:
-            nrm = np.linalg.norm(self.amplitudes)
-            if abs(nrm - 1.0) > 1e-9:
-                raise ValueError(f"state norm {nrm} is not 1 within 1e-9")
 
 
 class LinearMap:
@@ -165,37 +138,7 @@ class LinearMap:
 
 
 # ---------------------------------------------------------------------------
-# State construction
-
-
-def uniform_state(
-    layout: RegisterLayout,
-    uniform_registers: Iterable[str],
-    basis_assignment: Mapping[str, int] | None = None,
-) -> StateVector:
-    """Tensor product of uniform superpositions and computational basis states.
-
-    Every register must appear either in ``uniform_registers`` or as a key of
-    ``basis_assignment``.
-    """
-    uniform = set(uniform_registers)
-    assigned = dict(basis_assignment or {})
-    leftover = set(layout.names) - uniform - set(assigned)
-    if leftover:
-        raise ValueError(f"unassigned registers: {sorted(leftover)}")
-    parts = []
-    for name, width in layout.registers:
-        d = 1 << width
-        if name in uniform:
-            parts.append(np.full(d, 1.0 / np.sqrt(d), dtype=np.complex128))
-        else:
-            v = np.zeros(d, dtype=np.complex128)
-            v[assigned[name]] = 1.0
-            parts.append(v)
-    amps = parts[0]
-    for p in parts[1:]:
-        amps = np.kron(amps, p)
-    return StateVector(layout, amps)
+# Random states and unitaries
 
 
 def random_state_vector(dim: int, rng: np.random.Generator) -> Vector:

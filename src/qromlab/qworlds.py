@@ -83,6 +83,12 @@ class BlindingSet:
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
+    def mask(self) -> np.ndarray:
+        """Membership of every message, one bool per message."""
+        out = np.zeros(1 << self.nbits, dtype=bool)
+        out[list(self.members)] = True
+        return out
+
     @staticmethod
     def none(nbits: int) -> "BlindingSet":
         return BlindingSet(nbits=nbits, epsilon=0.0, members=frozenset())
@@ -185,10 +191,22 @@ class ChainWorld:
         """Chain registers only; enough for projector algebra."""
         return self._layout("chains")
 
-    def initial_state(self, layout: RegisterLayout) -> qsim.StateVector:
-        chain_regs = set(self.chain_registers())
-        assignment = {name: 0 for name, _ in layout.registers if name not in chain_regs}
-        return qsim.uniform_state(layout, chain_regs & set(layout.names), assignment)
+    def initial_state(self, layout: RegisterLayout) -> np.ndarray:
+        """Every chain register uniform, every other register |0>.
+
+        The chain registers trail every layout, so the state is the first G
+        amplitudes, G the chain registers' dimension, each the product of
+        their 1/sqrt(d) factors taken left to right.
+        """
+        chains = self.chain_registers()
+        if layout.names[len(layout.names) - len(chains):] != chains:
+            raise ValueError(f"chain registers {chains} do not trail {layout!r}")
+        amp = 1.0
+        for name in chains:
+            amp *= 1.0 / np.sqrt(1 << layout.width(name))
+        state = np.zeros(layout.dim, dtype=np.complex128)
+        state[: 1 << sum(layout.width(name) for name in chains)] = amp
+        return state
 
     # -- scheme structure ---------------------------------------------------
 

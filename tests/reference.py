@@ -5,7 +5,10 @@ cross-check the fast paths of the package.
   norm solver, against the exact block norms of ``qsim.operator_norm``.
   They work on ``qsim.LinearMap`` objects through their apply contract only,
   independent of the compiled gather indices and frame tables.
-* Basis indices and states, a structured XOR map and register measurement.
+* Register fields, basis indices, the normalized-state wrapper and the
+  register-by-register (kron) product state, against the one-slice
+  ``ChainWorld.initial_state``; a structured XOR map and register
+  measurement.
 * The sampling game engine: measure the evolved state register by register
   and run the scheme verifier against the reprogrammed oracle, against the
   exact outcome tensors and acceptance table of ``game.analyze_game``.
@@ -22,12 +25,12 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from qromlab import attacks, game, ots, qsim, qworlds, rom
-from qromlab.qsim import LinearMap, RegisterLayout, StateVector
+from qromlab.qsim import LinearMap, RegisterLayout
 from qromlab.qworlds import ChainWorld, build_q_projectors
 
 
@@ -84,7 +87,7 @@ def equality_projector_map(layout: RegisterLayout, reg_a: str, reg_b: str) -> Li
     """Projector onto basis states whose two registers hold equal values."""
     if layout.width(reg_a) != layout.width(reg_b):
         raise ValueError("equality projector needs registers of equal width")
-    mask = layout.field(reg_a) == layout.field(reg_b)
+    mask = field(layout, reg_a) == field(layout, reg_b)
     return LinearMap(
         layout.dim, lambda v: np.where(mask, v, 0.0), label=f"P=({reg_a},{reg_b})",
         self_adjoint=True,
@@ -181,7 +184,61 @@ def lanczos_norm(a: LinearMap, seed: int = 0) -> LanczosEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Basis indices, states, a structured XOR map, measurement
+# Register fields, basis indices, states, a structured XOR map, measurement
+
+
+def field(layout: RegisterLayout, name: str) -> np.ndarray:
+    """Register value of every basis index, as an int64 array."""
+    return (np.arange(layout.dim, dtype=np.int64) >> layout.shift(name)) & (
+        (1 << layout.width(name)) - 1
+    )
+
+
+@dataclass
+class StateVector:
+    layout: RegisterLayout
+    amplitudes: np.ndarray
+    normalized: bool = True
+
+    def __post_init__(self):
+        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        if self.amplitudes.shape != (self.layout.dim,):
+            raise ValueError("amplitude length does not match layout dimension")
+        if self.normalized:
+            nrm = np.linalg.norm(self.amplitudes)
+            if abs(nrm - 1.0) > 1e-9:
+                raise ValueError(f"state norm {nrm} is not 1 within 1e-9")
+
+
+def uniform_state(
+    layout: RegisterLayout,
+    uniform_registers: Iterable[str],
+    basis_assignment: Mapping[str, int] | None = None,
+) -> StateVector:
+    """Tensor product of uniform superpositions and computational basis
+    states, one ``np.kron`` per register.
+
+    Every register must appear either in ``uniform_registers`` or as a key of
+    ``basis_assignment``.
+    """
+    uniform = set(uniform_registers)
+    assigned = dict(basis_assignment or {})
+    leftover = set(layout.names) - uniform - set(assigned)
+    if leftover:
+        raise ValueError(f"unassigned registers: {sorted(leftover)}")
+    parts = []
+    for name, width in layout.registers:
+        d = 1 << width
+        if name in uniform:
+            parts.append(np.full(d, 1.0 / np.sqrt(d), dtype=np.complex128))
+        else:
+            v = np.zeros(d, dtype=np.complex128)
+            v[assigned[name]] = 1.0
+            parts.append(v)
+    amps = parts[0]
+    for p in parts[1:]:
+        amps = np.kron(amps, p)
+    return StateVector(layout, amps)
 
 
 def basis_index(layout: RegisterLayout, assignment: Mapping[str, int]) -> int:
@@ -207,12 +264,8 @@ def xor_register_map(layout: RegisterLayout, src: str, dst: str) -> LinearMap:
     """CNOT^(x)n with ``src`` as controls and ``dst`` as targets: dst ^= src."""
     if layout.width(src) != layout.width(dst):
         raise ValueError("xor needs registers of equal width")
-    shift = layout.shift(dst)
-
-    def ap(v):
-        return v[layout.arange() ^ (layout.field(src) << shift)]
-
-    return LinearMap(layout.dim, ap, label=f"xor({src}->{dst})", self_adjoint=True)
+    perm = layout.arange() ^ (field(layout, src) << layout.shift(dst))
+    return LinearMap(layout.dim, lambda v: v[perm], label=f"xor({src}->{dst})", self_adjoint=True)
 
 
 def register_distribution(state: StateVector, register: str) -> np.ndarray:

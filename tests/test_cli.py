@@ -182,6 +182,32 @@ class TestErrors:
         assert code == 1 and out == ""
         assert "argument --q0: expected a nonnegative integer, got '-3'" in err
 
+    @staticmethod
+    def _edited_lamport_key(tmp_path, capsys, edit):
+        """An n=8, a=3 Lamport key file (6 chains) with ``edit`` applied to it."""
+        key = tmp_path / "key.json"
+        assert cli.main(["keygen", "--scheme", "lamport", "--n", "8", "--a", "3",
+                         "--seed", "5", "--out", str(key)]) == 0
+        doc = json.loads(key.read_text())
+        edit(doc)
+        key.write_text(json.dumps(doc))
+        capsys.readouterr()
+        return key
+
+    def test_key_with_too_few_secret_strings_rejected(self, tmp_path, capsys):
+        key = self._edited_lamport_key(tmp_path, capsys, lambda doc: doc.update(sk=doc["sk"][:2]))
+        code, out, err = run(capsys, "sign", "--key", str(key), "--message", "5")
+        assert code == 1 and out == ""
+        assert err == "error: key sk needs 6 strings of at most 8 bits\n"
+
+    def test_key_string_wider_than_n_rejected(self, tmp_path, capsys):
+        key = self._edited_lamport_key(
+            tmp_path, capsys, lambda doc: doc["sk"].__setitem__(0, "fff")
+        )
+        code, out, err = run(capsys, "sign", "--key", str(key), "--message", "0")
+        assert code == 1 and out == ""
+        assert err == "error: key sk needs 6 strings of at most 8 bits\n"
+
     @pytest.mark.parametrize("shape", [("0", "1", "2"), ("2", "0", "2"), ("2", "1", "0")])
     def test_empty_chain_shape_rejected(self, capsys, shape):
         n, l, w = shape

@@ -8,8 +8,6 @@ from qromlab import game, ots, qsim, rom, qworlds
 from qromlab.game import (
     AdversaryProgram,
     HashQuery,
-    MeasureM,
-    MeasureSigma,
     SignQuery,
     sample_blinding_set,
 )
@@ -125,11 +123,11 @@ class TestClassicalGame:
 class TestPrograms:
     def test_program_validation(self):
         with pytest.raises(ValueError):
-            AdversaryProgram((SignQuery(), SignQuery(), MeasureM(), MeasureSigma()))
-        with pytest.raises(ValueError):
-            AdversaryProgram((MeasureM(), MeasureSigma(), SignQuery()))
-        prog = AdversaryProgram((HashQuery(), SignQuery(), HashQuery(), MeasureM(), MeasureSigma()))
-        assert prog.q0 == 1 and prog.q1 == 1
+            AdversaryProgram((SignQuery(), SignQuery()))
+        prog = AdversaryProgram((HashQuery(), SignQuery(), HashQuery(), HashQuery()))
+        assert prog.q0 == 1 and prog.q1 == 2
+        unsigned = AdversaryProgram((HashQuery(), HashQuery()))
+        assert unsigned.q0 == 2 and unsigned.q1 == 0
 
     def test_random_program_counts(self):
         world = lamport_world(1, 1, blinding=BlindingSet.none(1), seed=4)
@@ -199,7 +197,7 @@ class TestQuantumGame:
         qtilde = qworlds.build_qtilde(world, states.layout)
         assert len(t_out) == len(qtilde) == world.l_sem + 1
         for t, q_map in zip(t_out, qtilde):
-            want = game.probability_tensor(q_map.apply(states.final), states.layout, world)
+            want = game.probability_tensor(q_map.apply(states.final), world)
             assert np.allclose(t, want, rtol=0, atol=1e-12)
 
     def test_modified_game_sampled_transcript(self):
@@ -246,9 +244,7 @@ class TestQuantumGame:
 
     def test_sign_query_cardinality_enforced(self):
         with pytest.raises(ValueError):
-            AdversaryProgram(
-                (SignQuery(), HashQuery(), SignQuery(), MeasureM(), MeasureSigma())
-            )
+            AdversaryProgram((SignQuery(), HashQuery(), SignQuery()))
 
 
 def reference_acceptance_table(world):

@@ -223,11 +223,13 @@ class TestOrthogonalityCheck:
         )
         assert rep.passed and rep.measured < 1e-10
 
-    def test_unblinded_forgery_is_skipped(self):
-        (rep,) = lemmas.check_orthogonality(
-            "lamport", 2, 1, 2, BlindingSet.explicit(1, {0}), 1, seed=0
-        )
-        assert rep.passed and "skipped" in rep.note
+    def test_unblinded_forgery_raises(self):
+        # the claim covers blinded forgery messages only: no vacuous PASS row
+        with pytest.raises(ValueError, match="not blinded"):
+            lemmas.check_orthogonality("lamport", 2, 1, 2, BlindingSet.explicit(1, {0}), 1, seed=0)
+        world = lamport_world(2, 1, seed=0)
+        with pytest.raises(ValueError, match="not blinded"):
+            lemmas.orthogonality_report(world, 0)
 
     def test_random_sweep(self):
         rng = np.random.default_rng(0)

@@ -49,7 +49,7 @@ def reference_query_factors(world, layout):
     """The mismatch factor and one compare-and-copy factor per chain register
     (c, j): identity unless x equals register (c, j), in which case the
     successor (next register or pinned endpoint) is XORed into y."""
-    x = layout.field("x")
+    x = reference.field(layout, "x")
     y_shift = layout.shift("y")
 
     def factor(mask, values):
@@ -60,9 +60,9 @@ def reference_query_factors(world, layout):
     factors = []
     for c in range(world.chain_count):
         for j in range(world.w - 1):
-            masks[(c, j)] = x == layout.field(world.chain_register(c, j))
+            masks[(c, j)] = x == reference.field(layout, world.chain_register(c, j))
             if j + 1 <= world.w - 2:
-                succ = layout.field(world.chain_register(c, j + 1))
+                succ = reference.field(layout, world.chain_register(c, j + 1))
             else:
                 succ = np.full(layout.dim, world.p[c], dtype=np.int64)
             factors.append((c, j, factor(masks[(c, j)], succ)))
@@ -211,6 +211,39 @@ class TestWorldConstruction:
             assert world.h_table == h_table
 
 
+class TestInitialState:
+    # the four worlds of the qgame benchmark (19-21 qubit game layouts) and a
+    # bare chain world, on every layout kind each has
+    @pytest.mark.parametrize(
+        "world",
+        [
+            lamport_world(2, 2, seed=7),
+            lamport_world(1, 4, seed=7),
+            winternitz_world(2, 1, 3, seed=7),
+            winternitz_world(1, 2, 3, seed=7),
+            chain_world(2, 2, 3, seed=7),
+        ],
+        ids=["lamport-2-2", "lamport-1-4", "winternitz-2-1-3", "winternitz-1-2-3", "chains"],
+    )
+    def test_matches_the_kron_product_state_bit_for_bit(self, world):
+        layouts = [world.norm_layout(), world.chain_layout()]
+        if world.message_bits is not None:
+            layouts += [world.game_layout(), world.game_layout(include_xy=False)]
+        chains = set(world.chain_registers())
+        for layout in layouts:
+            basis = {name: 0 for name in layout.names if name not in chains}
+            want = reference.uniform_state(layout, chains, basis).amplitudes
+            got = world.initial_state(layout)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_chain_registers_must_trail_the_layout(self):
+        world = lamport_world(1, 1, seed=0)
+        g0, g1 = ((name, 1) for name in world.chain_registers())
+        for regs in ([g0, ("m", 1), g1], [("x", 1), g1, g0], [("x", 1), g0]):
+            with pytest.raises(ValueError, match="do not trail"):
+                world.initial_state(qsim.RegisterLayout(regs))
+
+
 class TestQueryUnitary:
     @pytest.mark.parametrize(
         "maker", [lambda: lamport_world(2, 1, seed=1), lambda: winternitz_world(2, 1, 3, seed=1)]
@@ -351,7 +384,7 @@ class TestQueryUnitary:
         u.perm = u.perm ^ (1 << layout.shift("x"))
         with pytest.raises(ValueError, match="outside y"):
             qworlds.query_phase_splits(u)
-        u.perm = layout.arange() ^ ((layout.field("y") & 1) << layout.shift("y"))
+        u.perm = layout.arange() ^ ((reference.field(layout, "y") & 1) << layout.shift("y"))
         with pytest.raises(ValueError, match="depends on y"):
             qworlds.query_phase_splits(u)
         with pytest.raises(ValueError, match="BSign flips bits outside y"):
@@ -430,7 +463,7 @@ class TestBlindedSign:
         layout = world.game_layout(include_xy=False)
         bsign = build_blinded_sign_unitary(world, layout)
         # blinded message basis state: nothing moves
-        s = qsim.uniform_state(
+        s = reference.uniform_state(
             layout, set(world.chain_registers()), {"m": 1, "sig0": 1, "b": 0, "e": 0}
         )
         assert np.allclose(bsign.apply(s.amplitudes), s.amplitudes)
@@ -469,7 +502,7 @@ class TestQProjectors:
         world = lamport_world(1, 2, seed=16)
         layout = world.chain_layout()
         qs = build_q_projectors(world, 0b00, layout)
-        fresh = world.initial_state(layout).amplitudes
+        fresh = world.initial_state(layout)
         assert np.linalg.norm(qs[0].apply(fresh) - fresh) < 1e-12
         for q in qs[1:]:
             assert np.linalg.norm(q.apply(fresh)) < 1e-12
@@ -486,7 +519,7 @@ class TestInvariantProjector:
         world = lamport_world(1, 1, blinding=BlindingSet.none(1), seed=18)
         layout = world.chain_layout()
         p = build_invariant_projector(world, layout)
-        fresh = world.initial_state(layout).amplitudes
+        fresh = world.initial_state(layout)
         assert np.linalg.norm(p.apply(fresh) - fresh) < 1e-12
 
     def test_all_blinded_gives_zero_map(self):
@@ -561,7 +594,7 @@ class TestQtilde:
         world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {1}), seed=23)
         layout = world.game_layout(include_xy=False)
         qts = build_qtilde(world, layout)
-        mfield = layout.field("m")
+        mfield = reference.field(layout, "m")
         v = random_probe(layout, 23)
         for i, qt in enumerate(qts):
             manual = np.zeros_like(v)
@@ -635,7 +668,7 @@ class TestProjectorMethodSwitch:
         p = qworlds.build_invariant_projector(world, layout)
         assert np.count_nonzero(p.table) == 3 ** 4
         assert is_frame_projector(p)
-        fresh = world.initial_state(layout).amplitudes
+        fresh = world.initial_state(layout)
         assert np.allclose(p.apply(fresh), fresh)
         assert_matches_references(world, layout, probes=2)
         # and the forced outcome stays orthogonal on a blinded forgery
