@@ -302,10 +302,17 @@ def security_bounds(scheme: str, q: int, n: int, l: int, w: int | None = None) -
     if q < 0:
         raise ValueError("query count must be nonnegative")
     if scheme == "lamport":
+        ots.LamportParams(n=n, l=l)  # the scheme's guard: n >= 1 and l >= 1
         full, simple = lemmas.forgery_bound_lamport(q, l, n)
     elif scheme == "winternitz":
         if w is None:
             raise ValueError("w required for the chain scheme")
+        if n < 1:
+            raise ValueError("security parameter n must be positive")
+        if w < 2:
+            raise ValueError("Winternitz parameter w must be at least 2")
+        if l < 1:
+            raise ValueError("chain count l must be positive")
         full, simple = lemmas.forgery_bound_winternitz(q, l, w, n)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -41,10 +41,11 @@ built:
   chain registers.  The uniform projector is H|0><0|H, so in the Hadamard
   frame of the chain registers each projector is a diagonal 0/1 (or
   sqrt-weight) table.  :class:`FrameDiagonal` splits its apply in two: the
-  frame change ``to_frame`` (dense Sylvester gates, one gemm per block of
-  chain registers, its own inverse) and the table multiply ``in_frame``.
-  The game changes its final state into the frame once and reads every
-  outcome map from there.
+  frame change ``to_frame`` (Sylvester factors over blocks of whole chain
+  registers of at most 4 qubits, built on first use once per world and
+  layout and shared by every map there; its own inverse) and the table
+  multiply ``in_frame``.  The game changes its final state into the frame
+  once and reads every outcome map from there.
 """
 
 from __future__ import annotations
@@ -125,6 +126,10 @@ class ChainWorld:
     ):
         if w < 2:
             raise ValueError("chains need at least two positions")
+        if chain_count < 1:
+            raise ValueError(f"a world needs at least one chain, got {chain_count}")
+        if n < 1:
+            raise ValueError(f"chain strings need at least one bit, got n={n}")
         message_bits = None if params is None else params.message_bits
         if blinding is not None and message_bits is not None and blinding.nbits != message_bits:
             raise ValueError("blinding set width does not match the message space")
@@ -392,7 +397,7 @@ def build_blinded_sign_unitary(
 # ---------------------------------------------------------------------------
 # Projectors: one diagonal table each in the Hadamard frame of the chains
 
-FRAME_BLOCK_QUBITS = 8
+FRAME_BLOCK_QUBITS = 4
 
 
 def _sylvester(qubits: int) -> np.ndarray:
@@ -417,13 +422,22 @@ def _table_shape(world: ChainWorld, layout: RegisterLayout, extra: tuple[str, ..
 
 
 def _hadamard_frame(world: ChainWorld, layout: RegisterLayout) -> list[LinearMap]:
-    """H on every chain qubit, as Sylvester gates over blocks of whole chain
+    """H on every chain qubit, as Sylvester factors over blocks of whole chain
     registers of at most FRAME_BLOCK_QUBITS qubits (a wider register is a
     block of its own).  The frame change is its own inverse.
+
+    The factors are built on first use and kept in the world's layout cache,
+    so every map on one layout shares them.  Factors of at most 16 x 16 make
+    each apply a memory-bound pass over the state; one 256-wide factor is
+    compute-bound on a 20-qubit state.
 
     Since the uniform projector is H|0><0|H, in this frame a uniform factor
     on a register reads "register is 0" and a complement factor "is not 0".
     """
+    key = ("frame", layout)
+    frame = world._layout_cache.get(key)
+    if frame is not None:
+        return frame
     blocks: list[list[str]] = [[]]
     width = 0
     for name in world.chain_registers():
@@ -432,10 +446,12 @@ def _hadamard_frame(world: ChainWorld, layout: RegisterLayout) -> list[LinearMap
             width = 0
         blocks[-1].append(name)
         width += layout.width(name)
-    return [
+    frame = [
         qsim.embed(_sylvester(sum(layout.width(r) for r in block)), block, layout, label="H")
         for block in blocks
     ]
+    world._layout_cache[key] = frame
+    return frame
 
 
 class FrameDiagonal(LinearMap):
@@ -445,22 +461,22 @@ class FrameDiagonal(LinearMap):
     its own inverse.  ``in_frame`` multiplies a vector already in the
     frame by the table (broadcast over the registers it does not read).
     ``apply`` is ``to_frame(in_frame(to_frame(v)))``.  Maps on one layout
-    share the frame, so a caller applying several of them to one state
-    changes it into the frame once and changes back each product.  A 0/1
-    table is an orthogonal projector.  ``term_count`` is the table's support
-    size, one rank-one frame term per nonzero entry, and ``is_zero`` means it
-    is 0.
+    share the frame (:func:`_hadamard_frame`, built on the first
+    ``to_frame``), so a caller applying several of them to one state changes
+    it into the frame once and changes back each product; a map that is
+    only read through its ``table`` builds no frame.  A 0/1 table is an
+    orthogonal projector.  ``term_count`` is the table's support size, one
+    rank-one frame term per nonzero entry, and ``is_zero`` means it is 0.
     """
 
     def __init__(self, world: ChainWorld, layout: RegisterLayout, table: np.ndarray, label: str):
-        frame = _hadamard_frame(world, layout)
         table = np.asarray(table, dtype=np.float64)
 
         # The maps close over locals, not over self, so a dropped map is freed
         # by reference count rather than only by the cycle collector.
         def to_frame(v: np.ndarray) -> np.ndarray:
             """H on every chain qubit: into the frame, and back out of it."""
-            for h in frame:
+            for h in _hadamard_frame(world, layout):
                 v = h.apply(v)
             return v
 

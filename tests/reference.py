@@ -5,6 +5,8 @@ cross-check the fast paths of the package.
   norm solver, against the exact block norms of ``qsim.operator_norm``.
   They work on ``qsim.LinearMap`` objects through their apply contract only,
   independent of the compiled gather indices and frame tables.
+* The Hadamard frame of the chain registers as one dense Sylvester matrix,
+  against the factored frame change of ``qworlds.FrameDiagonal``.
 * Register fields, basis indices, the normalized-state wrapper and the
   register-by-register (kron) product state, against the one-slice
   ``ChainWorld.initial_state``; a structured XOR map and register
@@ -122,6 +124,19 @@ def embed_dense(op, targets: Sequence[str], layout: RegisterLayout) -> np.ndarra
     reordered = np.arange(layout.dim).reshape(layout.dims).transpose(order).reshape(-1)
     to_order = np.eye(layout.dim)[reordered]
     return to_order.T @ np.kron(op, np.eye(rest)) @ to_order
+
+
+def chain_frame(world: ChainWorld, layout: RegisterLayout, v: np.ndarray) -> np.ndarray:
+    """H on every chain qubit as one dense Sylvester matrix, the ``np.kron``
+    product of one 2 x 2 Hadamard per chain qubit, applied to the trailing
+    chain registers of ``layout``."""
+    chains = world.chain_registers()
+    assert layout.names[len(layout.names) - len(chains):] == chains
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    sylvester = np.ones((1, 1))
+    for _ in range(sum(layout.width(name) for name in chains)):
+        sylvester = np.kron(sylvester, h)
+    return (v.reshape(-1, sylvester.shape[0]) @ sylvester.T).reshape(-1)
 
 
 def dense(a: LinearMap) -> np.ndarray:

@@ -172,6 +172,31 @@ class TestErrors:
         assert code == 1 and out == ""
         assert "argument --sensitivity: expected a nonnegative integer, got '-2'" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--n", "2", "--l", "0"], "Lamport parameters need n >= 1 and l >= 1"),
+            (["--n", "-3", "--l", "1"], "Lamport parameters need n >= 1 and l >= 1"),
+            (["--scheme", "winternitz", "--n", "2", "--l", "1", "--w", "1"],
+             "Winternitz parameter w must be at least 2"),
+            (["--scheme", "winternitz", "--n", "0", "--l", "1", "--w", "4"],
+             "security parameter n must be positive"),
+            (["--scheme", "winternitz", "--n", "2", "--l", "0", "--w", "4"],
+             "chain count l must be positive"),
+        ],
+        ids=["lamport-l0", "lamport-n-3", "winternitz-w1", "winternitz-n0", "winternitz-l0"],
+    )
+    def test_bounds_of_a_scheme_that_does_not_exist_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "bounds", "--q", "1", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("scheme", ["lamport", "winternitz"])
+    def test_lemmas_on_a_world_without_chains_rejected(self, capsys, scheme):
+        code, out, err = run(capsys, "lemmas", "--scheme", scheme, "--l", "0")
+        assert code == 1 and out == ""
+        assert err == "error: a world needs at least one chain, got 0\n"
+
     def test_negative_lemma_queries_rejected(self, capsys):
         code, out, err = run(capsys, "lemmas", "--q0", "-1")
         assert code == 1 and out == ""

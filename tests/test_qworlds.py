@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference
-from qromlab import ots, qsim, rom, qworlds
+from qromlab import lemmas, ots, qsim, rom, qworlds
 from qromlab.qworlds import (
     BlindingSet,
     build_blinded_sign_unitary,
@@ -211,26 +211,33 @@ class TestWorldConstruction:
             assert world.h_table == h_table
 
 
+# The four worlds of the qgame benchmark (19-21 qubit game layouts) and a
+# bare chain world; tests run them on every layout kind each has.
+BENCH_WORLDS = pytest.mark.parametrize(
+    "world",
+    [
+        lamport_world(2, 2, seed=7),
+        lamport_world(1, 4, seed=7),
+        winternitz_world(2, 1, 3, seed=7),
+        winternitz_world(1, 2, 3, seed=7),
+        chain_world(2, 2, 3, seed=7),
+    ],
+    ids=["lamport-2-2", "lamport-1-4", "winternitz-2-1-3", "winternitz-1-2-3", "chains"],
+)
+
+
+def every_layout(world):
+    layouts = [world.norm_layout(), world.chain_layout()]
+    if world.message_bits is not None:
+        layouts += [world.game_layout(), world.game_layout(include_xy=False)]
+    return layouts
+
+
 class TestInitialState:
-    # the four worlds of the qgame benchmark (19-21 qubit game layouts) and a
-    # bare chain world, on every layout kind each has
-    @pytest.mark.parametrize(
-        "world",
-        [
-            lamport_world(2, 2, seed=7),
-            lamport_world(1, 4, seed=7),
-            winternitz_world(2, 1, 3, seed=7),
-            winternitz_world(1, 2, 3, seed=7),
-            chain_world(2, 2, 3, seed=7),
-        ],
-        ids=["lamport-2-2", "lamport-1-4", "winternitz-2-1-3", "winternitz-1-2-3", "chains"],
-    )
+    @BENCH_WORLDS
     def test_matches_the_kron_product_state_bit_for_bit(self, world):
-        layouts = [world.norm_layout(), world.chain_layout()]
-        if world.message_bits is not None:
-            layouts += [world.game_layout(), world.game_layout(include_xy=False)]
         chains = set(world.chain_registers())
-        for layout in layouts:
+        for layout in every_layout(world):
             basis = {name: 0 for name in layout.names if name not in chains}
             want = reference.uniform_state(layout, chains, basis).amplitudes
             got = world.initial_state(layout)
@@ -641,6 +648,74 @@ class TestFrameSplit:
             gc.enable()
 
 
+def counting_embed(monkeypatch):
+    """Record (local operator shape, gate) for every ``qsim.embed`` call."""
+    built = []
+    embed = qsim.embed
+
+    def counting(op, targets, layout, label=""):
+        gate = embed(op, targets, layout, label)
+        built.append((np.shape(op), gate))
+        return gate
+
+    monkeypatch.setattr(qsim, "embed", counting)
+    return built
+
+
+class TestHadamardFrame:
+    @BENCH_WORLDS
+    def test_matches_the_dense_sylvester_frame(self, world):
+        for layout in every_layout(world):
+            # the all-ones table: every map on a layout changes frame alike
+            fd = qworlds.invariant_projector_from_thresholds(
+                world, [(0,) * world.chain_count], layout
+            )
+            v = random_probe(layout, 31)
+            hv = fd.to_frame(v)
+            assert np.max(np.abs(hv - reference.chain_frame(world, layout, v))) <= 1e-14
+            assert np.max(np.abs(fd.to_frame(hv) - v)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "world,shapes",
+        [
+            (lamport_world(1, 3, seed=0), [16, 4]),
+            (chain_world(2, 3, 2, seed=0), [16, 4]),
+            (chain_world(3, 2, 2, seed=0), [8, 8]),
+            (chain_world(5, 2, 2, seed=0), [32, 32]),
+        ],
+        ids=["six-1-qubit", "three-2-qubit", "two-3-qubit", "two-5-qubit"],
+    )
+    def test_factors_are_whole_registers_of_at_most_four_qubits(self, world, shapes, monkeypatch):
+        built = counting_embed(monkeypatch)
+        layout = world.chain_layout()
+        qworlds._hadamard_frame(world, layout)
+        assert [shape for shape, _ in built] == [(d, d) for d in shapes]
+
+    def test_maps_on_one_layout_share_one_frame_built_on_first_use(self, monkeypatch):
+        built = counting_embed(monkeypatch)
+        world = lamport_world(1, 3, blinding=BlindingSet.explicit(3, {1}), seed=7)
+        layout = world.game_layout()
+        maps = [build_invariant_projector(world, layout), *build_qtilde(world, layout)]
+        assert built == []
+        v = random_probe(layout, 32)
+        for fd in maps:
+            fd.to_frame(v)
+        frame = qworlds._hadamard_frame(world, layout)
+        assert len(built) == len(frame) == 2
+        assert all(gate is h for (_, gate), h in zip(built, frame))
+        assert qworlds._hadamard_frame(world, layout) is frame
+        # another layout of the world gets a frame of its own
+        chains = world.chain_layout()
+        build_invariant_projector(world, chains).to_frame(random_probe(chains, 33))
+        assert len(built) == 4
+        assert qworlds._hadamard_frame(world, chains) is not frame
+
+    def test_norm_rows_build_no_frame_gate(self, monkeypatch):
+        built = counting_embed(monkeypatch)
+        (report,) = lemmas.check_invariant_commutator("lamport", 2, 2, seed=3)
+        assert report.passed and built == []
+
+
 class TestGameLayoutReferences:
     def test_compiled_maps_match_references_with_xy(self):
         world = winternitz_world(1, 1, 3, blinding=BlindingSet.explicit(1, {0}), seed=24)
@@ -683,3 +758,9 @@ class TestProjectorMethodSwitch:
     def test_degenerate_chain_length_rejected(self):
         with pytest.raises(ValueError):
             qworlds.chain_world(2, 1, 1, seed=0)
+
+    def test_world_without_chains_or_bits_rejected(self):
+        with pytest.raises(ValueError, match="at least one chain, got 0"):
+            qworlds.chain_world(2, 0, 2, seed=0)
+        with pytest.raises(ValueError, match="at least one bit, got n=0"):
+            qworlds.chain_world(0, 1, 2, seed=0)
