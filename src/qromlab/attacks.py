@@ -89,11 +89,10 @@ def _forge(handles: game.ClassicalHandles, y_star: int, pk_index: int):
     return m_prime, tuple(sigma)
 
 
-def _classical_adversary(q: int, rng: np.random.Generator):
+def _classical_adversary(queries):
+    """Query the oracle on ``queries`` (ascending) and forge from the first hit."""
+
     def adversary(handles: game.ClassicalHandles):
-        n = handles.params.n
-        space = 1 << n
-        queries = sorted(rng.choice(space, size=min(q, space), replace=False).tolist())
         y_star = None
         pk_index = None
         for y in queries:  # scan hits in ascending order
@@ -152,28 +151,48 @@ def _hit_wins(l: int, oracle: rom.RandomOracleTable, pk, blinding) -> list[tuple
     return [(y, verdict[h]) for y, h in enumerate(oracle.full_table()) if h in verdict]
 
 
-def _run_attack(kind: str, label: str, n: int, l: int, q: int, trials: int, seed: int, trial):
+# Trials whose seeds, worlds and generators are derived together.
+_BLOCK = 1000
+
+
+def _seed_blocks(seed: int, label: str, trials: int):
+    """The trial seeds ``derive_seed(seed, label, t)`` for t < trials, one
+    list of at most :data:`_BLOCK` seeds at a time."""
+    for start in range(0, trials, _BLOCK):
+        yield [rom.derive_seed(seed, label, t) for t in range(start, min(start + _BLOCK, trials))]
+
+
+def _run_attack(
+    kind: str, label: str, draw_label: str | None,
+    n: int, l: int, q: int, trials: int, seed: int, trial,
+):
     """The trial loop both attacks share, and their report.
 
     Each trial builds the game's world at its own seed (blinding rate 1/2).
-    ``trial(trial_seed, oracle, keypair, blinding)`` returns the exact (win,
-    hit) probabilities on that world and the adversary, whose forgery the game
-    then judges.  An adversary makes its one signing query exactly when its
-    search found a preimage, so that query counts the search hits.
+    ``trial(rng, oracle, keypair, blinding)`` returns the exact (win, hit)
+    probabilities on that world and the adversary, whose forgery the game
+    then judges; ``rng`` is the generator at the trial seed's sub-label
+    ``draw_label``, or None when the attack draws nothing.  An adversary
+    makes its one signing query exactly when its search found a preimage, so
+    that query counts the search hits.
     """
     params = ots.LamportParams(n=n, l=l)
     wins = searches = 0
     exact_sum = exact_var = search_exact_sum = 0.0
-    for t in range(trials):
-        trial_seed = rom.derive_seed(seed, label, t)
-        world = game.classical_world(params, 0.5, trial_seed)
-        p_win, p_hit, adversary = trial(trial_seed, *world)
-        exact_sum += p_win
-        exact_var += p_win * (1.0 - p_win)
-        search_exact_sum += p_hit
-        transcript = game.run_with_world_classical(adversary, *world, trial_seed)
-        wins += transcript.verdict == "win"
-        searches += transcript.sign_queries
+    for seeds in _seed_blocks(seed, label, trials):
+        worlds = game.classical_worlds(params, 0.5, seeds)
+        if draw_label is None:
+            rngs = itertools.repeat(None)
+        else:
+            rngs = rom.default_rngs(rom.derive_seed(s, draw_label) for s in seeds)
+        for trial_seed, world, rng in zip(seeds, worlds, rngs):
+            p_win, p_hit, adversary = trial(rng, *world)
+            exact_sum += p_win
+            exact_var += p_win * (1.0 - p_win)
+            search_exact_sum += p_hit
+            transcript = game.run_with_world_classical(adversary, *world, trial_seed)
+            wins += transcript.verdict == "win"
+            searches += transcript.sign_queries
     low, high = wilson_interval(wins, trials)
     full, simple = lemmas.forgery_bound_lamport(q, l, n)
     return AttackReport(
@@ -202,15 +221,22 @@ def classical_search_attack(n: int, l: int, q: int, trials: int, seed: int = 0) 
     if q < 0:
         raise ValueError("query count must be nonnegative")
     weight = _first_hit_weights(n, q)
+    space = 1 << n
 
-    def trial(trial_seed, oracle, keypair, blinding):
+    def trial(rng, oracle, keypair, blinding):
         # Exact reference uses the same world; the sampled run must match it on average.
         hits = _hit_wins(l, oracle, keypair.pk, blinding)
         p_win, p_hit = _first_hit_exact(weight, hits) if q > 0 else (0.0, 0.0)
-        rng = np.random.default_rng(rom.derive_seed(trial_seed, "queries"))
-        return p_win, p_hit, _classical_adversary(q, rng) if q > 0 else (lambda h: None)
+        if rng is None:  # q = 0 or q >= 2^n: the query set is not random
+            queries = range(min(q, space))
+        else:
+            queries = sorted(rng.choice(space, size=q, replace=False).tolist())
+        return p_win, p_hit, _classical_adversary(queries)
 
-    return _run_attack("classical-search", "classical", n, l, q, trials, seed, trial)
+    draw_label = "queries" if 0 < q < space else None
+    return _run_attack(
+        "classical-search", "classical", draw_label, n, l, q, trials, seed, trial
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +262,14 @@ def grover_state(n: int, marked, iterations: int) -> np.ndarray:
     return next(itertools.islice(_grover_iterates(n, marked), iterations, None))
 
 
+def _measure(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """One outcome drawn with probabilities ``probs``: the CDF and the single
+    uniform draw of ``rng.choice(len(probs), p=probs)``, without its checks."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def default_grover_iterations(n: int, l: int) -> int:
     # Schedule from the expected multi-target count 2l, not the realized one.
     return int(math.floor(math.pi / 4.0 * math.sqrt(2 ** n / (2.0 * l))))
@@ -255,7 +289,7 @@ def grover_attack(
     # repeat marked sets often at these register sizes.
     by_marked: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
 
-    def trial(trial_seed, oracle, keypair, blinding):
+    def trial(rng, oracle, keypair, blinding):
         hit_wins = dict(_hit_wins(l, oracle, keypair.pk, blinding))
         marked = tuple(hit_wins)
         if marked not in by_marked:
@@ -264,8 +298,7 @@ def grover_attack(
             by_marked[marked] = probs, float(sum(probs[y] for y in marked))
         probs, p_search = by_marked[marked]
         p_win = float(sum(probs[y] for y, ok in hit_wins.items() if ok))
-        rng = np.random.default_rng(rom.derive_seed(trial_seed, "measure"))
-        y_star = int(rng.choice(len(probs), p=probs))
+        y_star = _measure(probs, rng)
 
         def adversary(handles: game.ClassicalHandles):
             if y_star not in hit_wins:
@@ -274,7 +307,7 @@ def grover_attack(
 
         return p_win, p_search, adversary
 
-    return _run_attack("grover", "grover", n, l, iterations, trials, seed, trial)
+    return _run_attack("grover", "grover", "measure", n, l, iterations, trials, seed, trial)
 
 
 def grover_schedule_sensitivity(
@@ -287,13 +320,12 @@ def grover_schedule_sensitivity(
     """
     params = ots.LamportParams(n=n, l=l)
     totals = [0.0] * (max_iterations + 1)
-    for t in range(trials):
-        trial_seed = rom.derive_seed(seed, "sens", t)
-        oracle, keypair, blinding = game.classical_world(params, 0.5, trial_seed)
-        marked = set(y for y, _ in _hit_wins(l, oracle, keypair.pk, blinding))
-        states = itertools.islice(_grover_iterates(n, marked), max_iterations + 1)
-        for iters, psi in enumerate(states):
-            totals[iters] += float(sum(abs(psi[y]) ** 2 for y in marked))
+    for seeds in _seed_blocks(seed, "sens", trials):
+        for oracle, keypair, blinding in game.classical_worlds(params, 0.5, seeds):
+            marked = set(y for y, _ in _hit_wins(l, oracle, keypair.pk, blinding))
+            states = itertools.islice(_grover_iterates(n, marked), max_iterations + 1)
+            for iters, psi in enumerate(states):
+                totals[iters] += float(sum(abs(psi[y]) ** 2 for y in marked))
     return [(iters, total / trials) for iters, total in enumerate(totals)]
 
 

@@ -163,20 +163,24 @@ def run_classical_game(
     aborts the run with a losing transcript; an adversary may concede by
     returning None instead of a forgery.
     """
-    oracle, keypair, blinding = classical_world(params, epsilon, seed)
+    oracle, keypair, blinding = next(classical_worlds(params, epsilon, [seed]))
     return run_with_world_classical(adversary, oracle, keypair, blinding, seed)
 
 
-def classical_world(params, epsilon: float, seed: int):
-    """(oracle, keypair, blinding) of one run at ``seed``: the lazily sampled
-    oracle, a key pair for the scheme of ``params``, and a blinding set that
-    holds each message with probability ``epsilon``."""
-    oracle = rom.RandomOracleTable(params.n, seed=rom.derive_seed(seed, "oracle"))
-    keypair = ots.keygen(params, oracle, np.random.default_rng(rom.derive_seed(seed, "keygen")))
-    blinding = sample_blinding_set(
-        epsilon, params.message_bits, np.random.default_rng(rom.derive_seed(seed, "blinding"))
-    )
-    return oracle, keypair, blinding
+def classical_worlds(params, epsilon: float, seeds: Sequence[int]):
+    """(oracle, keypair, blinding) of one run at each of ``seeds``, in order:
+    the lazily sampled oracle, a key pair for the scheme of ``params``, and a
+    blinding set that holds each message with probability ``epsilon``.
+
+    The keygen and blinding generators of all the seeds are seeded in one
+    batch (:func:`rom.default_rngs`); each world is built when reached.
+    """
+    keygen_rngs = rom.default_rngs(rom.derive_seed(seed, "keygen") for seed in seeds)
+    blinding_rngs = rom.default_rngs(rom.derive_seed(seed, "blinding") for seed in seeds)
+    for seed, keygen_rng, blinding_rng in zip(seeds, keygen_rngs, blinding_rngs):
+        oracle = rom.RandomOracleTable(params.n, seed=rom.derive_seed(seed, "oracle"))
+        keypair = ots.keygen(params, oracle, keygen_rng)
+        yield oracle, keypair, sample_blinding_set(epsilon, params.message_bits, blinding_rng)
 
 
 def run_with_world_classical(

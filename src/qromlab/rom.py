@@ -20,10 +20,11 @@ rational with at most n*l*w bits, so sums over them are exact in any order.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,12 +35,95 @@ MAX_ENUM_BITS = 16  # guard: n*l*w for exhaustive enumeration
 
 def derive_seed(seed: int, *labels) -> int:
     """Labeled sub-seed: hash of the master seed and a label path."""
-    h = hashlib.sha256()
-    h.update(str(int(seed)).encode())
+    path = str(int(seed))
     for label in labels:
-        h.update(b"/")
-        h.update(str(label).encode())
-    return int.from_bytes(h.digest()[:8], "big") >> 1
+        path += "/" + str(label)
+    return int.from_bytes(hashlib.sha256(path.encode()).digest()[:8], "big") >> 1
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every uint64 seed
+    ``s``, one row each, by numpy's hashmix/mix algorithm on uint32 arrays.
+
+    A seed below 2^64 is the entropy words [low, high] (numpy drops a zero
+    high word, and pads the 4-word pool by hashing zeros, which reads the
+    same), so every seed runs the same fixed sequence of hash constants.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * _MULT_A) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(low), hashmix(high), hashmix(zero), hashmix(zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    state = np.empty((len(seeds), 8), dtype=np.uint32)
+    const = _INIT_B
+    for k in range(8):
+        value = pool[k % 4] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        value = value * np.uint32(const)
+        state[:, k] = value ^ (value >> np.uint32(16))
+    # generate_state pairs the uint32 words little-endian into uint64 words.
+    return state[:, 0::2].astype(np.uint64) | (state[:, 1::2].astype(np.uint64) << np.uint64(32))
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed-sequence type of :func:`default_rngs`, made on first use:
+    importing numpy.random is start-up time that a command drawing nothing
+    need not pay."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """A seed sequence whose PCG64 state words were computed in advance."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+                raise ValueError("precomputed seed words serve PCG64 seeding only")
+            return self.words
+
+    return SeedWords
+
+
+def default_rngs(seeds) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(s)`` for each of ``seeds``, bit for bit.
+
+    The seed hashing that ``default_rng`` does one seed at a time runs here
+    once for all seeds; each generator is then built from its precomputed
+    state words when the iterator reaches it.  Seeds must lie in [0, 2^64).
+    """
+    seeds = list(seeds)
+    if any(not 0 <= s < 1 << 64 for s in seeds):
+        raise ValueError("generator seeds must lie in [0, 2^64)")
+    words = _pcg64_seed_words(np.array(seeds, dtype=np.uint64))
+    seed_words = _seed_words_type()
+    return (np.random.Generator(np.random.PCG64(seed_words(row))) for row in words)
 
 
 class RandomOracleTable:
@@ -60,14 +144,12 @@ class RandomOracleTable:
         self.n = n
         self.seed = 0 if seed is None else int(seed)
         self._table: dict[int, int] = {}
-        # derive_seed(seed, "img", x) hashes "<seed>/img/<x>": hash the fixed
-        # prefix once and copy its state per input.
-        self._prefix = hashlib.sha256(f"{self.seed}/img/".encode())
+        # The image of x is derive_seed(seed, "img", x), the hash of "<seed>/img/<x>".
+        self._prefix = f"{self.seed}/img/".encode()
 
     def _image(self, x: int) -> int:
-        h = self._prefix.copy()
-        h.update(str(x).encode())
-        return (int.from_bytes(h.digest()[:8], "big") >> 1) & ((1 << self.n) - 1)
+        digest = hashlib.sha256(self._prefix + b"%d" % x).digest()
+        return (int.from_bytes(digest[:8], "big") >> 1) & ((1 << self.n) - 1)
 
     def query(self, x: int) -> int:
         if not 0 <= x < (1 << self.n):
@@ -84,10 +166,15 @@ class RandomOracleTable:
         sensible at small n."""
         if self.n > 20:
             raise ValueError("full table requested for n > 20")
-        table, image = self._table, self._image
-        return tuple(
-            table[x] if x in table else table.setdefault(x, image(x)) for x in range(1 << self.n)
-        )
+        table, prefix, mask = self._table, self._prefix, (1 << self.n) - 1
+        images = []
+        for x in range(1 << self.n):
+            y = table.get(x)
+            if y is None:
+                digest = hashlib.sha256(prefix + b"%d" % x).digest()
+                y = table[x] = (int.from_bytes(digest[:8], "big") >> 1) & mask
+            images.append(y)
+        return tuple(images)
 
 
 @dataclass(frozen=True)
@@ -138,6 +225,8 @@ class ReprogrammedOracle:
 def _check_enum_size(n: int, l: int, w: int) -> None:
     if min(n, l, w) < 1:
         raise ValueError(f"chain shape needs n, l, w >= 1; got n={n} l={l} w={w}")
+    if w < 2:
+        raise ValueError(f"chains need at least two positions, one hash step; got w={w}")
     if n * l * w > MAX_ENUM_BITS:
         raise ValueError(f"enumeration guard: n*l*w = {n * l * w} exceeds {MAX_ENUM_BITS}")
 

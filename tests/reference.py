@@ -418,7 +418,9 @@ def exact_win_by_subset_enumeration(n: int, l: int, q: int, world_seed: int) -> 
     """Average the deterministic attack verdict over every possible query
     subset.  Only feasible at small n; cross-checks the first-hit
     combinatorics of ``attacks.classical_search_attack``."""
-    oracle, keypair, blinding = game.classical_world(ots.LamportParams(n=n, l=l), 0.5, world_seed)
+    oracle, keypair, blinding = next(
+        game.classical_worlds(ots.LamportParams(n=n, l=l), 0.5, [world_seed])
+    )
     hits = dict(attacks._hit_wins(l, oracle, keypair.pk, blinding))
     space = 1 << n
     q = min(q, space)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import reference
@@ -29,7 +30,9 @@ class TestClassicalAttack:
         for ws in range(6):
             for q in (1, 2, 4):
                 seed = rom.derive_seed(5, "xc", ws, q)
-                oracle, keypair, blinding = game.classical_world(ots.LamportParams(n=3, l=1), 0.5, seed)
+                oracle, keypair, blinding = next(
+                    game.classical_worlds(ots.LamportParams(n=3, l=1), 0.5, [seed])
+                )
                 hits = _hit_wins(1, oracle, keypair.pk, blinding)
                 p_win, _ = _first_hit_exact(_first_hit_weights(3, q), hits)
                 assert p_win == pytest.approx(
@@ -153,7 +156,8 @@ def reference_schedule_sensitivity(n, l, max_iterations, trials, seed):
     params = ots.LamportParams(n=n, l=l)
     worlds = []
     for t in range(trials):
-        oracle, keypair, blinding = game.classical_world(params, 0.5, rom.derive_seed(seed, "sens", t))
+        world_seed = rom.derive_seed(seed, "sens", t)
+        oracle, keypair, blinding = next(game.classical_worlds(params, 0.5, [world_seed]))
         worlds.append(set(y for y, _ in _hit_wins(l, oracle, keypair.pk, blinding)))
     out = []
     for iters in range(max_iterations + 1):
@@ -390,3 +394,36 @@ def _golden_id(argv: str) -> str:
 def test_attack_report_bytes_are_pinned(argv, capsys):
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out == GOLDEN_REPORTS[argv]
+
+
+def test_measurement_draws_what_choice_draws():
+    # the Grover measurement is rng.choice(len(p), p=p) without its checks:
+    # same outcome, same single uniform draw consumed
+    gen = np.random.default_rng(99)
+    cases = [attacks.grover_state(4, (3, 9), 2) ** 2, np.eye(1, 8, 5)[0]]
+    for k in range(400):
+        p = gen.random(1 + k % 33) ** 4
+        p[gen.random(len(p)) < 0.3] = 0.0
+        p[k % len(p)] += 0.1
+        cases.append(p)
+    for k, p in enumerate(cases):
+        p = p / p.sum()
+        seed = int(gen.integers(0, 2**63))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert attacks._measure(p, rng) == ref.choice(len(p), p=p), k
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_batched_worlds_equal_worlds_from_default_rng():
+    # attacks build a block of worlds at once; each equals the world built
+    # from default_rng at its own seed
+    for params in (ots.LamportParams(n=4, l=2), ots.derive_wots_params(3, 4, 5)):
+        seeds = [rom.derive_seed(3, "batch", t) for t in range(300)]
+        for seed, (oracle, keypair, blinding) in zip(
+            seeds, game.classical_worlds(params, 0.5, seeds), strict=True
+        ):
+            assert oracle.seed == rom.derive_seed(seed, "oracle")
+            rng = np.random.default_rng(rom.derive_seed(seed, "keygen"))
+            assert keypair == ots.keygen(params, rom.RandomOracleTable(params.n, oracle.seed), rng)
+            rng = np.random.default_rng(rom.derive_seed(seed, "blinding"))
+            assert blinding == game.sample_blinding_set(0.5, params.message_bits, rng)

@@ -3,8 +3,8 @@ and checks every report it collects (``bench/workloads.py``).
 
 Installing the wrappers and taking them out again fails at once when a
 refactor drops or renames a name the trace reads, and the benchmark's own
-output checks run here on the reference-seed ``sweep`` and ``qgame``
-commands, so the tier-1 suite catches a moved row or probability, not only
+output checks run here on the reference-seed commands of every workload,
+so the tier-1 suite catches a moved row, probability or win count, not only
 the benchmark step.  Nothing under ``bench/`` is changed.
 """
 
@@ -40,7 +40,7 @@ def test_trace_wrappers_install_and_restore():
     assert rom.RandomOracleTable.__call__ is rom.RandomOracleTable.query
 
 
-@pytest.mark.parametrize("workload,commands", [("sweep", 1), ("qgame", 8)])
+@pytest.mark.parametrize("workload,commands", [("sweep", 1), ("qgame", 8), ("classical", 7)])
 def test_reports_pass_the_benchmark_output_checks(workload, commands):
     seed = workloads.DEFAULT_SEEDS[workload]
     reference = workloads.reference_for(workload, seed)

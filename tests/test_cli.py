@@ -240,6 +240,11 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == f"error: chain shape needs n, l, w >= 1; got n={n} l={l} w={w}\n"
 
+    def test_chains_without_a_hash_step_rejected(self, capsys):
+        code, out, err = run(capsys, "worlds", "--n", "2", "--l", "1", "--w", "1")
+        assert code == 1 and out == ""
+        assert err == "error: chains need at least two positions, one hash step; got w=1\n"
+
 
 class TestAttackFormats:
     def test_csv_format(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -318,6 +319,26 @@ def test_enumeration_rejects_empty_chain_shapes(n, l, w):
         rom.enumerate_chain_distributions(n, l, w)
 
 
+@pytest.mark.parametrize("n,l", [(2, 1), (1, 3), (4, 2)])
+def test_enumeration_rejects_chains_without_a_hash_step(n, l):
+    # w = 1 chains have no extension input, so there is no oracle to compare
+    with pytest.raises(ValueError, match="chains need at least two positions"):
+        rom.enumerate_chain_distributions(n, l, 1)
+    q = np.full(1 << (n * l), 2.0 ** (-n * l))
+    with pytest.raises(ValueError, match="chains need at least two positions"):
+        rom.tv_and_collision_stats(q, q, n, l, 1)
+
+
+def piecewise_derive_seed(seed, *labels):
+    """derive_seed as first written: one sha256 update per path piece."""
+    h = hashlib.sha256()
+    h.update(str(int(seed)).encode())
+    for label in labels:
+        h.update(b"/")
+        h.update(str(label).encode())
+    return int.from_bytes(h.digest()[:8], "big") >> 1
+
+
 class TestSeedDerivation:
     def test_labels_split_the_stream(self):
         a = rom.derive_seed(7, "x")
@@ -325,6 +346,39 @@ class TestSeedDerivation:
         c = rom.derive_seed(8, "x")
         assert len({a, b, c}) == 3
         assert rom.derive_seed(7, "x") == a
+
+    def test_one_shot_hash_matches_piecewise_updates(self):
+        labels = [(), ("x",), ("classical", 9999), ("drift", 2, 1, 0, 1),
+                  ("dense", 1, 0, (0, 3)), ("img", 255), ("", "a/b")]
+        for seed in (0, 7, -3, 2**62 + 1, np.int64(11)):
+            for path in labels:
+                assert rom.derive_seed(seed, *path) == piecewise_derive_seed(seed, *path)
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+
+class TestDefaultRngs:
+    def test_generators_equal_default_rng(self):
+        draws = np.random.default_rng(2024).integers(0, 2**63, size=10_000, dtype=np.uint64)
+        seeds = EDGE_SEEDS + [int(s) for s in draws]
+        for seed, rng in zip(seeds, rom.default_rngs(seeds), strict=True):
+            ref = np.random.default_rng(seed)
+            assert rng.bit_generator.state == ref.bit_generator.state, seed
+            assert rng.random() == ref.random(), seed
+            assert rng.integers(0, 1 << 20, size=3).tolist() == ref.integers(
+                0, 1 << 20, size=3
+            ).tolist(), seed
+
+    def test_one_seed_and_no_seeds(self):
+        (rng,) = rom.default_rngs([5])
+        assert rng.random(4).tolist() == np.random.default_rng(5).random(4).tolist()
+        assert list(rom.default_rngs([])) == []
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            rom.default_rngs([3, seed])
 
 
 def test_distribution_csv_dump(tmp_path):
