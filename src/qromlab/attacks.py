@@ -262,14 +262,6 @@ def grover_state(n: int, marked, iterations: int) -> np.ndarray:
     return next(itertools.islice(_grover_iterates(n, marked), iterations, None))
 
 
-def _measure(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """One outcome drawn with probabilities ``probs``: the CDF and the single
-    uniform draw of ``rng.choice(len(probs), p=probs)``, without its checks."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
-
-
 def default_grover_iterations(n: int, l: int) -> int:
     # Schedule from the expected multi-target count 2l, not the realized one.
     return int(math.floor(math.pi / 4.0 * math.sqrt(2 ** n / (2.0 * l))))
@@ -298,7 +290,7 @@ def grover_attack(
             by_marked[marked] = probs, float(sum(probs[y] for y in marked))
         probs, p_search = by_marked[marked]
         p_win = float(sum(probs[y] for y, ok in hit_wins.items() if ok))
-        y_star = _measure(probs, rng)
+        y_star = game.sample_index(probs, rng)
 
         def adversary(handles: game.ClassicalHandles):
             if y_star not in hit_wins:

@@ -36,7 +36,7 @@ from .qworlds import (
     build_blinded_sign_unitary,
     build_query_unitary,
     build_qtilde,
-    overlay_table,
+    query_unitary_as_function,
 )
 
 EXACT_OUTCOME_CAP = 2 ** 16  # |message space| * |signature space| enumeration cap
@@ -354,7 +354,7 @@ def acceptance_table(world: ChainWorld) -> np.ndarray:
     at once; the blocks' verdicts AND together by broadcasting.
     """
     n = world.n
-    h = overlay_table(world, world.norm_layout()).reshape(1 << n, -1)
+    h = query_unitary_as_function(world)
     walks = [np.broadcast_to(np.arange(1 << n)[:, None], h.shape)]
     for _ in range(world.w - 1):
         walks.append(np.take_along_axis(h, walks[-1], axis=0))
@@ -412,11 +412,16 @@ def analyze_game(
     return states, t_plain, t_outcomes, accept, summary
 
 
-def _sample_from(weights: np.ndarray, rng: np.random.Generator) -> int:
-    total = weights.sum()
-    if total <= 0:
+def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn with probabilities ``probs``, as numpy's
+    ``rng.choice(len(probs), p=probs)`` draws it (one ``rng.random()``
+    searched in the normalised CDF) but without its checks.  Raises
+    ValueError when ``probs`` has no mass (a zero or NaN total)."""
+    cdf = probs.cumsum()
+    if not cdf[-1] > 0:
         raise ValueError("cannot sample from zero mass")
-    return int(rng.choice(len(weights), p=weights / total))
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def run_quantum_game(
@@ -450,19 +455,19 @@ def run_quantum_game(
     )
     joint_ms = t_plain.sum(axis=2)
     flat = joint_ms.reshape(-1)
-    pick = _sample_from(flat, rng)
+    pick = sample_index(flat / flat.sum(), rng)
     m_star, sigma_star_idx = divmod(pick, joint_ms.shape[1])
     step_probs = [("measure_m", float(joint_ms[m_star].sum() / flat.sum()))]
     step_probs.append(("measure_sigma", float(flat[pick] / max(joint_ms[m_star].sum(), 1e-300))))
     if mode == "modified":
         outcome_w = np.array([t[m_star, sigma_star_idx].sum() for t in t_outcomes])
-        q_outcome = _sample_from(outcome_w, rng) + 1
+        q_outcome = sample_index(outcome_w / outcome_w.sum(), rng) + 1
         transcript.q_outcome = q_outcome
         step_probs.append(("q_outcome", float(outcome_w[q_outcome - 1] / outcome_w.sum())))
         gamma_w = t_outcomes[q_outcome - 1][m_star, sigma_star_idx]
     else:
         gamma_w = t_plain[m_star, sigma_star_idx]
-    g = _sample_from(gamma_w, rng)
+    g = sample_index(gamma_w / gamma_w.sum(), rng)
     win = bool(accept[m_star, sigma_star_idx, g]) and (m_star in world.blinding)
     n, l = world.n, world.l_sem
     transcript.m_star = int(m_star)

@@ -9,9 +9,10 @@ anything the formulas do not claim.
 
 The operator-norm checks (equality/uniform overlap, uniform-register and
 invariant commutators) measure exact norms: the maps split into blocks of one
-Hadamard-frame projector, read from the query unitary's gather index and the
-projectors' frame tables, and :func:`qsim.operator_norm` solves every distinct
-block densely.
+Hadamard-frame projector, read from the query unitary's answer table
+f(x, gamma) and the projectors' frame tables, and :func:`qsim.operator_norm`
+solves every distinct block densely.  No check here compiles the query
+unitary; only an evolved game state (:func:`game.evolve_program`) needs it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .qworlds import (
     FrameDiagonal,
     build_invariant_projector,
     build_q_projectors,
-    build_query_unitary,
+    build_query_unitary,  # noqa: F401  (bench/test_bench.py reads lemmas.build_query_unitary)
     build_qtilde,
     chain_world,
     frame_product_norm,
@@ -189,14 +190,15 @@ def _eps_bound(scheme: str, n: int, w: int) -> float:
 
 
 def _query_commutator_norms(world: ChainWorld, projectors: list[FrameDiagonal]) -> list[float]:
-    """Exact ||[U_h, P]|| for each frame projector P on the norm layout.
+    """Exact ||[U_h, P]|| on the norm layout for each frame projector P on the
+    chain registers.
 
     In the Hadamard frame of y, U_h is block-diagonal over (x, k), block
     D = 1 - 2 1_B with B from :func:`query_phase_splits`, and P acts on every
     block as its frame projector Pi.  So ||[U_h, P]|| is the largest
     ||[D, Pi]|| = 2 ||Pi[A, B]||, A the complement of B.
     """
-    splits = query_phase_splits(build_query_unitary(world, world.norm_layout()))
+    splits = query_phase_splits(query_unitary_as_function(world))
     splits = splits.reshape(-1, splits.shape[-1])
     return [2.0 * qsim.operator_norm(p.table, ~splits, splits).value for p in projectors]
 
@@ -224,7 +226,7 @@ def check_uniform_register_commutator(
         for jp in js:
             t = [0] * chains
             t[c] = jp + 1
-            projectors.append(invariant_projector_from_thresholds(world, [t], world.norm_layout()))
+            projectors.append(invariant_projector_from_thresholds(world, [t]))
     worst = max(_query_commutator_norms(world, projectors))
     bound = _eps_bound(scheme, n, w)
     return [_report("uniform-commutator", scheme, n, l, w, 0, 0, worst, bound, t0)]
@@ -273,7 +275,7 @@ def check_invariant_commutator(
     """Oracle-query unitary vs the signed-at-most-one-unblinded-message projector."""
     t0 = time.perf_counter()
     world, thresholds = _delta_world(scheme, n, l, w, seed)
-    p = invariant_projector_from_thresholds(world, thresholds, world.norm_layout())
+    p = invariant_projector_from_thresholds(world, thresholds)
     (norm,) = _query_commutator_norms(world, [p])
     bound = delta_lamport(n, l) if scheme == "lamport" else delta_winternitz(n, l, w)
     note = "everything blinded: projector is zero" if p.is_zero else f"support={p.term_count}"
@@ -415,8 +417,10 @@ def check_oracle_reprogramming_consistency(
     """The query unitary on basis chain states reproduces the classical
     reprogrammed oracle exactly, for every chain assignment and input.
 
-    The quantum side is f[x, gamma], read from the compiled unitary's gather
-    index once; the classical side is the reprogrammed oracle of each chain
+    The quantum side is the answer table f[x, gamma] that the query unitary
+    is compiled from (:func:`query_unitary_as_function`); that the compiled
+    gather index XORs exactly f into ``y`` is pinned by a structural test,
+    not here.  The classical side is the reprogrammed oracle of each chain
     assignment, queried input by input."""
     t0 = time.perf_counter()
     world_seed = rom.derive_seed(seed, "iw-world")

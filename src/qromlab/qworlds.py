@@ -32,11 +32,13 @@ built:
 
 * The query and blinded-sign unitaries are XOR involutions on basis states,
   so each is one int64 gather index applied as ``v[perm]``
-  (:class:`Permutation`).  The query unitary's index is read once as the
-  function f(x, gamma) it XORs into ``y``: the oracle-consistency check
-  compares f with the classical reprogrammed oracle
-  (:func:`query_unitary_as_function`), and the exact commutator norms read
-  its phase in the Hadamard frame of ``y`` (:func:`query_phase_splits`).
+  (:class:`Permutation`).  The query unitary XORs the answer table
+  f(x, gamma) of :func:`overlay_table` into ``y``, and only an evolved state
+  needs its index.  Everything else reads f itself
+  (:func:`query_unitary_as_function`): the oracle-consistency check compares
+  it with the classical reprogrammed oracle, the acceptance table walks the
+  chains through it, and the exact commutator norms read its phase in the
+  Hadamard frame of ``y`` (:func:`query_phase_splits`).
 * Every projector is a product of uniform projectors and their complements on
   chain registers.  The uniform projector is H|0><0|H, so in the Hadamard
   frame of the chain registers each projector is a diagonal 0/1 (or
@@ -311,7 +313,6 @@ class Permutation(LinearMap):
         perm = np.arange(layout.dim, dtype=np.int64).reshape(layout.dims)
         perm ^= delta
         perm = perm.reshape(-1)
-        self.layout = layout
         self.perm = perm
         super().__init__(layout.dim, lambda v: v[perm], label=label, self_adjoint=True)
 
@@ -338,41 +339,24 @@ def build_query_unitary(world: ChainWorld, layout: RegisterLayout | None = None)
     return Permutation(layout, overlay_table(world, layout) << layout.shift("y"), "U_h")
 
 
-def _query_function(u_h: Permutation) -> np.ndarray:
-    """f[x, gamma]: the value the query unitary XORs into ``y``, read from its
-    gather index.  gamma indexes the registers after ``x`` and ``y`` in layout
-    order.  Raises ValueError when the index flips a bit outside ``y`` or
-    depends on ``y``: U_h is then not |x, y, gamma> -> |x, y ^ f, gamma>."""
-    layout = u_h.layout
-    if layout.names[:2] != ("x", "y"):
-        raise ValueError(f"query function needs a layout that starts with x, y; got {layout!r}")
-    shift, width = layout.shift("y"), layout.width("y")
-    delta = (u_h.perm ^ layout.arange()).reshape(1 << layout.width("x"), 1 << width, -1)
-    if np.any(delta & ~(((1 << width) - 1) << shift)):
-        raise ValueError(f"{u_h.label} flips bits outside y")
-    f = delta[:, 0] >> shift
-    if np.any(delta >> shift != f[:, None]):
-        raise ValueError(f"{u_h.label} depends on y")
-    return f
+def query_unitary_as_function(world: ChainWorld) -> np.ndarray:
+    """f[x, gamma]: the answer the query unitary XORs into ``y`` for input x
+    under every chain assignment gamma (chain registers in layout order, the
+    first one most significant), as the :func:`overlay_table` that
+    :func:`build_query_unitary` compiles."""
+    return overlay_table(world, world.norm_layout()).reshape(1 << world.n, -1)
 
 
-def query_phase_splits(u_h: Permutation) -> np.ndarray:
-    """The query unitary in the Hadamard frame of ``y``:
-    B[x, k, gamma] = [k . f(x, gamma) is odd], f from :func:`_query_function`.
+def query_phase_splits(f: np.ndarray) -> np.ndarray:
+    """The query unitary in the Hadamard frame of ``y``, from its answer
+    table f[x, gamma] (:func:`query_unitary_as_function`):
+    B[x, k, gamma] = [k . f(x, gamma) is odd].
 
-    In the frame of ``y`` (index k) U_h is the diagonal phase
+    In the frame of ``y`` (index k, as wide as x) U_h is the diagonal phase
     (-1)^{k . f(x, gamma)}: one +-1 diagonal 1 - 2 B[x, k] over gamma per
     block (x, k).
     """
-    f = _query_function(u_h)
-    return qsim.parity(np.arange(1 << u_h.layout.width("y"))[:, None] & f[:, None, :])
-
-
-def query_unitary_as_function(world: ChainWorld) -> np.ndarray:
-    """f[x, gamma]: the query unitary's answer to input x under every chain
-    assignment gamma (chain registers in layout order, the first one most
-    significant), read from one compiled :func:`build_query_unitary`."""
-    return _query_function(build_query_unitary(world, world.norm_layout()))
+    return qsim.parity(np.arange(len(f))[:, None] & f[:, None, :])
 
 
 def build_blinded_sign_unitary(

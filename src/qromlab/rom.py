@@ -270,8 +270,6 @@ class WorldsReport:
     q_collision: float
     tv_bound: float
     collision_bound: float
-    tv_ok: bool
-    collision_ok: bool
     conditional_equal: bool
 
 
@@ -310,8 +308,6 @@ def tv_and_collision_stats(p: np.ndarray, q: np.ndarray, n: int, l: int, w: int)
         q_collision=q_coll,
         tv_bound=bound,
         collision_bound=coll_bound,
-        tv_ok=tv <= bound + 1e-12,
-        collision_ok=max(p_coll, q_coll) <= coll_bound + 1e-12,
         conditional_equal=conditional_equal,
     )
 

@@ -333,7 +333,8 @@ def sample_run(states: game.EvolvedStates, world: ChainWorld, mode: str, rng):
         projectors = build_q_projectors(world, m_star, layout)
         branches = [q.apply(sv.amplitudes) for q in projectors]
         weights = [q.weight * float(np.real(np.vdot(b, b))) for q, b in zip(projectors, branches)]
-        k = game._sample_from(np.array(weights), rng)
+        weights = np.array(weights)
+        k = game.sample_index(weights / weights.sum(), rng)
         q_outcome = k + 1
         sv = StateVector(layout, branches[k] / np.linalg.norm(branches[k]))
     assignment = {}

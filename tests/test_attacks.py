@@ -397,8 +397,8 @@ def test_attack_report_bytes_are_pinned(argv, capsys):
 
 
 def test_measurement_draws_what_choice_draws():
-    # the Grover measurement is rng.choice(len(p), p=p) without its checks:
-    # same outcome, same single uniform draw consumed
+    # the one sampler, which Grover measures with, is rng.choice(len(p), p=p)
+    # without its checks: same outcome, same single uniform draw consumed
     gen = np.random.default_rng(99)
     cases = [attacks.grover_state(4, (3, 9), 2) ** 2, np.eye(1, 8, 5)[0]]
     for k in range(400):
@@ -410,8 +410,15 @@ def test_measurement_draws_what_choice_draws():
         p = p / p.sum()
         seed = int(gen.integers(0, 2**63))
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert attacks._measure(p, rng) == ref.choice(len(p), p=p), k
+        assert game.sample_index(p, rng) == ref.choice(len(p), p=p), k
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_sampler_rejects_zero_mass():
+    rng = np.random.default_rng(0)
+    for probs in (np.zeros(3), np.full(2, np.nan)):
+        with pytest.raises(ValueError, match="zero mass"):
+            game.sample_index(probs, rng)
 
 
 def test_batched_worlds_equal_worlds_from_default_rng():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference
-from qromlab import lemmas, qsim, rom
+from qromlab import game, lemmas, qsim, qworlds, rom
 from qromlab.qsim import RegisterLayout
 from qromlab.qworlds import (
     BlindingSet,
@@ -111,6 +111,27 @@ class TestCommutatorChecks:
         # block count with no message encoding still exercises the projector
         (rep,) = lemmas.check_invariant_commutator("winternitz", 1, 1, 3, seed=4)
         assert rep.passed
+
+    def test_norm_and_consistency_rows_compile_no_query_unitary(self, monkeypatch):
+        # they read the answer table f[x, gamma]; only an evolved game state
+        # needs the compiled gather index
+        calls = []
+        original = qworlds.build_query_unitary
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (qworlds, lemmas, game):
+            monkeypatch.setattr(module, "build_query_unitary", counting)
+        for scheme, w in (("lamport", 2), ("winternitz", 3)):
+            lemmas.check_uniform_register_commutator(scheme, 2, 1, w, seed=6)
+            lemmas.check_invariant_commutator(scheme, 2, 2, w, seed=6)
+            lemmas.check_oracle_reprogramming_consistency(scheme, 2, 1, w, seed=6)
+        assert calls == []
+        world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {0}), seed=6)
+        game.evolve_program(game.random_program(world, 1, 0, seed=6), world)
+        assert len(calls) == 1
 
 
 # Dense-SVD references of the four norm rows at seed 6 whose norm layout has
