@@ -309,14 +309,28 @@ class EvolvedStates:
 def evolve_program(program: AdversaryProgram, world: ChainWorld) -> EvolvedStates:
     """Run all unitary steps; keep the final state and the state just before
     the signing query (no step writes into its input, so neither is copied).
-    The layout carries x and y exactly when the program makes hash queries."""
+    The layout carries x and y exactly when the program makes hash queries.
+
+    The run starts as a product: until the first query, signing query or
+    unitary on a chain register, the chains are still the untouched uniform
+    factor, so the unitaries run on the registers before them alone, one
+    chain column of dimension dim/G (:meth:`ChainWorld.initial_head`).  That
+    column is repeated over the chain index only at that step, or at the end
+    of a program that never reaches one; the column carries the chain
+    amplitude, so every amplitude gets the bits the full-state run gives it.
+    """
     needs_xy = any(isinstance(s, HashQuery) for s in program.steps)
     layout = world.game_layout(include_xy=needs_xy)
-    state = world.initial_state(layout)
+    head, state = world.initial_head(layout)
     u_h = build_query_unitary(world, layout) if needs_xy else None
     bsign = build_blinded_sign_unitary(world, layout)
     pre_sign = None
     for step in program.steps:
+        if state.size < layout.dim:  # still the one chain column
+            if isinstance(step, ApplyUnitary) and set(step.registers) <= set(head.names):
+                state = qsim.embed(step.matrix, step.registers, head).apply(state)
+                continue
+            state = np.repeat(state, layout.dim // head.dim)
         if isinstance(step, ApplyUnitary):
             state = qsim.embed(step.matrix, step.registers, layout).apply(state)
         elif isinstance(step, HashQuery):
@@ -326,6 +340,8 @@ def evolve_program(program: AdversaryProgram, world: ChainWorld) -> EvolvedState
             state = bsign.apply(state)
         else:
             raise TypeError(f"unknown step {step!r}")
+    if state.size < layout.dim:
+        state = np.repeat(state, layout.dim // head.dim)
     return EvolvedStates(layout=layout, final=state, pre_sign=pre_sign)
 
 

@@ -7,14 +7,17 @@ Conventions:
   basis state is addressed as ``value_0 << shift_0 | value_1 << shift_1 | ...``
   with shifts decreasing in listing order.  This fixes bit-exact fixtures.
 * Operators are :class:`LinearMap` objects built from apply / adjoint-apply
-  closures.  Dense matrices are only formed for small local gates that get
-  embedded into a layout; operators on the full space are never materialized.
+  closures.  Dense matrices are only formed for small local gates: a
+  program's unitaries, lifted onto a layout by :func:`embed`, and the
+  Hadamard-frame factors, which :mod:`qromlab.qworlds` applies itself as
+  real gemms.  Operators on the full space are never materialized.
 * Operator norms are exact: :func:`operator_norm` takes a map that is
   block-diagonal, each block a submatrix of one projector diagonal in the
   Hadamard frame, and solves every distinct block densely.
 * States are plain complex128 vectors of length ``2**total``; a game starts
-  from every chain register uniform and every other register |0>
-  (:meth:`qromlab.qworlds.ChainWorld.initial_state`).  Outcomes are read as
+  from every chain register uniform and every other register |0>, evolved
+  as one chain column until its first query
+  (:meth:`qromlab.qworlds.ChainWorld.initial_head`).  Outcomes are read as
   exact probability tensors by the game, never sampled here.
 * The three random-vector probes (:func:`probe_max_ratio`,
   :func:`unitarity_defect`, :func:`projector_defect`) decide nothing in a
@@ -159,12 +162,16 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def uniform_projector_apply(amps: Vector, layout: RegisterLayout, regs: Sequence[str]) -> Vector:
-    """Apply the uniform-superposition projector on each register in ``regs``."""
+    """Apply the uniform-superposition projector on each register in ``regs``.
+
+    Each register's mean is taken on the array the previous means left, so
+    only the first one reads the whole state; the result is broadcast back
+    to the layout once, at the end.
+    """
     out = amps.reshape(layout.dims)
     for name in regs:
-        k = layout.axis(name)
-        out = np.broadcast_to(out.mean(axis=k, keepdims=True), out.shape)
-    return np.ascontiguousarray(out).reshape(-1)
+        out = out.mean(axis=layout.axis(name), keepdims=True)
+    return np.ascontiguousarray(np.broadcast_to(out, layout.dims)).reshape(-1)
 
 
 def uniform_projector_map(layout: RegisterLayout, regs: Sequence[str]) -> LinearMap:
@@ -183,16 +190,18 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -
     ``op`` is a dense matrix on the tensor product of the target registers,
     taken in the order given by ``targets``.
 
-    When the targets are adjacent and in layout order (every Hadamard-frame
-    block is: the chain registers trail the layout), the state is read as
+    It serves the program gates of the game; the Hadamard frame of the chain
+    registers does not go through it (:func:`qromlab.qworlds._hadamard_frame`).
+
+    When the targets are adjacent and in layout order, the state is read as
     ``(pre, d, post)`` with d the targets' dimension and changed by one gemm
     without a transpose or copy: ``v @ M^T`` on ``(pre, d)`` when nothing
     follows the targets, ``M @ v`` on ``(d, post)`` when nothing precedes
     them, a batched matmul otherwise.  Other targets go through
     ``np.moveaxis`` and a contiguous copy each way.  For a real-valued ``op``
-    (the frame changes) both paths give the same bits; for a complex one
-    OpenBLAS may pick another kernel when a gemm side is 2 wide, and the
-    results then agree to rounding.
+    both paths give the same bits; for a complex one OpenBLAS may pick
+    another kernel when a gemm side is 2 wide, and the results then agree to
+    rounding.
     """
     matrix = np.asarray(op, dtype=np.complex128)
     axes = [layout.axis(t) for t in targets]
@@ -273,6 +282,15 @@ def _signs(rows: np.ndarray, support: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * parity(np.flatnonzero(rows)[:, None] & support[None, :])
 
 
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D bool array in ``np.unique(a, axis=0)``
+    order.  Each row is packed to bytes and compared as one void key, which
+    sorts several times faster than ``np.unique`` on the bool columns."""
+    packed = np.packbits(a, axis=1)
+    _, first = np.unique(packed.view(f"V{packed.shape[1]}").reshape(-1), return_index=True)
+    return a[first]
+
+
 def operator_norm(table, rows, cols) -> NormEstimate:
     """Exact norm of the block-diagonal map whose block k is Pi[R_k, C_k].
 
@@ -314,7 +332,7 @@ def operator_norm(table, rows, cols) -> NormEstimate:
         m.reshape(-1, *qubits).transpose(0, *(q + 1 for q in order)).reshape(-1, g)
         for m in (rows, cols)
     )
-    pairs = np.unique(np.concatenate([rows, cols], axis=1)[rows.any(1) & cols.any(1)], axis=0)
+    pairs = _distinct_rows(np.concatenate([rows, cols], axis=1)[rows.any(1) & cols.any(1)])
     blocks = {}
     for r, c in zip(pairs[:, :g], pairs[:, g:]):
         blocks.setdefault(tuple(sorted((r.tobytes(), c.tobytes()))), (r, c))

@@ -43,11 +43,12 @@ built:
   chain registers.  The uniform projector is H|0><0|H, so in the Hadamard
   frame of the chain registers each projector is a diagonal 0/1 (or
   sqrt-weight) table.  :class:`FrameDiagonal` splits its apply in two: the
-  frame change ``to_frame`` (Sylvester factors over blocks of whole chain
-  registers of at most 4 qubits, built on first use once per world and
-  layout and shared by every map there; its own inverse) and the table
-  multiply ``in_frame``.  The game changes its final state into the frame
-  once and reads every outcome map from there.
+  frame change ``to_frame`` (real Sylvester factors over blocks of whole
+  chain registers of at most 4 qubits, applied as dgemms to the state's
+  float64 view; built on first use once per world and layout and shared by
+  every map there; its own inverse) and the table multiply ``in_frame``.
+  The game changes its final state into the frame once and reads every
+  outcome map from there.
 """
 
 from __future__ import annotations
@@ -198,22 +199,34 @@ class ChainWorld:
         """Chain registers only; enough for projector algebra."""
         return self._layout("chains")
 
-    def initial_state(self, layout: RegisterLayout) -> np.ndarray:
-        """Every chain register uniform, every other register |0>.
-
-        The chain registers trail every layout, so the state is the first G
-        amplitudes, G the chain registers' dimension, each the product of
-        their 1/sqrt(d) factors taken left to right.
-        """
+    def chain_dim(self, layout: RegisterLayout) -> int:
+        """G, the dimension of the chain registers, which trail every layout
+        a state lives on (ValueError if they do not trail ``layout``)."""
         chains = self.chain_registers()
         if layout.names[len(layout.names) - len(chains):] != chains:
             raise ValueError(f"chain registers {chains} do not trail {layout!r}")
+        return 1 << sum(layout.width(name) for name in chains)
+
+    def initial_head(self, layout: RegisterLayout) -> tuple[RegisterLayout, np.ndarray]:
+        """The game's initial state, every chain register uniform and every
+        other register |0>, as the registers before the chains and the
+        state's one chain column over them.
+
+        The chain registers trail every layout and start uniform, so every
+        column of the initial state over the chain index is the same vector:
+        |0> times amp, the product of the chain registers' 1/sqrt(d) factors
+        taken left to right.  The state is that column repeated G times, G
+        the chain registers' dimension.  Unitaries off the chains keep the
+        columns equal, so a game evolves the one column until it touches the
+        chains (:func:`qromlab.game.evolve_program`).
+        """
+        column = np.zeros(layout.dim // self.chain_dim(layout), dtype=np.complex128)
+        chains = self.chain_registers()
         amp = 1.0
         for name in chains:
             amp *= 1.0 / np.sqrt(1 << layout.width(name))
-        state = np.zeros(layout.dim, dtype=np.complex128)
-        state[: 1 << sum(layout.width(name) for name in chains)] = amp
-        return state
+        column[0] = amp
+        return RegisterLayout(layout.registers[: len(layout.registers) - len(chains)]), column
 
     # -- scheme structure ---------------------------------------------------
 
@@ -405,10 +418,22 @@ def _table_shape(world: ChainWorld, layout: RegisterLayout, extra: tuple[str, ..
     return tuple(d if name in read else 1 for name, d in zip(layout.names, layout.dims))
 
 
-def _hadamard_frame(world: ChainWorld, layout: RegisterLayout) -> list[LinearMap]:
+def _hadamard_frame(
+    world: ChainWorld, layout: RegisterLayout
+) -> list[tuple[int, int, np.ndarray]]:
     """H on every chain qubit, as Sylvester factors over blocks of whole chain
     registers of at most FRAME_BLOCK_QUBITS qubits (a wider register is a
     block of its own).  The frame change is its own inverse.
+
+    Each factor is ``(d, post, matrix)``: the block's dimension d, the
+    dimension ``post`` of the chain registers after it, and the real matrix
+    that :class:`FrameDiagonal` applies to the state's float64 view, where
+    every complex amplitude is two adjacent floats.  The chain registers
+    trail every layout, so that view reads as ``(pre, d, 2 post)`` and a
+    factor with registers after it is the batched ``M @ v``; the trailing
+    factor (post = 1) is ``v @ kron(M, 1_2)`` on ``(pre, 2 d)``, M being
+    symmetric.  Real dgemms do half the flops of complex ones on a matrix
+    with no imaginary part.
 
     The factors are built on first use and kept in the world's layout cache,
     so every map on one layout shares them.  Factors of at most 16 x 16 make
@@ -430,10 +455,13 @@ def _hadamard_frame(world: ChainWorld, layout: RegisterLayout) -> list[LinearMap
             width = 0
         blocks[-1].append(name)
         width += layout.width(name)
-    frame = [
-        qsim.embed(_sylvester(sum(layout.width(r) for r in block)), block, layout, label="H")
-        for block in blocks
-    ]
+    frame = []
+    post = world.chain_dim(layout)
+    for block in blocks:
+        qubits = sum(layout.width(name) for name in block)
+        post >>= qubits
+        h = _sylvester(qubits)
+        frame.append((1 << qubits, post, h if post > 1 else np.kron(h, np.eye(2))))
     world._layout_cache[key] = frame
     return frame
 
@@ -460,9 +488,17 @@ class FrameDiagonal(LinearMap):
         # by reference count rather than only by the cycle collector.
         def to_frame(v: np.ndarray) -> np.ndarray:
             """H on every chain qubit: into the frame, and back out of it."""
-            for h in _hadamard_frame(world, layout):
-                v = h.apply(v)
-            return v
+            # Rebinding v (not a new local) lets each pass free the array the
+            # previous one made, and from CPython 3.11, which hands a call's
+            # arguments to the callee, the argument too when the caller keeps
+            # no other reference (the table product in ``apply``).
+            v = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
+            for d, post, h in _hadamard_frame(world, layout):
+                if post > 1:
+                    v = np.matmul(h, v.reshape(-1, d, 2 * post))
+                else:
+                    v = v.reshape(-1, 2 * d) @ h
+            return v.reshape(-1).view(np.complex128)
 
         def in_frame(hv: np.ndarray) -> np.ndarray:
             """The table times a vector given in the frame."""

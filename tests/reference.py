@@ -6,11 +6,16 @@ cross-check the fast paths of the package.
   They work on ``qsim.LinearMap`` objects through their apply contract only,
   independent of the compiled gather indices and frame tables.
 * The Hadamard frame of the chain registers as one dense Sylvester matrix,
-  against the factored frame change of ``qworlds.FrameDiagonal``.
+  and as complex Sylvester gates lifted by ``qsim.embed``, against the real
+  factored frame change of ``qworlds.FrameDiagonal``.
+* The uniform projector as successive broadcast means, against the reduced
+  means of ``qsim.uniform_projector_apply``.
 * Register fields, basis indices, the normalized-state wrapper and the
-  register-by-register (kron) product state, against the one-slice
-  ``ChainWorld.initial_state``; a structured XOR map and register
+  register-by-register (kron) product state, against the repeated chain
+  column of ``ChainWorld.initial_head``; a structured XOR map and register
   measurement.
+* The full-state program loop, against the product start of
+  ``game.evolve_program``.
 * The sampling game engine: measure the evolved state register by register
   and run the scheme verifier against the reprogrammed oracle, against the
   exact outcome tensors and acceptance table of ``game.analyze_game``.
@@ -137,6 +142,60 @@ def chain_frame(world: ChainWorld, layout: RegisterLayout, v: np.ndarray) -> np.
     for _ in range(sum(layout.width(name) for name in chains)):
         sylvester = np.kron(sylvester, h)
     return (v.reshape(-1, sylvester.shape[0]) @ sylvester.T).reshape(-1)
+
+
+def embed_frame(world: ChainWorld, layout: RegisterLayout, v: np.ndarray) -> np.ndarray:
+    """H on every chain qubit as complex Sylvester gates over blocks of whole
+    chain registers of at most ``qworlds.FRAME_BLOCK_QUBITS`` qubits, each
+    lifted onto ``layout`` by ``qsim.embed``."""
+    blocks: list[list[str]] = [[]]
+    width = 0
+    for name in world.chain_registers():
+        if blocks[-1] and width + layout.width(name) > qworlds.FRAME_BLOCK_QUBITS:
+            blocks.append([])
+            width = 0
+        blocks[-1].append(name)
+        width += layout.width(name)
+    for block in blocks:
+        h = qworlds._sylvester(sum(layout.width(name) for name in block))
+        v = qsim.embed(h, block, layout).apply(v)
+    return v
+
+
+def uniform_projector_broadcast(amps: np.ndarray, layout: RegisterLayout, regs) -> np.ndarray:
+    """The uniform projector on each register of ``regs``, every mean taken
+    over the full broadcast output of the previous one."""
+    out = amps.reshape(layout.dims)
+    for name in regs:
+        k = layout.axis(name)
+        out = np.broadcast_to(out.mean(axis=k, keepdims=True), out.shape)
+    return np.ascontiguousarray(out).reshape(-1)
+
+
+def initial_state(world: ChainWorld, layout: RegisterLayout) -> np.ndarray:
+    """The game's full initial state: the ``ChainWorld.initial_head`` column
+    repeated over the chain index."""
+    _, column = world.initial_head(layout)
+    return np.repeat(column, layout.dim // column.size)
+
+
+def evolve_program_full(program: game.AdversaryProgram, world: ChainWorld) -> game.EvolvedStates:
+    """Every step of ``program`` on the full state, from :func:`initial_state`."""
+    needs_xy = any(isinstance(s, game.HashQuery) for s in program.steps)
+    layout = world.game_layout(include_xy=needs_xy)
+    state = initial_state(world, layout)
+    u_h = qworlds.build_query_unitary(world, layout) if needs_xy else None
+    bsign = qworlds.build_blinded_sign_unitary(world, layout)
+    pre_sign = None
+    for step in program.steps:
+        if isinstance(step, game.ApplyUnitary):
+            state = qsim.embed(step.matrix, step.registers, layout).apply(state)
+        elif isinstance(step, game.HashQuery):
+            state = u_h.apply(state)
+        else:
+            pre_sign = state
+            state = bsign.apply(state)
+    return game.EvolvedStates(layout=layout, final=state, pre_sign=pre_sign)
 
 
 def dense(a: LinearMap) -> np.ndarray:

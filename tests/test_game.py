@@ -1,4 +1,6 @@
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +315,100 @@ class TestAcceptanceTable:
                 for g, values in enumerate(itertools.product(range(1 << n), repeat=len(regs))):
                     assignment = dict(zip(regs, values))
                     assert table[m, s, g] == reference.verify(world, m, sigma, assignment)
+
+
+QGAME_WORLDS = pytest.mark.parametrize(
+    "world",
+    [
+        lamport_world(2, 2, blinding=BlindingSet.explicit(2, {0, 3}), seed=7),
+        lamport_world(1, 4, blinding=BlindingSet.explicit(4, {1, 6, 12}), seed=7),
+        winternitz_world(2, 1, 3, blinding=BlindingSet.explicit(1, {0}), seed=7),
+        winternitz_world(1, 2, 3, blinding=BlindingSet.explicit(2, {1, 2}), seed=7),
+    ],
+    ids=["lamport-2-2", "lamport-1-4", "winternitz-2-1-3", "winternitz-1-2-3"],
+)
+
+
+def assert_same_states(got, want):
+    assert got.layout == want.layout
+    assert got.final.dtype == want.final.dtype and got.final.tobytes() == want.final.tobytes()
+    if want.pre_sign is None:
+        assert got.pre_sign is None
+    else:
+        assert got.pre_sign.tobytes() == want.pre_sign.tobytes()
+
+
+def off_chain_unitary(world, layout, rng):
+    chains = set(world.chain_registers())
+    return game.random_local_unitary(layout, [r for r in layout.names if r not in chains], rng)
+
+
+class TestProductStart:
+    @QGAME_WORLDS
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_random_programs_bit_identical_to_the_full_state_loop(self, world, q):
+        prog = game.random_program(world, q, q, seed=50 + q)
+        assert_same_states(game.evolve_program(prog, world), reference.evolve_program_full(prog, world))
+
+    def test_programs_of_every_start(self):
+        world = lamport_world(1, 4, blinding=BlindingSet.explicit(4, {1, 6, 12}), seed=7)
+        rng = np.random.default_rng(51)
+        xy, noxy = world.game_layout(), world.game_layout(include_xy=False)
+        on_chain = game.ApplyUnitary(("m", "g0_0"), qsim.haar_unitary(1 << 5, rng))
+        programs = {
+            "no signing query": [off_chain_unitary(world, xy, rng), HashQuery(),
+                                 off_chain_unitary(world, xy, rng)],
+            "hash query first": [HashQuery(), off_chain_unitary(world, xy, rng), SignQuery(),
+                                 off_chain_unitary(world, xy, rng)],
+            "no query": [off_chain_unitary(world, noxy, rng), off_chain_unitary(world, noxy, rng)],
+            "chain unitary first": [off_chain_unitary(world, noxy, rng), on_chain, SignQuery()],
+        }
+        for name, steps in programs.items():
+            prog = AdversaryProgram(tuple(steps))
+            assert_same_states(
+                game.evolve_program(prog, world), reference.evolve_program_full(prog, world)
+            )
+
+
+# Room for allocations that do not grow with the state: numpy's ufunc buffer
+# of 8192 complex elements (128 KiB), which the frame table's broadcast
+# multiply allocates, and small Python objects.  A quarter of a 16-qubit state.
+SLACK = 1 << 18
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated at the peak of ``fn()`` beyond what was live before."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    WORLD = lamport_world(1, 3, blinding=BlindingSet.explicit(3, {1, 4}), seed=3, workspace_qubits=1)
+
+    def test_frame_apply_allocates_at_most_two_states(self):
+        world = self.WORLD
+        layout = world.game_layout()
+        assert layout.total == 16 and len(qworlds._hadamard_frame(world, layout)) == 2
+        p = build_invariant_projector(world, layout)
+        v = qsim.random_state_vector(layout.dim, np.random.default_rng(52))
+        # The frame changes and the table multiply each free the array the
+        # step before made once they rebind their parameter.  From CPython
+        # 3.11 a call's arguments belong to the callee's frame; on 3.10 the
+        # caller holds the outer frame change's argument until it returns.
+        states = 2 if sys.version_info >= (3, 11) else 3
+        assert traced_peak(lambda: p.apply(v)) <= states * v.nbytes + SLACK
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_evolve_program_allocates_no_more_than_the_full_state_loop(self, q):
+        world = self.WORLD
+        prog = game.random_program(world, q, q, seed=53)
+        size = world.game_layout(include_xy=q > 0).dim * 16
+        want = traced_peak(lambda: reference.evolve_program_full(prog, world))
+        assert traced_peak(lambda: game.evolve_program(prog, world)) <= want + size // 16
 
 
 class TestWilson:

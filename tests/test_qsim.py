@@ -423,6 +423,49 @@ class TestExactNorm:
         assert qsim.operator_norm(np.ones(g), rows[:-1], rows[:-1]).value == 0.0
 
 
+class TestDistinctRows:
+    def test_matches_unique_rows_in_order(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            rows, width = int(rng.integers(0, 40)), int(rng.integers(1, 30))
+            a = rng.random((rows, width)) < rng.random()
+            a = np.concatenate([a, a[rng.permutation(rows)[: rows // 2]]])
+            assert np.array_equal(qsim._distinct_rows(a), np.unique(a, axis=0))
+
+    @pytest.mark.parametrize("qubits", [2, 4, 6])
+    def test_norm_value_and_block_count_match_unique_rows(self, qubits, monkeypatch):
+        g = 1 << qubits
+        rng = np.random.default_rng(qubits + 20)
+        cases = []
+        for density in (0.1, 0.5, 0.9):
+            table = rng.random(g) < density
+            b = rng.random((48, g)) < density
+            b = np.concatenate([b, b[:16], ~b[16:24]])
+            cases += [(table, ~b, b), (table, b, rng.random(b.shape) < 0.5)]
+        got = [qsim.operator_norm(*case) for case in cases]
+        monkeypatch.setattr(qsim, "_distinct_rows", lambda a: np.unique(a, axis=0))
+        want = [qsim.operator_norm(*case) for case in cases]
+        assert [(e.value, e.iterations) for e in got] == [(e.value, e.iterations) for e in want]
+
+
+class TestUniformProjector:
+    def test_reduced_means_match_broadcast_means(self):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            count = int(rng.integers(1, 6))
+            widths = rng.integers(1, 4, size=count)
+            while widths.sum() > 12:
+                widths[rng.integers(count)] = 1
+            layout = RegisterLayout([(f"r{k}", int(w)) for k, w in enumerate(widths)])
+            names = list(layout.names)
+            regs = [names[k] for k in rng.permutation(count)[: rng.integers(1, count + 1)]]
+            v = qsim.random_state_vector(layout.dim, rng)
+            got = qsim.uniform_projector_apply(v, layout, regs)
+            want = reference.uniform_projector_broadcast(v, layout, regs)
+            assert got.shape == v.shape and got.flags.c_contiguous
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
 class TestClosedFormCommutator:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equality_uniform_commutator_exact_value(self, n):

@@ -240,7 +240,7 @@ class TestInitialState:
         for layout in every_layout(world):
             basis = {name: 0 for name in layout.names if name not in chains}
             want = reference.uniform_state(layout, chains, basis).amplitudes
-            got = world.initial_state(layout)
+            got = reference.initial_state(world, layout)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_chain_registers_must_trail_the_layout(self):
@@ -248,7 +248,7 @@ class TestInitialState:
         g0, g1 = ((name, 1) for name in world.chain_registers())
         for regs in ([g0, ("m", 1), g1], [("x", 1), g1, g0], [("x", 1), g0]):
             with pytest.raises(ValueError, match="do not trail"):
-                world.initial_state(qsim.RegisterLayout(regs))
+                world.initial_head(qsim.RegisterLayout(regs))
 
 
 class TestQueryUnitary:
@@ -509,7 +509,7 @@ class TestQProjectors:
         world = lamport_world(1, 2, seed=16)
         layout = world.chain_layout()
         qs = build_q_projectors(world, 0b00, layout)
-        fresh = world.initial_state(layout)
+        fresh = reference.initial_state(world, layout)
         assert np.linalg.norm(qs[0].apply(fresh) - fresh) < 1e-12
         for q in qs[1:]:
             assert np.linalg.norm(q.apply(fresh)) < 1e-12
@@ -526,7 +526,7 @@ class TestInvariantProjector:
         world = lamport_world(1, 1, blinding=BlindingSet.none(1), seed=18)
         layout = world.chain_layout()
         p = build_invariant_projector(world, layout)
-        fresh = world.initial_state(layout)
+        fresh = reference.initial_state(world, layout)
         assert np.linalg.norm(p.apply(fresh) - fresh) < 1e-12
 
     def test_all_blinded_gives_zero_map(self):
@@ -648,17 +648,16 @@ class TestFrameSplit:
             gc.enable()
 
 
-def counting_embed(monkeypatch):
-    """Record (local operator shape, gate) for every ``qsim.embed`` call."""
+def counting_sylvester(monkeypatch):
+    """Record the qubit count of every Sylvester factor a frame build makes."""
     built = []
-    embed = qsim.embed
+    sylvester = qworlds._sylvester
 
-    def counting(op, targets, layout, label=""):
-        gate = embed(op, targets, layout, label)
-        built.append((np.shape(op), gate))
-        return gate
+    def counting(qubits):
+        built.append(qubits)
+        return sylvester(qubits)
 
-    monkeypatch.setattr(qsim, "embed", counting)
+    monkeypatch.setattr(qworlds, "_sylvester", counting)
     return built
 
 
@@ -672,8 +671,26 @@ class TestHadamardFrame:
             )
             v = random_probe(layout, 31)
             hv = fd.to_frame(v)
+            assert hv.dtype == np.complex128 and hv.shape == v.shape
             assert np.max(np.abs(hv - reference.chain_frame(world, layout, v))) <= 1e-14
+            # the float64 view's dgemms against complex Sylvester gates
+            # lifted by qsim.embed: the same sums, rounded alike or nearly
+            assert np.max(np.abs(hv - reference.embed_frame(world, layout, v))) <= 1e-15
             assert np.max(np.abs(fd.to_frame(hv) - v)) <= 1e-14
+
+    def test_wide_registers_match_the_embedded_complex_frame(self):
+        world = chain_world(5, 2, 2, seed=7)  # two 32-wide factors
+        for layout in every_layout(world):
+            fd = qworlds.invariant_projector_from_thresholds(world, [(0, 0)], layout)
+            v = random_probe(layout, 41)
+            assert np.max(np.abs(fd.to_frame(v) - reference.embed_frame(world, layout, v))) <= 1e-15
+
+    def test_chain_registers_must_trail_the_layout(self):
+        world = lamport_world(1, 1, seed=0)
+        g0, g1 = ((name, 1) for name in world.chain_registers())
+        layout = qsim.RegisterLayout([g0, ("m", 1), g1])
+        with pytest.raises(ValueError, match="do not trail"):
+            qworlds._hadamard_frame(world, layout)
 
     @pytest.mark.parametrize(
         "world,shapes",
@@ -685,14 +702,21 @@ class TestHadamardFrame:
         ],
         ids=["six-1-qubit", "three-2-qubit", "two-3-qubit", "two-5-qubit"],
     )
-    def test_factors_are_whole_registers_of_at_most_four_qubits(self, world, shapes, monkeypatch):
-        built = counting_embed(monkeypatch)
+    def test_factors_are_whole_registers_of_at_most_four_qubits(self, world, shapes):
         layout = world.chain_layout()
-        qworlds._hadamard_frame(world, layout)
-        assert [shape for shape, _ in built] == [(d, d) for d in shapes]
+        frame = qworlds._hadamard_frame(world, layout)
+        assert [d for d, _, _ in frame] == shapes
+        # post is the dimension of the chain registers after each block; the
+        # trailing factor acts on (re, im) pairs as kron(M, 1_2)
+        posts = [int(np.prod(shapes[k + 1:])) for k in range(len(shapes))]
+        assert [post for _, post, _ in frame] == posts
+        for d, post, h in frame:
+            m = qworlds._sylvester(d.bit_length() - 1)
+            assert np.array_equal(h, m if post > 1 else np.kron(m, np.eye(2)))
+            assert h.dtype == np.float64
 
     def test_maps_on_one_layout_share_one_frame_built_on_first_use(self, monkeypatch):
-        built = counting_embed(monkeypatch)
+        built = counting_sylvester(monkeypatch)
         world = lamport_world(1, 3, blinding=BlindingSet.explicit(3, {1}), seed=7)
         layout = world.game_layout()
         maps = [build_invariant_projector(world, layout), *build_qtilde(world, layout)]
@@ -701,17 +725,16 @@ class TestHadamardFrame:
         for fd in maps:
             fd.to_frame(v)
         frame = qworlds._hadamard_frame(world, layout)
-        assert len(built) == len(frame) == 2
-        assert all(gate is h for (_, gate), h in zip(built, frame))
+        assert built == [4, 2] and len(frame) == 2
         assert qworlds._hadamard_frame(world, layout) is frame
         # another layout of the world gets a frame of its own
         chains = world.chain_layout()
         build_invariant_projector(world, chains).to_frame(random_probe(chains, 33))
-        assert len(built) == 4
+        assert built == [4, 2, 4, 2]
         assert qworlds._hadamard_frame(world, chains) is not frame
 
     def test_norm_rows_build_no_frame_gate(self, monkeypatch):
-        built = counting_embed(monkeypatch)
+        built = counting_sylvester(monkeypatch)
         (report,) = lemmas.check_invariant_commutator("lamport", 2, 2, seed=3)
         assert report.passed and built == []
 
@@ -743,7 +766,7 @@ class TestProjectorMethodSwitch:
         p = qworlds.build_invariant_projector(world, layout)
         assert np.count_nonzero(p.table) == 3 ** 4
         assert is_frame_projector(p)
-        fresh = world.initial_state(layout)
+        fresh = reference.initial_state(world, layout)
         assert np.allclose(p.apply(fresh), fresh)
         assert_matches_references(world, layout, probes=2)
         # and the forced outcome stays orthogonal on a blinded forgery
