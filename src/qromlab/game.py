@@ -9,7 +9,12 @@ registers.  The run has a fixed shape: it starts from the world's initial
 state (chain registers uniform, the rest |0>), applies the program's
 unitaries and queries, and ends by measuring the message and then the
 signature, so a program carries no measurement steps and every outcome
-tensor reads the game layout's fixed axis order.  The blinded messages are
+tensor reads the game layout's fixed axis order.  The outcome tensors run
+under the blocking rule of :func:`qromlab.qsim.blocks`: the state splits
+over its leading registers into blocks of at most ``qsim.BLOCK_AMPS``
+amplitudes, and each block's weights add into the tensors in the order
+numpy's full reduction adds them, so no state-sized temporary is made and
+the sums keep its bits.  The blinded messages are
 one bool mask over the message space.  This is the one quantum game engine:
 every probability comes from the outcome tensors and the acceptance table,
 and the one transcript a run reports is drawn from them.  No world that fits
@@ -345,20 +350,61 @@ def evolve_program(program: AdversaryProgram, world: ChainWorld) -> EvolvedState
     return EvolvedStates(layout=layout, final=state, pre_sign=pre_sign)
 
 
-def probability_tensor(amps: np.ndarray, world: ChainWorld) -> np.ndarray:
-    """Joint outcome weights over (message, signature, chains), tracing the
-    rest.  A game layout is [x, y,] m, the signature blocks, b, e, then the
-    chain registers, so the state reads as (x y, m, sigma, b e, chains)."""
+def _outcome_view(amps: np.ndarray, world: ChainWorld) -> np.ndarray:
+    """A game state as (x y, m, sigma, b e, chains): a game layout is [x, y,]
+    m, the signature blocks, b, e, then the chain registers."""
     n = world.n
-    dims = (
+    return amps.reshape(
         -1,
         1 << world.message_bits,
         1 << (n * world.l_sem),
         1 << (1 + world.workspace_qubits),
         1 << (n * len(world.chain_registers())),
     )
-    t = np.abs(amps.reshape(dims)) ** 2
-    return t.sum(axis=(0, 3))
+
+
+def _add_outcomes(t: np.ndarray, amps: np.ndarray, block: tuple[slice, ...]) -> None:
+    """Add the weights |amps|^2 of one block of an outcome view into the
+    (message, signature, chains) tensor ``t``, tracing x y and b e in the
+    order numpy's ``sum(axis=(0, 3))`` over the whole view adds: for each
+    x y value, then each b e value.  Blocks taken in flat order keep that
+    order, so the sum has the full reduction's bits."""
+    weights = np.abs(amps) ** 2
+    dst = t[block[1:3]]
+    for xy in weights:
+        for be in range(weights.shape[3]):
+            dst += xy[:, :, be]
+
+
+def probability_tensor(amps: np.ndarray, world: ChainWorld) -> np.ndarray:
+    """Joint outcome weights over (message, signature, chains), tracing the
+    rest, block by block (:func:`qsim.blocks`, the chain registers kept
+    whole)."""
+    view = _outcome_view(amps, world)
+    t = np.zeros(view.shape[1:3] + view.shape[4:])
+    for block in qsim.blocks(view.shape, (4,)):
+        _add_outcomes(t, view[block], block)
+    return t
+
+
+def outcome_tensors(final: np.ndarray, qtilde, world: ChainWorld) -> list[np.ndarray]:
+    """The joint outcome weights of every message-controlled outcome map
+    (:func:`qromlab.qworlds.build_qtilde`) applied to the final state, one
+    tensor per map as :func:`probability_tensor` reads it.
+
+    The maps share one frame: each block of the final state (the chain
+    registers kept whole) changes into it once, and every map's table
+    product changes back and adds into its tensor from there, so no
+    temporary is larger than a block.
+    """
+    view = _outcome_view(final, world)
+    tables = [q.table.reshape(1, view.shape[1], 1, 1, view.shape[4]) for q in qtilde]
+    tensors = [np.zeros(view.shape[1:3] + view.shape[4:]) for _ in qtilde]
+    for block in qsim.blocks(view.shape, (4,)):
+        h = qtilde[0].to_frame(view[block])
+        for q, table, t in zip(qtilde, tables, tensors):
+            _add_outcomes(t, q.to_frame(h * qsim.block_of(table, block)), block)
+    return tensors
 
 
 def acceptance_table(world: ChainWorld) -> np.ndarray:
@@ -410,11 +456,7 @@ def analyze_game(
         )
     states = evolve_program(program, world)
     t_plain = probability_tensor(states.final, world)
-    qtilde = build_qtilde(world, states.layout)
-    # The maps share one frame: change the state into it once, then apply
-    # each table and change back.
-    h_final = qtilde[0].to_frame(states.final)
-    t_outcomes = [probability_tensor(q.to_frame(q.in_frame(h_final)), world) for q in qtilde]
+    t_outcomes = outcome_tensors(states.final, build_qtilde(world, states.layout), world)
     accept = acceptance_table(world)
     blinded = world.blinding.mask()
     p_plain = float((t_plain[blinded] * accept[blinded]).sum())

@@ -11,6 +11,12 @@ Conventions:
   program's unitaries, lifted onto a layout by :func:`embed`, and the
   Hadamard-frame factors, which :mod:`qromlab.qworlds` applies itself as
   real gemms.  Operators on the full space are never materialized.
+* The full-state kernels share one blocking rule (:func:`blocks`): a
+  non-adjacent gate of :func:`embed`, a frame-diagonal apply and the game's
+  outcome tensors split the state over its leading registers into blocks of
+  at most ``BLOCK_AMPS`` amplitudes, run block by block, and write each
+  block's result into one preallocated output.  A block's result has the
+  bits the unblocked kernel gives it.
 * Operator norms are exact: :func:`operator_norm` takes a map that is
   block-diagonal, each block a submatrix of one projector diagonal in the
   Hadamard frame, and solves every distinct block densely.
@@ -28,6 +34,7 @@ Conventions:
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,6 +42,9 @@ import numpy as np
 
 MAX_STATE_QUBITS = 24
 MAX_NORM_DIM = 2 ** 14
+# Amplitudes per block of the full-state kernels (:func:`blocks`): 4 MiB of
+# complex128, about the L2 cache of the 2-vCPU Xeon the benchmarks run on.
+BLOCK_AMPS = 2 ** 18
 
 
 def _label_seed(seed: int, label: str) -> int:
@@ -184,6 +194,40 @@ def uniform_projector_map(layout: RegisterLayout, regs: Sequence[str]) -> Linear
     )
 
 
+def blocks(dims: Sequence[int], keep: Sequence[int] = ()) -> list[tuple[slice, ...]]:
+    """The blocking rule of the full-state kernels: index tuples that split
+    an array of shape ``dims`` over its leading axes not in ``keep`` into
+    blocks of at most ``BLOCK_AMPS`` entries, in flat index order.
+
+    Each split axis but the last takes one value per block and the last an
+    aligned run of values; the axes in ``keep`` and every axis after the
+    split stay whole.  An array of at most ``BLOCK_AMPS`` entries is one
+    block, ``()``.  When the kept axes alone hold more, a block is one value
+    of every axis not kept.  A kernel runs block by block and writes each
+    block's result into one preallocated output, so a state-sized temporary
+    becomes a block-sized one that stays in cache.
+    """
+    size = int(np.prod(dims))
+    spans: list[list[slice]] = []
+    for axis, d in enumerate(dims):
+        if size <= BLOCK_AMPS:
+            break
+        if axis in keep:
+            spans.append([slice(None)])
+            continue
+        size //= d
+        run = max(1, BLOCK_AMPS // size)
+        spans.append([slice(start, start + run) for start in range(0, d, run)])
+        size *= run
+    return list(itertools.product(*spans))
+
+
+def block_of(a: np.ndarray, block: tuple[slice, ...]) -> np.ndarray:
+    """The part of ``a`` that ``block`` reads, for an ``a`` broadcast against
+    the blocked array (size 1 on the axes it does not read)."""
+    return a[tuple(s if n > 1 else slice(None) for s, n in zip(block, a.shape))]
+
+
 def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -> LinearMap:
     """Lift a local operator onto a layout, identity on all other registers.
 
@@ -197,8 +241,12 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -
     ``(pre, d, post)`` with d the targets' dimension and changed by one gemm
     without a transpose or copy: ``v @ M^T`` on ``(pre, d)`` when nothing
     follows the targets, ``M @ v`` on ``(d, post)`` when nothing precedes
-    them, a batched matmul otherwise.  Other targets go through
-    ``np.moveaxis`` and a contiguous copy each way.  For a real-valued ``op``
+    them, a batched matmul otherwise.  Other targets run block by block
+    (:func:`blocks`, the target axes kept whole): each block's target axes
+    are moved to the front of a contiguous copy, changed by one gemm and
+    written back into one output state.  Every output column is the same
+    gemm column the unblocked transpose gives, bit for bit, as long as the
+    block leaves the gemm more than 2 columns.  For a real-valued ``op``
     both paths give the same bits; for a complex one OpenBLAS may pick
     another kernel when a gemm side is 2 wide, and the results then agree to
     rounding.
@@ -226,17 +274,16 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -
             return np.matmul(mat, v.reshape(pre, d_local, post)).reshape(-1)
 
     else:
-        local_dims = tuple(1 << layout.width(t) for t in targets)
 
         def _run(mat: np.ndarray, v: Vector) -> Vector:
-            t = v.reshape(layout.dims)
-            t = np.moveaxis(t, axes, range(k))
-            rest = t.shape[k:]
-            t = np.ascontiguousarray(t).reshape(d_local, -1)
-            t = mat @ t
-            t = t.reshape(local_dims + rest)
-            t = np.moveaxis(t, range(k), axes)
-            return np.ascontiguousarray(t).reshape(-1)
+            v = v.reshape(layout.dims)
+            out = np.empty_like(v)
+            for block in blocks(layout.dims, axes):
+                t = np.moveaxis(v[block], axes, range(k))
+                shape = t.shape
+                t = mat @ np.ascontiguousarray(t).reshape(d_local, -1)
+                np.moveaxis(out[block], axes, range(k))[...] = t.reshape(shape)
+            return out.reshape(-1)
 
     mat_h = matrix.conj().T
     return LinearMap(

@@ -42,13 +42,17 @@ built:
 * Every projector is a product of uniform projectors and their complements on
   chain registers.  The uniform projector is H|0><0|H, so in the Hadamard
   frame of the chain registers each projector is a diagonal 0/1 (or
-  sqrt-weight) table.  :class:`FrameDiagonal` splits its apply in two: the
-  frame change ``to_frame`` (real Sylvester factors over blocks of whole
-  chain registers of at most 4 qubits, applied as dgemms to the state's
-  float64 view; built on first use once per world and layout and shared by
-  every map there; its own inverse) and the table multiply ``in_frame``.
-  The game changes its final state into the frame once and reads every
-  outcome map from there.
+  sqrt-weight) table.  :class:`FrameDiagonal` applies it as the frame
+  change ``to_frame`` (real Sylvester factors over blocks of whole chain
+  registers of at most 4 qubits, applied as dgemms to the state's float64
+  view; built on first use once per world and layout and shared by every
+  map there; its own inverse), the table multiply and the change back.
+  Like every full-state kernel it runs under the blocking rule of
+  :func:`qromlab.qsim.blocks`: the state splits over its leading (head)
+  registers into blocks of at most ``qsim.BLOCK_AMPS`` amplitudes, whole
+  chain columns each, and each block's result is written into one
+  preallocated output.  The game changes each block of its final state
+  into the frame once and reads every outcome map from there.
 """
 
 from __future__ import annotations
@@ -466,52 +470,83 @@ def _hadamard_frame(
     return frame
 
 
+def _frame_change(frame, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """H on every chain qubit of ``v``, a C-contiguous complex array of whole
+    chain columns, by the factors ``frame`` (:func:`_hadamard_frame`); the
+    last factor writes into ``out`` when one is given.  The result has the
+    shape of ``v``."""
+    shape = v.shape
+    v = v.view(np.float64)
+    for i, (d, post, h) in enumerate(frame):
+        rows = (-1, d, 2 * post) if post > 1 else (-1, 2 * d)
+        last = out is not None and i == len(frame) - 1
+        dst = out.view(np.float64).reshape(rows) if last else None
+        if post > 1:
+            v = np.matmul(h, v.reshape(rows), out=dst)
+        else:
+            v = np.matmul(v.reshape(rows), h, out=dst)
+    return v.reshape(-1).view(np.complex128).reshape(shape)
+
+
 class FrameDiagonal(LinearMap):
     """A diagonal ``table`` in the Hadamard frame of the chain registers.
 
     ``to_frame`` is the change into the frame, H on every chain qubit; it is
-    its own inverse.  ``in_frame`` multiplies a vector already in the
-    frame by the table (broadcast over the registers it does not read).
-    ``apply`` is ``to_frame(in_frame(to_frame(v)))``.  Maps on one layout
-    share the frame (:func:`_hadamard_frame`, built on the first
-    ``to_frame``), so a caller applying several of them to one state changes
-    it into the frame once and changes back each product; a map that is
-    only read through its ``table`` builds no frame.  A 0/1 table is an
-    orthogonal projector.  ``term_count`` is the table's support size, one
-    rank-one frame term per nonzero entry, and ``is_zero`` means it is 0.
+    its own inverse.  ``apply`` changes into the frame, multiplies by the
+    table (broadcast over the registers it does not read) and changes back,
+    block by block (:func:`qromlab.qsim.blocks`, the chain registers kept
+    whole), the last factor writing into the one output state.  Each block
+    gets the unblocked kernel's bits while the trailing factor's gemm keeps
+    more than two rows, as a block of ``BLOCK_AMPS`` amplitudes does.  Maps
+    on one layout share the frame (:func:`_hadamard_frame`, built on first
+    use), so a caller applying several of them to one state changes it into
+    the frame once and changes back each product; a map that is only read
+    through its ``table`` builds no frame.  A 0/1 table is an orthogonal
+    projector.  ``term_count`` is the table's support size, one rank-one
+    frame term per nonzero entry, and ``is_zero`` means it is 0.
     """
 
     def __init__(self, world: ChainWorld, layout: RegisterLayout, table: np.ndarray, label: str):
         table = np.asarray(table, dtype=np.float64)
+        chains = range(len(layout.names) - len(world.chain_registers()), len(layout.names))
 
         # The maps close over locals, not over self, so a dropped map is freed
         # by reference count rather than only by the cycle collector.
         def to_frame(v: np.ndarray) -> np.ndarray:
-            """H on every chain qubit: into the frame, and back out of it."""
-            # Rebinding v (not a new local) lets each pass free the array the
-            # previous one made, and from CPython 3.11, which hands a call's
-            # arguments to the callee, the argument too when the caller keeps
-            # no other reference (the table product in ``apply``).
-            v = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
-            for d, post, h in _hadamard_frame(world, layout):
-                if post > 1:
-                    v = np.matmul(h, v.reshape(-1, d, 2 * post))
-                else:
-                    v = v.reshape(-1, 2 * d) @ h
-            return v.reshape(-1).view(np.complex128)
+            """H on every chain qubit of ``v``, a state or any array of whole
+            chain columns (a block of one), into a new array of its shape:
+            into the frame, and back out of it."""
+            frame = _hadamard_frame(world, layout)
+            v = np.ascontiguousarray(v, dtype=np.complex128)
+            out = np.empty_like(v)
+            rows, out_rows = (a.reshape(-1, world.chain_dim(layout)) for a in (v, out))
+            for block in qsim.blocks(rows.shape, (1,)):
+                _frame_change(frame, rows[block], out_rows[block])
+            return out
 
-        def in_frame(hv: np.ndarray) -> np.ndarray:
-            """The table times a vector given in the frame."""
-            return (hv.reshape(layout.dims) * table).reshape(-1)
+        def apply(v: np.ndarray) -> np.ndarray:
+            frame = _hadamard_frame(world, layout)
+            v = np.ascontiguousarray(v).reshape(layout.dims)
 
-        self.to_frame, self.in_frame = to_frame, in_frame
+            # Nested calls hold no block in a local, so each frame factor
+            # frees the array the one before made.
+            def times_table(hv, block):
+                return np.multiply(hv, qsim.block_of(table, block), out=hv)
+
+            spans = qsim.blocks(layout.dims, chains)
+            if len(spans) == 1:  # one block: its last factor makes the output
+                return _frame_change(frame, times_table(_frame_change(frame, v), ())).reshape(-1)
+            out = np.empty_like(v)
+            for block in spans:
+                _frame_change(frame, times_table(_frame_change(frame, v[block]), block), out[block])
+            return out.reshape(-1)
+
+        self.to_frame = to_frame
         self.layout = layout
         self.table = table
         self.term_count = int(np.count_nonzero(table))
         self.is_zero = self.term_count == 0
-        super().__init__(
-            layout.dim, lambda v: to_frame(in_frame(to_frame(v))), label=label, self_adjoint=True
-        )
+        super().__init__(layout.dim, apply, label=label, self_adjoint=True)
 
 
 def frame_product_norm(a: FrameDiagonal, b: FrameDiagonal) -> float:

@@ -10,6 +10,10 @@ cross-check the fast paths of the package.
   factored frame change of ``qworlds.FrameDiagonal``.
 * The uniform projector as successive broadcast means, against the reduced
   means of ``qsim.uniform_projector_apply``.
+* The unblocked full-state kernels, against the blocked ones
+  (``qsim.blocks``): the transpose-gemm ``embed`` on the whole state, the
+  frame apply ``to_frame(in_frame(to_frame(v)))`` and the per-outcome
+  probability tensors on numpy's full sum.
 * Register fields, basis indices, the normalized-state wrapper and the
   register-by-register (kron) product state, against the repeated chain
   column of ``ChainWorld.initial_head``; a structured XOR map and register
@@ -102,8 +106,9 @@ def equality_projector_map(layout: RegisterLayout, reg_a: str, reg_b: str) -> Li
 
 
 def embed_moveaxis(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
-    """``qsim.embed`` through its general path on any targets: move the
-    target axes to the front, one gemm on a contiguous copy, move them back."""
+    """``qsim.embed`` through its general path on any targets, unblocked:
+    move the target axes of the whole state to the front, one gemm on a
+    contiguous copy, move them back."""
     matrix = np.asarray(op, dtype=np.complex128)
     axes = [layout.axis(t) for t in targets]
     local_dims = tuple(1 << layout.width(t) for t in targets)
@@ -160,6 +165,53 @@ def embed_frame(world: ChainWorld, layout: RegisterLayout, v: np.ndarray) -> np.
         h = qworlds._sylvester(sum(layout.width(name) for name in block))
         v = qsim.embed(h, block, layout).apply(v)
     return v
+
+
+def frame_change(world: ChainWorld, layout: RegisterLayout, v: np.ndarray) -> np.ndarray:
+    """``FrameDiagonal.to_frame`` unblocked: each real Sylvester factor of
+    ``qworlds._hadamard_frame`` applied to the whole state's float64 view."""
+    v = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
+    for d, post, h in qworlds._hadamard_frame(world, layout):
+        if post > 1:
+            v = np.matmul(h, v.reshape(-1, d, 2 * post))
+        else:
+            v = v.reshape(-1, 2 * d) @ h
+    return v.reshape(-1).view(np.complex128)
+
+
+def in_frame(fd: qworlds.FrameDiagonal, hv: np.ndarray) -> np.ndarray:
+    """The table of ``fd`` times a whole state given in the frame."""
+    return (hv.reshape(fd.layout.dims) * fd.table).reshape(-1)
+
+
+def frame_apply(world: ChainWorld, fd: qworlds.FrameDiagonal, v: np.ndarray) -> np.ndarray:
+    """``fd.apply`` unblocked: ``to_frame(in_frame(to_frame(v)))`` on the
+    whole state."""
+    return frame_change(world, fd.layout, in_frame(fd, frame_change(world, fd.layout, v)))
+
+
+def probability_tensor(amps: np.ndarray, world: ChainWorld) -> np.ndarray:
+    """``game.probability_tensor`` as numpy's full sum over axes x y and b e
+    of the state read as (x y, m, sigma, b e, chains)."""
+    dims = (
+        -1,
+        1 << world.message_bits,
+        1 << (world.n * world.l_sem),
+        1 << (1 + world.workspace_qubits),
+        1 << (world.n * len(world.chain_registers())),
+    )
+    return (np.abs(amps.reshape(dims)) ** 2).sum(axis=(0, 3))
+
+
+def outcome_tensors(world: ChainWorld, final: np.ndarray, qtilde) -> list[np.ndarray]:
+    """``game.outcome_tensors`` as a loop over whole states: the final state
+    changed into the frame once, then per map the table product changed
+    back and summed by :func:`probability_tensor`."""
+    h_final = frame_change(world, qtilde[0].layout, final)
+    return [
+        probability_tensor(frame_change(world, q.layout, in_frame(q, h_final)), world)
+        for q in qtilde
+    ]
 
 
 def uniform_projector_broadcast(amps: np.ndarray, layout: RegisterLayout, regs) -> np.ndarray:

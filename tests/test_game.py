@@ -410,6 +410,35 @@ class TestPeakMemory:
         want = traced_peak(lambda: reference.evolve_program_full(prog, world))
         assert traced_peak(lambda: game.evolve_program(prog, world)) <= want + size // 16
 
+    @pytest.mark.parametrize("targets", [("e", "sig0", "x"), ("x", "m"), ("m", "g0_0")])
+    def test_gate_apply_allocates_one_state_plus_blocks(self, targets, monkeypatch):
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 10)
+        layout = self.WORLD.game_layout()
+        rng = np.random.default_rng(54)
+        gate = qsim.embed(
+            qsim.haar_unitary(1 << sum(layout.width(t) for t in targets), rng), targets, layout
+        )
+        v = qsim.random_state_vector(layout.dim, rng)
+        block = qsim.BLOCK_AMPS * v.itemsize
+        # The output state, and one block's moveaxis copy and gemm product.
+        assert traced_peak(lambda: gate.apply(v)) <= v.nbytes + 2 * block + SLACK
+
+    def test_outcome_loop_makes_no_state_sized_temporary(self, monkeypatch):
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 10)
+        world = self.WORLD
+        prog = game.random_program(world, 1, 1, seed=55)
+        states = game.evolve_program(prog, world)
+        assert states.layout.total == 16
+        # analyze_game from the evolved state on: the outcome loop
+        monkeypatch.setattr(game, "evolve_program", lambda program, w: states)
+        final = states.final
+        tensor = final.nbytes // 2 // (1 << (2 * world.n + 1 + world.workspace_qubits))
+        # Beyond the final state: the plain and l+1 outcome tensors (float64,
+        # no x, y, b or e), a few blocks and the slack; less than one state.
+        bound = (world.l_sem + 2) * tensor + 8 * qsim.BLOCK_AMPS * final.itemsize + SLACK
+        assert bound < final.nbytes
+        assert traced_peak(lambda: game.analyze_game(prog, world)) <= bound
+
 
 class TestWilson:
     def test_interval_contains_rate(self):
