@@ -9,17 +9,18 @@ registers.  The run has a fixed shape: it starts from the world's initial
 state (chain registers uniform, the rest |0>), applies the program's
 unitaries and queries, and ends by measuring the message and then the
 signature, so a program carries no measurement steps and every outcome
-tensor reads the game layout's fixed axis order.  The outcome tensors run
-under the blocking rule of :func:`qromlab.qsim.blocks`: the state splits
-over its leading registers into blocks of at most ``qsim.BLOCK_AMPS``
-amplitudes, and each block's weights add into the tensors in the order
-numpy's full reduction adds them, so no state-sized temporary is made and
-the sums keep its bits.  The blinded messages are
-one bool mask over the message space.  This is the one quantum game engine:
-every probability comes from the outcome tensors and the acceptance table,
-and the one transcript a run reports is drawn from them.  No world that fits
-the statevector cap exceeds the enumeration cap; the cap stays as a
-fail-fast guard.
+tensor reads the game layout's fixed axis order.  One pass over the final
+state (:func:`probability_tensor`) gives the plain tensor and every outcome
+tensor under the blocking rule of :func:`qromlab.qsim.blocks`: the state
+splits over its leading registers into blocks of at most
+``qsim.BLOCK_AMPS`` amplitudes, and each block's weights add into the
+tensors in the order numpy's full reduction adds them, so no state-sized
+temporary is made and the sums keep its bits.  Every world that fits the
+statevector cap has at most 2^16 (message, signature) outcomes.  The
+blinded messages are one bool mask over the message space.  This is the
+one quantum game engine: every probability comes from the outcome tensors
+and the acceptance table, and the one transcript a run reports is drawn
+from them.
 
 Winning means: the forged message is blinded, and the scheme verifier accepts
 the forged signature against the oracle reprogrammed on the chain values
@@ -43,8 +44,6 @@ from .qworlds import (
     build_qtilde,
     query_unitary_as_function,
 )
-
-EXACT_OUTCOME_CAP = 2 ** 16  # |message space| * |signature space| enumeration cap
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +258,16 @@ class AdversaryProgram:
 
 
 def random_local_unitary(
-    layout: qsim.RegisterLayout,
-    candidates: Sequence[str],
-    rng: np.random.Generator,
-    max_qubits: int = 6,
+    layout: qsim.RegisterLayout, candidates: Sequence[str], rng: np.random.Generator
 ) -> ApplyUnitary:
+    """A Haar unitary on up to three of ``candidates``, 6 qubits at most."""
     names = list(candidates)
     rng.shuffle(names)
     chosen: list[str] = []
     width = 0
     for name in names:
         w = layout.width(name)
-        if width + w <= max_qubits and len(chosen) < 3:
+        if width + w <= 6 and len(chosen) < 3:
             chosen.append(name)
             width += w
         if len(chosen) == 3:
@@ -376,34 +373,26 @@ def _add_outcomes(t: np.ndarray, amps: np.ndarray, block: tuple[slice, ...]) -> 
             dst += xy[:, :, be]
 
 
-def probability_tensor(amps: np.ndarray, world: ChainWorld) -> np.ndarray:
+def probability_tensor(final: np.ndarray, qtilde, world: ChainWorld) -> list[np.ndarray]:
     """Joint outcome weights over (message, signature, chains), tracing the
-    rest, block by block (:func:`qsim.blocks`, the chain registers kept
-    whole)."""
-    view = _outcome_view(amps, world)
-    t = np.zeros(view.shape[1:3] + view.shape[4:])
-    for block in qsim.blocks(view.shape, (4,)):
-        _add_outcomes(t, view[block], block)
-    return t
+    rest: the plain tensor of the final state, then one tensor per
+    message-controlled outcome map (:func:`qromlab.qworlds.build_qtilde`)
+    applied to it.
 
-
-def outcome_tensors(final: np.ndarray, qtilde, world: ChainWorld) -> list[np.ndarray]:
-    """The joint outcome weights of every message-controlled outcome map
-    (:func:`qromlab.qworlds.build_qtilde`) applied to the final state, one
-    tensor per map as :func:`probability_tensor` reads it.
-
-    The maps share one frame: each block of the final state (the chain
-    registers kept whole) changes into it once, and every map's table
-    product changes back and adds into its tensor from there, so no
-    temporary is larger than a block.
+    One pass, block by block (:func:`qsim.blocks`, the chain registers kept
+    whole): each block adds its plain weights, changes into the maps' shared
+    frame once, and every map's table product changes back and adds into
+    its tensor from there, so no temporary is larger than a block.
     """
     view = _outcome_view(final, world)
     tables = [q.table.reshape(1, view.shape[1], 1, 1, view.shape[4]) for q in qtilde]
-    tensors = [np.zeros(view.shape[1:3] + view.shape[4:]) for _ in qtilde]
+    tensors = [np.zeros(view.shape[1:3] + view.shape[4:]) for _ in range(len(qtilde) + 1)]
     for block in qsim.blocks(view.shape, (4,)):
-        h = qtilde[0].to_frame(view[block])
-        for q, table, t in zip(qtilde, tables, tensors):
-            _add_outcomes(t, q.to_frame(h * qsim.block_of(table, block)), block)
+        _add_outcomes(tensors[0], view[block], block)
+        if qtilde:
+            h = qtilde[0].to_frame(view[block])
+            for q, table, t in zip(qtilde, tables, tensors[1:]):
+                _add_outcomes(t, q.to_frame(h * qsim.block_of(table, block)), block)
     return tensors
 
 
@@ -448,15 +437,10 @@ def analyze_game(
     tensors (measurement-controlled, endpoint weights folded in), the
     acceptance table, and the summary.
     """
-    sig_dim = 1 << (world.n * world.l_sem)
-    if (1 << world.message_bits) * sig_dim > EXACT_OUTCOME_CAP:
-        raise ValueError(
-            f"outcome space {1 << world.message_bits} x {sig_dim} exceeds the exact "
-            f"enumeration cap {EXACT_OUTCOME_CAP}"
-        )
     states = evolve_program(program, world)
-    t_plain = probability_tensor(states.final, world)
-    t_outcomes = outcome_tensors(states.final, build_qtilde(world, states.layout), world)
+    t_plain, *t_outcomes = probability_tensor(
+        states.final, build_qtilde(world, states.layout), world
+    )
     accept = acceptance_table(world)
     blinded = world.blinding.mask()
     p_plain = float((t_plain[blinded] * accept[blinded]).sum())
@@ -491,10 +475,10 @@ def run_quantum_game(
     """Execute a program, sample one transcript, and report probabilities.
 
     Probabilities are computed exactly by outcome enumeration (see
-    :func:`analyze_game`, which raises past the cap).  ``mode="modified"``
-    inserts the first-uniform-register measurement between the forgery output
-    and the chain sampling; the transcript then carries the sampled outcome
-    index (l+1 meaning "none uniform").
+    :func:`analyze_game`).  ``mode="modified"`` inserts the
+    first-uniform-register measurement between the forgery output and the
+    chain sampling; the transcript then carries the sampled outcome index
+    (l+1 meaning "none uniform").
     """
     if mode not in ("plain", "modified"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -538,9 +522,11 @@ def run_quantum_game(
     return transcript, summary
 
 
-def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The 3-sigma Wilson score interval of a success rate."""
     if trials == 0:
         return 0.0, 1.0
+    z = 3.0
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

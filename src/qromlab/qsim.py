@@ -11,12 +11,12 @@ Conventions:
   program's unitaries, lifted onto a layout by :func:`embed`, and the
   Hadamard-frame factors, which :mod:`qromlab.qworlds` applies itself as
   real gemms.  Operators on the full space are never materialized.
-* The full-state kernels share one blocking rule (:func:`blocks`): a
-  non-adjacent gate of :func:`embed`, a frame-diagonal apply and the game's
-  outcome tensors split the state over its leading registers into blocks of
-  at most ``BLOCK_AMPS`` amplitudes, run block by block, and write each
-  block's result into one preallocated output.  A block's result has the
-  bits the unblocked kernel gives it.
+* The full-state kernels share one blocking rule (:func:`blocks`): a gate
+  of :func:`embed`, a frame-diagonal apply and the game's probability
+  tensors split the state over its leading registers into blocks of at most
+  ``BLOCK_AMPS`` amplitudes, run block by block, and write each block's
+  result into one preallocated output.  A block's result has the bits the
+  unblocked kernel gives it.
 * Operator norms are exact: :func:`operator_norm` takes a map that is
   block-diagonal, each block a submatrix of one projector diagonal in the
   Hadamard frame, and solves every distinct block densely.
@@ -78,13 +78,6 @@ class RegisterLayout:
             pos -= width
             self._shifts[name] = pos
             self._widths[name] = width
-        self._arange: np.ndarray | None = None
-
-    def arange(self) -> np.ndarray:
-        if self._arange is None:
-            self._arange = np.arange(self.dim, dtype=np.int64)
-            self._arange.setflags(write=False)
-        return self._arange
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -228,7 +221,7 @@ def block_of(a: np.ndarray, block: tuple[slice, ...]) -> np.ndarray:
     return a[tuple(s if n > 1 else slice(None) for s, n in zip(block, a.shape))]
 
 
-def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -> LinearMap:
+def embed(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
     """Lift a local operator onto a layout, identity on all other registers.
 
     ``op`` is a dense matrix on the tensor product of the target registers,
@@ -237,19 +230,11 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -
     It serves the program gates of the game; the Hadamard frame of the chain
     registers does not go through it (:func:`qromlab.qworlds._hadamard_frame`).
 
-    When the targets are adjacent and in layout order, the state is read as
-    ``(pre, d, post)`` with d the targets' dimension and changed by one gemm
-    without a transpose or copy: ``v @ M^T`` on ``(pre, d)`` when nothing
-    follows the targets, ``M @ v`` on ``(d, post)`` when nothing precedes
-    them, a batched matmul otherwise.  Other targets run block by block
-    (:func:`blocks`, the target axes kept whole): each block's target axes
-    are moved to the front of a contiguous copy, changed by one gemm and
-    written back into one output state.  Every output column is the same
-    gemm column the unblocked transpose gives, bit for bit, as long as the
-    block leaves the gemm more than 2 columns.  For a real-valued ``op``
-    both paths give the same bits; for a complex one OpenBLAS may pick
-    another kernel when a gemm side is 2 wide, and the results then agree to
-    rounding.
+    The state runs block by block (:func:`blocks`, the target axes kept
+    whole): each block's target axes are moved to the front of a contiguous
+    copy, changed by one gemm and written back into one output state.  Every
+    output column is the same gemm column the unblocked transpose gives, bit
+    for bit, as long as the block leaves the gemm more than 2 columns.
     """
     matrix = np.asarray(op, dtype=np.complex128)
     axes = [layout.axis(t) for t in targets]
@@ -261,36 +246,23 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout, label: str = "") -
             f"local operator has shape {matrix.shape}, targets span dimension {d_local}"
         )
     k = len(axes)
-    start = axes[0] if axes else 0
-    if axes == list(range(start, start + k)):
-        pre = 1 << sum(layout.width(name) for name in layout.names[:start])
-        post = layout.dim // (pre * d_local)
 
-        def _run(mat: np.ndarray, v: Vector) -> Vector:
-            if post == 1:
-                return (v.reshape(pre, d_local) @ mat.T).reshape(-1)
-            if pre == 1:
-                return (mat @ v.reshape(d_local, post)).reshape(-1)
-            return np.matmul(mat, v.reshape(pre, d_local, post)).reshape(-1)
-
-    else:
-
-        def _run(mat: np.ndarray, v: Vector) -> Vector:
-            v = v.reshape(layout.dims)
-            out = np.empty_like(v)
-            for block in blocks(layout.dims, axes):
-                t = np.moveaxis(v[block], axes, range(k))
-                shape = t.shape
-                t = mat @ np.ascontiguousarray(t).reshape(d_local, -1)
-                np.moveaxis(out[block], axes, range(k))[...] = t.reshape(shape)
-            return out.reshape(-1)
+    def _run(mat: np.ndarray, v: Vector) -> Vector:
+        v = v.reshape(layout.dims)
+        out = np.empty_like(v)
+        for block in blocks(layout.dims, axes):
+            t = np.moveaxis(v[block], axes, range(k))
+            shape = t.shape
+            t = mat @ np.ascontiguousarray(t).reshape(d_local, -1)
+            np.moveaxis(out[block], axes, range(k))[...] = t.reshape(shape)
+        return out.reshape(-1)
 
     mat_h = matrix.conj().T
     return LinearMap(
         layout.dim,
         lambda v: _run(matrix, v),
         lambda v: _run(mat_h, v),
-        label=label or f"embed({','.join(targets)})",
+        label=f"embed({','.join(targets)})",
     )
 
 

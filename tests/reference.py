@@ -106,9 +106,8 @@ def equality_projector_map(layout: RegisterLayout, reg_a: str, reg_b: str) -> Li
 
 
 def embed_moveaxis(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
-    """``qsim.embed`` through its general path on any targets, unblocked:
-    move the target axes of the whole state to the front, one gemm on a
-    contiguous copy, move them back."""
+    """``qsim.embed`` unblocked: move the target axes of the whole state to
+    the front, one gemm on a contiguous copy, move them back."""
     matrix = np.asarray(op, dtype=np.complex128)
     axes = [layout.axis(t) for t in targets]
     local_dims = tuple(1 << layout.width(t) for t in targets)
@@ -191,8 +190,8 @@ def frame_apply(world: ChainWorld, fd: qworlds.FrameDiagonal, v: np.ndarray) -> 
 
 
 def probability_tensor(amps: np.ndarray, world: ChainWorld) -> np.ndarray:
-    """``game.probability_tensor`` as numpy's full sum over axes x y and b e
-    of the state read as (x y, m, sigma, b e, chains)."""
+    """The plain tensor of ``game.probability_tensor`` as numpy's full sum
+    over axes x y and b e of the state read as (x y, m, sigma, b e, chains)."""
     dims = (
         -1,
         1 << world.message_bits,
@@ -204,9 +203,9 @@ def probability_tensor(amps: np.ndarray, world: ChainWorld) -> np.ndarray:
 
 
 def outcome_tensors(world: ChainWorld, final: np.ndarray, qtilde) -> list[np.ndarray]:
-    """``game.outcome_tensors`` as a loop over whole states: the final state
-    changed into the frame once, then per map the table product changed
-    back and summed by :func:`probability_tensor`."""
+    """The outcome tensors of ``game.probability_tensor`` as a loop over
+    whole states: the final state changed into the frame once, then per map
+    the table product changed back and summed by :func:`probability_tensor`."""
     h_final = frame_change(world, qtilde[0].layout, final)
     return [
         probability_tensor(frame_change(world, q.layout, in_frame(q, h_final)), world)
@@ -390,7 +389,7 @@ def xor_register_map(layout: RegisterLayout, src: str, dst: str) -> LinearMap:
     """CNOT^(x)n with ``src`` as controls and ``dst`` as targets: dst ^= src."""
     if layout.width(src) != layout.width(dst):
         raise ValueError("xor needs registers of equal width")
-    perm = layout.arange() ^ (field(layout, src) << layout.shift(dst))
+    perm = np.arange(layout.dim) ^ (field(layout, src) << layout.shift(dst))
     return LinearMap(layout.dim, lambda v: v[perm], label=f"xor({src}->{dst})", self_adjoint=True)
 
 

@@ -1,9 +1,8 @@
 """The blocked full-state kernels (``qsim.blocks``) against the unblocked
 ones kept in ``tests/reference.py``, bit for bit.
 
-``qsim.BLOCK_AMPS`` is set small, as ``game.EXACT_OUTCOME_CAP`` is in
-``test_game.py``, so layouts of at most 16 qubits run many blocks; the
-default value makes each of them one block.
+``qsim.BLOCK_AMPS`` is set small, so layouts of at most 16 qubits run many
+blocks; the default value makes each of them one block.
 """
 
 import itertools
@@ -73,25 +72,16 @@ class TestBlocks:
         assert np.array_equal(qsim.block_of(table, block), table[:, 4:8, :])
 
 
-# (targets, adjacent): axis 0 (x) and the last head register (e), reversed
-# and three-register targets, a chain register, and adjacent targets, which
-# take the gemm path without a copy and are not blocked.
-GATE_TARGETS = [
-    (("e", "x"), False),
-    (("x", "m"), False),
-    (("y", "x"), False),
-    (("e", "sig0", "x"), False),
-    (("m", "g0_0"), False),
-    (("sig2", "b"), True),
-    (("x",), True),
-]
+# Axis 0 (x) and the last head register (e), reversed and three-register
+# targets, a chain register, and adjacent targets in layout order.
+GATE_TARGETS = [("e", "x"), ("x", "m"), ("y", "x"), ("e", "sig0", "x"), ("m", "g0_0"),
+                ("sig2", "b"), ("x",)]
 
 
 class TestEmbed:
     @BLOCK_SIZES
-    @pytest.mark.parametrize("targets,adjacent", GATE_TARGETS)
-    def test_gate_equals_the_unblocked_transpose_gemm(self, targets, adjacent, block_amps,
-                                                      monkeypatch):
+    @pytest.mark.parametrize("targets", GATE_TARGETS)
+    def test_gate_equals_the_unblocked_transpose_gemm(self, targets, block_amps, monkeypatch):
         monkeypatch.setattr(qsim, "BLOCK_AMPS", block_amps)
         layout = WORLD.game_layout()
         assert layout.total == 16
@@ -99,7 +89,7 @@ class TestEmbed:
         op = qsim.haar_unitary(1 << sum(layout.width(t) for t in targets), rng)
         v = probe(layout.dim, 60)
         axes = [layout.axis(t) for t in targets]
-        if not adjacent and block_amps < layout.dim:
+        if block_amps < layout.dim:
             assert len(qsim.blocks(layout.dims, axes)) > 1
         gate = qsim.embed(op, targets, layout)
         want = reference.embed_moveaxis(op, targets, layout)

@@ -199,7 +199,7 @@ class TestQuantumGame:
         qtilde = qworlds.build_qtilde(world, states.layout)
         assert len(t_out) == len(qtilde) == world.l_sem + 1
         for t, q_map in zip(t_out, qtilde):
-            want = game.probability_tensor(q_map.apply(states.final), world)
+            [want] = game.probability_tensor(q_map.apply(states.final), [], world)
             assert np.allclose(t, want, rtol=0, atol=1e-12)
 
     def test_modified_game_sampled_transcript(self):
@@ -410,7 +410,9 @@ class TestPeakMemory:
         want = traced_peak(lambda: reference.evolve_program_full(prog, world))
         assert traced_peak(lambda: game.evolve_program(prog, world)) <= want + size // 16
 
-    @pytest.mark.parametrize("targets", [("e", "sig0", "x"), ("x", "m"), ("m", "g0_0")])
+    @pytest.mark.parametrize(
+        "targets", [("e", "sig0", "x"), ("x", "m"), ("m", "g0_0"), ("sig0", "sig1"), ("x",)]
+    )
     def test_gate_apply_allocates_one_state_plus_blocks(self, targets, monkeypatch):
         monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 10)
         layout = self.WORLD.game_layout()
@@ -459,13 +461,6 @@ class TestSamplingEstimator:
 
 
 class TestExactOutcomeCap:
-    def test_run_quantum_game_raises_past_the_cap(self, monkeypatch):
-        monkeypatch.setattr(game, "EXACT_OUTCOME_CAP", 1)
-        world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {0}), seed=41)
-        prog = game.random_program(world, 0, 0, seed=41)
-        with pytest.raises(ValueError, match="enumeration cap"):
-            game.run_quantum_game(prog, world, mode="modified", seed=41)
-
     @staticmethod
     def min_game_qubits(n, message_bits, l_sem, chains, w):
         # smallest game layout: no x/y, m, the signature blocks, the blinded
@@ -491,4 +486,5 @@ class TestExactOutcomeCap:
                     if self.min_game_qubits(n, a, l, l, w) <= qsim.MAX_STATE_QUBITS:
                         worst_bits = max(worst_bits, a + n * l)
         assert worst_bits > 0
-        assert 1 << worst_bits <= game.EXACT_OUTCOME_CAP
+        # the (message, signature) outcome space the game enumerates
+        assert 1 << worst_bits <= 2 ** 16

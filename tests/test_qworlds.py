@@ -53,7 +53,7 @@ def reference_query_factors(world, layout):
     y_shift = layout.shift("y")
 
     def factor(mask, values):
-        perm = layout.arange() ^ (values << y_shift)
+        perm = np.arange(layout.dim) ^ (values << y_shift)
         return lambda v: np.where(mask, v[perm], v)
 
     masks = {}
@@ -331,7 +331,7 @@ class TestQueryUnitary:
             ]
             on_layout = np.broadcast_to(f.reshape(read), layout.dims).reshape(-1)
             perm = build_query_unitary(world, layout).perm
-            assert np.array_equal(perm, layout.arange() ^ (on_layout << layout.shift("y")))
+            assert np.array_equal(perm, np.arange(layout.dim) ^ (on_layout << layout.shift("y")))
 
     @pytest.mark.parametrize(
         "maker", [lambda: lamport_world(1, 2, seed=6), lambda: winternitz_world(2, 1, 3, seed=6)]
