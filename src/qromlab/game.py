@@ -308,10 +308,18 @@ class EvolvedStates:
     pre_sign: np.ndarray | None
 
 
-def evolve_program(program: AdversaryProgram, world: ChainWorld) -> EvolvedStates:
-    """Run all unitary steps; keep the final state and the state just before
-    the signing query (no step writes into its input, so neither is copied).
-    The layout carries x and y exactly when the program makes hash queries.
+def evolve_program(
+    program: AdversaryProgram, world: ChainWorld, keep_pre_sign: bool = False
+) -> EvolvedStates:
+    """Run all unitary steps on one live state; keep the final state and,
+    with ``keep_pre_sign``, a copy of the state just before the signing
+    query (else ``pre_sign`` is None).  The layout carries x and y exactly
+    when the program makes hash queries.
+
+    Every step applies in place (:meth:`qsim.LinearMap.apply_in_place`): a
+    gate and the query and signing maps run block by block and write each
+    block back into the block they read, so a run holds one state, a few
+    blocks at a time and the pre-sign copy when it is kept.
 
     The run starts as a product: until the first query, signing query or
     unitary on a chain register, the chains are still the untouched uniform
@@ -330,16 +338,17 @@ def evolve_program(program: AdversaryProgram, world: ChainWorld) -> EvolvedState
     for step in program.steps:
         if state.size < layout.dim:  # still the one chain column
             if isinstance(step, ApplyUnitary) and set(step.registers) <= set(head.names):
-                state = qsim.embed(step.matrix, step.registers, head).apply(state)
+                qsim.embed(step.matrix, step.registers, head).apply_in_place(state)
                 continue
             state = np.repeat(state, layout.dim // head.dim)
         if isinstance(step, ApplyUnitary):
-            state = qsim.embed(step.matrix, step.registers, layout).apply(state)
+            qsim.embed(step.matrix, step.registers, layout).apply_in_place(state)
         elif isinstance(step, HashQuery):
-            state = u_h.apply(state)
+            u_h.apply_in_place(state)
         elif isinstance(step, SignQuery):
-            pre_sign = state
-            state = bsign.apply(state)
+            if keep_pre_sign:
+                pre_sign = state.copy()
+            bsign.apply_in_place(state)
         else:
             raise TypeError(f"unknown step {step!r}")
     if state.size < layout.dim:

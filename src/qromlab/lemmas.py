@@ -330,7 +330,7 @@ def check_state_drift(
     if world is None:
         raise ValueError(f"no message length encodes to {l} blocks at w={w}")
     program = game.random_program(world, q0, q1, seed=rom.derive_seed(program_seed, "drift-prog"))
-    states = game.evolve_program(program, world)
+    states = game.evolve_program(program, world, keep_pre_sign=True)
     layout = states.layout
     psi0 = states.pre_sign
     phi_all = qsim.uniform_projector_map(layout, world.chain_registers())
@@ -425,9 +425,9 @@ def check_oracle_reprogramming_consistency(
     reprogrammed oracle exactly, for every chain assignment and input.
 
     The quantum side is the answer table f[x, gamma] that the query unitary
-    is compiled from (:func:`query_unitary_as_function`); that the compiled
-    gather index XORs exactly f into ``y`` is pinned by a structural test,
-    not here.  The classical side is the reprogrammed oracle of each chain
+    is compiled from (:func:`query_unitary_as_function`); that the query
+    map's ``delta`` XORs exactly f into ``y`` is pinned by a structural
+    test, not here.  The classical side is the reprogrammed oracle of each chain
     assignment, queried input by input."""
     t0 = time.perf_counter()
     world_seed = rom.derive_seed(seed, "iw-world")

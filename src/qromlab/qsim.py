@@ -12,10 +12,14 @@ Conventions:
   Hadamard-frame factors, which :mod:`qromlab.qworlds` applies itself as
   real gemms.  Operators on the full space are never materialized.
 * The full-state kernels share one blocking rule (:func:`blocks`): a gate
-  of :func:`embed`, a frame-diagonal apply and the game's probability
-  tensors split the state over its leading registers into blocks of at most
-  ``BLOCK_AMPS`` amplitudes, run block by block, and write each block's
-  result into one preallocated output.  A block's result has the bits the
+  of :func:`embed`, the XOR query and signing maps
+  (:class:`qromlab.qworlds.Permutation`), a frame-diagonal apply and the
+  game's probability tensors split the state over its leading registers
+  into blocks of at most ``BLOCK_AMPS`` amplitudes (or of the axes they
+  keep whole, when those hold more) and run block by block.  A gate and an
+  XOR map write each block's result back into the block they read, so they
+  apply in place (:meth:`LinearMap.apply_in_place`); a frame-diagonal apply
+  writes into one preallocated output.  A block's result has the bits the
   unblocked kernel gives it.
 * Operator norms are exact: :func:`operator_norm` takes a map that is
   block-diagonal, each block a submatrix of one projector diagonal in the
@@ -115,7 +119,13 @@ class RegisterLayout:
 
 
 class LinearMap:
-    """Matrix-free operator: an apply-to-vector contract plus its adjoint."""
+    """Matrix-free operator: an apply-to-vector contract plus its adjoint.
+
+    With ``in_place`` set, both callables overwrite the vector they are
+    given with the result and return it: :meth:`apply` and
+    :meth:`adjoint_apply` hand them a copy, and :meth:`apply_in_place` hands
+    them the caller's state itself.
+    """
 
     def __init__(
         self,
@@ -124,20 +134,46 @@ class LinearMap:
         adjoint_apply: Callable[[Vector], Vector] | None = None,
         label: str = "",
         self_adjoint: bool = False,
+        in_place: bool = False,
     ):
         self.dim = dim
         self._apply = apply
         self._adjoint_apply = apply if self_adjoint else adjoint_apply
         self.label = label
         self.self_adjoint = self_adjoint
+        self.in_place = in_place
+
+    def _operand(self, vec: Vector) -> Vector:
+        if self.in_place:
+            return np.array(vec, dtype=np.complex128, order="C").reshape(-1)
+        return np.asarray(vec, dtype=np.complex128)
 
     def apply(self, vec: Vector) -> Vector:
-        return self._apply(np.asarray(vec, dtype=np.complex128))
+        return self._apply(self._operand(vec))
 
     def adjoint_apply(self, vec: Vector) -> Vector:
         if self._adjoint_apply is None:
             raise ValueError(f"map {self.label!r} has no adjoint")
-        return self._adjoint_apply(np.asarray(vec, dtype=np.complex128))
+        return self._adjoint_apply(self._operand(vec))
+
+    def apply_in_place(self, vec: Vector) -> Vector:
+        """Overwrite ``vec``, a writable C-contiguous complex128 vector of the
+        map's dimension, with the map applied to it, and return it."""
+        if not self.in_place:
+            raise ValueError(f"map {self.label!r} has no in-place kernel")
+        if not (
+            isinstance(vec, np.ndarray)
+            and vec.dtype == np.complex128
+            and vec.shape == (self.dim,)
+            and vec.flags.c_contiguous
+            and vec.flags.writeable
+        ):
+            raise ValueError(
+                f"map {self.label!r} applies in place to a writable C-contiguous complex128 "
+                f"vector of length {self.dim}, got {getattr(vec, 'dtype', type(vec).__name__)} "
+                f"of shape {np.shape(vec)}"
+            )
+        return self._apply(vec)
 
     def __repr__(self) -> str:
         return f"LinearMap(dim={self.dim}, label={self.label!r})"
@@ -197,8 +233,8 @@ def blocks(dims: Sequence[int], keep: Sequence[int] = ()) -> list[tuple[slice, .
     split stay whole.  An array of at most ``BLOCK_AMPS`` entries is one
     block, ``()``.  When the kept axes alone hold more, a block is one value
     of every axis not kept.  A kernel runs block by block and writes each
-    block's result into one preallocated output, so a state-sized temporary
-    becomes a block-sized one that stays in cache.
+    block's result back into the block or into one preallocated output, so
+    a state-sized temporary becomes a block-sized one that stays in cache.
     """
     size = int(np.prod(dims))
     spans: list[list[slice]] = []
@@ -230,11 +266,13 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
     It serves the program gates of the game; the Hadamard frame of the chain
     registers does not go through it (:func:`qromlab.qworlds._hadamard_frame`).
 
-    The state runs block by block (:func:`blocks`, the target axes kept
-    whole): each block's target axes are moved to the front of a contiguous
-    copy, changed by one gemm and written back into one output state.  Every
-    output column is the same gemm column the unblocked transpose gives, bit
-    for bit, as long as the block leaves the gemm more than 2 columns.
+    The map applies in place (:meth:`LinearMap.apply_in_place`), block by
+    block (:func:`blocks`, the target axes kept whole): each block's target
+    axes are moved to the front of a contiguous copy, changed by one gemm
+    and written back into the block they were read from, so an apply
+    allocates two blocks and no state.  Every output column is the same gemm
+    column the unblocked transpose gives, bit for bit, as long as the block
+    leaves the gemm more than 2 columns.
     """
     matrix = np.asarray(op, dtype=np.complex128)
     axes = [layout.axis(t) for t in targets]
@@ -248,14 +286,13 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
     k = len(axes)
 
     def _run(mat: np.ndarray, v: Vector) -> Vector:
-        v = v.reshape(layout.dims)
-        out = np.empty_like(v)
+        state = v.reshape(layout.dims)
         for block in blocks(layout.dims, axes):
-            t = np.moveaxis(v[block], axes, range(k))
+            t = np.moveaxis(state[block], axes, range(k))
             shape = t.shape
             t = mat @ np.ascontiguousarray(t).reshape(d_local, -1)
-            np.moveaxis(out[block], axes, range(k))[...] = t.reshape(shape)
-        return out.reshape(-1)
+            np.moveaxis(state[block], axes, range(k))[...] = t.reshape(shape)
+        return v
 
     mat_h = matrix.conj().T
     return LinearMap(
@@ -263,6 +300,7 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
         lambda v: _run(matrix, v),
         lambda v: _run(mat_h, v),
         label=f"embed({','.join(targets)})",
+        in_place=True,
     )
 
 

@@ -31,10 +31,11 @@ Every world operator has one of two representations, compiled once when it is
 built:
 
 * The query and blinded-sign unitaries are XOR involutions on basis states,
-  so each is one int64 gather index applied as ``v[perm]``
-  (:class:`Permutation`).  The query unitary XORs the answer table
-  f(x, gamma) of :func:`overlay_table` into ``y``, and only an evolved state
-  needs its index.  Everything else reads f itself
+  each kept as its small broadcast table ``delta`` of the bits it flips and
+  applied in place, block by block (:class:`Permutation`).  The query
+  unitary XORs the answer table f(x, gamma) of :func:`overlay_table` into
+  ``y``, and only an evolved state needs the map.  Everything else reads f
+  itself
   (:func:`query_unitary_as_function`): the oracle-consistency check compares
   it with the classical reprogrammed oracle, the acceptance table walks the
   chains through it, and the exact commutator norms read its phase in the
@@ -315,23 +316,61 @@ def chain_world(n: int, l: int, w: int, seed: int = 0) -> ChainWorld:
 
 
 # ---------------------------------------------------------------------------
-# Unitaries: one gather permutation each
+# Unitaries: one XOR map each
 
 
 class Permutation(LinearMap):
-    """The XOR involution |i> -> |i ^ delta(i)>, compiled to one gather index
-    ``perm`` and applied as ``v[perm]``.
+    """The XOR involution |i> -> |i ^ delta(i)>, applied in place.
 
-    ``delta`` broadcasts against ``layout.dims`` and must not depend on the
-    bits it flips, so the map is its own inverse.
+    ``delta`` broadcasts against ``layout.dims`` (size 1 along every register
+    it does not read) and holds flat-index bits of the registers it flips.
+    It must not vary along a register it flips (ValueError otherwise), so
+    the map is its own inverse and moves no amplitude out of a run of the
+    flat index that holds every flipped register whole.  The state runs over
+    such runs, the blocks of :func:`qromlab.qsim.blocks` that keep every
+    register from the first flipped one on whole: each block is gathered
+    from a copy of itself by its local flat index XOR its part of delta, one
+    block-sized index XORed with each block's part in turn.  An apply
+    allocates that copy and that index, no state.  A delta that is 0
+    everywhere is the identity and leaves the state untouched.
     """
 
     def __init__(self, layout: RegisterLayout, delta, label: str):
-        perm = np.arange(layout.dim, dtype=np.int64).reshape(layout.dims)
-        perm ^= delta
-        perm = perm.reshape(-1)
-        self.perm = perm
-        super().__init__(layout.dim, lambda v: v[perm], label=label, self_adjoint=True)
+        delta = np.asarray(delta, dtype=np.int64)
+        delta = delta.reshape((1,) * (len(layout.dims) - delta.ndim) + delta.shape)
+        if np.broadcast_shapes(delta.shape, layout.dims) != layout.dims:
+            raise ValueError(f"{label}: delta of shape {delta.shape} does not fit {layout!r}")
+        bits = int(np.bitwise_or.reduce(delta, axis=None))
+        if bits >> layout.total:
+            raise ValueError(f"{label}: delta holds bits outside the {layout.total}-qubit index")
+        flipped = [
+            axis
+            for axis, (name, width) in enumerate(layout.registers)
+            if bits >> layout.shift(name) & ((1 << width) - 1)
+        ]
+        read = [layout.names[axis] for axis in flipped if delta.shape[axis] > 1]
+        if read:
+            raise ValueError(f"{label}: delta varies along {read}, which it flips")
+        self.layout = layout
+        self.delta = delta
+
+        def kernel(v: np.ndarray) -> np.ndarray:
+            if not flipped:
+                return v
+            spans = qsim.blocks(layout.dims, range(flipped[0], len(layout.dims)))
+            size = layout.dim // len(spans)
+            index = np.arange(size).reshape(v.reshape(layout.dims)[spans[0]].shape)
+            before = 0
+            for start, block in zip(range(0, layout.dim, size), spans):
+                part = qsim.block_of(delta, block)
+                np.bitwise_xor(index, part ^ before, out=index)
+                before = part
+                run = v[start : start + size]
+                # mode="wrap" writes into ``out`` directly; "raise" buffers it
+                np.take(run.copy(), index.reshape(-1), out=run, mode="wrap")
+            return v
+
+        super().__init__(layout.dim, kernel, label=label, self_adjoint=True, in_place=True)
 
 
 def overlay_table(world: ChainWorld, layout: RegisterLayout) -> np.ndarray:

@@ -4,7 +4,7 @@ cross-check the fast paths of the package.
 * Operator algebra, a random-probe zero-map test and the iterative Lanczos
   norm solver, against the exact block norms of ``qsim.operator_norm``.
   They work on ``qsim.LinearMap`` objects through their apply contract only,
-  independent of the compiled gather indices and frame tables.
+  independent of the compiled XOR tables and frame tables.
 * The Hadamard frame of the chain registers as one dense Sylvester matrix,
   and as complex Sylvester gates lifted by ``qsim.embed``, against the real
   factored frame change of ``qworlds.FrameDiagonal``.
@@ -12,8 +12,9 @@ cross-check the fast paths of the package.
   means of ``qsim.uniform_projector_apply``.
 * The unblocked full-state kernels, against the blocked ones
   (``qsim.blocks``): the transpose-gemm ``embed`` on the whole state, the
-  frame apply ``to_frame(in_frame(to_frame(v)))`` and the per-outcome
-  probability tensors on numpy's full sum.
+  XOR map as one gather index ``v[arange ^ delta]``, the frame apply
+  ``to_frame(in_frame(to_frame(v)))`` and the per-outcome probability
+  tensors on numpy's full sum.
 * Register fields, basis indices, the normalized-state wrapper and the
   register-by-register (kron) product state, against the repeated chain
   column of ``ChainWorld.initial_head``; a structured XOR map and register
@@ -122,6 +123,14 @@ def embed_moveaxis(op, targets: Sequence[str], layout: RegisterLayout) -> Linear
 
     mat_h = matrix.conj().T
     return LinearMap(layout.dim, lambda v: run(matrix, v), lambda v: run(mat_h, v))
+
+
+def xor_index(u: qworlds.Permutation) -> np.ndarray:
+    """``qworlds.Permutation`` unblocked: the gather index ``arange ^ delta``
+    over the whole flat index, so ``v[xor_index(u)]`` is ``u`` applied to
+    ``v``."""
+    index = np.arange(u.layout.dim, dtype=np.int64).reshape(u.layout.dims)
+    return (index ^ u.delta).reshape(-1)
 
 
 def embed_dense(op, targets: Sequence[str], layout: RegisterLayout) -> np.ndarray:

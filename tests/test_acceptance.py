@@ -124,7 +124,7 @@ def test_criterion_05_no_hash_invariance():
                     members.pop()
                 world = winternitz_world(n, 1, w, blinding=BlindingSet.explicit(1, members), seed=k)
             prog = game.random_program(world, 0, 0, seed=rom.derive_seed(505, scheme, k))
-            states = game.evolve_program(prog, world)
+            states = game.evolve_program(prog, world, keep_pre_sign=True)
             p = build_invariant_projector(world, states.layout)
             post_sign = build_blinded_sign_unitary(world, states.layout).apply(states.pre_sign)
             dist = float(np.linalg.norm(p.apply(post_sign) - post_sign))

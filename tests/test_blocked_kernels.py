@@ -176,3 +176,97 @@ def test_every_gate_of_random_programs_equals_the_unblocked_one(monkeypatch):
                 got = qsim.embed(step.matrix, step.registers, layout).apply(v)
                 want = reference.embed_moveaxis(step.matrix, step.registers, layout).apply(v)
                 assert same_bits(got, want)
+
+
+# The four qgame benchmark worlds (19-21 qubits with x and y) and the 16-qubit
+# n = 1 world above.
+IN_PLACE_WORLDS = pytest.mark.parametrize(
+    "world",
+    [
+        lamport_world(2, 2, blinding=BlindingSet.explicit(2, {0, 3}), seed=7),
+        lamport_world(1, 4, blinding=BlindingSet.explicit(4, {1, 6, 12}), seed=7),
+        qworlds.winternitz_world(2, 1, 3, blinding=BlindingSet.explicit(1, {0}), seed=7),
+        qworlds.winternitz_world(1, 2, 3, blinding=BlindingSet.explicit(2, {1, 2}), seed=7),
+        WORLD,
+    ],
+    ids=["lamport-2-2", "lamport-1-4", "winternitz-2-1-3", "winternitz-1-2-3", "n1-16q"],
+)
+
+
+class TestInPlaceKernels:
+    @BLOCK_SIZES
+    @IN_PLACE_WORLDS
+    @pytest.mark.parametrize("include_xy", [True, False], ids=["xy", "no-xy"])
+    def test_xor_maps_equal_the_gather_index(self, world, include_xy, block_amps, monkeypatch):
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", block_amps)
+        layout = world.game_layout(include_xy=include_xy)
+        maps = [qworlds.build_blinded_sign_unitary(world, layout)]
+        if include_xy:
+            maps.append(qworlds.build_query_unitary(world, layout))
+        v = probe(layout.dim, 63)
+        for u in maps:
+            want = v[reference.xor_index(u)]
+            state = v.copy()
+            assert u.apply_in_place(state) is state
+            assert same_bits(state, want)
+            assert same_bits(u.apply(v), want)
+
+    @BLOCK_SIZES
+    @IN_PLACE_WORLDS
+    @pytest.mark.parametrize("include_xy", [True, False], ids=["xy", "no-xy"])
+    def test_gates_equal_the_unblocked_transpose_gemm(self, world, include_xy, block_amps,
+                                                     monkeypatch):
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", block_amps)
+        layout = world.game_layout(include_xy=include_xy)
+        head = [name for name in layout.names if name not in world.chain_registers()]
+        targets = [(head[-1], head[0]), (head[1], world.chain_registers()[0])]
+        rng = np.random.default_rng(64 + block_amps)
+        v = probe(layout.dim, 64)
+        for t in targets:
+            op = qsim.haar_unitary(1 << sum(layout.width(name) for name in t), rng)
+            want = reference.embed_moveaxis(op, t, layout)
+            gate = qsim.embed(op, t, layout)
+            state = v.copy()
+            assert gate.apply_in_place(state) is state
+            assert same_bits(state, want.apply(v))
+            assert same_bits(gate.adjoint_apply(v), want.adjoint_apply(v))
+
+    def test_apply_leaves_its_input_alone(self):
+        layout = WORLD.game_layout()
+        v = probe(layout.dim, 65)
+        before = v.tobytes()
+        gate = qsim.embed(qsim.haar_unitary(16, np.random.default_rng(65)), ("x", "m"), layout)
+        for m in (gate, qworlds.build_query_unitary(WORLD, layout),
+                  qworlds.build_blinded_sign_unitary(WORLD, layout)):
+            m.apply(v)
+            m.adjoint_apply(v)
+            assert v.tobytes() == before
+
+    def test_in_place_entry_refuses_what_it_cannot_overwrite(self):
+        # each of these would reach the kernel as a converted copy, and the
+        # caller's state would stay as it was
+        layout = WORLD.game_layout()
+        v = probe(layout.dim, 66)
+        read_only = v.copy()
+        read_only.flags.writeable = False
+        bad = [
+            v.astype(np.complex64),
+            v.real.copy(),
+            np.concatenate([v, v])[::2],
+            v[:-1].copy(),
+            v.reshape(layout.dims),
+            read_only,
+            list(v[:4]),
+        ]
+        gate = qsim.embed(qsim.haar_unitary(16, np.random.default_rng(66)), ("x", "m"), layout)
+        for m in (gate, qworlds.build_query_unitary(WORLD, layout),
+                  qworlds.build_blinded_sign_unitary(WORLD, layout)):
+            for arg in bad:
+                with pytest.raises(ValueError, match="in place"):
+                    m.apply_in_place(arg)
+
+    def test_maps_without_an_in_place_kernel_refuse_the_entry(self):
+        layout = WORLD.game_layout()
+        p = build_invariant_projector(WORLD, layout)
+        with pytest.raises(ValueError, match="no in-place kernel"):
+            p.apply_in_place(probe(layout.dim, 67))

@@ -237,7 +237,7 @@ class TestQuantumGame:
                         n, 1, w, blinding=BlindingSet.explicit(1, members), seed=seed
                     )
                 prog = game.random_program(world, 0, 0, seed=seed)
-                states = game.evolve_program(prog, world)
+                states = game.evolve_program(prog, world, keep_pre_sign=True)
                 p = build_invariant_projector(world, states.layout)
                 psi1 = qworlds.build_blinded_sign_unitary(world, states.layout).apply(
                     states.pre_sign
@@ -348,7 +348,10 @@ class TestProductStart:
     @pytest.mark.parametrize("q", [0, 1])
     def test_random_programs_bit_identical_to_the_full_state_loop(self, world, q):
         prog = game.random_program(world, q, q, seed=50 + q)
-        assert_same_states(game.evolve_program(prog, world), reference.evolve_program_full(prog, world))
+        assert_same_states(
+            game.evolve_program(prog, world, keep_pre_sign=True),
+            reference.evolve_program_full(prog, world),
+        )
 
     def test_programs_of_every_start(self):
         world = lamport_world(1, 4, blinding=BlindingSet.explicit(4, {1, 6, 12}), seed=7)
@@ -366,8 +369,18 @@ class TestProductStart:
         for name, steps in programs.items():
             prog = AdversaryProgram(tuple(steps))
             assert_same_states(
-                game.evolve_program(prog, world), reference.evolve_program_full(prog, world)
+                game.evolve_program(prog, world, keep_pre_sign=True),
+                reference.evolve_program_full(prog, world),
             )
+
+    def test_pre_sign_is_copied_only_when_kept(self):
+        world = lamport_world(1, 4, blinding=BlindingSet.explicit(4, {1, 6, 12}), seed=7)
+        prog = game.random_program(world, 1, 1, seed=52)
+        kept = game.evolve_program(prog, world, keep_pre_sign=True)
+        dropped = game.evolve_program(prog, world)
+        assert dropped.pre_sign is None
+        assert dropped.final.tobytes() == kept.final.tobytes()
+        assert not np.shares_memory(kept.pre_sign, kept.final)
 
 
 # Room for allocations that do not grow with the state: numpy's ufunc buffer
@@ -424,6 +437,45 @@ class TestPeakMemory:
         block = qsim.BLOCK_AMPS * v.itemsize
         # The output state, and one block's moveaxis copy and gemm product.
         assert traced_peak(lambda: gate.apply(v)) <= v.nbytes + 2 * block + SLACK
+        # In place: no output state, only the two blocks.
+        assert traced_peak(lambda: gate.apply_in_place(v)) <= 2 * block + SLACK
+
+    @pytest.mark.parametrize("include_xy", [True, False])
+    def test_xor_apply_in_place_allocates_two_blocks(self, include_xy, monkeypatch):
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 10)
+        world = self.WORLD
+        layout = world.game_layout(include_xy=include_xy)
+        maps = {"sig0": qworlds.build_blinded_sign_unitary(world, layout)}
+        if include_xy:
+            maps["y"] = qworlds.build_query_unitary(world, layout)
+        v = qsim.random_state_vector(layout.dim, np.random.default_rng(57))
+        for first, u in maps.items():
+            # a block runs from one value of the registers before the first
+            # flipped one to the end of the index
+            block = max(qsim.BLOCK_AMPS, 1 << (layout.shift(first) + layout.width(first)))
+            assert block < layout.dim
+            # The block's copy and its int64 local index.
+            assert traced_peak(lambda: u.apply_in_place(v)) <= 2 * block * v.itemsize + SLACK
+
+    @pytest.mark.parametrize("keep_pre_sign", [False, True])
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_evolve_program_holds_one_state_plus_blocks(self, q, keep_pre_sign, monkeypatch):
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 10)
+        world = lamport_world(2, 2, blinding=BlindingSet.explicit(2, {0, 3}), seed=7,
+                              workspace_qubits=1)
+        layout = world.game_layout(include_xy=q > 0)
+        prog = game.random_program(world, q, q, seed=58)
+        state = layout.dim * 16
+        # The largest block any step uses: the query map's one x value, or
+        # the signing map's one m value without x and y.
+        block = (layout.dim >> layout.width(layout.names[0])) * 16
+        bound = (2 if keep_pre_sign else 1) * state + 2 * block + SLACK
+        assert bound < (3 if keep_pre_sign else 2) * state
+        states = []
+        assert traced_peak(
+            lambda: states.append(game.evolve_program(prog, world, keep_pre_sign=keep_pre_sign))
+        ) <= bound
+        assert (states[0].pre_sign is not None) == keep_pre_sign
 
     def test_outcome_loop_makes_no_state_sized_temporary(self, monkeypatch):
         monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 10)
@@ -432,7 +484,7 @@ class TestPeakMemory:
         states = game.evolve_program(prog, world)
         assert states.layout.total == 16
         # analyze_game from the evolved state on: the outcome loop
-        monkeypatch.setattr(game, "evolve_program", lambda program, w: states)
+        monkeypatch.setattr(game, "evolve_program", lambda program, w, keep_pre_sign=False: states)
         final = states.final
         tensor = final.nbytes // 2 // (1 << (2 * world.n + 1 + world.workspace_qubits))
         # Beyond the final state: the plain and l+1 outcome tensors (float64,

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -42,7 +43,7 @@ def is_frame_projector(fd):
 
 # ---------------------------------------------------------------------------
 # References built straight from the definitions, independent of the compiled
-# permutation and Hadamard-frame tables
+# XOR and Hadamard-frame tables
 
 
 def reference_query_factors(world, layout):
@@ -259,7 +260,8 @@ class TestQueryUnitary:
         world = maker()
         layout = world.norm_layout()
         u = build_query_unitary(world, layout)
-        assert is_permutation(u.perm) and is_involution(u.perm)
+        perm = reference.xor_index(u)
+        assert is_permutation(perm) and is_involution(perm)
         # adjoint really inverts
         v = random_probe(layout, 3)
         assert np.linalg.norm(u.adjoint_apply(u.apply(v)) - v) < 1e-9
@@ -317,21 +319,22 @@ class TestQueryUnitary:
 
     @BENCH_WORLDS
     def test_compiles_exactly_the_answer_table(self, world):
-        # the gather index XORs f[x, gamma] into y and touches no other bit,
-        # over the whole index of the norm layout and the game layout
+        # delta is f[x, gamma] shifted into y: it reads exactly x and the
+        # chain registers and flips no bit outside y, on the norm layout and
+        # the game layout
         f = query_unitary_as_function(world)
         chains = set(world.chain_registers())
         layouts = [world.norm_layout()]
         if world.message_bits is not None:
             layouts.append(world.game_layout())
         for layout in layouts:
-            read = [
+            read = tuple(
                 d if name == "x" or name in chains else 1
                 for name, d in zip(layout.names, layout.dims)
-            ]
-            on_layout = np.broadcast_to(f.reshape(read), layout.dims).reshape(-1)
-            perm = build_query_unitary(world, layout).perm
-            assert np.array_equal(perm, np.arange(layout.dim) ^ (on_layout << layout.shift("y")))
+            )
+            delta = build_query_unitary(world, layout).delta
+            assert delta.shape == read
+            assert np.array_equal(delta, f.reshape(read) << layout.shift("y"))
 
     @pytest.mark.parametrize(
         "maker", [lambda: lamport_world(1, 2, seed=6), lambda: winternitz_world(2, 1, 3, seed=6)]
@@ -474,6 +477,41 @@ class TestBlindedSign:
             layout, set(world.chain_registers()), {"m": 1, "sig0": 1, "b": 0, "e": 0}
         )
         assert np.allclose(bsign.apply(s.amplitudes), s.amplitudes)
+
+
+class TestPermutationGuards:
+    def test_delta_that_reads_a_register_it_flips_is_refused(self):
+        # y ^= y is no involution: |y> -> |0> for every y
+        layout = lamport_world(2, 1, seed=13).norm_layout()
+        with pytest.raises(ValueError, match=r"varies along \['y'\]"):
+            qworlds.Permutation(layout, layout.values("y") << layout.shift("y"), "bad")
+
+    def test_delta_outside_the_index_is_refused(self):
+        layout = lamport_world(2, 1, seed=13).norm_layout()
+        with pytest.raises(ValueError, match="outside"):
+            qworlds.Permutation(layout, layout.values("x") << layout.total, "bad")
+        with pytest.raises(ValueError):
+            qworlds.Permutation(layout, np.zeros((3, 1), dtype=np.int64), "bad")
+
+    def test_zero_delta_is_the_identity_and_allocates_nothing(self):
+        # every message blinded: the signing map flips nothing
+        world = lamport_world(1, 3, blinding=BlindingSet.all(3), seed=14)
+        layout = world.game_layout()
+        bsign = build_blinded_sign_unitary(world, layout)
+        assert not bsign.delta.any()
+        v = random_probe(layout, 14)
+        want = v.tobytes()
+        got = []
+        tracemalloc.start()
+        try:
+            got.append(bsign.apply_in_place(v))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0] is v and v.tobytes() == want
+        assert peak < qsim.BLOCK_AMPS * v.itemsize
+        copy = bsign.apply(v)
+        assert copy is not v and copy.tobytes() == want
 
 
 class TestQProjectors:
@@ -753,7 +791,8 @@ class TestUnitarityProbes:
         layout = world.game_layout(include_xy=True)
         for u in (qworlds.build_query_unitary(world, layout),
                   qworlds.build_blinded_sign_unitary(world, layout)):
-            assert is_permutation(u.perm) and is_involution(u.perm)
+            perm = reference.xor_index(u)
+            assert is_permutation(perm) and is_involution(perm)
 
 
 class TestProjectorMethodSwitch:
