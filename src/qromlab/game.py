@@ -305,21 +305,23 @@ def random_program(world: ChainWorld, q0: int, q1: int, seed: int) -> AdversaryP
 class EvolvedStates:
     layout: qsim.RegisterLayout
     final: np.ndarray
-    pre_sign: np.ndarray | None
 
 
 def evolve_program(
-    program: AdversaryProgram, world: ChainWorld, keep_pre_sign: bool = False
+    program: AdversaryProgram,
+    world: ChainWorld,
+    at_sign: Callable[[np.ndarray, qsim.RegisterLayout], None] | None = None,
 ) -> EvolvedStates:
-    """Run all unitary steps on one live state; keep the final state and,
-    with ``keep_pre_sign``, a copy of the state just before the signing
-    query (else ``pre_sign`` is None).  The layout carries x and y exactly
-    when the program makes hash queries.
+    """Run all unitary steps on one live state and return it as the final
+    state.  The layout carries x and y exactly when the program makes hash
+    queries.  ``at_sign(state, layout)``, when given, observes the live,
+    full-size state just before the signing query applies; it must neither
+    change that state nor keep it.
 
     Every step applies in place (:meth:`qsim.LinearMap.apply_in_place`): a
     gate and the query and signing maps run block by block and write each
-    block back into the block they read, so a run holds one state, a few
-    blocks at a time and the pre-sign copy when it is kept.
+    block back into the block they read, so a run holds one state and a few
+    blocks at a time.
 
     The run starts as a product: until the first query, signing query or
     unitary on a chain register, the chains are still the untouched uniform
@@ -334,7 +336,6 @@ def evolve_program(
     head, state = world.initial_head(layout)
     u_h = build_query_unitary(world, layout) if needs_xy else None
     bsign = build_blinded_sign_unitary(world, layout)
-    pre_sign = None
     for step in program.steps:
         if state.size < layout.dim:  # still the one chain column
             if isinstance(step, ApplyUnitary) and set(step.registers) <= set(head.names):
@@ -346,14 +347,14 @@ def evolve_program(
         elif isinstance(step, HashQuery):
             u_h.apply_in_place(state)
         elif isinstance(step, SignQuery):
-            if keep_pre_sign:
-                pre_sign = state.copy()
+            if at_sign is not None:
+                at_sign(state, layout)
             bsign.apply_in_place(state)
         else:
             raise TypeError(f"unknown step {step!r}")
     if state.size < layout.dim:
         state = np.repeat(state, layout.dim // head.dim)
-    return EvolvedStates(layout=layout, final=state, pre_sign=pre_sign)
+    return EvolvedStates(layout=layout, final=state)
 
 
 def _outcome_view(amps: np.ndarray, world: ChainWorld) -> np.ndarray:

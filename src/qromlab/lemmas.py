@@ -204,26 +204,23 @@ def _query_commutator_norms(world: ChainWorld, projectors: list[FrameDiagonal]) 
 
 
 def check_uniform_register_commutator(
-    scheme: str, n: int, l: int, w: int = 2, j_prime: int | None = None, seed: int = 0
+    scheme: str, n: int, l: int, w: int = 2, seed: int = 0
 ) -> list[CheckReport]:
     """Oracle-query unitary vs the projector keeping chain prefixes uniform.
 
-    The targets are the per-chain prefix products up to position j' (every
-    j' by default), on l chains of length w, or on 2l chains of length 2 for
-    Lamport, whose targets are then its single secret-string registers.  The
-    prefix (c, 0..j') is the invariant projector of the one threshold vector
-    with j'+1 at chain c and 0 elsewhere.  The worst norm over all targets is
-    reported against one bound.
+    The targets are the per-chain prefix products up to every position j' of
+    a quantum register, on l chains of length w, or on 2l chains of length 2
+    for Lamport, whose targets are then its single secret-string registers.
+    The prefix (c, 0..j') is the invariant projector of the one threshold
+    vector with j'+1 at chain c and 0 elsewhere.  The worst norm over all
+    targets is reported against one bound.
     """
     t0 = time.perf_counter()
     chains, length = (2 * l, 2) if scheme == "lamport" else (l, w)
     world = chain_world(n, chains, length, seed=rom.derive_seed(seed, "eps-world"))
-    if j_prime is not None and not 0 <= j_prime <= length - 2:
-        raise ValueError(f"no quantum register at chain position {j_prime}")
-    js = range(length - 1) if j_prime is None else [j_prime]
     projectors = []
     for c in range(chains):
-        for jp in js:
+        for jp in range(length - 1):
             t = [0] * chains
             t[c] = jp + 1
             projectors.append(invariant_projector_from_thresholds(world, [t]))
@@ -330,11 +327,16 @@ def check_state_drift(
     if world is None:
         raise ValueError(f"no message length encodes to {l} blocks at w={w}")
     program = game.random_program(world, q0, q1, seed=rom.derive_seed(program_seed, "drift-prog"))
-    states = game.evolve_program(program, world, keep_pre_sign=True)
+    presign = []
+
+    def at_sign(psi0: np.ndarray, layout: qsim.RegisterLayout) -> None:
+        # (a) reads the run's live state just before signing, uncopied
+        phi_all = qsim.uniform_projector_map(layout, world.chain_registers())
+        presign.append(_distance(phi_all.apply(psi0), psi0))
+
+    states = game.evolve_program(program, world, at_sign=at_sign)
     layout = states.layout
-    psi0 = states.pre_sign
-    phi_all = qsim.uniform_projector_map(layout, world.chain_registers())
-    a_meas = _distance(phi_all.apply(psi0), psi0)
+    (a_meas,) = presign
     a_bound = presign_drift_bound(scheme, n, world.l_sem, w, q0)
     rep_a = _report("drift-presign", scheme, n, l, w, q0, q1, a_meas, a_bound, t0)
 

@@ -552,16 +552,11 @@ class FrameDiagonal(LinearMap):
         # The maps close over locals, not over self, so a dropped map is freed
         # by reference count rather than only by the cycle collector.
         def to_frame(v: np.ndarray) -> np.ndarray:
-            """H on every chain qubit of ``v``, a state or any array of whole
-            chain columns (a block of one), into a new array of its shape:
+            """H on every chain qubit of ``v``, one array of whole chain
+            columns (a block of a state), into a new array of its shape:
             into the frame, and back out of it."""
-            frame = _hadamard_frame(world, layout)
             v = np.ascontiguousarray(v, dtype=np.complex128)
-            out = np.empty_like(v)
-            rows, out_rows = (a.reshape(-1, world.chain_dim(layout)) for a in (v, out))
-            for block in qsim.blocks(rows.shape, (1,)):
-                _frame_change(frame, rows[block], out_rows[block])
-            return out
+            return _frame_change(_hadamard_frame(world, layout), v)
 
         def apply(v: np.ndarray) -> np.ndarray:
             frame = _hadamard_frame(world, layout)

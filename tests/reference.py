@@ -239,8 +239,12 @@ def initial_state(world: ChainWorld, layout: RegisterLayout) -> np.ndarray:
     return np.repeat(column, layout.dim // column.size)
 
 
-def evolve_program_full(program: game.AdversaryProgram, world: ChainWorld) -> game.EvolvedStates:
-    """Every step of ``program`` on the full state, from :func:`initial_state`."""
+def evolve_program_full(
+    program: game.AdversaryProgram, world: ChainWorld
+) -> tuple[game.EvolvedStates, np.ndarray | None]:
+    """Every step of ``program`` on the full state, from :func:`initial_state`:
+    the evolved states and the state just before the signing query (None
+    when the program makes none)."""
     needs_xy = any(isinstance(s, game.HashQuery) for s in program.steps)
     layout = world.game_layout(include_xy=needs_xy)
     state = initial_state(world, layout)
@@ -255,7 +259,7 @@ def evolve_program_full(program: game.AdversaryProgram, world: ChainWorld) -> ga
         else:
             pre_sign = state
             state = bsign.apply(state)
-    return game.EvolvedStates(layout=layout, final=state, pre_sign=pre_sign)
+    return game.EvolvedStates(layout=layout, final=state), pre_sign
 
 
 def dense(a: LinearMap) -> np.ndarray:

@@ -124,9 +124,12 @@ def test_criterion_05_no_hash_invariance():
                     members.pop()
                 world = winternitz_world(n, 1, w, blinding=BlindingSet.explicit(1, members), seed=k)
             prog = game.random_program(world, 0, 0, seed=rom.derive_seed(505, scheme, k))
-            states = game.evolve_program(prog, world, keep_pre_sign=True)
+            seen = []
+            states = game.evolve_program(
+                prog, world, at_sign=lambda state, layout: seen.append(state.copy())
+            )
             p = build_invariant_projector(world, states.layout)
-            post_sign = build_blinded_sign_unitary(world, states.layout).apply(states.pre_sign)
+            post_sign = build_blinded_sign_unitary(world, states.layout).apply(seen[0])
             dist = float(np.linalg.norm(p.apply(post_sign) - post_sign))
             assert dist < 1e-9
             worst = max(worst, dist)

@@ -130,6 +130,25 @@ class TestFrameApply:
             assert same_bits(fd.apply(v), reference.frame_apply(WORLD, fd, v))
             assert same_bits(fd.to_frame(v), reference.frame_change(WORLD, layout, v))
 
+    @BLOCK_SIZES
+    @pytest.mark.parametrize("include_xy", [True, False])
+    def test_to_frame_of_a_strided_block_is_that_block_changed(self, include_xy, block_amps,
+                                                                monkeypatch):
+        # game.probability_tensor's call: one block of whole chain columns,
+        # a strided view, into a new C-contiguous array of the block's shape
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", block_amps)
+        layout = WORLD.game_layout(include_xy=include_xy)
+        chain = WORLD.chain_dim(layout)
+        v = probe(layout.dim, 63)
+        rows = v.reshape(2, -1, chain).transpose(1, 0, 2)
+        want = reference.frame_change(WORLD, layout, v).reshape(2, -1, chain).transpose(1, 0, 2)
+        for fd in frame_maps(WORLD, layout):
+            for block in qsim.blocks(rows.shape, (2,)):
+                assert not rows[block].flags.c_contiguous
+                got = fd.to_frame(rows[block])
+                assert got.flags.c_contiguous
+                assert same_bits(got, np.ascontiguousarray(want[block]))
+
 
 class TestOutcomeTensors:
     @BLOCK_SIZES

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_rom import reference_distributions
 
+import qromlab
 from qromlab import cli
 
 
@@ -255,3 +260,23 @@ class TestAttackFormats:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("kind,") and len(lines) == 2
+
+
+class TestStartup:
+    def test_cli_import_loads_no_numpy_random_module(self):
+        # Every command pays for its imports before it starts.  numpy.random
+        # is the one costly numpy module; whatever plain ``import numpy``
+        # loads of it (all of it on numpy 1.x, none on 2.x) is not the
+        # package's own.
+        script = (
+            "import sys, numpy\n"
+            "base = set(sys.modules)\n"
+            "import qromlab.cli\n"
+            "print(sorted(m for m in set(sys.modules) - base\n"
+            "             if m == 'numpy.random' or m.startswith('numpy.random.')))\n"
+        )
+        src = str(Path(qromlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "[]\n"

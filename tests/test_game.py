@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference
-from qromlab import game, ots, qsim, rom, qworlds
+from qromlab import game, lemmas, ots, qsim, rom, qworlds
 from qromlab.game import (
     AdversaryProgram,
     HashQuery,
@@ -237,11 +237,9 @@ class TestQuantumGame:
                         n, 1, w, blinding=BlindingSet.explicit(1, members), seed=seed
                     )
                 prog = game.random_program(world, 0, 0, seed=seed)
-                states = game.evolve_program(prog, world, keep_pre_sign=True)
+                states, pre_sign = evolve_keeping_pre_sign(prog, world)
                 p = build_invariant_projector(world, states.layout)
-                psi1 = qworlds.build_blinded_sign_unitary(world, states.layout).apply(
-                    states.pre_sign
-                )
+                psi1 = qworlds.build_blinded_sign_unitary(world, states.layout).apply(pre_sign)
                 assert np.linalg.norm(p.apply(psi1) - psi1) < 1e-9
 
     def test_sign_query_cardinality_enforced(self):
@@ -329,13 +327,31 @@ QGAME_WORLDS = pytest.mark.parametrize(
 )
 
 
-def assert_same_states(got, want):
+def assert_same_states(prog, world):
+    """The engine's final state and the state its ``at_sign`` observer sees
+    have the bytes of the full-state loop's."""
+    got, got_pre_sign = evolve_keeping_pre_sign(prog, world)
+    want, want_pre_sign = reference.evolve_program_full(prog, world)
     assert got.layout == want.layout
     assert got.final.dtype == want.final.dtype and got.final.tobytes() == want.final.tobytes()
-    if want.pre_sign is None:
-        assert got.pre_sign is None
+    if want_pre_sign is None:
+        assert got_pre_sign is None
     else:
-        assert got.pre_sign.tobytes() == want.pre_sign.tobytes()
+        assert got_pre_sign.tobytes() == want_pre_sign.tobytes()
+
+
+def evolve_keeping_pre_sign(prog, world):
+    """``game.evolve_program``'s states, and a copy of the state its
+    ``at_sign`` observer sees (None when the program does not sign)."""
+    seen = []
+
+    def at_sign(state, layout):
+        assert layout == world.game_layout(include_xy=prog.q0 + prog.q1 > 0)
+        seen.append(state.copy())
+
+    states = game.evolve_program(prog, world, at_sign=at_sign)
+    assert len(seen) <= 1
+    return states, (seen[0] if seen else None)
 
 
 def off_chain_unitary(world, layout, rng):
@@ -348,10 +364,7 @@ class TestProductStart:
     @pytest.mark.parametrize("q", [0, 1])
     def test_random_programs_bit_identical_to_the_full_state_loop(self, world, q):
         prog = game.random_program(world, q, q, seed=50 + q)
-        assert_same_states(
-            game.evolve_program(prog, world, keep_pre_sign=True),
-            reference.evolve_program_full(prog, world),
-        )
+        assert_same_states(prog, world)
 
     def test_programs_of_every_start(self):
         world = lamport_world(1, 4, blinding=BlindingSet.explicit(4, {1, 6, 12}), seed=7)
@@ -368,19 +381,18 @@ class TestProductStart:
         }
         for name, steps in programs.items():
             prog = AdversaryProgram(tuple(steps))
-            assert_same_states(
-                game.evolve_program(prog, world, keep_pre_sign=True),
-                reference.evolve_program_full(prog, world),
-            )
+            assert_same_states(prog, world)
 
-    def test_pre_sign_is_copied_only_when_kept(self):
+    def test_at_sign_sees_the_live_state_once(self):
         world = lamport_world(1, 4, blinding=BlindingSet.explicit(4, {1, 6, 12}), seed=7)
         prog = game.random_program(world, 1, 1, seed=52)
-        kept = game.evolve_program(prog, world, keep_pre_sign=True)
-        dropped = game.evolve_program(prog, world)
-        assert dropped.pre_sign is None
-        assert dropped.final.tobytes() == kept.final.tobytes()
-        assert not np.shares_memory(kept.pre_sign, kept.final)
+        seen = []
+        states = game.evolve_program(prog, world, at_sign=lambda *args: seen.append(args))
+        ((state, layout),) = seen
+        # the run's one buffer, not a copy: the signing query and every later
+        # step apply in place into it
+        assert state is states.final and layout is states.layout
+        assert states.final.tobytes() == game.evolve_program(prog, world).final.tobytes()
 
 
 # Room for allocations that do not grow with the state: numpy's ufunc buffer
@@ -457,9 +469,9 @@ class TestPeakMemory:
             # The block's copy and its int64 local index.
             assert traced_peak(lambda: u.apply_in_place(v)) <= 2 * block * v.itemsize + SLACK
 
-    @pytest.mark.parametrize("keep_pre_sign", [False, True])
+    @pytest.mark.parametrize("observed", [False, True])
     @pytest.mark.parametrize("q", [0, 1])
-    def test_evolve_program_holds_one_state_plus_blocks(self, q, keep_pre_sign, monkeypatch):
+    def test_evolve_program_holds_one_state_plus_blocks(self, q, observed, monkeypatch):
         monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 10)
         world = lamport_world(2, 2, blinding=BlindingSet.explicit(2, {0, 3}), seed=7,
                               workspace_qubits=1)
@@ -469,13 +481,32 @@ class TestPeakMemory:
         # The largest block any step uses: the query map's one x value, or
         # the signing map's one m value without x and y.
         block = (layout.dim >> layout.width(layout.names[0])) * 16
-        bound = (2 if keep_pre_sign else 1) * state + 2 * block + SLACK
-        assert bound < (3 if keep_pre_sign else 2) * state
-        states = []
-        assert traced_peak(
-            lambda: states.append(game.evolve_program(prog, world, keep_pre_sign=keep_pre_sign))
-        ) <= bound
-        assert (states[0].pre_sign is not None) == keep_pre_sign
+        bound = state + 2 * block + SLACK
+        assert bound < 2 * state
+        norms = []
+
+        def at_sign(v, layout):  # reads the live state, allocating no state
+            norms.append(float(np.vdot(v, v).real))
+
+        at_sign = at_sign if observed else None
+        assert traced_peak(lambda: game.evolve_program(prog, world, at_sign=at_sign)) <= bound
+        assert norms == ([pytest.approx(1.0)] if observed else [])
+
+    def test_drift_point_holds_two_states_plus_blocks(self):
+        # The sweep's 21-qubit drift point: a 32 MiB state.  Each row holds
+        # the live state and one apply's output, the frame apply a few blocks
+        # besides; a pre-sign copy would be a third state.
+        state = (1 << 21) * 16
+        bound = 2 * state + 4 * qsim.BLOCK_AMPS * 16 + SLACK
+        assert bound < 3 * state
+        seed = rom.derive_seed(6, "drift", 2, 2, 1, 1)
+        reports = []
+        peak = traced_peak(
+            lambda: reports.extend(lemmas.check_state_drift("lamport", 2, 2, 2, 1, 1, seed))
+        )
+        assert [r.lemma for r in reports] == \
+            ["drift-presign", "drift-invariant", "drift-forced-outcome"]
+        assert peak <= bound
 
     def test_outcome_loop_makes_no_state_sized_temporary(self, monkeypatch):
         monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 10)
@@ -484,7 +515,7 @@ class TestPeakMemory:
         states = game.evolve_program(prog, world)
         assert states.layout.total == 16
         # analyze_game from the evolved state on: the outcome loop
-        monkeypatch.setattr(game, "evolve_program", lambda program, w, keep_pre_sign=False: states)
+        monkeypatch.setattr(game, "evolve_program", lambda program, w, at_sign=None: states)
         final = states.final
         tensor = final.nbytes // 2 // (1 << (2 * world.n + 1 + world.workspace_qubits))
         # Beyond the final state: the plain and l+1 outcome tensors (float64,

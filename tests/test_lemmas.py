@@ -68,16 +68,36 @@ class TestCommutatorChecks:
         assert rep.measured < rep.bound  # far below, recorded
 
     def test_winternitz_prefix_point(self):
-        (rep,) = lemmas.check_uniform_register_commutator("winternitz", 1, 1, 3, j_prime=1)
+        (rep,) = lemmas.check_uniform_register_commutator("winternitz", 1, 1, 3)
         assert rep.passed
         assert rep.bound == pytest.approx(12 / np.sqrt(2))
 
-    @pytest.mark.parametrize("j_prime", [-1, -5, 2])
-    def test_prefix_without_a_quantum_register_rejected(self, j_prime):
-        # below 0 the target would be the identity and the row a vacuous PASS;
-        # at w-1 and above the position is the pinned endpoint
-        with pytest.raises(ValueError, match="no quantum register"):
-            lemmas.check_uniform_register_commutator("winternitz", 2, 1, 3, j_prime=j_prime)
+    @pytest.mark.parametrize(
+        "scheme,n,l,w,seed",
+        [
+            ("winternitz", 1, 1, 3, 0),  # worst at j' = 0 (1 against 0.866)
+            ("winternitz", 2, 1, 3, 0),  # worst at j' = 1 (0.968 against 0.866)
+            ("lamport", 1, 1, 2, 1),  # worst at chain 0 (1 against 0)
+        ],
+    )
+    def test_worst_over_every_chain_prefix(self, scheme, n, l, w, seed):
+        # every chain c and every quantum position j' in 0..length-2 is a
+        # target; the worst exact norm is the largest Lanczos estimate
+        (rep,) = lemmas.check_uniform_register_commutator(scheme, n, l, w, seed=seed)
+        chains, length = (2 * l, 2) if scheme == "lamport" else (l, w)
+        world = chain_world(n, chains, length, seed=rom.derive_seed(seed, "eps-world"))
+        layout = world.norm_layout()
+        u = build_query_unitary(world, layout)
+        estimates = []
+        for c in range(chains):
+            for jp in range(length - 1):
+                t = [0] * chains
+                t[c] = jp + 1
+                p = invariant_projector_from_thresholds(world, [t], layout)
+                estimates.append(reference.lanczos_norm(reference.commutator(u, p)).value)
+        assert len(estimates) == chains * (length - 1)
+        assert min(estimates) < max(estimates) - 0.1  # one target alone can fall short
+        assert rep.measured == pytest.approx(max(estimates), abs=1e-9)
 
     def test_identity_target_commutes(self):
         world = chain_world(1, 1, 2, seed=0)
