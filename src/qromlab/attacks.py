@@ -93,15 +93,11 @@ def _classical_adversary(queries):
     """Query the oracle on ``queries`` (ascending) and forge from the first hit."""
 
     def adversary(handles: game.ClassicalHandles):
-        y_star = None
-        pk_index = None
-        for y in queries:  # scan hits in ascending order
+        for y in queries:
             hy = handles.hash_query(y)
-            if pk_index is None and hy in handles.pk:
-                y_star, pk_index = y, handles.pk.index(hy)  # first matching string
-        if pk_index is None:
-            return None  # concede: no preimage found
-        return _forge(handles, y_star, pk_index)  # None when the sign query was blinded
+            if hy in handles.pk:  # forge from the first matching string
+                return _forge(handles, y, handles.pk.index(hy))  # None when blinded
+        return None  # concede: no preimage found
 
     return adversary
 
@@ -122,77 +118,86 @@ def _first_hit_weights(n: int, q: int) -> Callable[[int], float]:
     return weight
 
 
-def _first_hit_exact(
-    weight: Callable[[int], float], hits: list[tuple[int, bool]]
-) -> tuple[float, float]:
-    """(win probability, hit probability) over a uniform random q-subset of inputs.
-
-    ``hits`` lists (input, wins-if-first) for every preimage of a public-key
-    string, ascending; ``weight`` comes from :func:`_first_hit_weights`.
-    """
-    p_win = 0.0
-    p_hit = 0.0
-    for rank, (_, wins) in enumerate(hits):
-        p_first = weight(rank)
-        p_hit += p_first
-        if wins:
-            p_win += p_first
-    return p_win, p_hit
+def _hits(images: np.ndarray, pk: np.ndarray, wins_if: np.ndarray):
+    """Hit and win masks, one row per world: input y hits when its image is a public-key
+    string, and wins when the forgery from that string's first index does (``wins_if``)."""
+    match = images[:, :, None] == pk[:, None, :]
+    hit = match.any(axis=2)
+    return hit, hit & np.take_along_axis(wins_if, match.argmax(axis=2), axis=1)
 
 
-def _hit_wins(l: int, oracle: rom.RandomOracleTable, pk, blinding) -> list[tuple[int, bool]]:
-    """All oracle inputs mapping onto the public key, ascending, with the win
-    verdict the forgery pipeline reaches if that input is the first hit."""
-    verdict: dict[int, bool] = {}
-    for idx, p in enumerate(pk):  # a string's first index is the one forged
-        if p not in verdict:
-            _, m, m_prime = _forgery_messages(l, idx)
-            verdict[p] = (m not in blinding) and (m_prime in blinding)
-    return [(y, verdict[h]) for y, h in enumerate(oracle.full_table()) if h in verdict]
+# Oracle-image bytes per block of trials, whose seeds and worlds are derived together.
+_BLOCK_BYTES = 1 << 17
 
 
-# Trials whose seeds, worlds and generators are derived together.
-_BLOCK = 1000
-
-
-def _seed_blocks(seed: int, label: str, trials: int):
+def _seed_blocks(seed: int, label: str, trials: int, n: int):
     """The trial seeds ``derive_seed(seed, label, t)`` for t < trials, one
-    list of at most :data:`_BLOCK` seeds at a time."""
-    for start in range(0, trials, _BLOCK):
-        yield [rom.derive_seed(seed, label, t) for t in range(start, min(start + _BLOCK, trials))]
+    list per block of trials whose oracle tables take _BLOCK_BYTES."""
+    block = max(1, _BLOCK_BYTES >> (n + 3))
+    for start in range(0, trials, block):
+        labels = [f"{label}/{t}" for t in range(start, min(start + block, trials))]
+        yield rom.derive_seeds([seed], labels)[0].tolist()
+
+
+def _play_block(params, seeds: list[int], draw_label: str | None, trial, chances):
+    """The wins, signing queries, and exact win and search probabilities of
+    a block of trials; its arrays go before the next block's are made."""
+    n, l = params.n, params.l
+    forgeries = [_forgery_messages(l, index)[1:] for index in range(2 * l)]
+    images = np.empty((len(seeds), 1 << n), dtype=np.uint64)
+    pk = np.empty((len(seeds), 2 * l), dtype=np.uint64)
+    wins_if = np.empty((len(seeds), 2 * l), dtype=bool)
+    rngs = itertools.repeat(None)
+    if draw_label is not None:
+        rngs = rom.default_rngs(rom.derive_seeds(seeds, [draw_label])[:, 0].tolist())
+    wins = searches = 0
+    worlds = game.classical_worlds(params, 0.5, seeds, images)
+    for k, (trial_seed, rng) in enumerate(zip(seeds, rngs)):
+        world = next(worlds)
+        keypair, blinding = world[1:]
+        pk[k] = keypair.pk
+        wins_if[k] = [m not in blinding and m_prime in blinding for m, m_prime in forgeries]
+        adversary = trial(rng, images[k], *world)
+        transcript = game.run_with_world_classical(adversary, *world, trial_seed)
+        wins += transcript.verdict == "win"
+        searches += transcript.sign_queries
+        del world  # one oracle memo lives at a time: the next is filled after this goes
+    hit, win = _hits(images, pk, wins_if)
+    chance = chances(hit)
+    p_wins = np.where(win, chance, 0.0).cumsum(axis=1)[:, -1].tolist()
+    p_hits = np.where(hit, chance, 0.0).cumsum(axis=1)[:, -1].tolist()
+    return wins, searches, p_wins, p_hits
 
 
 def _run_attack(
     kind: str, label: str, draw_label: str | None,
-    n: int, l: int, q: int, trials: int, seed: int, trial,
+    n: int, l: int, q: int, trials: int, seed: int, trial, chances,
 ):
     """The trial loop both attacks share, and their report.
 
-    Each trial builds the game's world at its own seed (blinding rate 1/2).
-    ``trial(rng, oracle, keypair, blinding)`` returns the exact (win, hit)
-    probabilities on that world and the adversary, whose forgery the game
-    then judges; ``rng`` is the generator at the trial seed's sub-label
-    ``draw_label``, or None when the attack draws nothing.  An adversary
-    makes its one signing query exactly when its search found a preimage, so
-    that query counts the search hits.
+    Each trial builds the game's world at its own seed (blinding rate 1/2),
+    its oracle's memo full.  ``trial(rng, images, oracle, keypair, blinding)``
+    returns the adversary, whose forgery the game then judges; ``images`` is
+    the oracle's whole table and ``rng`` the generator at the trial seed's
+    sub-label ``draw_label``, or None when the attack draws nothing.  The
+    exact reference is read from each block's arrays: ``chances(hit)`` gives
+    each hit of each world the chance that the adversary submits it, and a
+    sequential cumsum in input order (its added zeros are exact) sums those
+    of the hits and of the winning hits.  An adversary makes its one signing
+    query exactly when its search found a preimage, so that query counts the
+    search hits.
     """
     params = ots.LamportParams(n=n, l=l)
     wins = searches = 0
     exact_sum = exact_var = search_exact_sum = 0.0
-    for seeds in _seed_blocks(seed, label, trials):
-        worlds = game.classical_worlds(params, 0.5, seeds)
-        if draw_label is None:
-            rngs = itertools.repeat(None)
-        else:
-            rngs = rom.default_rngs(rom.derive_seed(s, draw_label) for s in seeds)
-        for trial_seed, world, rng in zip(seeds, worlds, rngs):
-            p_win, p_hit, adversary = trial(rng, *world)
+    for seeds in _seed_blocks(seed, label, trials, n):
+        won, searched, p_wins, p_hits = _play_block(params, seeds, draw_label, trial, chances)
+        wins += won
+        searches += searched
+        for p_win, p_hit in zip(p_wins, p_hits):
             exact_sum += p_win
             exact_var += p_win * (1.0 - p_win)
             search_exact_sum += p_hit
-            transcript = game.run_with_world_classical(adversary, *world, trial_seed)
-            wins += transcript.verdict == "win"
-            searches += transcript.sign_queries
     low, high = wilson_interval(wins, trials)
     full, simple = lemmas.forgery_bound_lamport(q, l, n)
     return AttackReport(
@@ -223,19 +228,20 @@ def classical_search_attack(n: int, l: int, q: int, trials: int, seed: int = 0) 
     weight = _first_hit_weights(n, q)
     space = 1 << n
 
-    def trial(rng, oracle, keypair, blinding):
-        # Exact reference uses the same world; the sampled run must match it on average.
-        hits = _hit_wins(l, oracle, keypair.pk, blinding)
-        p_win, p_hit = _first_hit_exact(weight, hits) if q > 0 else (0.0, 0.0)
+    def trial(rng, images, oracle, keypair, blinding):
         if rng is None:  # q = 0 or q >= 2^n: the query set is not random
-            queries = range(min(q, space))
-        else:
-            queries = sorted(rng.choice(space, size=q, replace=False).tolist())
-        return p_win, p_hit, _classical_adversary(queries)
+            return _classical_adversary(range(min(q, space)))
+        return _classical_adversary(sorted(rng.choice(space, size=q, replace=False).tolist()))
+
+    def first_hit(hit):
+        # A hit is submitted when it is the first one queried: its rank's weight.
+        ranks = hit.cumsum(axis=1) - 1
+        table = np.array([weight(r) if q else 0.0 for r in range(ranks.max(initial=0) + 1)])
+        return np.where(hit, table[ranks], 0.0)
 
     draw_label = "queries" if 0 < q < space else None
     return _run_attack(
-        "classical-search", "classical", draw_label, n, l, q, trials, seed, trial
+        "classical-search", "classical", draw_label, n, l, q, trials, seed, trial, first_hit
     )
 
 
@@ -254,7 +260,7 @@ def _grover_iterates(n: int, marked):
     while True:
         yield psi
         psi = psi * flip
-        psi = 2.0 * psi.mean() - psi
+        psi = 2.0 * (psi.sum() / dim) - psi  # the mean, as ndarray.mean computes it
 
 
 def grover_state(n: int, marked, iterations: int) -> np.ndarray:
@@ -277,29 +283,27 @@ def grover_attack(
     """
     if iterations is None:
         iterations = default_grover_iterations(n, l)
-    # Measurement distribution and search success per marked set; worlds
-    # repeat marked sets often at these register sizes.
-    by_marked: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
+    # Measurement distribution per marked set, which worlds repeat often at these sizes.
+    by_marked: dict[tuple[int, ...], np.ndarray] = {}
 
-    def trial(rng, oracle, keypair, blinding):
-        hit_wins = dict(_hit_wins(l, oracle, keypair.pk, blinding))
-        marked = tuple(hit_wins)
+    def trial(rng, images, oracle, keypair, blinding):
+        marked = tuple(y for y, image in enumerate(images.tolist()) if image in keypair.pk)
         if marked not in by_marked:
             probs = np.abs(grover_state(n, marked, iterations)) ** 2
-            probs = probs / probs.sum()
-            by_marked[marked] = probs, float(sum(probs[y] for y in marked))
-        probs, p_search = by_marked[marked]
-        p_win = float(sum(probs[y] for y, ok in hit_wins.items() if ok))
-        y_star = game.sample_index(probs, rng)
+            by_marked[marked] = probs / probs.sum()
+        y_star = game.sample_index(by_marked[marked], rng)
 
         def adversary(handles: game.ClassicalHandles):
-            if y_star not in hit_wins:
+            if y_star not in marked:
                 return None
             return _forge(handles, y_star, handles.pk.index(handles.hash_query(y_star)))
 
-        return p_win, p_search, adversary
+        return adversary
 
-    return _run_attack("grover", "grover", "measure", n, l, iterations, trials, seed, trial)
+    def probs(hit):
+        return np.array([by_marked[tuple(row.nonzero()[0].tolist())] for row in hit])
+
+    return _run_attack("grover", "grover", "measure", n, l, iterations, trials, seed, trial, probs)
 
 
 def grover_schedule_sensitivity(
@@ -312,9 +316,10 @@ def grover_schedule_sensitivity(
     """
     params = ots.LamportParams(n=n, l=l)
     totals = [0.0] * (max_iterations + 1)
-    for seeds in _seed_blocks(seed, "sens", trials):
-        for oracle, keypair, blinding in game.classical_worlds(params, 0.5, seeds):
-            marked = set(y for y, _ in _hit_wins(l, oracle, keypair.pk, blinding))
+    for seeds in _seed_blocks(seed, "sens", trials, n):
+        images = np.empty((len(seeds), 1 << n), dtype=np.uint64)
+        for k, (_, keypair, _) in enumerate(game.classical_worlds(params, 0.5, seeds, images)):
+            marked = set(y for y, image in enumerate(images[k].tolist()) if image in keypair.pk)
             states = itertools.islice(_grover_iterates(n, marked), max_iterations + 1)
             for iters, psi in enumerate(states):
                 totals[iters] += float(sum(abs(psi[y]) ** 2 for y in marked))

@@ -30,6 +30,7 @@ sampled from the final state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -61,7 +62,7 @@ def sample_blinding_set(
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     draws = rng.random(1 << message_space_bits) < epsilon
-    members = frozenset(int(i) for i in np.nonzero(draws)[0])
+    members = frozenset(draws.nonzero()[0].tolist())
     return BlindingSet(nbits=message_space_bits, epsilon=epsilon, members=members)
 
 
@@ -171,20 +172,28 @@ def run_classical_game(
     return run_with_world_classical(adversary, oracle, keypair, blinding, seed)
 
 
-def classical_worlds(params, epsilon: float, seeds: Sequence[int]):
+def classical_worlds(params, epsilon: float, seeds: Sequence[int], images=None):
     """(oracle, keypair, blinding) of one run at each of ``seeds``, in order:
     the lazily sampled oracle, a key pair for the scheme of ``params``, and a
     blinding set that holds each message with probability ``epsilon``.
 
-    The keygen and blinding generators of all the seeds are seeded in one
-    batch (:func:`rom.default_rngs`); each world is built when reached.
+    The sub-seeds of all the seeds are hashed, and their keygen and blinding
+    generators seeded, in one batch; each world is built when reached.
+    ``images``, a uint64 array of one row of 2^n per seed, receives every
+    oracle's whole table in one pass (:func:`rom.oracle_images`), and each
+    oracle then starts with its memo full, so no query of the run hashes.
     """
-    keygen_rngs = rom.default_rngs(rom.derive_seed(seed, "keygen") for seed in seeds)
-    blinding_rngs = rom.default_rngs(rom.derive_seed(seed, "blinding") for seed in seeds)
-    for seed, keygen_rng, blinding_rng in zip(seeds, keygen_rngs, blinding_rngs):
-        oracle = rom.RandomOracleTable(params.n, seed=rom.derive_seed(seed, "oracle"))
-        keypair = ots.keygen(params, oracle, keygen_rng)
-        yield oracle, keypair, sample_blinding_set(epsilon, params.message_bits, blinding_rng)
+    sub_seeds = rom.derive_seeds(seeds, ("oracle", "keygen", "blinding"))
+    oracle_seeds = sub_seeds[:, 0].tolist()
+    if images is not None:
+        images[...] = rom.oracle_images(params.n, oracle_seeds)
+    rngs = rom.default_rngs(sub_seeds[:, 1:].ravel().tolist())  # keygen, blinding, keygen, ...
+    for k, oracle_seed in enumerate(oracle_seeds):
+        oracle = rom.RandomOracleTable(params.n, seed=oracle_seed)
+        if images is not None:  # the memo the oracle's own queries would fill
+            oracle._table.update(enumerate(images[k].tolist()))
+        keypair = ots.keygen(params, oracle, next(rngs))
+        yield oracle, keypair, sample_blinding_set(epsilon, params.message_bits, next(rngs))
 
 
 def run_with_world_classical(
@@ -540,5 +549,5 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)

@@ -33,12 +33,37 @@ Oracle = Callable[[int], int]
 MAX_ENUM_BITS = 16  # guard: n*l*w for exhaustive enumeration
 
 
+def _seed_values(paths) -> np.ndarray:
+    """The seed of every encoded label path, as one uint64 array: the top 63
+    bits of the first 8 bytes of the path's sha256, read big-endian."""
+    heads = bytearray()
+    for path in paths:
+        heads += hashlib.sha256(path).digest()[:8]
+    return np.frombuffer(heads, dtype=">u8") >> np.uint64(1)
+
+
 def derive_seed(seed: int, *labels) -> int:
     """Labeled sub-seed: hash of the master seed and a label path."""
-    path = str(int(seed))
-    for label in labels:
-        path += "/" + str(label)
-    return int.from_bytes(hashlib.sha256(path.encode()).digest()[:8], "big") >> 1
+    path = "/".join([str(int(seed)), *map(str, labels)])
+    return int(_seed_values([path.encode()])[0])
+
+
+def derive_seeds(seeds, labels) -> np.ndarray:
+    """``derive_seed(s, label)`` for every one of ``seeds`` (rows) and of ``labels``
+    (columns); the label ``"classical/7"`` gives ``derive_seed(s, "classical", 7)``."""
+    labels = [str(label).encode() for label in labels]
+    values = _seed_values(b"%d/%b" % (seed, label) for seed in seeds for label in labels)
+    return values.reshape(len(seeds), len(labels))
+
+
+def oracle_images(n: int, seeds) -> np.ndarray:
+    """The whole table of ``RandomOracleTable(n, s)`` for every one of
+    ``seeds``, one row of 2^n images each, from one sha256 per image."""
+    inputs = [b"%d" % x for x in range(1 << n)]
+    prefixes = [b"%d/img/" % seed for seed in seeds]
+    values = _seed_values(prefix + x for prefix in prefixes for x in inputs)
+    values &= np.uint64((1 << n) - 1)
+    return values.reshape(len(prefixes), 1 << n)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -104,7 +129,7 @@ def _seed_words_type() -> type:
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            if n_words != len(self.words) or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
                 raise ValueError("precomputed seed words serve PCG64 seeding only")
             return self.words
 
@@ -144,12 +169,9 @@ class RandomOracleTable:
         self.n = n
         self.seed = 0 if seed is None else int(seed)
         self._table: dict[int, int] = {}
-        # The image of x is derive_seed(seed, "img", x), the hash of "<seed>/img/<x>".
-        self._prefix = f"{self.seed}/img/".encode()
 
     def _image(self, x: int) -> int:
-        digest = hashlib.sha256(self._prefix + b"%d" % x).digest()
-        return (int.from_bytes(digest[:8], "big") >> 1) & ((1 << self.n) - 1)
+        return derive_seed(self.seed, "img", x) & ((1 << self.n) - 1)
 
     def query(self, x: int) -> int:
         if not 0 <= x < (1 << self.n):
@@ -166,14 +188,8 @@ class RandomOracleTable:
         sensible at small n."""
         if self.n > 20:
             raise ValueError("full table requested for n > 20")
-        table, prefix, mask = self._table, self._prefix, (1 << self.n) - 1
-        images = []
-        for x in range(1 << self.n):
-            y = table.get(x)
-            if y is None:
-                digest = hashlib.sha256(prefix + b"%d" % x).digest()
-                y = table[x] = (int.from_bytes(digest[:8], "big") >> 1) & mask
-            images.append(y)
+        images = oracle_images(self.n, [self.seed])[0].tolist()
+        self._table.update(enumerate(images))
         return tuple(images)
 
 

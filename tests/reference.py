@@ -26,8 +26,10 @@ cross-check the fast paths of the package.
   exact outcome tensors and acceptance table of ``game.analyze_game``.
 * The oracle memo, a chain tuple as one key, and chain samplers, against
   the closed-form chain distributions of ``rom``.
-* Subset enumeration of the classical search attack, against its first-hit
-  combinatorics.
+* The classical search attack world by world: its hits and first-hit
+  probabilities over the oracle's full table, its adversary scanning every
+  query, and subset enumeration of its verdicts, against the block arrays
+  and the first-hit adversary of ``attacks``.
 * A world descriptor as the JSON text the ``qgame`` report embeds.
 """
 
@@ -535,7 +537,53 @@ def sample_independent_chains(n: int, l: int, w: int, rng: np.random.Generator) 
 
 
 # ---------------------------------------------------------------------------
-# Subset enumeration of the classical search attack
+# The classical search attack, one world at a time
+
+
+def hit_wins(l: int, oracle: rom.RandomOracleTable, pk, blinding) -> list[tuple[int, bool]]:
+    """All oracle inputs mapping onto the public key, ascending, with the win
+    verdict the forgery pipeline reaches if that input is the first hit."""
+    verdict: dict[int, bool] = {}
+    for idx, p in enumerate(pk):  # a string's first index is the one forged
+        if p not in verdict:
+            _, m, m_prime = attacks._forgery_messages(l, idx)
+            verdict[p] = (m not in blinding) and (m_prime in blinding)
+    return [(y, verdict[h]) for y, h in enumerate(oracle.full_table()) if h in verdict]
+
+
+def first_hit_exact(weight, hits: list[tuple[int, bool]]) -> tuple[float, float]:
+    """(win probability, hit probability) over a uniform random q-subset of
+    inputs, summed hit by hit in input order.
+
+    ``hits`` lists (input, wins-if-first) for every preimage of a public-key
+    string, ascending; ``weight`` comes from ``attacks._first_hit_weights``.
+    """
+    p_win = 0.0
+    p_hit = 0.0
+    for rank, (_, wins) in enumerate(hits):
+        p_first = weight(rank)
+        p_hit += p_first
+        if wins:
+            p_win += p_first
+    return p_win, p_hit
+
+
+def scanning_adversary(queries):
+    """The search adversary that queries all of ``queries`` (ascending) and
+    then forges from the first hit."""
+
+    def adversary(handles: game.ClassicalHandles):
+        y_star = None
+        pk_index = None
+        for y in queries:  # scan hits in ascending order
+            hy = handles.hash_query(y)
+            if pk_index is None and hy in handles.pk:
+                y_star, pk_index = y, handles.pk.index(hy)  # first matching string
+        if pk_index is None:
+            return None  # concede: no preimage found
+        return attacks._forge(handles, y_star, pk_index)  # None when the sign query was blinded
+
+    return adversary
 
 
 def exact_win_by_subset_enumeration(n: int, l: int, q: int, world_seed: int) -> float:
@@ -545,7 +593,7 @@ def exact_win_by_subset_enumeration(n: int, l: int, q: int, world_seed: int) -> 
     oracle, keypair, blinding = next(
         game.classical_worlds(ots.LamportParams(n=n, l=l), 0.5, [world_seed])
     )
-    hits = dict(attacks._hit_wins(l, oracle, keypair.pk, blinding))
+    hits = dict(hit_wins(l, oracle, keypair.pk, blinding))
     space = 1 << n
     q = min(q, space)
     wins = 0

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 import reference
+from test_game import SLACK, traced_peak
+
 from qromlab import attacks, cli, game, ots, rom
-from qromlab.attacks import (
-    _first_hit_exact,
-    _first_hit_weights,
-    _hit_wins,
-)
+from qromlab.attacks import _first_hit_weights
 
 
 class TestSearchFormula:
@@ -33,8 +31,8 @@ class TestClassicalAttack:
                 oracle, keypair, blinding = next(
                     game.classical_worlds(ots.LamportParams(n=3, l=1), 0.5, [seed])
                 )
-                hits = _hit_wins(1, oracle, keypair.pk, blinding)
-                p_win, _ = _first_hit_exact(_first_hit_weights(3, q), hits)
+                hits = reference.hit_wins(1, oracle, keypair.pk, blinding)
+                p_win, _ = reference.first_hit_exact(_first_hit_weights(3, q), hits)
                 assert p_win == pytest.approx(
                     reference.exact_win_by_subset_enumeration(3, 1, q, seed), abs=1e-12
                 )
@@ -158,7 +156,7 @@ def reference_schedule_sensitivity(n, l, max_iterations, trials, seed):
     for t in range(trials):
         world_seed = rom.derive_seed(seed, "sens", t)
         oracle, keypair, blinding = next(game.classical_worlds(params, 0.5, [world_seed]))
-        worlds.append(set(y for y, _ in _hit_wins(l, oracle, keypair.pk, blinding)))
+        worlds.append(set(y for y, _ in reference.hit_wins(l, oracle, keypair.pk, blinding)))
     out = []
     for iters in range(max_iterations + 1):
         total = 0.0
@@ -422,15 +420,133 @@ def test_sampler_rejects_zero_mass():
 
 
 def test_batched_worlds_equal_worlds_from_default_rng():
-    # attacks build a block of worlds at once; each equals the world built
-    # from default_rng at its own seed
+    # attacks build a block of worlds at once, from seeds hashed in one pass;
+    # each equals the world built from default_rng at its own seed, and with
+    # its whole table given up front no query of keygen hashes
+    trial_seeds = next(attacks._seed_blocks(3, "batch", 300, 5))
+    assert trial_seeds == [rom.derive_seed(3, "batch", t) for t in range(300)]
+    draws = rom.derive_seeds(trial_seeds, ["queries"])[:, 0].tolist()
+    assert draws == [rom.derive_seed(s, "queries") for s in trial_seeds]
     for params in (ots.LamportParams(n=4, l=2), ots.derive_wots_params(3, 4, 5)):
-        seeds = [rom.derive_seed(3, "batch", t) for t in range(300)]
-        for seed, (oracle, keypair, blinding) in zip(
-            seeds, game.classical_worlds(params, 0.5, seeds), strict=True
-        ):
-            assert oracle.seed == rom.derive_seed(seed, "oracle")
-            rng = np.random.default_rng(rom.derive_seed(seed, "keygen"))
-            assert keypair == ots.keygen(params, rom.RandomOracleTable(params.n, oracle.seed), rng)
-            rng = np.random.default_rng(rom.derive_seed(seed, "blinding"))
-            assert blinding == game.sample_blinding_set(0.5, params.message_bits, rng)
+        for images in (None, np.empty((300, 1 << params.n), dtype=np.uint64)):
+            worlds = game.classical_worlds(params, 0.5, trial_seeds, images)
+            for k, seed in enumerate(trial_seeds):
+                with pytest.MonkeyPatch.context() as patch:
+                    if images is not None:  # keygen must not hash
+                        patch.setattr(rom.RandomOracleTable, "_image", None)
+                    oracle, keypair, blinding = next(worlds)
+                assert oracle.seed == rom.derive_seed(seed, "oracle")
+                lazy = rom.RandomOracleTable(params.n, oracle.seed)
+                if images is not None:  # the memo starts full, with the lazy oracle's images
+                    table = [lazy.query(x) for x in range(1 << params.n)]
+                    assert reference.known(oracle) == dict(enumerate(table))
+                    assert images[k].tolist() == table
+                rng = np.random.default_rng(rom.derive_seed(seed, "keygen"))
+                assert keypair == ots.keygen(params, lazy, rng)
+                rng = np.random.default_rng(rom.derive_seed(seed, "blinding"))
+                assert blinding == game.sample_blinding_set(0.5, params.message_bits, rng)
+            assert next(worlds, None) is None
+
+
+# (n, l, q) of every classical attack below: q from no query to more than the
+# whole domain; at n = 1 two public-key strings collide in half the worlds.
+ATTACK_SHAPES = [
+    (n, l, q) for n in range(1, 7) for l in range(1, 4)
+    for q in sorted({0, 1, 1 << (n - 1), 1 << n, (1 << n) + 3})
+]
+TRIALS_PER_SHAPE = 25
+
+
+def world_by_world(n, l, q, trials, seed):
+    """(win, search) probabilities of every world of ``classical_search_attack``
+    from the full-table reference, and how many worlds have colliding
+    public-key strings."""
+    weight = _first_hit_weights(n, q)
+    params = ots.LamportParams(n=n, l=l)
+    probs = []
+    collisions = 0
+    for t in range(trials):
+        world_seed = rom.derive_seed(seed, "classical", t)
+        oracle, keypair, blinding = next(game.classical_worlds(params, 0.5, [world_seed]))
+        hits = reference.hit_wins(l, oracle, keypair.pk, blinding)
+        probs.append(reference.first_hit_exact(weight, hits) if q > 0 else (0.0, 0.0))
+        collisions += len(set(keypair.pk)) < len(keypair.pk)
+    return probs, collisions
+
+
+class TestBlockReference:
+    @pytest.mark.parametrize("n,l,q,trials", [
+        *((n, l, q, TRIALS_PER_SHAPE) for n, l, q in ATTACK_SHAPES),
+        (6, 2, 20, 300),  # two blocks: 256 trials, then 44
+    ])
+    def test_block_reference_equals_world_by_world_reference(self, n, l, q, trials, monkeypatch):
+        # each world's probabilities read from its block's arrays have the
+        # bits of the full-table reference, and so do their sums in trial order
+        read = []
+        play = attacks._play_block
+
+        def recorded(*args):
+            wins, searches, p_wins, p_hits = play(*args)
+            read.extend(zip(p_wins, p_hits))
+            return wins, searches, p_wins, p_hits
+
+        monkeypatch.setattr(attacks, "_play_block", recorded)
+        seed = rom.derive_seed(41, n, l, q)
+        rep = attacks.classical_search_attack(n, l, q, trials, seed)
+        want, _ = world_by_world(n, l, q, trials, seed)
+        assert read == want
+        exact = var = search = 0.0
+        for p_win, p_hit in want:
+            exact += p_win
+            var += p_win * (1.0 - p_win)
+            search += p_hit
+        assert (rep.exact_reference, rep.reference_sigma, rep.search_exact) == (
+            exact / trials, math.sqrt(var) / trials, search / trials)
+
+    def test_worlds_cover_colliding_public_keys(self):
+        collisions = sum(world_by_world(n, l, q, TRIALS_PER_SHAPE, rom.derive_seed(41, n, l, q))[1]
+                         for n, l, q in ATTACK_SHAPES if n == 1)
+        assert len(ATTACK_SHAPES) * TRIALS_PER_SHAPE >= 2000
+        assert collisions >= 100
+
+    def test_first_hit_adversary_forges_what_the_scanning_adversary_forges(self):
+        # same forgery and verdict from fewer oracle calls, on the attack's
+        # own worlds and query sets
+        fewer = 0
+        for n, l, q in ATTACK_SHAPES:
+            space = 1 << n
+            seeds = [rom.derive_seed(43, n, l, q, t) for t in range(TRIALS_PER_SHAPE)]
+            for seed, world in zip(seeds, game.classical_worlds(ots.LamportParams(n, l), 0.5, seeds)):
+                if 0 < q < space:
+                    rng = np.random.default_rng(rom.derive_seed(seed, "queries"))
+                    queries = sorted(rng.choice(space, size=q, replace=False).tolist())
+                else:
+                    queries = range(min(q, space))
+                new = game.run_with_world_classical(attacks._classical_adversary(queries), *world, seed)
+                old = game.run_with_world_classical(reference.scanning_adversary(queries), *world, seed)
+                assert (new.verdict, new.m_star, new.sigma_star, new.sign_queries) == (
+                    old.verdict, old.m_star, old.sigma_star, old.sign_queries)
+                assert new.hash_queries <= old.hash_queries == len(queries) <= q
+                fewer += new.hash_queries < old.hash_queries
+        assert fewer > 1000
+
+
+class TestPeakMemory:
+    # A block keeps its seeds, images and reference in numpy arrays and builds
+    # one world at a time, so each attack's tracemalloc peak stays within the
+    # parent's plus four SLACKs (1 MiB).  Read at the parent, here, and with
+    # every block's worlds held in a list: classical 0.45, 1.06 and 2.28 MiB;
+    # Grover, whose per-marked-set cache is most of it, 1.97, 2.49 and 3.51 MiB;
+    # the n = 12 attack 0.44, 0.89 and 1.4 MiB.
+    @pytest.mark.parametrize("attack,parent_mib", [
+        (lambda: attacks.classical_search_attack(4, 1, 16, 10000, 10), 0.45),
+        (lambda: attacks.grover_attack(4, 1, None, 10000, 10), 1.97),
+        (lambda: attacks.classical_search_attack(12, 1, 100, 20, 10), 0.44),
+    ], ids=["classical", "grover", "classical-n12"])
+    def test_attack_holds_no_block_of_worlds(self, attack, parent_mib):
+        attacks.classical_search_attack(3, 1, 4, 10, 1)  # imports and first-use set-up
+        assert traced_peak(attack) <= int(parent_mib * (1 << 20)) + 4 * SLACK
+
+    def test_block_size_comes_from_a_byte_cap(self):
+        # a row of images is 128 B at n = 4 and 32 KiB at n = 12
+        assert [max(1, attacks._BLOCK_BYTES >> (n + 3)) for n in (4, 12)] == [1024, 4]

@@ -252,14 +252,22 @@ class TestErrors:
 
 
 class TestAttackFormats:
-    def test_csv_format(self, tmp_path):
+    def test_csv_format(self, tmp_path, capsys):
+        # every float column reads back as a float, equal to the JSON report's
+        # (numpy >= 2 once wrote the Wilson bounds as "np.float64(...)")
+        argv = ["attack", "--kind", "classical", "--n", "3", "--l", "1", "--q", "4",
+                "--trials", "200", "--seed", "1"]
         out = tmp_path / "a.csv"
-        code = cli.main(["attack", "--kind", "classical", "--n", "3", "--l", "1",
-                         "--q", "2", "--trials", "100", "--seed", "1",
-                         "--format", "csv", "--out", str(out)])
-        assert code == 0
+        assert cli.main(argv + ["--format", "csv", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("kind,") and len(lines) == 2
+        row = dict(zip(lines[0].split(","), lines[1].split(","), strict=True))
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        floats = {key for key, value in doc.items() if isinstance(value, float)}
+        assert {"wilson_low", "wilson_high", "empirical", "exact_reference"} <= floats
+        for key in floats:
+            assert float(row[key]) == doc[key], key
 
 
 class TestStartup:
@@ -280,3 +288,27 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out == "[]\n"
+
+    def test_cli_import_loads_only_pinned_stdlib_modules(self):
+        # Beyond ``import numpy``, the package's own modules and these
+        # standard-library packages are all that ``import qromlab.cli`` may
+        # load.  A new start-up import fails here before it shows as
+        # benchmark set-up time.  Python 3.11 has pathlib and typing loaded
+        # at start-up; 3.10 loads them, with their own imports, for the
+        # package.
+        allowed = {"__future__", "_blake2", "_csv", "_hashlib", "_json", "argparse", "copy",
+                   "csv", "dataclasses", "gettext", "hashlib", "json"}
+        if sys.version_info < (3, 11):
+            allowed |= {"fnmatch", "ntpath", "pathlib", "typing", "urllib", "weakref"}
+        script = (
+            "import sys, numpy\n"
+            "base = set(sys.modules)\n"
+            "import qromlab.cli\n"
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - base} - {'qromlab'}))\n"
+        )
+        src = str(Path(qromlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        loaded = set(json.loads(out.replace("'", '"')))
+        assert loaded <= allowed, sorted(loaded - allowed)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from qromlab import rom
+from qromlab import game, ots, rom
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +164,54 @@ class TestLazyTable:
             for bad in (-1, 1 << n):
                 with pytest.raises(ValueError):
                     t.query(bad)
+
+
+class TestBlockImages:
+    def test_block_rows_equal_lazy_images(self):
+        # the one-pass builder equals the lazy table's per-input image
+        rng = random.Random(17)
+        for n in range(1, 13):
+            seeds = [rng.randrange(-(1 << 40), 1 << 63) for _ in range(3)] + [0]
+            rows = rom.oracle_images(n, seeds)
+            assert rows.shape == (len(seeds), 1 << n) and rows.dtype == np.uint64
+            for seed, row in zip(seeds, rows.tolist()):
+                lazy = rom.RandomOracleTable(n, seed)
+                assert row == [lazy._image(x) for x in range(1 << n)]
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (5, 11), (8, -2), (10, 2**62 + 3)])
+    def test_full_table_is_the_labeled_hash_of_every_input(self, n, seed):
+        # against one sha256 update per path piece, not the package's formula
+        table = rom.RandomOracleTable(n, seed).full_table()
+        assert table == tuple(
+            piecewise_derive_seed(seed, "img", x) & ((1 << n) - 1) for x in range(1 << n)
+        )
+
+    def test_batched_seeds_equal_derive_seed(self):
+        seeds = [0, 7, -3, 2**62 + 1, 2**63 - 1]
+        labels = ["keygen", "classical/12", 5, ""]
+        got = rom.derive_seeds(seeds, labels)
+        assert got.shape == (5, 4)
+        assert got.tolist() == [[rom.derive_seed(s, lab) for lab in labels] for s in seeds]
+        assert got[0, 1] == rom.derive_seed(0, "classical", 12)
+        assert rom.derive_seeds([], ["x"]).shape == (0, 1)
+
+    @pytest.mark.parametrize("n", [1, 6, 9])
+    def test_prefilled_oracle_answers_as_the_lazy_one(self, n, monkeypatch):
+        # an attack world's oracle starts with its whole table: every query
+        # answers as the lazy oracle's would, none hashes, and the range
+        # check still rejects inputs outside the domain
+        images = np.empty((2, 1 << n), dtype=np.uint64)
+        worlds = game.classical_worlds(ots.LamportParams(n=n, l=1), 0.5, [5, 2**40 + 9], images)
+        for oracle, _, _ in worlds:
+            lazy = rom.RandomOracleTable(n, oracle.seed)
+            want = [lazy.query(x) for x in range(1 << n)]
+            with monkeypatch.context() as patch:
+                patch.setattr(rom.RandomOracleTable, "_image", None)  # a hash would raise
+                assert [oracle.query(x) for x in range(1 << n)] == want
+                assert [oracle(x) for x in reversed(range(1 << n))] == want[::-1]
+                for bad in (-1, 1 << n):
+                    with pytest.raises(ValueError, match="bit value"):
+                        oracle.query(bad)
 
 
 class TestReprogramming:
