@@ -118,12 +118,13 @@ def _first_hit_weights(n: int, q: int) -> Callable[[int], float]:
     return weight
 
 
-def _hits(images: np.ndarray, pk: np.ndarray, wins_if: np.ndarray):
-    """Hit and win masks, one row per world: input y hits when its image is a public-key
-    string, and wins when the forgery from that string's first index does (``wins_if``)."""
-    match = images[:, :, None] == pk[:, None, :]
-    hit = match.any(axis=2)
-    return hit, hit & np.take_along_axis(wins_if, match.argmax(axis=2), axis=1)
+def _hits(images: np.ndarray, sk: np.ndarray):
+    """The hit mask, and the first public-key index each input's image
+    matches, one row per Lamport world: input y hits when its image is a
+    public-key string.  A Lamport chain is one hash step, so the public-key
+    strings are the images of the secret strings ``sk``."""
+    match = images[:, :, None] == np.take_along_axis(images, sk, axis=1)[:, None, :]
+    return match.any(axis=2), match.argmax(axis=2)
 
 
 # Oracle-image bytes per block of trials, whose seeds and worlds are derived together.
@@ -139,30 +140,23 @@ def _seed_blocks(seed: int, label: str, trials: int, n: int):
         yield rom.derive_seeds([seed], labels)[0].tolist()
 
 
-def _play_block(params, seeds: list[int], draw_label: str | None, trial, chances):
+def _play_block(params, seeds: list[int], draws, trial, chances):
     """The wins, signing queries, and exact win and search probabilities of
     a block of trials; its arrays go before the next block's are made."""
     n, l = params.n, params.l
-    forgeries = [_forgery_messages(l, index)[1:] for index in range(2 * l)]
     images = np.empty((len(seeds), 1 << n), dtype=np.uint64)
-    pk = np.empty((len(seeds), 2 * l), dtype=np.uint64)
-    wins_if = np.empty((len(seeds), 2 * l), dtype=bool)
-    rngs = itertools.repeat(None)
-    if draw_label is not None:
-        rngs = rom.default_rngs(rom.derive_seeds(seeds, [draw_label])[:, 0].tolist())
+    worlds = game.ClassicalWorlds(params, 0.5, seeds, images)
+    signed, forged = map(list, zip(*(_forgery_messages(l, i)[1:] for i in range(2 * l))))
+    wins_if = ~worlds.blinded[:, signed] & worlds.blinded[:, forged]
+    hit, first = _hits(images, worlds.sk)
+    win = hit & np.take_along_axis(wins_if, first, axis=1)  # the forgery from the first index wins
     wins = searches = 0
-    worlds = game.classical_worlds(params, 0.5, seeds, images)
-    for k, (trial_seed, rng) in enumerate(zip(seeds, rngs)):
-        world = next(worlds)
-        keypair, blinding = world[1:]
-        pk[k] = keypair.pk
-        wins_if[k] = [m not in blinding and m_prime in blinding for m, m_prime in forgeries]
-        adversary = trial(rng, images[k], *world)
+    for trial_seed, draw, hit_row, world in zip(seeds, draws(seeds), hit, worlds):
+        adversary = trial(draw, hit_row)
         transcript = game.run_with_world_classical(adversary, *world, trial_seed)
         wins += transcript.verdict == "win"
         searches += transcript.sign_queries
         del world  # one oracle memo lives at a time: the next is filled after this goes
-    hit, win = _hits(images, pk, wins_if)
     chance = chances(hit)
     p_wins = np.where(win, chance, 0.0).cumsum(axis=1)[:, -1].tolist()
     p_hits = np.where(hit, chance, 0.0).cumsum(axis=1)[:, -1].tolist()
@@ -170,18 +164,17 @@ def _play_block(params, seeds: list[int], draw_label: str | None, trial, chances
 
 
 def _run_attack(
-    kind: str, label: str, draw_label: str | None,
-    n: int, l: int, q: int, trials: int, seed: int, trial, chances,
+    kind: str, label: str, draws, n: int, l: int, q: int, trials: int, seed: int, trial, chances
 ):
     """The trial loop both attacks share, and their report.
 
     Each trial builds the game's world at its own seed (blinding rate 1/2),
-    its oracle's memo full.  ``trial(rng, images, oracle, keypair, blinding)``
-    returns the adversary, whose forgery the game then judges; ``images`` is
-    the oracle's whole table and ``rng`` the generator at the trial seed's
-    sub-label ``draw_label``, or None when the attack draws nothing.  The
-    exact reference is read from each block's arrays: ``chances(hit)`` gives
-    each hit of each world the chance that the adversary submits it, and a
+    its oracle's memo full.  ``draws(seeds)`` gives the attack's own draw of
+    each of a block's trials, and ``trial(draw, hit)`` returns the
+    adversary, whose forgery the game then judges; ``hit`` marks the inputs
+    whose image is one of the world's public-key strings.  The exact
+    reference is read from each block's arrays: ``chances(hit)`` gives each
+    hit of each world the chance that the adversary submits it, and a
     sequential cumsum in input order (its added zeros are exact) sums those
     of the hits and of the winning hits.  An adversary makes its one signing
     query exactly when its search found a preimage, so that query counts the
@@ -191,7 +184,7 @@ def _run_attack(
     wins = searches = 0
     exact_sum = exact_var = search_exact_sum = 0.0
     for seeds in _seed_blocks(seed, label, trials, n):
-        won, searched, p_wins, p_hits = _play_block(params, seeds, draw_label, trial, chances)
+        won, searched, p_wins, p_hits = _play_block(params, seeds, draws, trial, chances)
         wins += won
         searches += searched
         for p_win, p_hit in zip(p_wins, p_hits):
@@ -228,8 +221,13 @@ def classical_search_attack(n: int, l: int, q: int, trials: int, seed: int = 0) 
     weight = _first_hit_weights(n, q)
     space = 1 << n
 
-    def trial(rng, images, oracle, keypair, blinding):
-        if rng is None:  # q = 0 or q >= 2^n: the query set is not random
+    def draws(seeds):
+        if not 0 < q < space:  # q = 0 or q >= 2^n: the query set is not random
+            return itertools.repeat(None)
+        return rom.default_rngs(rom.derive_seeds(seeds, ["queries"])[:, 0].tolist())
+
+    def trial(rng, hit):
+        if rng is None:
             return _classical_adversary(range(min(q, space)))
         return _classical_adversary(sorted(rng.choice(space, size=q, replace=False).tolist()))
 
@@ -239,9 +237,8 @@ def classical_search_attack(n: int, l: int, q: int, trials: int, seed: int = 0) 
         table = np.array([weight(r) if q else 0.0 for r in range(ranks.max(initial=0) + 1)])
         return np.where(hit, table[ranks], 0.0)
 
-    draw_label = "queries" if 0 < q < space else None
     return _run_attack(
-        "classical-search", "classical", draw_label, n, l, q, trials, seed, trial, first_hit
+        "classical-search", "classical", draws, n, l, q, trials, seed, trial, first_hit
     )
 
 
@@ -283,27 +280,31 @@ def grover_attack(
     """
     if iterations is None:
         iterations = default_grover_iterations(n, l)
-    # Measurement distribution per marked set, which worlds repeat often at these sizes.
-    by_marked: dict[tuple[int, ...], np.ndarray] = {}
+    # Measurement distribution per marked set (the hit row's bytes), which
+    # worlds repeat often at these sizes.
+    by_marked: dict[bytes, np.ndarray] = {}
 
-    def trial(rng, images, oracle, keypair, blinding):
-        marked = tuple(y for y, image in enumerate(images.tolist()) if image in keypair.pk)
+    def draws(seeds):  # the measurement's one uniform
+        return rom.pcg64_random(rom.derive_seeds(seeds, ["measure"])[:, 0], 1)[:, 0].tolist()
+
+    def trial(u, hit):
+        marked = hit.tobytes()
         if marked not in by_marked:
-            probs = np.abs(grover_state(n, marked, iterations)) ** 2
+            probs = np.abs(grover_state(n, hit.nonzero()[0].tolist(), iterations)) ** 2
             by_marked[marked] = probs / probs.sum()
-        y_star = game.sample_index(by_marked[marked], rng)
+        y_star = game.sample_index(by_marked[marked], u)
 
         def adversary(handles: game.ClassicalHandles):
-            if y_star not in marked:
+            if not hit[y_star]:
                 return None
             return _forge(handles, y_star, handles.pk.index(handles.hash_query(y_star)))
 
         return adversary
 
     def probs(hit):
-        return np.array([by_marked[tuple(row.nonzero()[0].tolist())] for row in hit])
+        return np.array([by_marked[row.tobytes()] for row in hit])
 
-    return _run_attack("grover", "grover", "measure", n, l, iterations, trials, seed, trial, probs)
+    return _run_attack("grover", "grover", draws, n, l, iterations, trials, seed, trial, probs)
 
 
 def grover_schedule_sensitivity(
@@ -318,8 +319,9 @@ def grover_schedule_sensitivity(
     totals = [0.0] * (max_iterations + 1)
     for seeds in _seed_blocks(seed, "sens", trials, n):
         images = np.empty((len(seeds), 1 << n), dtype=np.uint64)
-        for k, (_, keypair, _) in enumerate(game.classical_worlds(params, 0.5, seeds, images)):
-            marked = set(y for y, image in enumerate(images[k].tolist()) if image in keypair.pk)
+        hits, _ = _hits(images, game.ClassicalWorlds(params, 0.5, seeds, images).sk)
+        for hit in hits:
+            marked = set(hit.nonzero()[0].tolist())
             states = itertools.islice(_grover_iterates(n, marked), max_iterations + 1)
             for iters, psi in enumerate(states):
                 totals[iters] += float(sum(abs(psi[y]) ** 2 for y in marked))

@@ -51,19 +51,29 @@ from .qworlds import (
 # Blinding
 
 
-def sample_blinding_set(
-    epsilon: float, message_space_bits: int, rng: np.random.Generator | int
-) -> BlindingSet:
-    """Include every message independently with probability epsilon."""
+def _check_blinding(epsilon: float, message_space_bits: int) -> None:
     if message_space_bits > 20:
         raise ValueError("message space capped at 2^20 for explicit blinding sets")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be a probability")
+
+
+def _blinding_set(epsilon: float, mask: np.ndarray) -> BlindingSet:
+    """The blinding set of a mask over the 2^bits messages, drawn with
+    inclusion rate ``epsilon``: message m is blinded where ``mask[m]``."""
+    bits = len(mask).bit_length() - 1
+    return BlindingSet(nbits=bits, epsilon=epsilon, members=frozenset(mask.nonzero()[0].tolist()))
+
+
+def sample_blinding_set(
+    epsilon: float, message_space_bits: int, rng: np.random.Generator | int
+) -> BlindingSet:
+    """Include every message independently with probability epsilon:
+    message m when draw m of one ``rng.random(2^bits)`` falls below it."""
+    _check_blinding(epsilon, message_space_bits)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    draws = rng.random(1 << message_space_bits) < epsilon
-    members = frozenset(draws.nonzero()[0].tolist())
-    return BlindingSet(nbits=message_space_bits, epsilon=epsilon, members=members)
+    return _blinding_set(epsilon, rng.random(1 << message_space_bits) < epsilon)
 
 
 @dataclass(frozen=True)
@@ -168,32 +178,50 @@ def run_classical_game(
     aborts the run with a losing transcript; an adversary may concede by
     returning None instead of a forgery.
     """
-    oracle, keypair, blinding = next(classical_worlds(params, epsilon, [seed]))
+    oracle, keypair, blinding = next(ClassicalWorlds(params, epsilon, [seed]))
     return run_with_world_classical(adversary, oracle, keypair, blinding, seed)
 
 
-def classical_worlds(params, epsilon: float, seeds: Sequence[int], images=None):
+class ClassicalWorlds:
     """(oracle, keypair, blinding) of one run at each of ``seeds``, in order:
     the lazily sampled oracle, a key pair for the scheme of ``params``, and a
     blinding set that holds each message with probability ``epsilon``.
 
-    The sub-seeds of all the seeds are hashed, and their keygen and blinding
-    generators seeded, in one batch; each world is built when reached.
-    ``images``, a uint64 array of one row of 2^n per seed, receives every
-    oracle's whole table in one pass (:func:`rom.oracle_images`), and each
-    oracle then starts with its memo full, so no query of the run hashes.
+    The sub-seeds of all the seeds are hashed, and their key and blinding
+    draws taken as PCG64 words (:func:`rom.pcg64_words`), in one batch: the
+    same draws as ``ots.keygen`` and :func:`sample_blinding_set` make from
+    ``default_rng`` at those sub-seeds.  ``sk`` holds every run's secret
+    chain starts and ``blinded`` its blinding mask, one row per seed; each
+    world is built from its rows when the iterator reaches it.  ``images``,
+    a uint64 array of one row of 2^n per seed, receives every oracle's whole
+    table in one pass (:func:`rom.oracle_images`), and each oracle then
+    starts with its memo full, so no query of the run hashes.
     """
-    sub_seeds = rom.derive_seeds(seeds, ("oracle", "keygen", "blinding"))
-    oracle_seeds = sub_seeds[:, 0].tolist()
-    if images is not None:
-        images[...] = rom.oracle_images(params.n, oracle_seeds)
-    rngs = rom.default_rngs(sub_seeds[:, 1:].ravel().tolist())  # keygen, blinding, keygen, ...
-    for k, oracle_seed in enumerate(oracle_seeds):
+
+    def __init__(self, params, epsilon: float, seeds: Sequence[int], images=None):
+        _check_blinding(epsilon, params.message_bits)
+        sub_seeds = rom.derive_seeds(seeds, ("oracle", "keygen", "blinding"))
+        oracle_seeds = sub_seeds[:, 0].tolist()
+        if images is not None:
+            images[...] = rom.oracle_images(params.n, oracle_seeds)
+        self.sk = rom.pcg64_integers(sub_seeds[:, 1], params.chains, params.n).astype(np.int64)
+        self.blinded = rom.pcg64_random(sub_seeds[:, 2], 1 << params.message_bits) < epsilon
+        # The generator holds the rows, not ``self``: no cycle keeps a block alive.
+        self._worlds = _build_worlds(params, epsilon, oracle_seeds, images, self.sk, self.blinded)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._worlds)
+
+
+def _build_worlds(params, epsilon, oracle_seeds, images, sk, blinded):
+    for k, (oracle_seed, starts) in enumerate(zip(oracle_seeds, sk.tolist())):
         oracle = rom.RandomOracleTable(params.n, seed=oracle_seed)
         if images is not None:  # the memo the oracle's own queries would fill
             oracle._table.update(enumerate(images[k].tolist()))
-        keypair = ots.keygen(params, oracle, next(rngs))
-        yield oracle, keypair, sample_blinding_set(epsilon, params.message_bits, next(rngs))
+        yield oracle, ots.keypair(params, oracle, starts), _blinding_set(epsilon, blinded[k])
 
 
 def run_with_world_classical(
@@ -473,16 +501,17 @@ def analyze_game(
     return states, t_plain, t_outcomes, accept, summary
 
 
-def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """One index drawn with probabilities ``probs``, as numpy's
-    ``rng.choice(len(probs), p=probs)`` draws it (one ``rng.random()``
-    searched in the normalised CDF) but without its checks.  Raises
-    ValueError when ``probs`` has no mass (a zero or NaN total)."""
+def sample_index(probs: np.ndarray, u: float) -> int:
+    """The index that the uniform draw ``u`` picks with probabilities
+    ``probs``, as numpy's ``rng.choice(len(probs), p=probs)`` picks it from
+    its one ``rng.random()`` (searched in the normalised CDF) but without its
+    checks.  Raises ValueError when ``probs`` has no mass (a zero or NaN
+    total)."""
     cdf = probs.cumsum()
     if not cdf[-1] > 0:
         raise ValueError("cannot sample from zero mass")
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(cdf.searchsorted(u, side="right"))
 
 
 def run_quantum_game(
@@ -516,19 +545,19 @@ def run_quantum_game(
     )
     joint_ms = t_plain.sum(axis=2)
     flat = joint_ms.reshape(-1)
-    pick = sample_index(flat / flat.sum(), rng)
+    pick = sample_index(flat / flat.sum(), rng.random())
     m_star, sigma_star_idx = divmod(pick, joint_ms.shape[1])
     step_probs = [("measure_m", float(joint_ms[m_star].sum() / flat.sum()))]
     step_probs.append(("measure_sigma", float(flat[pick] / max(joint_ms[m_star].sum(), 1e-300))))
     if mode == "modified":
         outcome_w = np.array([t[m_star, sigma_star_idx].sum() for t in t_outcomes])
-        q_outcome = sample_index(outcome_w / outcome_w.sum(), rng) + 1
+        q_outcome = sample_index(outcome_w / outcome_w.sum(), rng.random()) + 1
         transcript.q_outcome = q_outcome
         step_probs.append(("q_outcome", float(outcome_w[q_outcome - 1] / outcome_w.sum())))
         gamma_w = t_outcomes[q_outcome - 1][m_star, sigma_star_idx]
     else:
         gamma_w = t_plain[m_star, sigma_star_idx]
-    g = sample_index(gamma_w / gamma_w.sum(), rng)
+    g = sample_index(gamma_w / gamma_w.sum(), rng.random())
     win = bool(accept[m_star, sigma_star_idx, g]) and (m_star in world.blinding)
     n, l = world.n, world.l_sem
     transcript.m_star = int(m_star)

@@ -173,10 +173,9 @@ def chain_eval(x: int, i: int, j: int, oracle: Oracle) -> int:
     return x
 
 
-def _chain_keygen(params, oracle: Oracle, rng: np.random.Generator) -> KeyPair:
-    sk = tuple(int(rng.integers(0, 1 << params.n)) for _ in range(params.chains))
+def _chain_keygen(params, oracle: Oracle, sk: Sequence[int]) -> KeyPair:
     pk = tuple(chain_eval(s, 0, params.w - 1, oracle) for s in sk)
-    return KeyPair(params=params, sk=sk, pk=pk)
+    return KeyPair(params=params, sk=tuple(sk), pk=pk)
 
 
 def _chain_verify(params, pk: Sequence[int], m: int, sigma: Sequence[int], oracle: Oracle) -> bool:
@@ -200,12 +199,12 @@ def _chain_verify(params, pk: Sequence[int], m: int, sigma: Sequence[int], oracl
 
 # The benchmark's trace counts keygen and verify calls through these four
 # names; each runs the shared chain code.
-def lamport_keygen(params, oracle, rng):
-    return _chain_keygen(params, oracle, rng)
+def lamport_keygen(params, oracle, sk):
+    return _chain_keygen(params, oracle, sk)
 
 
-def wots_keygen(params, oracle, rng):
-    return _chain_keygen(params, oracle, rng)
+def wots_keygen(params, oracle, sk):
+    return _chain_keygen(params, oracle, sk)
 
 
 def lamport_verify(params, pk, m, sigma, oracle):
@@ -216,9 +215,16 @@ def wots_verify(params, pk, m, sigma, oracle):
     return _chain_verify(params, pk, m, sigma, oracle)
 
 
+def keypair(params, oracle: Oracle, sk: Sequence[int]) -> KeyPair:
+    """The key pair whose secret chain starts are ``sk``: each start walked to
+    the chain end is its public-key string."""
+    return (lamport_keygen if params.scheme == "lamport" else wots_keygen)(params, oracle, sk)
+
+
 def keygen(params, oracle: Oracle, rng: np.random.Generator) -> KeyPair:
-    """One random start per chain, walked to the chain end for the public key."""
-    return (lamport_keygen if params.scheme == "lamport" else wots_keygen)(params, oracle, rng)
+    """One uniform n-bit start per chain, drawn in one call, then
+    :func:`keypair`."""
+    return keypair(params, oracle, rng.integers(0, 1 << params.n, size=params.chains).tolist())
 
 
 def sign(params, sk: Sequence[int], m: int, oracle: Oracle) -> Signature:

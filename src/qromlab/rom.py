@@ -43,9 +43,10 @@ def _seed_values(paths) -> np.ndarray:
 
 
 def derive_seed(seed: int, *labels) -> int:
-    """Labeled sub-seed: hash of the master seed and a label path."""
+    """Labeled sub-seed: hash of the master seed and a label path, read as
+    :func:`_seed_values` reads it."""
     path = "/".join([str(int(seed)), *map(str, labels)])
-    return int(_seed_values([path.encode()])[0])
+    return int.from_bytes(hashlib.sha256(path.encode()).digest()[:8], "big") >> 1
 
 
 def derive_seeds(seeds, labels) -> np.ndarray:
@@ -113,11 +114,89 @@ def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
     return state[:, 0::2].astype(np.uint64) | (state[:, 1::2].astype(np.uint64) << np.uint64(32))
 
 
+# numpy's 128-bit PCG64 multiplier (PCG_DEFAULT_MULTIPLIER_128), high and low words.
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _mul_hi(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of every 128-bit product ``a * b`` (``b < 2^64``),
+    from four 32 x 32-bit products."""
+    low32 = np.uint64(_MASK32)
+    a0, a1 = a & low32, a >> np.uint64(32)
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & low32) + (p10 & low32)
+    return a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+
+
+def pcg64_words(seeds, count: int) -> np.ndarray:
+    """``np.random.default_rng(s).bit_generator.random_raw(count)`` for every
+    one of ``seeds``, one row each.
+
+    The loop runs over the shorter axis.  With no more words than seeds, the
+    128-bit LCG steps on (high, low) uint64 limb arrays, one vectorised step
+    per word, seeded as numpy's ``pcg_setseq_128_srandom`` seeds it from the
+    :func:`_pcg64_seed_words` (w0, w1, w2, w3): the increment is
+    (w2:w3) << 1 | 1, the state 0, then one step, plus (w0:w1), then one more
+    step; each word is a step, then the XSL-RR output of the state.  With
+    more words than seeds, each row is numpy's own ``PCG64.random_raw``.
+    """
+    words = _pcg64_seed_words(np.asarray(seeds, dtype=np.uint64))
+    out = np.empty((len(words), count), dtype=np.uint64)
+    if count > len(words):
+        from numpy.random import PCG64
+
+        seed_words = _seed_words_type()
+        for k, row in enumerate(words):
+            out[k] = PCG64(seed_words(row)).random_raw(count)
+        return out
+    one = np.uint64(1)
+    inc_hi = (words[:, 2] << one) | (words[:, 3] >> np.uint64(63))
+    inc_lo = (words[:, 3] << one) | one
+
+    def step(hi, lo):
+        new_lo = lo * np.uint64(_PCG_MULT_LO) + inc_lo
+        carry = (new_lo < inc_lo).astype(np.uint64)
+        hi = _mul_hi(lo, _PCG_MULT_LO) + hi * np.uint64(_PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI)
+        return hi + inc_hi + carry, new_lo
+
+    lo = inc_lo + words[:, 1]  # the state after the first step is the increment
+    hi, lo = step(inc_hi + words[:, 0] + (lo < inc_lo).astype(np.uint64), lo)
+    for j in range(count):
+        hi, lo = step(hi, lo)
+        mixed, rotation = hi ^ lo, hi >> np.uint64(58)
+        out[:, j] = (mixed >> rotation) | (mixed << ((np.uint64(64) - rotation) & np.uint64(63)))
+    return out
+
+
+def pcg64_integers(seeds, size: int, bits: int) -> np.ndarray:
+    """``default_rng(s).integers(0, 2**bits, size=size)`` for every one of
+    ``seeds`` (1 <= bits <= 63), one row each, from :func:`pcg64_words`.
+
+    Lemire's bounded draw never rejects on a power-of-two range: a draw of
+    at most 32 bits is the top of a 32-bit half word, the low half of a
+    word first and then its high half; a wider draw is the top of a word.
+    """
+    if not 1 <= bits <= 63:
+        raise ValueError(f"integer draws take 1 to 63 bits, not {bits}")
+    if bits > 32:
+        return pcg64_words(seeds, size) >> np.uint64(64 - bits)
+    words = pcg64_words(seeds, -(-size // 2))
+    halves = np.stack([words & np.uint64(_MASK32), words >> np.uint64(32)], axis=2)
+    return halves.reshape(len(words), -1)[:, :size] >> np.uint64(32 - bits)
+
+
+def pcg64_random(seeds, size: int) -> np.ndarray:
+    """``default_rng(s).random(size)`` for every one of ``seeds``, one row
+    each: the top 53 bits of a word, times 2^-53."""
+    return (pcg64_words(seeds, size) >> np.uint64(11)) * 2.0 ** -53
+
+
 @functools.cache
 def _seed_words_type() -> type:
-    """The seed-sequence type of :func:`default_rngs`, made on first use:
-    importing numpy.random is start-up time that a command drawing nothing
-    need not pay."""
+    """The seed-sequence type of :func:`default_rngs` and of the long rows of
+    :func:`pcg64_words`, made on first use: importing numpy.random is
+    start-up time that a command drawing nothing need not pay."""
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):

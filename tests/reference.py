@@ -459,7 +459,7 @@ def sample_run(states: game.EvolvedStates, world: ChainWorld, mode: str, rng):
         branches = [q.apply(sv.amplitudes) for q in projectors]
         weights = [q.weight * float(np.real(np.vdot(b, b))) for q, b in zip(projectors, branches)]
         weights = np.array(weights)
-        k = game.sample_index(weights / weights.sum(), rng)
+        k = game.sample_index(weights / weights.sum(), rng.random())
         q_outcome = k + 1
         sv = StateVector(layout, branches[k] / np.linalg.norm(branches[k]))
     assignment = {}
@@ -591,7 +591,7 @@ def exact_win_by_subset_enumeration(n: int, l: int, q: int, world_seed: int) -> 
     subset.  Only feasible at small n; cross-checks the first-hit
     combinatorics of ``attacks.classical_search_attack``."""
     oracle, keypair, blinding = next(
-        game.classical_worlds(ots.LamportParams(n=n, l=l), 0.5, [world_seed])
+        game.ClassicalWorlds(ots.LamportParams(n=n, l=l), 0.5, [world_seed])
     )
     hits = dict(hit_wins(l, oracle, keypair.pk, blinding))
     space = 1 << n

@@ -29,7 +29,7 @@ class TestClassicalAttack:
             for q in (1, 2, 4):
                 seed = rom.derive_seed(5, "xc", ws, q)
                 oracle, keypair, blinding = next(
-                    game.classical_worlds(ots.LamportParams(n=3, l=1), 0.5, [seed])
+                    game.ClassicalWorlds(ots.LamportParams(n=3, l=1), 0.5, [seed])
                 )
                 hits = reference.hit_wins(1, oracle, keypair.pk, blinding)
                 p_win, _ = reference.first_hit_exact(_first_hit_weights(3, q), hits)
@@ -155,7 +155,7 @@ def reference_schedule_sensitivity(n, l, max_iterations, trials, seed):
     worlds = []
     for t in range(trials):
         world_seed = rom.derive_seed(seed, "sens", t)
-        oracle, keypair, blinding = next(game.classical_worlds(params, 0.5, [world_seed]))
+        oracle, keypair, blinding = next(game.ClassicalWorlds(params, 0.5, [world_seed]))
         worlds.append(set(y for y, _ in reference.hit_wins(l, oracle, keypair.pk, blinding)))
     out = []
     for iters in range(max_iterations + 1):
@@ -408,7 +408,7 @@ def test_measurement_draws_what_choice_draws():
         p = p / p.sum()
         seed = int(gen.integers(0, 2**63))
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert game.sample_index(p, rng) == ref.choice(len(p), p=p), k
+        assert game.sample_index(p, rng.random()) == ref.choice(len(p), p=p), k
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -416,21 +416,32 @@ def test_sampler_rejects_zero_mass():
     rng = np.random.default_rng(0)
     for probs in (np.zeros(3), np.full(2, np.nan)):
         with pytest.raises(ValueError, match="zero mass"):
-            game.sample_index(probs, rng)
+            game.sample_index(probs, rng.random())
 
 
 def test_batched_worlds_equal_worlds_from_default_rng():
-    # attacks build a block of worlds at once, from seeds hashed in one pass;
-    # each equals the world built from default_rng at its own seed, and with
-    # its whole table given up front no query of keygen hashes
+    # attacks build a block of worlds at once, from seeds hashed in one pass
+    # and draws taken as PCG64 words; each equals the world built from
+    # default_rng at its own seed, and with its whole table given up front no
+    # query of keygen hashes.  The shapes cover both ways of drawing words:
+    # 300 seeds draw fewer words each than there are seeds, 3 seeds more
+    # (8 blinding doubles), and 40-bit strings take a word each.
     trial_seeds = next(attacks._seed_blocks(3, "batch", 300, 5))
     assert trial_seeds == [rom.derive_seed(3, "batch", t) for t in range(300)]
     draws = rom.derive_seeds(trial_seeds, ["queries"])[:, 0].tolist()
     assert draws == [rom.derive_seed(s, "queries") for s in trial_seeds]
-    for params in (ots.LamportParams(n=4, l=2), ots.derive_wots_params(3, 4, 5)):
-        for images in (None, np.empty((300, 1 << params.n), dtype=np.uint64)):
-            worlds = game.classical_worlds(params, 0.5, trial_seeds, images)
-            for k, seed in enumerate(trial_seeds):
+    shapes = [
+        (ots.LamportParams(n=4, l=2), trial_seeds, True),
+        (ots.derive_wots_params(3, 4, 5), trial_seeds, True),
+        (ots.LamportParams(n=4, l=3), trial_seeds[:3], True),
+        (ots.derive_wots_params(3, 2, 40), trial_seeds[:20], False),
+    ]
+    for params, seeds, tables in shapes:
+        shape = (len(seeds), 1 << params.n)
+        for images in [None, np.empty(shape, dtype=np.uint64)] if tables else [None]:
+            worlds = game.ClassicalWorlds(params, 0.5, seeds, images)
+            assert worlds.sk.shape == (len(seeds), params.chains)
+            for k, seed in enumerate(seeds):
                 with pytest.MonkeyPatch.context() as patch:
                     if images is not None:  # keygen must not hash
                         patch.setattr(rom.RandomOracleTable, "_image", None)
@@ -443,8 +454,10 @@ def test_batched_worlds_equal_worlds_from_default_rng():
                     assert images[k].tolist() == table
                 rng = np.random.default_rng(rom.derive_seed(seed, "keygen"))
                 assert keypair == ots.keygen(params, lazy, rng)
+                assert worlds.sk[k].tolist() == list(keypair.sk)
                 rng = np.random.default_rng(rom.derive_seed(seed, "blinding"))
                 assert blinding == game.sample_blinding_set(0.5, params.message_bits, rng)
+                assert worlds.blinded[k].tolist() == blinding.mask().tolist()
             assert next(worlds, None) is None
 
 
@@ -467,7 +480,7 @@ def world_by_world(n, l, q, trials, seed):
     collisions = 0
     for t in range(trials):
         world_seed = rom.derive_seed(seed, "classical", t)
-        oracle, keypair, blinding = next(game.classical_worlds(params, 0.5, [world_seed]))
+        oracle, keypair, blinding = next(game.ClassicalWorlds(params, 0.5, [world_seed]))
         hits = reference.hit_wins(l, oracle, keypair.pk, blinding)
         probs.append(reference.first_hit_exact(weight, hits) if q > 0 else (0.0, 0.0))
         collisions += len(set(keypair.pk)) < len(keypair.pk)
@@ -516,7 +529,7 @@ class TestBlockReference:
         for n, l, q in ATTACK_SHAPES:
             space = 1 << n
             seeds = [rom.derive_seed(43, n, l, q, t) for t in range(TRIALS_PER_SHAPE)]
-            for seed, world in zip(seeds, game.classical_worlds(ots.LamportParams(n, l), 0.5, seeds)):
+            for seed, world in zip(seeds, game.ClassicalWorlds(ots.LamportParams(n, l), 0.5, seeds)):
                 if 0 < q < space:
                     rng = np.random.default_rng(rom.derive_seed(seed, "queries"))
                     queries = sorted(rng.choice(space, size=q, replace=False).tolist())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -131,6 +132,77 @@ class TestDeterminism:
         assert cli.main(argv + ["--out", str(a)]) in (0, 2)
         assert cli.main(argv + ["--out", str(b)]) in (0, 2)
         assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the game and keygen reports, pinned before their draws were taken
+# from block-drawn PCG64 words: both schemes, two seeds, two blinding rates,
+# both adversaries; a 64-message blinding set (more draws than seeds), 40-bit
+# key strings (one word per string) and an odd chain count (half a word left).
+REPORT_SHA256 = {
+    "game --scheme lamport --n 4 --a 2 --epsilon 0.5 --adversary random-forger --seed 3":
+        "ccc73c2cc87169ffb2447ff0405b9e469722eb35f9dac63d40a6ba3cbcad7ec0",
+    "game --scheme lamport --n 4 --a 2 --epsilon 0.5 --adversary replay --seed 3":
+        "1d535ee8a7e5d58fa759129debee6876e35ec1295f937cc9790b589d440495f9",
+    "game --scheme lamport --n 4 --a 2 --epsilon 0.3 --adversary random-forger --seed 3":
+        "8c72954943e3f88bf6e015ad8bb92b9696f5cdd180afa6f950e19cf6cbcf7443",
+    "game --scheme lamport --n 4 --a 2 --epsilon 0.3 --adversary replay --seed 3":
+        "d62f6e95f2e7720b96c4116242c5e89f752d052960417aef8b32c61532ea7a4a",
+    "game --scheme lamport --n 3 --a 6 --w 4 --epsilon 0.3 --seed 3":
+        "b5c81ab8906b369c7f98c4c8337037585be2472ced346d3202e090251247343c",
+    "game --scheme winternitz --n 4 --a 3 --w 2 --epsilon 0.5 --adversary random-forger --seed 3":
+        "952ec46d2e09461e19d6609c2437ffeba1d792b427dec54681438865b2d1af62",
+    "game --scheme winternitz --n 4 --a 3 --w 2 --epsilon 0.5 --adversary replay --seed 3":
+        "355f5ebd16765fc6830faba17fdca847656a4ec4fea1c62df92bd07bb7e1acbe",
+    "game --scheme winternitz --n 4 --a 3 --w 2 --epsilon 0.3 --adversary random-forger --seed 3":
+        "d95a5e0b6c0b7dc3e153cc483473761b9b462eec2b76d55865dc754d8942c9c0",
+    "game --scheme winternitz --n 4 --a 3 --w 2 --epsilon 0.3 --adversary replay --seed 3":
+        "b100561a11ae0154bc51b29322ae54ace8f6f70a5394f17e12b73226dc4cb87c",
+    "game --scheme winternitz --n 3 --a 6 --w 4 --epsilon 0.3 --seed 3":
+        "481a53d9514772e0442791e3ed14bae2bbe0fbd60c5464f41728e4287e2fd053",
+    "keygen --scheme lamport --n 8 --a 2 --seed 3":
+        "af7b84bd6bb1c7335239f4c7908818fcd60cabd019109916fb0aa9f812fc004a",
+    "keygen --scheme lamport --n 40 --a 3 --seed 3":
+        "f8a89e0f8cf842c6c2ec41ff96400c2799fdd80c7e5e43b5ad93b092cc944dd2",
+    "keygen --scheme winternitz --n 8 --a 4 --w 4 --seed 3":
+        "12c61bb3ebc9f01f6a3472f21a6fc25a995873c7d8c0a22896c4c4f20101a29e",
+    "keygen --scheme winternitz --n 5 --a 3 --w 2 --seed 3":
+        "917efc5f911390d1e561f033928186238af2853c721da748be76788850c98988",
+    "game --scheme lamport --n 4 --a 2 --epsilon 0.5 --adversary random-forger --seed 11":
+        "c9f81fa28b680f58dbb2f918ff38fd077e6b2e8badc9c85b29a0363b6b258096",
+    "game --scheme lamport --n 4 --a 2 --epsilon 0.5 --adversary replay --seed 11":
+        "e21ee3879b56ab931933f8c580e245d045a225cc31c254c2f78dca4b92375301",
+    "game --scheme lamport --n 4 --a 2 --epsilon 0.3 --adversary random-forger --seed 11":
+        "ac8e7b3f300f7b392f47c2e8fd7d5b86684622029ce69f5e25b1bb80dcbed850",
+    "game --scheme lamport --n 4 --a 2 --epsilon 0.3 --adversary replay --seed 11":
+        "14e1ddab93b2c3512c32f0298362c4584095f6be73d855fa25f0f00aeab1e114",
+    "game --scheme lamport --n 3 --a 6 --w 4 --epsilon 0.3 --seed 11":
+        "81d02a672d7808e4fde75a9e8c186f552bc0697821ace14aa0ed76d910fcec4f",
+    "game --scheme winternitz --n 4 --a 3 --w 2 --epsilon 0.5 --adversary random-forger --seed 11":
+        "d30dea37c7da484de58e413d0399975c4d7c1a3353f500ca9c45e5fde3023c39",
+    "game --scheme winternitz --n 4 --a 3 --w 2 --epsilon 0.5 --adversary replay --seed 11":
+        "cd3239ddd5d1568afa7e37f5b60da8f58a215890feb0c8ba5258567a99fd8067",
+    "game --scheme winternitz --n 4 --a 3 --w 2 --epsilon 0.3 --adversary random-forger --seed 11":
+        "d8cd012e07f5d4c06ca7791589c3a12fbb01bd9c3ae71ceeebc04330ae6af2bc",
+    "game --scheme winternitz --n 4 --a 3 --w 2 --epsilon 0.3 --adversary replay --seed 11":
+        "13849772f41df656251103f8c5a8e6f9ed1649a2ab740c88353d1bf9765e983b",
+    "game --scheme winternitz --n 3 --a 6 --w 4 --epsilon 0.3 --seed 11":
+        "0621631aa4d363a5e666431e38085587b75edeef38f26cf39b8fd2958453eb69",
+    "keygen --scheme lamport --n 8 --a 2 --seed 11":
+        "5bcf1aa73e3a4cd70afd9168658a7efbf5c000b615f08f46e523738e35182455",
+    "keygen --scheme lamport --n 40 --a 3 --seed 11":
+        "599c9e835b27c40db3fd3d846286715b12310439975ac5e2d544f1ca54f917ba",
+    "keygen --scheme winternitz --n 8 --a 4 --w 4 --seed 11":
+        "91e86627bd38830a461564c1d17d5bd93c90eb3ec99be90d1e33e04fa1289fea",
+    "keygen --scheme winternitz --n 5 --a 3 --w 2 --seed 11":
+        "f337749cbd14833836021496ff30348aebf08c9ddc1b36cf715dc525327e652b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_SHA256))
+def test_game_and_keygen_report_bytes_are_pinned(argv, capsys):
+    assert cli.main(argv.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == REPORT_SHA256[argv]
 
 
 class TestErrors:

@@ -114,6 +114,23 @@ class TestLamport:
         assert not ots.verify(params, kp.pk, 0, sig.sigma[:1], oracle)
 
 
+class TestKeygenDraws:
+    @pytest.mark.parametrize("params", [
+        *(ots.LamportParams(n=n, l=l) for n in (1, 4, 31, 32, 33, 40, 62) for l in (1, 3)),
+        ots.derive_wots_params(3, 2, 4), ots.derive_wots_params(3, 2, 40),  # 5 chains
+    ])
+    def test_one_draw_call_reads_the_per_chain_stream(self, params):
+        # keygen draws every chain start in one call: the starts, and the
+        # generator state after them, are those of one scalar draw per chain
+        oracle = fresh_oracle(params.n, 9)
+        rng, ref = np.random.default_rng(params.n), np.random.default_rng(params.n)
+        kp = ots.keygen(params, oracle, rng)
+        sk = tuple(int(ref.integers(0, 1 << params.n)) for _ in range(params.chains))
+        assert kp.sk == sk and rng.bit_generator.state == ref.bit_generator.state
+        assert kp.pk == tuple(ots.chain_eval(s, 0, params.w - 1, oracle) for s in sk)
+        assert ots.keypair(params, oracle, list(sk)) == kp
+
+
 class TestChains:
     def test_chain_eval_basics(self):
         oracle = fresh_oracle(4, 1)

@@ -201,7 +201,7 @@ class TestBlockImages:
         # answers as the lazy oracle's would, none hashes, and the range
         # check still rejects inputs outside the domain
         images = np.empty((2, 1 << n), dtype=np.uint64)
-        worlds = game.classical_worlds(ots.LamportParams(n=n, l=1), 0.5, [5, 2**40 + 9], images)
+        worlds = game.ClassicalWorlds(ots.LamportParams(n=n, l=1), 0.5, [5, 2**40 + 9], images)
         for oracle, _, _ in worlds:
             lazy = rom.RandomOracleTable(n, oracle.seed)
             want = [lazy.query(x) for x in range(1 << n)]
@@ -394,6 +394,14 @@ class TestSeedDerivation:
         assert len({a, b, c}) == 3
         assert rom.derive_seed(7, "x") == a
 
+    def test_single_seed_equals_batched_seeds(self):
+        # derive_seed reads its one digest as derive_seeds reads a batch
+        draws = np.random.default_rng(31).integers(0, 2**63, size=500, dtype=np.uint64)
+        seeds = EDGE_SEEDS + [-3, -(2**63)] + [int(s) for s in draws]
+        paths = [("keygen",), ("classical", 17), ("drift", 2, 1, 0), ("", "a/b"), ("img", 2**40)]
+        got = rom.derive_seeds(seeds, ["/".join(map(str, path)) for path in paths])
+        assert got.tolist() == [[rom.derive_seed(s, *path) for path in paths] for s in seeds]
+
     def test_one_shot_hash_matches_piecewise_updates(self):
         labels = [(), ("x",), ("classical", 9999), ("drift", 2, 1, 0, 1),
                   ("dense", 1, 0, (0, 3)), ("img", 255), ("", "a/b")]
@@ -426,6 +434,58 @@ class TestDefaultRngs:
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
             rom.default_rngs([3, seed])
+
+
+def _raw_words(seed: int, count: int) -> list[int]:
+    return np.random.default_rng(seed).bit_generator.random_raw(count).tolist()
+
+
+class TestPcg64Words:
+    # Edge seeds and 10k random ones: the vectorised stepping serves a block
+    # with at most as many words as seeds, numpy's PCG64 a longer stream.
+    SEEDS = EDGE_SEEDS + [
+        int(s) for s in np.random.default_rng(2025).integers(0, 2**64 - 1, size=10_000, dtype=np.uint64)
+    ]
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 64])
+    def test_stepped_words_equal_random_raw(self, count):
+        got = rom.pcg64_words(self.SEEDS, count)
+        assert got.shape == (len(self.SEEDS), count) and got.dtype == np.uint64
+        for seed, row in zip(self.SEEDS, got.tolist()):
+            assert row == _raw_words(seed, count), seed
+
+    @pytest.mark.parametrize("rows,count", [(6, 6), (6, 7), (3, 1 << 12), (1, 1 << 12), (1, 1)])
+    def test_both_branches_equal_random_raw(self, rows, count):
+        seeds = self.SEEDS[:rows] + self.SEEDS[-rows:]
+        for chunk in (seeds[:rows], seeds[rows:]):
+            got = rom.pcg64_words(chunk, count).tolist()
+            assert got == [_raw_words(seed, count) for seed in chunk]
+
+    @pytest.mark.parametrize("bits", [1, 4, 31, 32, 33, 40, 62])
+    @pytest.mark.parametrize("size", [1, 2, 5, 600])
+    def test_integers_equal_generator_integers(self, bits, size):
+        seeds = self.SEEDS[:300]
+        got = rom.pcg64_integers(seeds, size, bits)
+        assert got.shape == (len(seeds), size)
+        for seed, row in zip(seeds, got.tolist()):
+            assert row == np.random.default_rng(seed).integers(0, 2**bits, size=size).tolist(), seed
+
+    @pytest.mark.parametrize("bits", [0, 64])
+    def test_integer_width_outside_a_word_rejected(self, bits):
+        with pytest.raises(ValueError, match="1 to 63 bits"):
+            rom.pcg64_integers([1, 2], 3, bits)
+
+    @pytest.mark.parametrize("size", [1, 4, 9, 1 << 12])
+    def test_doubles_equal_generator_random(self, size):
+        seeds = self.SEEDS[:20]
+        got = rom.pcg64_random(seeds, size)
+        assert got.dtype == np.float64
+        for seed, row in zip(seeds, got.tolist()):
+            assert row == np.random.default_rng(seed).random(size).tolist(), seed
+
+    def test_no_seeds(self):
+        assert rom.pcg64_words([], 3).shape == (0, 3)
+        assert rom.pcg64_random([], 0).shape == (0, 0)
 
 
 def test_distribution_csv_dump(tmp_path):
