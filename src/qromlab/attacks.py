@@ -13,13 +13,20 @@ the register sizes simulated here the attacker's guaranteed hits on the
 secret strings themselves and public-key collisions shift the true rate
 visibly, so reports carry both the formula and an exact reference computed
 from first-hit combinatorics over the attacker's random query set.
+
+An attack's trials are independent, so it plays them on every usable CPU:
+forked children play contiguous shares of them, and the parent sums every
+share's per-trial values in trial order, so the report has the serial bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable
 
@@ -131,12 +138,16 @@ def _hits(images: np.ndarray, sk: np.ndarray):
 _BLOCK_BYTES = 1 << 17
 
 
-def _seed_blocks(seed: int, label: str, trials: int, n: int):
-    """The trial seeds ``derive_seed(seed, label, t)`` for t < trials, one
-    list per block of trials whose oracle tables take _BLOCK_BYTES."""
-    block = max(1, _BLOCK_BYTES >> (n + 3))
-    for start in range(0, trials, block):
-        labels = [f"{label}/{t}" for t in range(start, min(start + block, trials))]
+def _block_size(n: int) -> int:
+    return max(1, _BLOCK_BYTES >> (n + 3))
+
+
+def _seed_blocks(seed: int, label: str, trials: range, n: int):
+    """The trial seeds ``derive_seed(seed, label, t)`` for t in ``trials``,
+    one list per block of trials whose oracle tables take _BLOCK_BYTES."""
+    block = _block_size(n)
+    for start in range(trials.start, trials.stop, block):
+        labels = [f"{label}/{t}" for t in range(start, min(start + block, trials.stop))]
         yield rom.derive_seeds([seed], labels)[0].tolist()
 
 
@@ -163,6 +174,88 @@ def _play_block(params, seeds: list[int], draws, trial, chances):
     return wins, searches, p_wins, p_hits
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shares(trials: int, n: int) -> list[range]:
+    """Contiguous, near-equal shares of ``range(trials)``: one per usable CPU,
+    and no more than the attack has blocks."""
+    count = max(1, min(usable_cpus(), -(-trials // _block_size(n))))
+    bounds = [trials * k // count for k in range(count + 1)]
+    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _fork_share(play, share: range) -> tuple[int, int]:
+    """Fork a child that pickles ``list(play(share))``, or the traceback it
+    raised, to a pipe; returns the child's pid and the pipe's read end.  The
+    child leaves through ``os._exit``: no atexit handler runs and no
+    inherited stdio buffer is flushed.  An interrupt or exit in the child
+    ends it without a result."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        try:
+            result = list(play(share)), None
+        except Exception:
+            import traceback
+
+            result = None, traceback.format_exc()
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _in_trial_order(play, trials: int, n: int):
+    """``play(share)``'s block results for every share of the trials, in trial
+    order.  The parent plays the first share itself while one forked child
+    plays each other share; it then reads the children's results in share
+    order.  A child whose share raised raises here, naming its trials; when
+    this ends early, by the parent's own error or an interrupt, the children
+    that have not delivered are killed.  Every child is reaped."""
+    first, *rest = _shares(trials, n)
+    children = []  # (share, pid, the read end of its pipe)
+    delivered = set()
+    try:
+        for share in rest:
+            children.append((share, *_fork_share(play, share)))
+        yield from play(first)
+        for share, pid, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            delivered.add(pid)
+            try:
+                blocks, error = pickle.loads(data)
+            except (pickle.UnpicklingError, EOFError):
+                blocks, error = None, "the child process ended without a result"
+            if error is not None:
+                raise RuntimeError(
+                    f"attack trials {share.start}..{share.stop - 1} failed in a child process:\n{error}"
+                )
+            yield from blocks
+    finally:
+        for share, pid, read in children:
+            if pid not in delivered:
+                os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            os.close(read)
+
+
 def _run_attack(
     kind: str, label: str, draws, n: int, l: int, q: int, trials: int, seed: int, trial, chances
 ):
@@ -178,19 +271,25 @@ def _run_attack(
     sequential cumsum in input order (its added zeros are exact) sums those
     of the hits and of the winning hits.  An adversary makes its one signing
     query exactly when its search found a preimage, so that query counts the
-    search hits.
+    search hits.  The trials are played in shares (``_in_trial_order``), and
+    the sums run in trial order whatever the number of shares.
     """
     params = ots.LamportParams(n=n, l=l)
+
+    def play(share: range):
+        for seeds in _seed_blocks(seed, label, share, n):
+            yield _play_block(params, seeds, draws, trial, chances)
+
     wins = searches = 0
     exact_sum = exact_var = search_exact_sum = 0.0
-    for seeds in _seed_blocks(seed, label, trials, n):
-        won, searched, p_wins, p_hits = _play_block(params, seeds, draws, trial, chances)
-        wins += won
-        searches += searched
-        for p_win, p_hit in zip(p_wins, p_hits):
-            exact_sum += p_win
-            exact_var += p_win * (1.0 - p_win)
-            search_exact_sum += p_hit
+    with contextlib.closing(_in_trial_order(play, trials, n)) as blocks:
+        for won, searched, p_wins, p_hits in blocks:
+            wins += won
+            searches += searched
+            for p_win, p_hit in zip(p_wins, p_hits):
+                exact_sum += p_win
+                exact_var += p_win * (1.0 - p_win)
+                search_exact_sum += p_hit
     low, high = wilson_interval(wins, trials)
     full, simple = lemmas.forgery_bound_lamport(q, l, n)
     return AttackReport(
@@ -317,7 +416,7 @@ def grover_schedule_sensitivity(
     """
     params = ots.LamportParams(n=n, l=l)
     totals = [0.0] * (max_iterations + 1)
-    for seeds in _seed_blocks(seed, "sens", trials, n):
+    for seeds in _seed_blocks(seed, "sens", range(trials), n):
         images = np.empty((len(seeds), 1 << n), dtype=np.uint64)
         hits, _ = _hits(images, game.ClassicalWorlds(params, 0.5, seeds, images).sk)
         for hit in hits:

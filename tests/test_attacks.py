@@ -1,4 +1,11 @@
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,7 +433,7 @@ def test_batched_worlds_equal_worlds_from_default_rng():
     # query of keygen hashes.  The shapes cover both ways of drawing words:
     # 300 seeds draw fewer words each than there are seeds, 3 seeds more
     # (8 blinding doubles), and 40-bit strings take a word each.
-    trial_seeds = next(attacks._seed_blocks(3, "batch", 300, 5))
+    trial_seeds = next(attacks._seed_blocks(3, "batch", range(300), 5))
     assert trial_seeds == [rom.derive_seed(3, "batch", t) for t in range(300)]
     draws = rom.derive_seeds(trial_seeds, ["queries"])[:, 0].tolist()
     assert draws == [rom.derive_seed(s, "queries") for s in trial_seeds]
@@ -494,7 +501,9 @@ class TestBlockReference:
     ])
     def test_block_reference_equals_world_by_world_reference(self, n, l, q, trials, monkeypatch):
         # each world's probabilities read from its block's arrays have the
-        # bits of the full-table reference, and so do their sums in trial order
+        # bits of the full-table reference, and so do their sums in trial
+        # order; one CPU, so every block is played, and recorded, here
+        monkeypatch.setattr(attacks, "usable_cpus", lambda: 1)
         read = []
         play = attacks._play_block
 
@@ -550,16 +559,212 @@ class TestPeakMemory:
     # parent's plus four SLACKs (1 MiB).  Read at the parent, here, and with
     # every block's worlds held in a list: classical 0.45, 1.06 and 2.28 MiB;
     # Grover, whose per-marked-set cache is most of it, 1.97, 2.49 and 3.51 MiB;
-    # the n = 12 attack 0.44, 0.89 and 1.4 MiB.
+    # the n = 12 attack 0.44, 0.89 and 1.4 MiB.  On two CPUs the parent plays
+    # half the blocks and then holds the child's per-trial values.
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("attack,parent_mib", [
         (lambda: attacks.classical_search_attack(4, 1, 16, 10000, 10), 0.45),
         (lambda: attacks.grover_attack(4, 1, None, 10000, 10), 1.97),
         (lambda: attacks.classical_search_attack(12, 1, 100, 20, 10), 0.44),
     ], ids=["classical", "grover", "classical-n12"])
-    def test_attack_holds_no_block_of_worlds(self, attack, parent_mib):
+    def test_attack_holds_no_block_of_worlds(self, attack, parent_mib, cpus, monkeypatch):
+        monkeypatch.setattr(attacks, "usable_cpus", lambda: cpus)
         attacks.classical_search_attack(3, 1, 4, 10, 1)  # imports and first-use set-up
         assert traced_peak(attack) <= int(parent_mib * (1 << 20)) + 4 * SLACK
 
     def test_block_size_comes_from_a_byte_cap(self):
         # a row of images is 128 B at n = 4 and 32 KiB at n = 12
         assert [max(1, attacks._BLOCK_BYTES >> (n + 3)) for n in (4, 12)] == [1024, 4]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelTrials:
+    # An attack plays contiguous shares of its trials in forked children, one
+    # per usable CPU and at most one per block, and sums every share's
+    # per-trial values in trial order: its report keeps the serial bytes.
+
+    def test_shares_are_contiguous_near_equal_and_capped_by_blocks(self, monkeypatch):
+        def shares(cpus, trials, n):
+            monkeypatch.setattr(attacks, "usable_cpus", lambda: cpus)
+            return [(r.start, r.stop) for r in attacks._shares(trials, n)]
+
+        assert shares(1, 10000, 4) == [(0, 10000)]
+        assert shares(2, 10000, 4) == [(0, 5000), (5000, 10000)]
+        assert shares(3, 3001, 4) == [(0, 1000), (1000, 2000), (2000, 3001)]
+        assert shares(4, 3001, 4) == shares(3, 3001, 4)  # three blocks of at most 1024
+        assert shares(3, 1024, 4) == [(0, 1024)]  # one block stays serial
+        assert shares(8, 20, 12) == [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20)]
+        assert shares(2, 0, 4) == [(0, 0)]
+        assert attacks.usable_cpus() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("kind,n,l,q,trials,block_bytes", [
+        # n <= 3 with blocks of 512 trials, so 3001 trials make six blocks
+        *(("classical", n, 1 + n % 3, q, 3001, 1 << (n + 12)) for n, q in ((1, 1), (2, 3), (3, 4))),
+        *(("classical", n, 1 + n % 3, q, trials, None)
+          for n, q, trials in ((4, 16, 5001), (5, 7, 3001), (6, 20, 3001))),
+        ("classical", 12, 1, 100, 20, None),  # five blocks of four trials
+        ("classical", 12, 2, 100, 7, None),  # two blocks: more CPUs than blocks
+        ("grover", 3, 1, None, 3001, 1 << 15),
+        ("grover", 4, 1, 0, 3001, None),
+        ("grover", 5, 2, None, 5001, None),
+        ("grover", 6, 1, None, 3001, None),
+    ])
+    def test_parallel_reports_equal_serial_reports(self, kind, n, l, q, trials, block_bytes,
+                                                   monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(attacks, "_BLOCK_BYTES", block_bytes)
+        seed = rom.derive_seed(47, kind, n, l, trials)
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        reports = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(attacks, "usable_cpus", lambda: cpus)
+            if kind == "classical":
+                reports[cpus] = attacks.classical_search_attack(n, l, q, trials, seed)
+            else:
+                reports[cpus] = attacks.grover_attack(n, l, q, trials, seed)
+            assert len(forks) == len(attacks._shares(trials, n)) - 1
+            forks.clear()
+        assert reports[1].search_exact > 0
+        for cpus in (2, 3):
+            assert reports[cpus] == reports[1]
+            assert repr(reports[cpus]) == repr(reports[1])
+        _no_child_left()
+
+    def test_bench_attack_bytes_do_not_depend_on_the_cpus(self):
+        # the seven classical bench commands at two seeds, in a fresh
+        # interpreter on every usable CPU and in one pinned to a single CPU
+        script = (
+            "import contextlib, hashlib, io, os, sys\n"
+            "if sys.argv[1] == 'pinned':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from qromlab import attacks, cli\n"
+            "print(attacks.usable_cpus())\n"
+            "for seed in (10, 3):\n"
+            "    for argv in [\n"
+            "        'attack --kind classical --n 3 --l 1 --q 4',\n"
+            "        'attack --kind classical --n 4 --l 1 --q 16',\n"
+            "        'attack --kind grover --n 4 --l 1',\n"
+            "    ]:\n"
+            "        out = io.StringIO()\n"
+            "        with contextlib.redirect_stdout(out):\n"
+            "            code = cli.main(f'{argv} --trials 10000 --seed {seed}'.split())\n"
+            "        print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+            "for argv in ['--n 8 --l 1 --w 2', '--n 4 --l 2 --w 2', '--n 4 --l 1 --w 4',\n"
+            "             '--n 2 --l 4 --w 2']:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = cli.main(['worlds', *argv.split()])\n"
+            "    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        runs = {}
+        for mode in ("pinned", "free"):
+            runs[mode] = subprocess.run([sys.executable, "-c", script, mode], env=_cli_env(),
+                                        capture_output=True, text=True, check=True, timeout=300).stdout
+        pinned, free = (runs[mode].splitlines() for mode in ("pinned", "free"))
+        assert pinned[0] == "1" and int(free[0]) == len(os.sched_getaffinity(0))
+        assert pinned[1:] == free[1:]
+        assert len(free) == 12 and free[-1] == "no child left"
+        assert all(line.startswith("0 ") for line in free[1:-1])
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    @pytest.mark.parametrize("kind", ["classical", "grover"])
+    def test_a_failing_trial_surfaces_and_leaves_no_child(self, kind, where, monkeypatch):
+        # 600 trials at n = 6 are three blocks; two CPUs split them at 300
+        monkeypatch.setattr(attacks, "usable_cpus", lambda: 2)
+        seed = 5
+        failing = rom.derive_seed(seed, kind, 450 if where == "child" else 10)
+        judge = game.run_with_world_classical
+
+        def failing_judge(*args):
+            if args[-1] == failing:
+                raise Boom(f"trial at seed {failing}")
+            return judge(*args)
+
+        monkeypatch.setattr(game, "run_with_world_classical", failing_judge)
+        attack = (lambda: attacks.classical_search_attack(6, 1, 20, 600, seed)) if kind == "classical" \
+            else (lambda: attacks.grover_attack(6, 1, None, 600, seed))
+        if where == "child":
+            with pytest.raises(RuntimeError, match=r"attack trials 300\.\.599 failed") as info:
+                attack()
+            assert f"Boom: trial at seed {failing}" in str(info.value)  # the child's traceback
+        else:
+            with pytest.raises(Boom):
+                attack()
+        _no_child_left()
+
+    def test_an_interrupt_kills_the_children(self, monkeypatch):
+        # the parent's share is interrupted at its first trial, while the
+        # child's would take a minute: the child is killed, not awaited
+        monkeypatch.setattr(attacks, "usable_cpus", lambda: 2)
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(game, "run_with_world_classical", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            attacks.classical_search_attack(4, 1, 16, 10000, 3)
+        assert time.monotonic() - start < 30
+        _no_child_left()
+
+    def test_a_child_that_ends_without_a_result_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(attacks, "usable_cpus", lambda: 2)
+        last = rom.derive_seed(5, "classical", 599)
+        judge = game.run_with_world_classical
+
+        def vanishing(*args):
+            if args[-1] == last:
+                os._exit(3)
+            return judge(*args)
+
+        monkeypatch.setattr(game, "run_with_world_classical", vanishing)
+        with pytest.raises(RuntimeError, match=r"trials 300\.\.599 failed.*\n.*without a result"):
+            attacks.classical_search_attack(6, 1, 20, 600, 5)
+        _no_child_left()
+
+    def test_cli_report_is_printed_once(self):
+        # stdout to a pipe is block-buffered: a child that flushed the
+        # buffer it inherited would print what is in it a second time
+        argv = "attack --kind classical --n 4 --l 1 --q 16 --trials 3001 --seed 3"
+        script = (
+            "import sys\n"
+            "print('before the attack')\n"
+            "from qromlab import cli\n"
+            f"sys.exit(cli.main({argv.split()!r}))\n"
+        )
+        env = _cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert cli.main(argv.split()) == 0
+        assert out.stdout == "before the attack\n" + buffer.getvalue()
+        assert out.stderr == ""
+
+
+class Boom(Exception):
+    pass
+
+
+def _cli_env():
+    src = str(Path(attacks.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
