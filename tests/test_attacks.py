@@ -588,6 +588,8 @@ class TestParallelTrials:
     # per-trial values in trial order: its report keeps the serial bytes.
 
     def test_shares_are_contiguous_near_equal_and_capped_by_blocks(self, monkeypatch):
+        assert attacks.usable_cpus() == len(os.sched_getaffinity(0))
+
         def shares(cpus, trials, n):
             monkeypatch.setattr(attacks, "usable_cpus", lambda: cpus)
             return [(r.start, r.stop) for r in attacks._shares(trials, n)]
@@ -599,7 +601,6 @@ class TestParallelTrials:
         assert shares(3, 1024, 4) == [(0, 1024)]  # one block stays serial
         assert shares(8, 20, 12) == [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20)]
         assert shares(2, 0, 4) == [(0, 0)]
-        assert attacks.usable_cpus() == len(os.sched_getaffinity(0))
 
     @pytest.mark.parametrize("kind,n,l,q,trials,block_bytes", [
         # n <= 3 with blocks of 512 trials, so 3001 trials make six blocks
