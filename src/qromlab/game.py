@@ -17,7 +17,8 @@ splits over its leading registers into blocks of at most
 tensors in the order numpy's full reduction adds them, so no state-sized
 temporary is made and the sums keep its bits.  Every world that fits the
 statevector cap has at most 2^16 (message, signature) outcomes.  The
-blinded messages are one bool mask over the message space.  This is the
+analysis reads the blinded messages as one bool mask over the message
+space (:meth:`~qromlab.qworlds.BlindingSet.mask`).  This is the
 one quantum game engine: every probability comes from the outcome tensors
 and the acceptance table, and the one transcript a run reports is drawn
 from them.
@@ -44,6 +45,7 @@ from .qworlds import (
     build_query_unitary,
     build_qtilde,
     query_unitary_as_function,
+    to_frame,
 )
 
 
@@ -66,13 +68,11 @@ def _blinding_set(epsilon: float, mask: np.ndarray) -> BlindingSet:
 
 
 def sample_blinding_set(
-    epsilon: float, message_space_bits: int, rng: np.random.Generator | int
+    epsilon: float, message_space_bits: int, rng: np.random.Generator
 ) -> BlindingSet:
     """Include every message independently with probability epsilon:
     message m when draw m of one ``rng.random(2^bits)`` falls below it."""
     _check_blinding(epsilon, message_space_bits)
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     return _blinding_set(epsilon, rng.random(1 << message_space_bits) < epsilon)
 
 
@@ -437,9 +437,9 @@ def probability_tensor(final: np.ndarray, qtilde, world: ChainWorld) -> list[np.
     for block in qsim.blocks(view.shape, (4,)):
         _add_outcomes(tensors[0], view[block], block)
         if qtilde:
-            h = qtilde[0].to_frame(view[block])
-            for q, table, t in zip(qtilde, tables, tensors[1:]):
-                _add_outcomes(t, q.to_frame(h * qsim.block_of(table, block)), block)
+            h = to_frame(world, view[block])
+            for table, t in zip(tables, tensors[1:]):
+                _add_outcomes(t, to_frame(world, h * qsim.block_of(table, block)), block)
     return tensors
 
 

@@ -6,8 +6,8 @@ Conventions:
   register owns the most significant bits of the flat amplitude index, so a
   basis state is addressed as ``value_0 << shift_0 | value_1 << shift_1 | ...``
   with shifts decreasing in listing order.  This fixes bit-exact fixtures.
-* Operators are :class:`LinearMap` objects built from apply / adjoint-apply
-  closures.  Dense matrices are only formed for small local gates: a
+* Operators are :class:`LinearMap` objects built from one apply closure.
+  Dense matrices are only formed for small local gates: a
   program's unitaries, lifted onto a layout by :func:`embed`, and the
   Hadamard-frame factors, which :mod:`qromlab.qworlds` applies itself as
   real gemms.  Operators on the full space are never materialized.
@@ -37,23 +37,19 @@ Conventions:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import rom
+
 MAX_STATE_QUBITS = 24
 MAX_NORM_DIM = 2 ** 14
 # Amplitudes per block of the full-state kernels (:func:`blocks`): 4 MiB of
 # complex128, about the L2 cache of the 2-vCPU Xeon the benchmarks run on.
 BLOCK_AMPS = 2 ** 18
-
-
-def _label_seed(seed: int, label: str) -> int:
-    digest = hashlib.sha256(f"{seed}/{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 Vector = np.ndarray
 
@@ -75,6 +71,8 @@ class RegisterLayout:
         if self.total > MAX_STATE_QUBITS:
             raise ValueError(f"layout has {self.total} qubits, cap is {MAX_STATE_QUBITS}")
         self.dim = 1 << self.total
+        self.names: tuple[str, ...] = tuple(name for name, _ in self.registers)
+        self.dims: tuple[int, ...] = tuple(1 << width for _, width in self.registers)
         self._shifts: dict[str, int] = {}
         self._widths: dict[str, int] = {}
         pos = self.total
@@ -82,14 +80,6 @@ class RegisterLayout:
             pos -= width
             self._shifts[name] = pos
             self._widths[name] = width
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.registers)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(1 << width for _, width in self.registers)
 
     def width(self, name: str) -> int:
         return self._widths[name]
@@ -119,28 +109,26 @@ class RegisterLayout:
 
 
 class LinearMap:
-    """Matrix-free operator: an apply-to-vector contract plus its adjoint.
+    """Matrix-free operator: an apply-to-vector contract.
 
-    With ``in_place`` set, both callables overwrite the vector they are
-    given with the result and return it: :meth:`apply` and
-    :meth:`adjoint_apply` hand them a copy, and :meth:`apply_in_place` hands
-    them the caller's state itself.
+    With ``in_place`` set, the callable overwrites the vector it is given
+    with the result and returns it: :meth:`apply` hands it a copy, and
+    :meth:`apply_in_place` hands it the caller's state itself.
     """
+
+    # No map carries an adjoint; the benchmark's trace tooling reads this.
+    _adjoint_apply = None
 
     def __init__(
         self,
         dim: int,
         apply: Callable[[Vector], Vector],
-        adjoint_apply: Callable[[Vector], Vector] | None = None,
         label: str = "",
-        self_adjoint: bool = False,
         in_place: bool = False,
     ):
         self.dim = dim
         self._apply = apply
-        self._adjoint_apply = apply if self_adjoint else adjoint_apply
         self.label = label
-        self.self_adjoint = self_adjoint
         self.in_place = in_place
 
     def _operand(self, vec: Vector) -> Vector:
@@ -150,11 +138,6 @@ class LinearMap:
 
     def apply(self, vec: Vector) -> Vector:
         return self._apply(self._operand(vec))
-
-    def adjoint_apply(self, vec: Vector) -> Vector:
-        if self._adjoint_apply is None:
-            raise ValueError(f"map {self.label!r} has no adjoint")
-        return self._adjoint_apply(self._operand(vec))
 
     def apply_in_place(self, vec: Vector) -> Vector:
         """Overwrite ``vec``, a writable C-contiguous complex128 vector of the
@@ -219,7 +202,6 @@ def uniform_projector_map(layout: RegisterLayout, regs: Sequence[str]) -> Linear
         layout.dim,
         lambda v: uniform_projector_apply(v, layout, regs),
         label="Phi(" + ",".join(regs) + ")",
-        self_adjoint=True,
     )
 
 
@@ -285,23 +267,16 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
         )
     k = len(axes)
 
-    def _run(mat: np.ndarray, v: Vector) -> Vector:
+    def run(v: Vector) -> Vector:
         state = v.reshape(layout.dims)
         for block in blocks(layout.dims, axes):
             t = np.moveaxis(state[block], axes, range(k))
             shape = t.shape
-            t = mat @ np.ascontiguousarray(t).reshape(d_local, -1)
+            t = matrix @ np.ascontiguousarray(t).reshape(d_local, -1)
             np.moveaxis(state[block], axes, range(k))[...] = t.reshape(shape)
         return v
 
-    mat_h = matrix.conj().T
-    return LinearMap(
-        layout.dim,
-        lambda v: _run(matrix, v),
-        lambda v: _run(mat_h, v),
-        label=f"embed({','.join(targets)})",
-        in_place=True,
-    )
+    return LinearMap(layout.dim, run, label=f"embed({','.join(targets)})", in_place=True)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +295,6 @@ class NormEstimate:
     # Always True: the value is computed exactly, not iterated to a
     # tolerance.  Kept because trace tooling reads it.
     converged = True
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def parity(a) -> np.ndarray:
@@ -405,7 +377,7 @@ def operator_norm(table, rows, cols) -> NormEstimate:
 
 def probe_max_ratio(a: LinearMap, probes: int = 32, seed: int = 0) -> float:
     """max ||A v|| / ||v|| over random probes; < 1e-10 declares the zero map."""
-    rng = np.random.default_rng(_label_seed(seed, "probe-zero"))
+    rng = np.random.default_rng(rom.derive_seed(seed, "probe-zero"))
     worst = 0.0
     for _ in range(probes):
         v = random_state_vector(a.dim, rng)
@@ -415,7 +387,7 @@ def probe_max_ratio(a: LinearMap, probes: int = 32, seed: int = 0) -> float:
 
 def unitarity_defect(u: LinearMap, probes: int = 32, seed: int = 0) -> float:
     """max deviation of ||U v|| from ||v|| = 1 over random probes."""
-    rng = np.random.default_rng(_label_seed(seed, "probe-unitary"))
+    rng = np.random.default_rng(rom.derive_seed(seed, "probe-unitary"))
     worst = 0.0
     for _ in range(probes):
         v = random_state_vector(u.dim, rng)
@@ -425,7 +397,7 @@ def unitarity_defect(u: LinearMap, probes: int = 32, seed: int = 0) -> float:
 
 def projector_defect(p: LinearMap, probes: int = 32, seed: int = 0) -> float:
     """max of ||P^2 v - P v|| and |<u, P v> - <P u, v>| over random probes."""
-    rng = np.random.default_rng(_label_seed(seed, "probe-projector"))
+    rng = np.random.default_rng(rom.derive_seed(seed, "probe-projector"))
     worst = 0.0
     for _ in range(probes):
         v = random_state_vector(p.dim, rng)

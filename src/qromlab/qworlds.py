@@ -44,10 +44,10 @@ built:
   chain registers.  The uniform projector is H|0><0|H, so in the Hadamard
   frame of the chain registers each projector is a diagonal 0/1 (or
   sqrt-weight) table.  :class:`FrameDiagonal` applies it as the frame
-  change ``to_frame`` (real Sylvester factors over blocks of whole chain
+  change :func:`to_frame` (real Sylvester factors over blocks of whole chain
   registers of at most 4 qubits, applied as dgemms to the state's float64
-  view; built on first use once per world and layout and shared by every
-  map there; its own inverse), the table multiply and the change back.
+  view; built on first use once per world and shared by every map on every
+  layout of it; its own inverse), the table multiply and the change back.
   Like every full-state kernel it runs under the blocking rule of
   :func:`qromlab.qsim.blocks`: the state splits over its leading (head)
   registers into blocks of at most ``qsim.BLOCK_AMPS`` amplitudes, whole
@@ -97,18 +97,6 @@ class BlindingSet:
         out = np.zeros(1 << self.nbits, dtype=bool)
         out[list(self.members)] = True
         return out
-
-    @staticmethod
-    def none(nbits: int) -> "BlindingSet":
-        return BlindingSet(nbits=nbits, epsilon=0.0, members=frozenset())
-
-    @staticmethod
-    def all(nbits: int) -> "BlindingSet":
-        return BlindingSet(nbits=nbits, epsilon=1.0, members=frozenset(range(1 << nbits)))
-
-    @staticmethod
-    def explicit(nbits: int, members, epsilon: float = float("nan")) -> "BlindingSet":
-        return BlindingSet(nbits=nbits, epsilon=epsilon, members=frozenset(members))
 
 
 class ChainWorld:
@@ -206,11 +194,14 @@ class ChainWorld:
 
     def chain_dim(self, layout: RegisterLayout) -> int:
         """G, the dimension of the chain registers, which trail every layout
-        a state lives on (ValueError if they do not trail ``layout``)."""
+        a state lives on, n qubits each (ValueError if they do not trail
+        ``layout`` so)."""
         chains = self.chain_registers()
-        if layout.names[len(layout.names) - len(chains):] != chains:
-            raise ValueError(f"chain registers {chains} do not trail {layout!r}")
-        return 1 << sum(layout.width(name) for name in chains)
+        if layout.registers[len(layout.registers) - len(chains):] != tuple(
+            (name, self.n) for name in chains
+        ):
+            raise ValueError(f"chain registers {chains} of {self.n} qubits do not trail {layout!r}")
+        return 1 << (self.n * len(chains))
 
     def initial_head(self, layout: RegisterLayout) -> tuple[RegisterLayout, np.ndarray]:
         """The game's initial state, every chain register uniform and every
@@ -370,7 +361,7 @@ class Permutation(LinearMap):
                 np.take(run.copy(), index.reshape(-1), out=run, mode="wrap")
             return v
 
-        super().__init__(layout.dim, kernel, label=label, self_adjoint=True, in_place=True)
+        super().__init__(layout.dim, kernel, label=label, in_place=True)
 
 
 def overlay_table(world: ChainWorld, layout: RegisterLayout) -> np.ndarray:
@@ -461,61 +452,54 @@ def _table_shape(world: ChainWorld, layout: RegisterLayout, extra: tuple[str, ..
     return tuple(d if name in read else 1 for name, d in zip(layout.names, layout.dims))
 
 
-def _hadamard_frame(
-    world: ChainWorld, layout: RegisterLayout
-) -> list[tuple[int, int, np.ndarray]]:
+def _hadamard_frame(world: ChainWorld) -> list[tuple[int, int, np.ndarray]]:
     """H on every chain qubit, as Sylvester factors over blocks of whole chain
     registers of at most FRAME_BLOCK_QUBITS qubits (a wider register is a
     block of its own).  The frame change is its own inverse.
 
     Each factor is ``(d, post, matrix)``: the block's dimension d, the
     dimension ``post`` of the chain registers after it, and the real matrix
-    that :class:`FrameDiagonal` applies to the state's float64 view, where
-    every complex amplitude is two adjacent floats.  The chain registers
-    trail every layout, so that view reads as ``(pre, d, 2 post)`` and a
-    factor with registers after it is the batched ``M @ v``; the trailing
-    factor (post = 1) is ``v @ kron(M, 1_2)`` on ``(pre, 2 d)``, M being
-    symmetric.  Real dgemms do half the flops of complex ones on a matrix
-    with no imaginary part.
+    that :func:`to_frame` applies to the state's float64 view, where every
+    complex amplitude is two adjacent floats.  The chain registers trail
+    every layout, n qubits each, so that view reads as ``(pre, d, 2 post)``
+    on every layout of the world, and a factor with registers after it is
+    the batched ``M @ v``; the trailing factor (post = 1) is
+    ``v @ kron(M, 1_2)`` on ``(pre, 2 d)``, M being symmetric.  Real dgemms
+    do half the flops of complex ones on a matrix with no imaginary part.
 
     The factors are built on first use and kept in the world's layout cache,
-    so every map on one layout shares them.  Factors of at most 16 x 16 make
-    each apply a memory-bound pass over the state; one 256-wide factor is
-    compute-bound on a 20-qubit state.
+    so every map on every layout of the world shares them.  Factors of at
+    most 16 x 16 make each apply a memory-bound pass over the state; one
+    256-wide factor is compute-bound on a 20-qubit state.
 
     Since the uniform projector is H|0><0|H, in this frame a uniform factor
     on a register reads "register is 0" and a complement factor "is not 0".
     """
-    key = ("frame", layout)
-    frame = world._layout_cache.get(key)
+    frame = world._layout_cache.get("frame")
     if frame is not None:
         return frame
-    blocks: list[list[str]] = [[]]
-    width = 0
-    for name in world.chain_registers():
-        if blocks[-1] and width + layout.width(name) > FRAME_BLOCK_QUBITS:
-            blocks.append([])
-            width = 0
-        blocks[-1].append(name)
-        width += layout.width(name)
+    per_block = max(1, FRAME_BLOCK_QUBITS // world.n)
+    chains = len(world.chain_registers())
     frame = []
-    post = world.chain_dim(layout)
-    for block in blocks:
-        qubits = sum(layout.width(name) for name in block)
+    post = 1 << (world.n * chains)
+    for start in range(0, chains, per_block):
+        qubits = world.n * min(per_block, chains - start)
         post >>= qubits
         h = _sylvester(qubits)
         frame.append((1 << qubits, post, h if post > 1 else np.kron(h, np.eye(2))))
-    world._layout_cache[key] = frame
+    world._layout_cache["frame"] = frame
     return frame
 
 
-def _frame_change(frame, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """H on every chain qubit of ``v``, a C-contiguous complex array of whole
-    chain columns, by the factors ``frame`` (:func:`_hadamard_frame`); the
-    last factor writes into ``out`` when one is given.  The result has the
-    shape of ``v``."""
+def to_frame(world: ChainWorld, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """H on every chain qubit of ``v``, an array of whole chain columns (a
+    state, or a block of one, on any layout of ``world``), by the factors of
+    :func:`_hadamard_frame`: into the frame, and back out of it.  The result
+    is a new C-contiguous array of the shape of ``v``, or ``out`` when one
+    is given (the last factor writes into it)."""
+    frame = _hadamard_frame(world)
     shape = v.shape
-    v = v.view(np.float64)
+    v = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
     for i, (d, post, h) in enumerate(frame):
         rows = (-1, d, 2 * post) if post > 1 else (-1, 2 * d)
         last = out is not None and i == len(frame) - 1
@@ -530,36 +514,29 @@ def _frame_change(frame, v: np.ndarray, out: np.ndarray | None = None) -> np.nda
 class FrameDiagonal(LinearMap):
     """A diagonal ``table`` in the Hadamard frame of the chain registers.
 
-    ``to_frame`` is the change into the frame, H on every chain qubit; it is
-    its own inverse.  ``apply`` changes into the frame, multiplies by the
+    ``apply`` changes into the frame (:func:`to_frame`), multiplies by the
     table (broadcast over the registers it does not read) and changes back,
     block by block (:func:`qromlab.qsim.blocks`, the chain registers kept
     whole), the last factor writing into the one output state.  Each block
     gets the unblocked kernel's bits while the trailing factor's gemm keeps
-    more than two rows, as a block of ``BLOCK_AMPS`` amplitudes does.  Maps
-    on one layout share the frame (:func:`_hadamard_frame`, built on first
-    use), so a caller applying several of them to one state changes it into
-    the frame once and changes back each product; a map that is only read
-    through its ``table`` builds no frame.  A 0/1 table is an orthogonal
-    projector.  ``term_count`` is the table's support size, one rank-one
-    frame term per nonzero entry, and ``is_zero`` means it is 0.
+    more than two rows, as a block of ``BLOCK_AMPS`` amplitudes does.  Every
+    map of one world shares the frame (:func:`_hadamard_frame`, built on
+    first use), so a caller applying several of them to one state changes it
+    into the frame once and changes back each product; a map that is only
+    read through its ``table`` builds no frame.  A 0/1 table is an
+    orthogonal projector.  ``term_count`` is the table's support size, one
+    rank-one frame term per nonzero entry, and ``is_zero`` means it is 0.
+    The chain registers must trail ``layout`` (ValueError otherwise).
     """
 
     def __init__(self, world: ChainWorld, layout: RegisterLayout, table: np.ndarray, label: str):
+        world.chain_dim(layout)
         table = np.asarray(table, dtype=np.float64)
         chains = range(len(layout.names) - len(world.chain_registers()), len(layout.names))
 
-        # The maps close over locals, not over self, so a dropped map is freed
-        # by reference count rather than only by the cycle collector.
-        def to_frame(v: np.ndarray) -> np.ndarray:
-            """H on every chain qubit of ``v``, one array of whole chain
-            columns (a block of a state), into a new array of its shape:
-            into the frame, and back out of it."""
-            v = np.ascontiguousarray(v, dtype=np.complex128)
-            return _frame_change(_hadamard_frame(world, layout), v)
-
+        # The apply closes over locals, not over self, so a dropped map is
+        # freed by reference count rather than only by the cycle collector.
         def apply(v: np.ndarray) -> np.ndarray:
-            frame = _hadamard_frame(world, layout)
             v = np.ascontiguousarray(v).reshape(layout.dims)
 
             # Nested calls hold no block in a local, so each frame factor
@@ -569,18 +546,17 @@ class FrameDiagonal(LinearMap):
 
             spans = qsim.blocks(layout.dims, chains)
             if len(spans) == 1:  # one block: its last factor makes the output
-                return _frame_change(frame, times_table(_frame_change(frame, v), ())).reshape(-1)
+                return to_frame(world, times_table(to_frame(world, v), ())).reshape(-1)
             out = np.empty_like(v)
             for block in spans:
-                _frame_change(frame, times_table(_frame_change(frame, v[block]), block), out[block])
+                to_frame(world, times_table(to_frame(world, v[block]), block), out[block])
             return out.reshape(-1)
 
-        self.to_frame = to_frame
         self.layout = layout
         self.table = table
         self.term_count = int(np.count_nonzero(table))
         self.is_zero = self.term_count == 0
-        super().__init__(layout.dim, apply, label=label, self_adjoint=True)
+        super().__init__(layout.dim, apply, label=label)
 
 
 def frame_product_norm(a: FrameDiagonal, b: FrameDiagonal) -> float:

@@ -4,10 +4,12 @@ cross-check the fast paths of the package.
 * Operator algebra, a random-probe zero-map test and the iterative Lanczos
   norm solver, against the exact block norms of ``qsim.operator_norm``.
   They work on ``qsim.LinearMap`` objects through their apply contract only,
-  independent of the compiled XOR tables and frame tables.
+  independent of the compiled XOR tables and frame tables; a map that is
+  not self-adjoint carries its adjoint as an :class:`Adjointed` map.
+* Blinding sets given by their members: none, all, or an explicit set.
 * The Hadamard frame of the chain registers as one dense Sylvester matrix,
   and as complex Sylvester gates lifted by ``qsim.embed``, against the real
-  factored frame change of ``qworlds.FrameDiagonal``.
+  factored frame change ``qworlds.to_frame``.
 * The uniform projector as successive broadcast means, against the reduced
   means of ``qsim.uniform_projector_apply``.
 * The unblocked full-state kernels, against the blocked ones
@@ -45,23 +47,61 @@ import numpy as np
 
 from qromlab import attacks, game, ots, qsim, qworlds, rom
 from qromlab.qsim import LinearMap, RegisterLayout
-from qromlab.qworlds import ChainWorld, build_q_projectors
+from qromlab.qworlds import BlindingSet, ChainWorld, build_q_projectors
+
+
+def blinding(nbits: int, members, epsilon: float = float("nan")) -> BlindingSet:
+    return BlindingSet(nbits=nbits, epsilon=epsilon, members=frozenset(members))
+
+
+def none_blinded(nbits: int) -> BlindingSet:
+    return blinding(nbits, (), 0.0)
+
+
+def all_blinded(nbits: int) -> BlindingSet:
+    return blinding(nbits, range(1 << nbits), 1.0)
+
+
+class Adjointed(LinearMap):
+    """A map that carries its adjoint apply as ``adjoint``; the package's
+    maps apply only."""
+
+    def __init__(self, dim: int, apply, adjoint, label: str = ""):
+        super().__init__(dim, apply, label=label)
+        self.adjoint = adjoint
+
+
+def adjoint_apply(a: LinearMap, v: np.ndarray) -> np.ndarray:
+    """A^dag v: the adjoint an :class:`Adjointed` map carries, and otherwise
+    the map's own apply.  Every other map the tests pass the algebra below
+    is self-adjoint: U_h, BSign, P, Phi, Qtilde and Q, the identity and zero
+    maps, the equality projector, the XOR register map and real diagonals."""
+    return a.adjoint(v) if isinstance(a, Adjointed) else a.apply(v)
+
+
+def embed_with_adjoint(op, targets: Sequence[str], layout: RegisterLayout) -> Adjointed:
+    """``qsim.embed`` of ``op``, carrying ``qsim.embed`` of its conjugate
+    transpose as its adjoint."""
+    a, a_h = (qsim.embed(m, targets, layout) for m in (op, np.conj(op).T))
+    return Adjointed(a.dim, a.apply, a_h.apply, label=a.label)
 
 
 def identity_map(dim: int) -> LinearMap:
-    return LinearMap(dim, lambda v: v.copy(), label="1", self_adjoint=True)
+    return LinearMap(dim, lambda v: v.copy(), label="1")
 
 
 def zero_map(dim: int) -> LinearMap:
-    return LinearMap(dim, lambda v: np.zeros_like(v), label="0", self_adjoint=True)
+    return LinearMap(dim, lambda v: np.zeros_like(v), label="0")
 
 
 def is_zero_map(a: LinearMap, probes: int = 32, seed: int = 0, threshold: float = 1e-10) -> bool:
     return qsim.probe_max_ratio(a, probes=probes, seed=seed) < threshold
 
 
-def compose(*maps: LinearMap) -> LinearMap:
-    """Product of maps; the rightmost factor is applied first."""
+def compose(*maps: LinearMap) -> Adjointed:
+    """Product of maps; the rightmost factor is applied first.  A factor's
+    adjoint is read by :func:`adjoint_apply`: its own apply unless it is
+    :class:`Adjointed`."""
     if not maps:
         raise ValueError("compose needs at least one map")
     dim = maps[0].dim
@@ -76,14 +116,15 @@ def compose(*maps: LinearMap) -> LinearMap:
 
     def adj(v):
         for m in maps:
-            v = m.adjoint_apply(v)
+            v = adjoint_apply(m, v)
         return v
 
-    return LinearMap(dim, ap, adj, label="·".join(m.label or "?" for m in maps))
+    return Adjointed(dim, ap, adj, label="·".join(m.label or "?" for m in maps))
 
 
-def commutator(a: LinearMap, b: LinearMap) -> LinearMap:
-    """[A, B] = AB - BA."""
+def commutator(a: LinearMap, b: LinearMap) -> Adjointed:
+    """[A, B] = AB - BA.  A factor's adjoint is read by
+    :func:`adjoint_apply`: its own apply unless it is :class:`Adjointed`."""
     if a.dim != b.dim:
         raise ValueError("commutator needs maps of equal dimension")
 
@@ -92,9 +133,9 @@ def commutator(a: LinearMap, b: LinearMap) -> LinearMap:
 
     def adj(v):
         # (AB - BA)^dag = B^dag A^dag - A^dag B^dag
-        return b.adjoint_apply(a.adjoint_apply(v)) - a.adjoint_apply(b.adjoint_apply(v))
+        return adjoint_apply(b, adjoint_apply(a, v)) - adjoint_apply(a, adjoint_apply(b, v))
 
-    return LinearMap(a.dim, ap, adj, label=f"[{a.label},{b.label}]")
+    return Adjointed(a.dim, ap, adj, label=f"[{a.label},{b.label}]")
 
 
 def equality_projector_map(layout: RegisterLayout, reg_a: str, reg_b: str) -> LinearMap:
@@ -102,10 +143,7 @@ def equality_projector_map(layout: RegisterLayout, reg_a: str, reg_b: str) -> Li
     if layout.width(reg_a) != layout.width(reg_b):
         raise ValueError("equality projector needs registers of equal width")
     mask = field(layout, reg_a) == field(layout, reg_b)
-    return LinearMap(
-        layout.dim, lambda v: np.where(mask, v, 0.0), label=f"P=({reg_a},{reg_b})",
-        self_adjoint=True,
-    )
+    return LinearMap(layout.dim, lambda v: np.where(mask, v, 0.0), label=f"P=({reg_a},{reg_b})")
 
 
 def embed_moveaxis(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
@@ -116,15 +154,14 @@ def embed_moveaxis(op, targets: Sequence[str], layout: RegisterLayout) -> Linear
     local_dims = tuple(1 << layout.width(t) for t in targets)
     k = len(axes)
 
-    def run(mat, v):
+    def run(v):
         t = np.moveaxis(v.reshape(layout.dims), axes, range(k))
         rest = t.shape[k:]
-        t = mat @ np.ascontiguousarray(t).reshape(mat.shape[0], -1)
+        t = matrix @ np.ascontiguousarray(t).reshape(matrix.shape[0], -1)
         t = np.moveaxis(t.reshape(local_dims + rest), range(k), axes)
         return np.ascontiguousarray(t).reshape(-1)
 
-    mat_h = matrix.conj().T
-    return LinearMap(layout.dim, lambda v: run(matrix, v), lambda v: run(mat_h, v))
+    return LinearMap(layout.dim, run)
 
 
 def xor_index(u: qworlds.Permutation) -> np.ndarray:
@@ -177,11 +214,11 @@ def embed_frame(world: ChainWorld, layout: RegisterLayout, v: np.ndarray) -> np.
     return v
 
 
-def frame_change(world: ChainWorld, layout: RegisterLayout, v: np.ndarray) -> np.ndarray:
-    """``FrameDiagonal.to_frame`` unblocked: each real Sylvester factor of
+def frame_change(world: ChainWorld, v: np.ndarray) -> np.ndarray:
+    """``qworlds.to_frame`` unblocked: each real Sylvester factor of
     ``qworlds._hadamard_frame`` applied to the whole state's float64 view."""
     v = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
-    for d, post, h in qworlds._hadamard_frame(world, layout):
+    for d, post, h in qworlds._hadamard_frame(world):
         if post > 1:
             v = np.matmul(h, v.reshape(-1, d, 2 * post))
         else:
@@ -197,7 +234,7 @@ def in_frame(fd: qworlds.FrameDiagonal, hv: np.ndarray) -> np.ndarray:
 def frame_apply(world: ChainWorld, fd: qworlds.FrameDiagonal, v: np.ndarray) -> np.ndarray:
     """``fd.apply`` unblocked: ``to_frame(in_frame(to_frame(v)))`` on the
     whole state."""
-    return frame_change(world, fd.layout, in_frame(fd, frame_change(world, fd.layout, v)))
+    return frame_change(world, in_frame(fd, frame_change(world, v)))
 
 
 def probability_tensor(amps: np.ndarray, world: ChainWorld) -> np.ndarray:
@@ -217,11 +254,8 @@ def outcome_tensors(world: ChainWorld, final: np.ndarray, qtilde) -> list[np.nda
     """The outcome tensors of ``game.probability_tensor`` as a loop over
     whole states: the final state changed into the frame once, then per map
     the table product changed back and summed by :func:`probability_tensor`."""
-    h_final = frame_change(world, qtilde[0].layout, final)
-    return [
-        probability_tensor(frame_change(world, q.layout, in_frame(q, h_final)), world)
-        for q in qtilde
-    ]
+    h_final = frame_change(world, final)
+    return [probability_tensor(frame_change(world, in_frame(q, h_final)), world) for q in qtilde]
 
 
 def uniform_projector_broadcast(amps: np.ndarray, layout: RegisterLayout, regs) -> np.ndarray:
@@ -307,7 +341,7 @@ def lanczos_norm(a: LinearMap, seed: int = 0) -> LanczosEstimate:
     v = qsim.random_state_vector(a.dim, np.random.default_rng(start_seed))
     for k in range(steps):
         basis[k] = v
-        w = a.adjoint_apply(a.apply(v))
+        w = adjoint_apply(a, a.apply(v))
         alphas.append(float(np.real(np.vdot(v, w))))
         done = basis[: k + 1]
         for _ in range(2):  # classical Gram-Schmidt, twice is enough
@@ -405,7 +439,7 @@ def xor_register_map(layout: RegisterLayout, src: str, dst: str) -> LinearMap:
     if layout.width(src) != layout.width(dst):
         raise ValueError("xor needs registers of equal width")
     perm = np.arange(layout.dim) ^ (field(layout, src) << layout.shift(dst))
-    return LinearMap(layout.dim, lambda v: v[perm], label=f"xor({src}->{dst})", self_adjoint=True)
+    return LinearMap(layout.dim, lambda v: v[perm], label=f"xor({src}->{dst})")
 
 
 def register_distribution(state: StateVector, register: str) -> np.ndarray:

@@ -7,9 +7,9 @@ import time
 import numpy as np
 import pytest
 
+import reference
 from qromlab import attacks, cli, game, lemmas, ots, rom
 from qromlab.qworlds import (
-    BlindingSet,
     build_blinded_sign_unitary,
     build_invariant_projector,
     lamport_world,
@@ -85,7 +85,7 @@ def test_criterion_04_orthogonality_sweep():
         members = {m for m in range(1 << l) if rng.random() < 0.5} or {0}
         m_star = int(rng.choice(sorted(members)))
         (rep,) = lemmas.check_orthogonality(
-            "lamport", n, l, 2, BlindingSet.explicit(l, members), m_star, seed=k
+            "lamport", n, l, 2, reference.blinding(l, members), m_star, seed=k
         )
         assert rep.passed and rep.measured < 1e-10
         instances += 1
@@ -96,7 +96,7 @@ def test_criterion_04_orthogonality_sweep():
         m_star = int(rng.choice(sorted(members)))
         l = ots.derive_wots_params(1, w, n, require_power_of_two=False).l
         (rep,) = lemmas.check_orthogonality(
-            "winternitz", n, l, w, BlindingSet.explicit(1, members), m_star, seed=1000 + k
+            "winternitz", n, l, w, reference.blinding(1, members), m_star, seed=1000 + k
         )
         assert rep.passed and rep.measured < 1e-10
         instances += 1
@@ -116,13 +116,13 @@ def test_criterion_05_no_hash_invariance():
                 members = {m for m in range(1 << l) if rng.random() < 0.5}
                 if len(members) == (1 << l):
                     members.pop()  # leave something unblinded
-                world = lamport_world(n, l, blinding=BlindingSet.explicit(l, members), seed=k)
+                world = lamport_world(n, l, blinding=reference.blinding(l, members), seed=k)
             else:
                 w = int(rng.choice(SWEEP_W))
                 members = {m for m in range(2) if rng.random() < 0.5}
                 if len(members) == 2:
                     members.pop()
-                world = winternitz_world(n, 1, w, blinding=BlindingSet.explicit(1, members), seed=k)
+                world = winternitz_world(n, 1, w, blinding=reference.blinding(1, members), seed=k)
             prog = game.random_program(world, 0, 0, seed=rom.derive_seed(505, scheme, k))
             seen = []
             states = game.evolve_program(
@@ -199,11 +199,11 @@ def test_criterion_08_modified_game():
             if scheme == "lamport":
                 l = int(rng.integers(1, 3))
                 members = {m for m in range(1 << l) if rng.random() < 0.6} or {0}
-                world = lamport_world(n, l, blinding=BlindingSet.explicit(l, members), seed=k)
+                world = lamport_world(n, l, blinding=reference.blinding(l, members), seed=k)
             else:
                 w = int(rng.choice(SWEEP_W))
                 members = {m for m in range(2) if rng.random() < 0.6} or {0}
-                world = winternitz_world(n, 1, w, blinding=BlindingSet.explicit(1, members), seed=k)
+                world = winternitz_world(n, 1, w, blinding=reference.blinding(1, members), seed=k)
             prog = game.random_program(world, 0, 0, seed=rom.derive_seed(808, scheme, k))
             _, an = game.run_quantum_game(prog, world, mode="modified", seed=k)
             assert an.p_forced_outcome_blinded < 1e-10
@@ -214,11 +214,11 @@ def test_criterion_08_modified_game():
         if k % 2 == 0:
             l = int(rng.integers(1, 3))
             members = {m for m in range(1 << l) if rng.random() < 0.5}
-            world = lamport_world(n, l, blinding=BlindingSet.explicit(l, members), seed=100 + k)
+            world = lamport_world(n, l, blinding=reference.blinding(l, members), seed=100 + k)
         else:
             w = int(rng.choice(SWEEP_W))
             members = {m for m in range(2) if rng.random() < 0.5}
-            world = winternitz_world(n, 1, w, blinding=BlindingSet.explicit(1, members), seed=100 + k)
+            world = winternitz_world(n, 1, w, blinding=reference.blinding(1, members), seed=100 + k)
         q0, q1 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         prog = game.random_program(world, q0, q1, seed=rom.derive_seed(808, "pinch", k))
         _, an = game.run_quantum_game(prog, world, mode="modified", seed=100 + k)

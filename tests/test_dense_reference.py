@@ -14,8 +14,9 @@ stay transparent.
 import numpy as np
 import pytest
 
+import reference
 from qromlab import game, ots, qsim, rom
-from qromlab.qworlds import BlindingSet, winternitz_world
+from qromlab.qworlds import winternitz_world
 
 REGS = ["x", "y", "m", "s0", "s1", "b", "e", "g0", "g1", "e0", "e1"]
 NBITS = len(REGS)
@@ -178,7 +179,7 @@ def dense_accept(world):
 def test_engine_matches_dense_reference(blinded, queries):
     q0, q1 = queries
     world = winternitz_world(
-        1, 1, 2, blinding=BlindingSet.explicit(1, blinded), seed=77, workspace_qubits=1
+        1, 1, 2, blinding=reference.blinding(1, blinded), seed=77, workspace_qubits=1
     )
     program = game.random_program(
         world, q0, q1, seed=rom.derive_seed(77, "dense", q0, q1, tuple(sorted(blinded)))

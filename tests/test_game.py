@@ -13,7 +13,7 @@ from qromlab.game import (
     SignQuery,
     sample_blinding_set,
 )
-from qromlab.qworlds import BlindingSet, build_invariant_projector, lamport_world, winternitz_world
+from qromlab.qworlds import build_invariant_projector, lamport_world, winternitz_world
 
 
 class TestBlindingSet:
@@ -30,7 +30,7 @@ class TestBlindingSet:
         assert abs(mean - 128) < 4 * 8 / np.sqrt(len(sizes))
 
     def test_membership(self):
-        b = BlindingSet.explicit(2, {1, 3})
+        b = reference.blinding(2, {1, 3})
         assert 1 in b and 0 not in b
         assert b.complement() == (0, 2)
 
@@ -42,18 +42,18 @@ class TestBlindedSign:
         self.kp = ots.keygen(self.params, self.oracle, np.random.default_rng(2))
 
     def test_blinded_gets_flagged_zeros(self):
-        b = BlindingSet.explicit(2, {3})
+        b = reference.blinding(2, {3})
         out = game.blinded_sign(b, self.kp, 3, self.oracle)
         assert out.blinded and out.payload == (0, 0)
 
     def test_unblinded_gets_signature_with_zero_flag(self):
-        b = BlindingSet.explicit(2, {3})
+        b = reference.blinding(2, {3})
         out = game.blinded_sign(b, self.kp, 1, self.oracle)
         assert not out.blinded
         assert out.payload == ots.sign(self.params, self.kp.sk, 1, self.oracle).sigma
 
     def test_empty_blinding_is_plain_signing(self):
-        b = BlindingSet.none(2)
+        b = reference.none_blinded(2)
         for m in range(4):
             out = game.blinded_sign(b, self.kp, m, self.oracle)
             assert out.flag == 0
@@ -132,7 +132,7 @@ class TestPrograms:
         assert unsigned.q0 == 2 and unsigned.q1 == 0
 
     def test_random_program_counts(self):
-        world = lamport_world(1, 1, blinding=BlindingSet.none(1), seed=4)
+        world = lamport_world(1, 1, blinding=reference.none_blinded(1), seed=4)
         prog = game.random_program(world, 2, 1, seed=4)
         assert prog.q0 == 2 and prog.q1 == 1
         assert sum(isinstance(s, SignQuery) for s in prog.steps) == 1
@@ -142,7 +142,7 @@ class TestQuantumGame:
     def test_no_query_game_win_probability_enumerated(self):
         # every outcome enumerated exactly; the bound (l+1)/2^n is vacuous at
         # this point but the probability must be a genuine probability
-        blinding = BlindingSet.explicit(1, {0})
+        blinding = reference.blinding(1, {0})
         world = lamport_world(1, 1, blinding=blinding, seed=5)
         prog = game.random_program(world, 0, 0, seed=5)
         tr, an = game.run_quantum_game(prog, world, mode="plain", seed=5)
@@ -152,7 +152,7 @@ class TestQuantumGame:
 
     def test_forced_outcome_never_fires_without_queries(self):
         for seed in range(6):
-            blinding = BlindingSet.explicit(1, {1})
+            blinding = reference.blinding(1, {1})
             world = lamport_world(2, 1, blinding=blinding, seed=seed)
             prog = game.random_program(world, 0, 0, seed=seed)
             _, an = game.run_quantum_game(prog, world, mode="modified", seed=seed)
@@ -163,7 +163,7 @@ class TestQuantumGame:
         for seed in range(10):
             n = int(rng.integers(1, 3))
             l = int(rng.integers(1, 3))
-            blinding = BlindingSet.explicit(l, {m for m in range(1 << l) if rng.random() < 0.5})
+            blinding = reference.blinding(l, {m for m in range(1 << l) if rng.random() < 0.5})
             world = lamport_world(n, l, blinding=blinding, seed=seed)
             q0, q1 = int(rng.integers(0, 2)), int(rng.integers(0, 2))
             prog = game.random_program(world, q0, q1, seed=seed)
@@ -173,7 +173,7 @@ class TestQuantumGame:
     def test_outcome_tensors_preserve_forgery_marginal(self):
         # the outcome measurement happens after the forgery is fixed, so the
         # joint (message, signature) weights are untouched by it
-        world = lamport_world(1, 2, blinding=BlindingSet.explicit(2, {1}), seed=10)
+        world = lamport_world(1, 2, blinding=reference.blinding(2, {1}), seed=10)
         prog = game.random_program(world, 0, 1, seed=10)
         states, t_plain, t_out, accept, an = game.analyze_game(prog, world)
         assert np.allclose(
@@ -184,8 +184,8 @@ class TestQuantumGame:
     @pytest.mark.parametrize(
         "world",
         [
-            lamport_world(2, 1, blinding=BlindingSet.explicit(1, {1}), seed=12),
-            winternitz_world(1, 1, 3, blinding=BlindingSet.explicit(1, {0}), seed=13),
+            lamport_world(2, 1, blinding=reference.blinding(1, {1}), seed=12),
+            winternitz_world(1, 1, 3, blinding=reference.blinding(1, {0}), seed=13),
         ],
         ids=["lamport", "winternitz"],
     )
@@ -203,7 +203,7 @@ class TestQuantumGame:
             assert np.allclose(t, want, rtol=0, atol=1e-12)
 
     def test_modified_game_sampled_transcript(self):
-        world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {0, 1}, 1.0), seed=11)
+        world = lamport_world(1, 1, blinding=reference.blinding(1, {0, 1}, 1.0), seed=11)
         prog = game.random_program(world, 0, 0, seed=11)
         tr, an = game.run_quantum_game(prog, world, mode="modified", seed=11)
         assert tr.q_outcome in (1, 2)
@@ -225,7 +225,7 @@ class TestQuantumGame:
                     if len(members) == 1 << l:
                         members.pop()
                     world = lamport_world(
-                        n, l, blinding=BlindingSet.explicit(l, members), seed=seed
+                        n, l, blinding=reference.blinding(l, members), seed=seed
                     )
                 else:
                     n = int(rng.integers(1, 3))
@@ -234,7 +234,7 @@ class TestQuantumGame:
                     if len(members) == 2:
                         members.pop()
                     world = winternitz_world(
-                        n, 1, w, blinding=BlindingSet.explicit(1, members), seed=seed
+                        n, 1, w, blinding=reference.blinding(1, members), seed=seed
                     )
                 prog = game.random_program(world, 0, 0, seed=seed)
                 states, pre_sign = evolve_keeping_pre_sign(prog, world)
@@ -318,10 +318,10 @@ class TestAcceptanceTable:
 QGAME_WORLDS = pytest.mark.parametrize(
     "world",
     [
-        lamport_world(2, 2, blinding=BlindingSet.explicit(2, {0, 3}), seed=7),
-        lamport_world(1, 4, blinding=BlindingSet.explicit(4, {1, 6, 12}), seed=7),
-        winternitz_world(2, 1, 3, blinding=BlindingSet.explicit(1, {0}), seed=7),
-        winternitz_world(1, 2, 3, blinding=BlindingSet.explicit(2, {1, 2}), seed=7),
+        lamport_world(2, 2, blinding=reference.blinding(2, {0, 3}), seed=7),
+        lamport_world(1, 4, blinding=reference.blinding(4, {1, 6, 12}), seed=7),
+        winternitz_world(2, 1, 3, blinding=reference.blinding(1, {0}), seed=7),
+        winternitz_world(1, 2, 3, blinding=reference.blinding(2, {1, 2}), seed=7),
     ],
     ids=["lamport-2-2", "lamport-1-4", "winternitz-2-1-3", "winternitz-1-2-3"],
 )
@@ -367,7 +367,7 @@ class TestProductStart:
         assert_same_states(prog, world)
 
     def test_programs_of_every_start(self):
-        world = lamport_world(1, 4, blinding=BlindingSet.explicit(4, {1, 6, 12}), seed=7)
+        world = lamport_world(1, 4, blinding=reference.blinding(4, {1, 6, 12}), seed=7)
         rng = np.random.default_rng(51)
         xy, noxy = world.game_layout(), world.game_layout(include_xy=False)
         on_chain = game.ApplyUnitary(("m", "g0_0"), qsim.haar_unitary(1 << 5, rng))
@@ -384,7 +384,7 @@ class TestProductStart:
             assert_same_states(prog, world)
 
     def test_at_sign_sees_the_live_state_once(self):
-        world = lamport_world(1, 4, blinding=BlindingSet.explicit(4, {1, 6, 12}), seed=7)
+        world = lamport_world(1, 4, blinding=reference.blinding(4, {1, 6, 12}), seed=7)
         prog = game.random_program(world, 1, 1, seed=52)
         seen = []
         states = game.evolve_program(prog, world, at_sign=lambda *args: seen.append(args))
@@ -412,12 +412,12 @@ def traced_peak(fn) -> int:
 
 
 class TestPeakMemory:
-    WORLD = lamport_world(1, 3, blinding=BlindingSet.explicit(3, {1, 4}), seed=3, workspace_qubits=1)
+    WORLD = lamport_world(1, 3, blinding=reference.blinding(3, {1, 4}), seed=3, workspace_qubits=1)
 
     def test_frame_apply_allocates_at_most_two_states(self):
         world = self.WORLD
         layout = world.game_layout()
-        assert layout.total == 16 and len(qworlds._hadamard_frame(world, layout)) == 2
+        assert layout.total == 16 and len(qworlds._hadamard_frame(world)) == 2
         p = build_invariant_projector(world, layout)
         v = qsim.random_state_vector(layout.dim, np.random.default_rng(52))
         # The frame changes and the table multiply each free the array the
@@ -473,7 +473,7 @@ class TestPeakMemory:
     @pytest.mark.parametrize("q", [0, 1])
     def test_evolve_program_holds_one_state_plus_blocks(self, q, observed, monkeypatch):
         monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 10)
-        world = lamport_world(2, 2, blinding=BlindingSet.explicit(2, {0, 3}), seed=7,
+        world = lamport_world(2, 2, blinding=reference.blinding(2, {0, 3}), seed=7,
                               workspace_qubits=1)
         layout = world.game_layout(include_xy=q > 0)
         prog = game.random_program(world, q, q, seed=58)
@@ -536,7 +536,7 @@ class TestWilson:
 
 class TestSamplingEstimator:
     def test_modified_mode_agrees_with_exact(self):
-        world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {0}), seed=31)
+        world = lamport_world(1, 1, blinding=reference.blinding(1, {0}), seed=31)
         prog = game.random_program(world, 0, 1, seed=31)
         _, an = game.run_quantum_game(prog, world, mode="modified", seed=31)
         low, high = reference.estimate_success_sampling(prog, world, "modified", 3000, seed=32)

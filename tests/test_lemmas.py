@@ -5,7 +5,6 @@ import reference
 from qromlab import game, lemmas, qsim, qworlds, rom
 from qromlab.qsim import RegisterLayout
 from qromlab.qworlds import (
-    BlindingSet,
     build_invariant_projector,
     build_query_unitary,
     chain_world,
@@ -111,7 +110,7 @@ class TestCommutatorChecks:
         assert rep.passed and rep.bound == pytest.approx(16.0)
 
     def test_invariant_commutator_all_unblinded(self):
-        world = lamport_world(2, 1, blinding=BlindingSet.none(1), seed=2)
+        world = lamport_world(2, 1, blinding=reference.none_blinded(1), seed=2)
         layout = world.norm_layout()
         p = build_invariant_projector(world, layout)
         u = build_query_unitary(world, layout)
@@ -121,7 +120,7 @@ class TestCommutatorChecks:
         assert exact == pytest.approx(est.value, abs=1e-9)
 
     def test_zero_projector_commutes(self):
-        world = lamport_world(1, 1, blinding=BlindingSet.all(1), seed=3)
+        world = lamport_world(1, 1, blinding=reference.all_blinded(1), seed=3)
         layout = world.norm_layout()
         p = build_invariant_projector(world, layout)
         u = build_query_unitary(world, layout)
@@ -149,7 +148,7 @@ class TestCommutatorChecks:
             lemmas.check_invariant_commutator(scheme, 2, 2, w, seed=6)
             lemmas.check_oracle_reprogramming_consistency(scheme, 2, 1, w, seed=6)
         assert calls == []
-        world = lamport_world(1, 1, blinding=BlindingSet.explicit(1, {0}), seed=6)
+        world = lamport_world(1, 1, blinding=reference.blinding(1, {0}), seed=6)
         game.evolve_program(game.random_program(world, 1, 0, seed=6), world)
         assert len(calls) == 1
 
@@ -245,7 +244,7 @@ class TestNormSolves:
         assert rep.measured == pytest.approx(0.9999330887955475, abs=1e-12)
 
     def test_all_blinded_world_is_exactly_zero(self):
-        world = lamport_world(2, 2, blinding=BlindingSet.all(2), seed=3)
+        world = lamport_world(2, 2, blinding=reference.all_blinded(2), seed=3)
         p = build_invariant_projector(world, world.norm_layout())
         (norm,) = lemmas._query_commutator_norms(world, [p])
         assert p.is_zero and norm <= 1e-15
@@ -260,14 +259,14 @@ class TestNormSolves:
 class TestOrthogonalityCheck:
     def test_single_bit_example(self):
         (rep,) = lemmas.check_orthogonality(
-            "lamport", 2, 1, 2, BlindingSet.explicit(1, {0}), 0, seed=0
+            "lamport", 2, 1, 2, reference.blinding(1, {0}), 0, seed=0
         )
         assert rep.passed and rep.measured < 1e-10
 
     def test_unblinded_forgery_raises(self):
         # the claim covers blinded forgery messages only: no vacuous PASS row
         with pytest.raises(ValueError, match="not blinded"):
-            lemmas.check_orthogonality("lamport", 2, 1, 2, BlindingSet.explicit(1, {0}), 1, seed=0)
+            lemmas.check_orthogonality("lamport", 2, 1, 2, reference.blinding(1, {0}), 1, seed=0)
         world = lamport_world(2, 1, seed=0)
         with pytest.raises(ValueError, match="not blinded"):
             lemmas.orthogonality_report(world, 0)
@@ -282,7 +281,7 @@ class TestOrthogonalityCheck:
             m_star = int(rng.choice(sorted(members)))
             (rep,) = lemmas.check_orthogonality(
                 "lamport", int(rng.integers(1, 3)), l, 2,
-                BlindingSet.explicit(l, members), m_star, seed=k,
+                reference.blinding(l, members), m_star, seed=k,
             )
             assert rep.passed
 

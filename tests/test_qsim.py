@@ -131,11 +131,8 @@ class TestEmbedFastPath:
         rng = np.random.default_rng(len(case))
         op = _operator(kind, 1 << sum(layout.width(t) for t in targets), rng)
         v = qsim.random_state_vector(layout.dim, rng)
-        ref = reference.embed_moveaxis(op, targets, layout)
-        want = ref.apply(v), ref.adjoint_apply(v)
-        fast = qsim.embed(op, targets, layout)
-        assert np.array_equal(fast.apply(v), want[0])
-        assert np.array_equal(fast.adjoint_apply(v), want[1])
+        want = reference.embed_moveaxis(op, targets, layout).apply(v)
+        assert np.array_equal(qsim.embed(op, targets, layout).apply(v), want)
 
     @pytest.mark.parametrize("case", sorted(FAST_CASES))
     def test_complex_operators_match_moveaxis_to_rounding(self, case):
@@ -149,7 +146,6 @@ class TestEmbedFastPath:
         ref = reference.embed_moveaxis(op, targets, layout)
         fast = qsim.embed(op, targets, layout)
         assert np.allclose(fast.apply(v), ref.apply(v), rtol=0, atol=1e-14)
-        assert np.allclose(fast.adjoint_apply(v), ref.adjoint_apply(v), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("case", sorted(FAST_CASES) + ["general"])
     def test_wrong_length_vector_rejected(self, case):
@@ -161,8 +157,6 @@ class TestEmbedFastPath:
         for length in (layout.dim - 1, layout.dim + d, 2 * layout.dim):
             with pytest.raises(ValueError):
                 m.apply(np.ones(length))
-            with pytest.raises(ValueError):
-                m.adjoint_apply(np.ones(length))
 
     @pytest.mark.parametrize(
         "targets", [("c", "a"), ("a", "c"), ("b", "a"), ("c", "b"), ("c", "a", "b")]
@@ -175,7 +169,6 @@ class TestEmbedFastPath:
         m = qsim.embed(op, targets, layout)
         for v in (qsim.random_state_vector(layout.dim, rng) for _ in range(3)):
             assert np.allclose(m.apply(v), full @ v, rtol=0, atol=1e-14)
-            assert np.allclose(m.adjoint_apply(v), full.conj().T @ v, rtol=0, atol=1e-14)
 
     def test_dense_kron_reference_on_adjacent_targets(self):
         layout = RegisterLayout([("a", 1), ("b", 2), ("c", 1)])
@@ -208,7 +201,7 @@ class TestOperatorNorm:
         # the residual must certify the top singular value 2 long before the
         # Krylov space of 1023 further distinct values in [0, 1) is used up
         sv = np.concatenate([[2.0], np.linspace(0.0, 1.0, 1023, endpoint=False)])
-        est = reference.lanczos_norm(qsim.LinearMap(1024, lambda v: sv * v, self_adjoint=True))
+        est = reference.lanczos_norm(qsim.LinearMap(1024, lambda v: sv * v))
         assert est.converged and est.value == pytest.approx(2.0, rel=1e-12)
         assert est.residual <= 1e-10 * est.value ** 2
         assert est.iterations < 32
@@ -225,8 +218,8 @@ class TestOperatorNorm:
             b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             a /= np.linalg.norm(a, 2)
             b /= np.linalg.norm(b, 2)
-            ma = qsim.embed(a, ("x",), layout)
-            mb = qsim.embed(b, ("x",), layout)
+            ma = reference.embed_with_adjoint(a, ("x",), layout)
+            mb = reference.embed_with_adjoint(b, ("x",), layout)
             nab = reference.lanczos_norm(reference.compose(ma, mb)).value
             na = reference.lanczos_norm(ma).value
             nb = reference.lanczos_norm(mb).value
@@ -236,7 +229,7 @@ class TestOperatorNorm:
         rng = np.random.default_rng(6)
         m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         layout = RegisterLayout([("x", 4)])
-        est = reference.lanczos_norm(qsim.embed(m, ("x",), layout))
+        est = reference.lanczos_norm(reference.embed_with_adjoint(m, ("x",), layout))
         assert est.value == pytest.approx(np.linalg.norm(m, 2), rel=1e-8)
 
 
@@ -267,7 +260,7 @@ class TestCommutator:
 
         def contraction():
             m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            return qsim.embed(m / np.linalg.norm(m, 2), ("x",), layout)
+            return reference.embed_with_adjoint(m / np.linalg.norm(m, 2), ("x",), layout)
 
         for _ in range(4):
             a = contraction()
