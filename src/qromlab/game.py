@@ -13,9 +13,9 @@ tensor reads the game layout's fixed axis order.  One pass over the final
 state (:func:`probability_tensor`) gives the plain tensor and every outcome
 tensor under the blocking rule of :func:`qromlab.qsim.blocks`: the state
 splits over its leading registers into blocks of at most
-``qsim.BLOCK_AMPS`` amplitudes, and each block's weights add into the
-tensors in the order numpy's full reduction adds them, so no state-sized
-temporary is made and the sums keep its bits.  Every world that fits the
+``qsim.BLOCK_AMPS`` amplitudes, the chain registers whole, and each
+block's weights add into the tensors in the order numpy's full reduction
+adds them, so no state-sized temporary is made and the sums keep its bits.  Every world that fits the
 statevector cap has at most 2^16 (message, signature) outcomes.  The
 analysis reads the blinded messages as one bool mask over the message
 space (:meth:`~qromlab.qworlds.BlindingSet.mask`).  This is the

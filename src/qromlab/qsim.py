@@ -16,11 +16,14 @@ Conventions:
   (:class:`qromlab.qworlds.Permutation`), a frame-diagonal apply and the
   game's probability tensors split the state over its leading registers
   into blocks of at most ``BLOCK_AMPS`` amplitudes (or of the axes they
-  keep whole, when those hold more) and run block by block.  A gate and an
+  keep whole, when those hold more) and run block by block.  Each keeps
+  whole only the registers it mixes: a gate's targets, an XOR map's
+  flipped registers, the chain registers of the frame.  A gate and an
   XOR map write each block's result back into the block they read, so they
   apply in place (:meth:`LinearMap.apply_in_place`); a frame-diagonal apply
-  writes into one preallocated output.  A block's result has the bits the
-  unblocked kernel gives it.
+  writes into one preallocated output.  So a run holds its live state and
+  a few blocks of scratch.  A block's result has the bits the unblocked
+  kernel gives it.
 * Operator norms are exact: :func:`operator_norm` takes a map that is
   block-diagonal, each block a submatrix of one projector diagonal in the
   Hadamard frame, and solves every distinct block densely.
@@ -47,9 +50,14 @@ from . import rom
 
 MAX_STATE_QUBITS = 24
 MAX_NORM_DIM = 2 ** 14
-# Amplitudes per block of the full-state kernels (:func:`blocks`): 4 MiB of
-# complex128, about the L2 cache of the 2-vCPU Xeon the benchmarks run on.
-BLOCK_AMPS = 2 ** 18
+# Amplitudes per block of the full-state kernels (:func:`blocks`): 512 KiB of
+# complex128, so a block, its copy and a gemm's product fit the 2 MiB L2
+# cache per core of the 2-vCPU Xeon the benchmarks run on.  Timed there on a
+# 21-qubit game state, it is the fastest of 2^14, 2^15, 2^16 and 2^18 for
+# the gates, the signing map and the probability tensors, and within 7% of
+# the fastest for the query map and the frame applies; at 2^18 (4 MiB) an
+# XOR map apply is 1.4-1.8x slower.
+BLOCK_AMPS = 2 ** 15
 
 Vector = np.ndarray
 

@@ -32,14 +32,15 @@ built:
 
 * The query and blinded-sign unitaries are XOR involutions on basis states,
   each kept as its small broadcast table ``delta`` of the bits it flips and
-  applied in place, block by block (:class:`Permutation`).  The query
-  unitary XORs the answer table f(x, gamma) of :func:`overlay_table` into
-  ``y``, and only an evolved state needs the map.  Everything else reads f
-  itself
-  (:func:`query_unitary_as_function`): the oracle-consistency check compares
-  it with the classical reprogrammed oracle, the acceptance table walks the
-  chains through it, and the exact commutator norms read its phase in the
-  Hadamard frame of ``y`` (:func:`query_phase_splits`).
+  applied in place over blocks that keep only the flipped registers whole
+  (:class:`Permutation`), so an apply needs a few blocks of scratch.  The
+  query unitary XORs the answer table f(x, gamma) of :func:`overlay_table`
+  into ``y``, and only an evolved state needs the map.  Everything else
+  reads f itself (:func:`query_unitary_as_function`): the
+  oracle-consistency check compares it with the classical reprogrammed
+  oracle, the acceptance table walks the chains through it, and the exact
+  commutator norms read its phase in the Hadamard frame of ``y``
+  (:func:`query_phase_splits`).
 * Every projector is a product of uniform projectors and their complements on
   chain registers.  The uniform projector is H|0><0|H, so in the Hadamard
   frame of the chain registers each projector is a diagonal 0/1 (or
@@ -316,13 +317,15 @@ class Permutation(LinearMap):
     ``delta`` broadcasts against ``layout.dims`` (size 1 along every register
     it does not read) and holds flat-index bits of the registers it flips.
     It must not vary along a register it flips (ValueError otherwise), so
-    the map is its own inverse and moves no amplitude out of a run of the
-    flat index that holds every flipped register whole.  The state runs over
-    such runs, the blocks of :func:`qromlab.qsim.blocks` that keep every
-    register from the first flipped one on whole: each block is gathered
-    from a copy of itself by its local flat index XOR its part of delta, one
-    block-sized index XORed with each block's part in turn.  An apply
-    allocates that copy and that index, no state.  A delta that is 0
+    the map is its own inverse and moves no amplitude out of a block that
+    holds every flipped register whole.  The state runs over the blocks of
+    :func:`qromlab.qsim.blocks` that keep only the flipped registers whole,
+    strided views of at most ``BLOCK_AMPS`` amplitudes when a register after
+    them is split: each block is gathered from a contiguous copy of itself
+    by its block-local flat index XOR its part of delta, delta's bits moved
+    to the block's own strides, one block-sized index XORed with each
+    block's part in turn, and written back.  An apply allocates that copy,
+    the gathered block and that index, no state.  A delta that is 0
     everywhere is the identity and leaves the state untouched.
     """
 
@@ -348,17 +351,23 @@ class Permutation(LinearMap):
         def kernel(v: np.ndarray) -> np.ndarray:
             if not flipped:
                 return v
-            spans = qsim.blocks(layout.dims, range(flipped[0], len(layout.dims)))
-            size = layout.dim // len(spans)
-            index = np.arange(size).reshape(v.reshape(layout.dims)[spans[0]].shape)
+            state = v.reshape(layout.dims)
+            spans = qsim.blocks(layout.dims, flipped)
+            shape = state[spans[0]].shape
+            # delta's bits moved from the state's flat strides to the block's
+            local = 0
+            for axis in flipped:
+                name, width = layout.registers[axis]
+                bits = delta >> layout.shift(name) & ((1 << width) - 1)
+                local = local | bits * int(np.prod(shape[axis + 1 :]))
+            index = np.arange(int(np.prod(shape))).reshape(shape)
             before = 0
-            for start, block in zip(range(0, layout.dim, size), spans):
-                part = qsim.block_of(delta, block)
+            for block in spans:
+                part = qsim.block_of(local, block)
                 np.bitwise_xor(index, part ^ before, out=index)
                 before = part
-                run = v[start : start + size]
-                # mode="wrap" writes into ``out`` directly; "raise" buffers it
-                np.take(run.copy(), index.reshape(-1), out=run, mode="wrap")
+                # take gathers from a contiguous copy of a strided block
+                state[block] = np.take(state[block], index, mode="wrap")
             return v
 
         super().__init__(layout.dim, kernel, label=label, in_place=True)

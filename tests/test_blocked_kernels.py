@@ -219,7 +219,12 @@ class TestInPlaceKernels:
         if include_xy:
             maps.append(qworlds.build_query_unitary(world, layout))
         v = probe(layout.dim, 63)
+        flipped = {"BSign": world.sigma_registers(), "U_h": ["y"]}
         for u in maps:
+            if block_amps == 1 << 8:  # the blocks gathered are strided views
+                spans = qsim.blocks(layout.dims, [layout.axis(r) for r in flipped[u.label]])
+                assert len(spans) > 1
+                assert not all(v.reshape(layout.dims)[b].flags.c_contiguous for b in spans)
             want = v[reference.xor_index(u)]
             state = v.copy()
             assert u.apply_in_place(state) is state

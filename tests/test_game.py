@@ -413,6 +413,9 @@ def traced_peak(fn) -> int:
 
 class TestPeakMemory:
     WORLD = lamport_world(1, 3, blinding=reference.blinding(3, {1, 4}), seed=3, workspace_qubits=1)
+    # A 20-qubit game layout with x and y, 16 qubits without.
+    QGAME_WORLD = lamport_world(2, 2, blinding=reference.blinding(2, {0, 3}), seed=7,
+                                workspace_qubits=1)
 
     def test_frame_apply_allocates_at_most_two_states(self):
         world = self.WORLD
@@ -453,36 +456,37 @@ class TestPeakMemory:
         assert traced_peak(lambda: gate.apply_in_place(v)) <= 2 * block + SLACK
 
     @pytest.mark.parametrize("include_xy", [True, False])
-    def test_xor_apply_in_place_allocates_two_blocks(self, include_xy, monkeypatch):
-        monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 10)
-        world = self.WORLD
+    def test_xor_apply_in_place_allocates_blocks_not_registers(self, include_xy, monkeypatch):
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 11)
+        world = self.QGAME_WORLD
         layout = world.game_layout(include_xy=include_xy)
         maps = {"sig0": qworlds.build_blinded_sign_unitary(world, layout)}
         if include_xy:
             maps["y"] = qworlds.build_query_unitary(world, layout)
         v = qsim.random_state_vector(layout.dim, np.random.default_rng(57))
+        # A block keeps only the flipped registers whole: the block's
+        # contiguous copy, take's output and the int64 local index, two and
+        # a half blocks.  A run that holds every register from the first
+        # flipped one on is eight blocks or more.
+        bound = 5 * qsim.BLOCK_AMPS * v.itemsize // 2 + SLACK
         for first, u in maps.items():
-            # a block runs from one value of the registers before the first
-            # flipped one to the end of the index
-            block = max(qsim.BLOCK_AMPS, 1 << (layout.shift(first) + layout.width(first)))
-            assert block < layout.dim
-            # The block's copy and its int64 local index.
-            assert traced_peak(lambda: u.apply_in_place(v)) <= 2 * block * v.itemsize + SLACK
+            assert 1 << (layout.shift(first) + layout.width(first)) >= 8 * qsim.BLOCK_AMPS
+            u.apply_in_place(v)  # fills the tuple free lists, which tracemalloc counts
+            assert traced_peak(lambda: u.apply_in_place(v)) <= bound
 
     @pytest.mark.parametrize("observed", [False, True])
     @pytest.mark.parametrize("q", [0, 1])
     def test_evolve_program_holds_one_state_plus_blocks(self, q, observed, monkeypatch):
-        monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 10)
-        world = lamport_world(2, 2, blinding=reference.blinding(2, {0, 3}), seed=7,
-                              workspace_qubits=1)
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 11)
+        world = self.QGAME_WORLD
         layout = world.game_layout(include_xy=q > 0)
         prog = game.random_program(world, q, q, seed=58)
         state = layout.dim * 16
-        # The largest block any step uses: the query map's one x value, or
-        # the signing map's one m value without x and y.
-        block = (layout.dim >> layout.width(layout.names[0])) * 16
-        bound = state + 2 * block + SLACK
-        assert bound < 2 * state
+        # One state, the chain column it is repeated from, and at most an
+        # XOR map's two and a half blocks of scratch at a time.
+        column = state >> (world.n * len(world.chain_registers()))
+        bound = state + column + 3 * qsim.BLOCK_AMPS * 16 + SLACK
+        game.evolve_program(prog, world)  # fills the tuple free lists, which tracemalloc counts
         norms = []
 
         def at_sign(v, layout):  # reads the live state, allocating no state
