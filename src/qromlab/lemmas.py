@@ -304,10 +304,18 @@ def check_orthogonality(
     return [orthogonality_report(world, m_star)]
 
 
+def _norm(out: np.ndarray) -> float:
+    """||out||, squaring ``out``, an apply's output, in place.  numpy's own
+    pairwise sum adds the squares, so the value's bits do not depend on the
+    BLAS thread count, as a BLAS dot product's do."""
+    parts = out.view(np.float64)
+    return float(np.sqrt(np.add.reduce(np.square(parts, out=parts))))
+
+
 def _distance(out: np.ndarray, v: np.ndarray) -> float:
     """||out - v||, subtracting in place into ``out``, an apply's output."""
     out -= v
-    return float(np.linalg.norm(out))
+    return _norm(out)
 
 
 def check_state_drift(
@@ -355,7 +363,7 @@ def check_state_drift(
     # messages in place.
     np.copyto(psi1.reshape(layout.dims), 0.0, where=~world.blinding.mask()[layout.values("m")])
     q_last = build_qtilde(world, layout)[-1]
-    c_meas = float(np.linalg.norm(q_last.apply(psi1)))
+    c_meas = _norm(q_last.apply(psi1))
     rep_c = _report("drift-forced-outcome", scheme, n, l, w, q0, q1, c_meas, bc_bound, t2, note=bc_note)
     return [rep_a, rep_b, rep_c]
 

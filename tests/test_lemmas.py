@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -302,6 +307,27 @@ class TestDriftCheck:
         by = {r.lemma: r for r in reps}
         assert by["drift-invariant"].bound == pytest.approx(16.0 + 12.0)
         assert all(r.passed for r in reps)
+
+    def test_sweep_drift_rows_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a dot product's sum by its thread count, so a norm
+        # taken by BLAS moves in its last bits between 1 and 2 threads.
+        script = (
+            "import contextlib, io\n"
+            "from qromlab import cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    cli.main(['lemmas', '--sweep', '--seed', '6'])\n"
+            "print(''.join(r for r in out.getvalue().splitlines(True) if r.startswith('drift-')))\n"
+        )
+        src = str(Path(lemmas.__file__).resolve().parents[1])
+        rows = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            rows.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                       capture_output=True, text=True, check=True).stdout)
+        assert rows[0].count("drift-") == 96
+        assert rows[0] == rows[1]
 
 
 class TestPinching:
