@@ -15,13 +15,13 @@ tensor under the blocking rule of :func:`qromlab.qsim.blocks`: the state
 splits over its leading registers into blocks of at most
 ``qsim.BLOCK_AMPS`` amplitudes, the chain registers whole, and each
 block's weights add into the tensors in the order numpy's full reduction
-adds them, so no state-sized temporary is made and the sums keep its bits.  Every world that fits the
-statevector cap has at most 2^16 (message, signature) outcomes.  The
-analysis reads the blinded messages as one bool mask over the message
-space (:meth:`~qromlab.qworlds.BlindingSet.mask`).  This is the
-one quantum game engine: every probability comes from the outcome tensors
-and the acceptance table, and the one transcript a run reports is drawn
-from them.
+adds them, so no state-sized temporary is made and the sums keep its
+bits.  Every world that fits the statevector cap has at most 2^16
+(message, signature) outcomes.  The analysis reads the blinded messages as
+one bool mask over the message space
+(:meth:`~qromlab.qworlds.BlindingSet.mask`).  This is the one quantum game
+engine: every probability comes from the outcome tensors and the
+acceptance table, and the one transcript a run reports is drawn from them.
 
 Winning means: the forged message is blinded, and the scheme verifier accepts
 the forged signature against the oracle reprogrammed on the chain values
