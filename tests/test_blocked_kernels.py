@@ -2,7 +2,7 @@
 ones kept in ``tests/reference.py``, bit for bit.
 
 ``qsim.BLOCK_AMPS`` is set small, so layouts of at most 16 qubits run many
-blocks; the default value makes each of them one block.
+blocks; at the default value they run one or two.
 """
 
 import itertools
@@ -20,7 +20,7 @@ WORLD = lamport_world(1, 3, blinding=reference.blinding(3, {1, 4}), seed=3, work
 # 14-qubit game layout whose two 2-qubit chain registers are one frame factor.
 ONE_FACTOR = lamport_world(2, 1, blinding=reference.blinding(1, {1}), seed=25)
 
-# Many blocks, fewer blocks, and the default (one block per state here).
+# Many blocks, fewer blocks, and the default.
 BLOCK_SIZES = pytest.mark.parametrize("block_amps", [1 << 8, 1 << 11, qsim.BLOCK_AMPS])
 
 
