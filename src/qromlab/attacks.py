@@ -377,6 +377,7 @@ def grover_attack(
     A measured preimage is submitted; a miss concedes.  With zero iterations
     the search degenerates to a uniform guess.
     """
+    ots.LamportParams(n=n, l=l)  # the scheme's guard, before the schedule divides by l
     if iterations is None:
         iterations = default_grover_iterations(n, l)
     # Measurement distribution per marked set (the hit row's bytes), which

@@ -168,6 +168,8 @@ def check_equality_uniform_overlap(n: int) -> list[CheckReport]:
     max_x ||Phi[B, all]|| and the commutator's max_x ||Phi[A, B]|| (A = not B).
     """
     t0 = time.perf_counter()
+    if 4 ** n > qsim.MAX_NORM_DIM:  # before the 2^n x 2^n masks are built
+        raise ValueError(f"operator norms capped at dimension {qsim.MAX_NORM_DIM}, got {4 ** n}")
     values = np.arange(1 << n)
     uniform = values == 0
     eq = values[:, None] == values[None, :]  # one row per x, one column per y
@@ -360,10 +362,10 @@ def check_state_drift(
 
     t2 = time.perf_counter()
     # The final state is not read after this row: zero its unblinded
-    # messages in place.
+    # messages and apply the outcome map to it in place.
     np.copyto(psi1.reshape(layout.dims), 0.0, where=~world.blinding.mask()[layout.values("m")])
     q_last = build_qtilde(world, layout)[-1]
-    c_meas = _norm(q_last.apply(psi1))
+    c_meas = _norm(q_last.apply_in_place(psi1))
     rep_c = _report("drift-forced-outcome", scheme, n, l, w, q0, q1, c_meas, bc_bound, t2, note=bc_note)
     return [rep_a, rep_b, rep_c]
 

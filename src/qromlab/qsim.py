@@ -6,24 +6,25 @@ Conventions:
   register owns the most significant bits of the flat amplitude index, so a
   basis state is addressed as ``value_0 << shift_0 | value_1 << shift_1 | ...``
   with shifts decreasing in listing order.  This fixes bit-exact fixtures.
-* Operators are :class:`LinearMap` objects built from one apply closure.
+* Operators are :class:`LinearMap` objects built from one apply closure
+  that overwrites the vector it is given: :meth:`LinearMap.apply` hands it
+  a copy, :meth:`LinearMap.apply_in_place` the caller's state.
   Dense matrices are only formed for small local gates: a
   program's unitaries, lifted onto a layout by :func:`embed`, and the
   Hadamard-frame factors, which :mod:`qromlab.qworlds` applies itself as
   real gemms.  Operators on the full space are never materialized.
 * The full-state kernels share one blocking rule (:func:`blocks`): a gate
   of :func:`embed`, the XOR query and signing maps
-  (:class:`qromlab.qworlds.Permutation`), a frame-diagonal apply and the
-  game's probability tensors split the state over its leading registers
-  into blocks of at most ``BLOCK_AMPS`` amplitudes (or of the axes they
-  keep whole, when those hold more) and run block by block.  Each keeps
-  whole only the registers it mixes: a gate's targets, an XOR map's
-  flipped registers, the chain registers of the frame.  A gate and an
-  XOR map write each block's result back into the block they read, so they
-  apply in place (:meth:`LinearMap.apply_in_place`); a frame-diagonal apply
-  writes into one preallocated output.  So a run holds its live state and
-  a few blocks of scratch.  A block's result has the bits the unblocked
-  kernel gives it.
+  (:class:`qromlab.qworlds.Permutation`), a frame-diagonal apply, the
+  uniform projector and the game's probability tensors split the state
+  over its leading registers into blocks of at most ``BLOCK_AMPS``
+  amplitudes (or of the axes they keep whole, when those hold more) and
+  run block by block.  Each keeps whole only the registers it mixes: a
+  gate's targets, an XOR map's flipped registers, the chain registers of
+  the frame, the averaged registers.  Every map writes each block's result
+  back into the block it read, so it applies in place.  So a run holds its
+  live state and a few blocks of scratch.  A block's result has the bits
+  the unblocked kernel gives it.
 * Operator norms are exact: :func:`operator_norm` takes a map that is
   block-diagonal, each block a submatrix of one projector diagonal in the
   Hadamard frame, and solves every distinct block densely.
@@ -119,7 +120,7 @@ class RegisterLayout:
 class LinearMap:
     """Matrix-free operator: an apply-to-vector contract.
 
-    With ``in_place`` set, the callable overwrites the vector it is given
+    The callable overwrites the C-contiguous complex128 vector it is given
     with the result and returns it: :meth:`apply` hands it a copy, and
     :meth:`apply_in_place` hands it the caller's state itself.
     """
@@ -127,31 +128,17 @@ class LinearMap:
     # No map carries an adjoint; the benchmark's trace tooling reads this.
     _adjoint_apply = None
 
-    def __init__(
-        self,
-        dim: int,
-        apply: Callable[[Vector], Vector],
-        label: str = "",
-        in_place: bool = False,
-    ):
+    def __init__(self, dim: int, apply: Callable[[Vector], Vector], label: str = ""):
         self.dim = dim
         self._apply = apply
         self.label = label
-        self.in_place = in_place
-
-    def _operand(self, vec: Vector) -> Vector:
-        if self.in_place:
-            return np.array(vec, dtype=np.complex128, order="C").reshape(-1)
-        return np.asarray(vec, dtype=np.complex128)
 
     def apply(self, vec: Vector) -> Vector:
-        return self._apply(self._operand(vec))
+        return self._apply(np.array(vec, dtype=np.complex128, order="C").reshape(-1))
 
     def apply_in_place(self, vec: Vector) -> Vector:
         """Overwrite ``vec``, a writable C-contiguous complex128 vector of the
         map's dimension, with the map applied to it, and return it."""
-        if not self.in_place:
-            raise ValueError(f"map {self.label!r} has no in-place kernel")
         if not (
             isinstance(vec, np.ndarray)
             and vec.dtype == np.complex128
@@ -191,28 +178,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 # Structured register operators
 
 
-def uniform_projector_apply(amps: Vector, layout: RegisterLayout, regs: Sequence[str]) -> Vector:
-    """Apply the uniform-superposition projector on each register in ``regs``.
-
-    Each register's mean is taken on the array the previous means left, so
-    only the first one reads the whole state; the result is broadcast back
-    to the layout once, at the end.
-    """
-    out = amps.reshape(layout.dims)
-    for name in regs:
-        out = out.mean(axis=layout.axis(name), keepdims=True)
-    return np.ascontiguousarray(np.broadcast_to(out, layout.dims)).reshape(-1)
-
-
-def uniform_projector_map(layout: RegisterLayout, regs: Sequence[str]) -> LinearMap:
-    regs = tuple(regs)
-    return LinearMap(
-        layout.dim,
-        lambda v: uniform_projector_apply(v, layout, regs),
-        label="Phi(" + ",".join(regs) + ")",
-    )
-
-
 def blocks(dims: Sequence[int], keep: Sequence[int] = ()) -> list[tuple[slice, ...]]:
     """The blocking rule of the full-state kernels: index tuples that split
     an array of shape ``dims`` over its leading axes not in ``keep`` into
@@ -223,8 +188,9 @@ def blocks(dims: Sequence[int], keep: Sequence[int] = ()) -> list[tuple[slice, .
     split stay whole.  An array of at most ``BLOCK_AMPS`` entries is one
     block, ``()``.  When the kept axes alone hold more, a block is one value
     of every axis not kept.  A kernel runs block by block and writes each
-    block's result back into the block or into one preallocated output, so
-    a state-sized temporary becomes a block-sized one that stays in cache.
+    block's result back into the block (the game's probability tensors add
+    it into the tensors), so a state-sized temporary becomes a block-sized
+    one that stays in cache.
     """
     size = int(np.prod(dims))
     spans: list[list[slice]] = []
@@ -245,6 +211,29 @@ def block_of(a: np.ndarray, block: tuple[slice, ...]) -> np.ndarray:
     """The part of ``a`` that ``block`` reads, for an ``a`` broadcast against
     the blocked array (size 1 on the axes it does not read)."""
     return a[tuple(s if n > 1 else slice(None) for s, n in zip(block, a.shape))]
+
+
+def uniform_projector_map(layout: RegisterLayout, regs: Sequence[str]) -> LinearMap:
+    """The uniform-superposition projector on each register in ``regs``.
+
+    It applies block by block (:func:`blocks`, the averaged registers kept
+    whole): each register's mean is taken on the array the previous means
+    left, so only the first one reads the block, and the last mean is
+    written back over the block it was read from.
+    """
+    regs = tuple(regs)
+    axes = [layout.axis(name) for name in regs]
+
+    def run(v: Vector) -> Vector:
+        state = v.reshape(layout.dims)
+        for block in blocks(layout.dims, axes):
+            means = state[block]
+            for axis in axes:
+                means = means.mean(axis=axis, keepdims=True)
+            state[block] = means
+        return v
+
+    return LinearMap(layout.dim, run, label="Phi(" + ",".join(regs) + ")")
 
 
 def embed(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
@@ -284,7 +273,7 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
             np.moveaxis(state[block], axes, range(k))[...] = t.reshape(shape)
         return v
 
-    return LinearMap(layout.dim, run, label=f"embed({','.join(targets)})", in_place=True)
+    return LinearMap(layout.dim, run, label=f"embed({','.join(targets)})")
 
 
 # ---------------------------------------------------------------------------

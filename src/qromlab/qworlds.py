@@ -52,9 +52,9 @@ built:
   Like every full-state kernel it runs under the blocking rule of
   :func:`qromlab.qsim.blocks`: the state splits over its leading (head)
   registers into blocks of at most ``qsim.BLOCK_AMPS`` amplitudes, whole
-  chain columns each, and each block's result is written into one
-  preallocated output.  The game changes each block of its final state
-  into the frame once and reads every outcome map from there.
+  chain columns each, and each block's result is written back into the
+  block, so the map applies in place.  The game changes each block of its
+  final state into the frame once and reads every outcome map from there.
 """
 
 from __future__ import annotations
@@ -370,7 +370,7 @@ class Permutation(LinearMap):
                 state[block] = np.take(state[block], index, mode="wrap")
             return v
 
-        super().__init__(layout.dim, kernel, label=label, in_place=True)
+        super().__init__(layout.dim, kernel, label=label)
 
 
 def overlay_table(world: ChainWorld, layout: RegisterLayout) -> np.ndarray:
@@ -523,19 +523,23 @@ def to_frame(world: ChainWorld, v: np.ndarray, out: np.ndarray | None = None) ->
 class FrameDiagonal(LinearMap):
     """A diagonal ``table`` in the Hadamard frame of the chain registers.
 
-    ``apply`` changes into the frame (:func:`to_frame`), multiplies by the
-    table (broadcast over the registers it does not read) and changes back,
-    block by block (:func:`qromlab.qsim.blocks`, the chain registers kept
-    whole), the last factor writing into the one output state.  Each block
-    gets the unblocked kernel's bits while the trailing factor's gemm keeps
-    more than two rows, as a block of ``BLOCK_AMPS`` amplitudes does.  Every
-    map of one world shares the frame (:func:`_hadamard_frame`, built on
-    first use), so a caller applying several of them to one state changes it
-    into the frame once and changes back each product; a map that is only
-    read through its ``table`` builds no frame.  A 0/1 table is an
-    orthogonal projector.  ``term_count`` is the table's support size, one
-    rank-one frame term per nonzero entry, and ``is_zero`` means it is 0.
-    The chain registers must trail ``layout`` (ValueError otherwise).
+    ``apply`` runs block by block (:func:`qromlab.qsim.blocks`, the chain
+    registers kept whole, so a block is a contiguous run of whole chain
+    columns): it changes the block into the frame (:func:`to_frame`),
+    multiplies by the table (broadcast over the registers it does not read)
+    and changes back, the last factor writing into the block it read.  So
+    the map applies in place, and an in-place apply allocates two blocks.
+    Each block gets the unblocked kernel's bits while the trailing factor's
+    gemm keeps more than two rows, as a block of ``BLOCK_AMPS`` amplitudes
+    does.
+    Every map of one world shares the frame (:func:`_hadamard_frame`, built
+    on first use), so a caller applying several of them to one state
+    changes it into the frame once and changes back each product; a map
+    that is only read through its ``table`` builds no frame.  A 0/1 table
+    is an orthogonal projector.  ``term_count`` is the table's support
+    size, one rank-one frame term per nonzero entry, and ``is_zero`` means
+    it is 0.  The chain registers must trail ``layout`` (ValueError
+    otherwise).
     """
 
     def __init__(self, world: ChainWorld, layout: RegisterLayout, table: np.ndarray, label: str):
@@ -546,20 +550,16 @@ class FrameDiagonal(LinearMap):
         # The apply closes over locals, not over self, so a dropped map is
         # freed by reference count rather than only by the cycle collector.
         def apply(v: np.ndarray) -> np.ndarray:
-            v = np.ascontiguousarray(v).reshape(layout.dims)
+            state = v.reshape(layout.dims)
 
             # Nested calls hold no block in a local, so each frame factor
             # frees the array the one before made.
             def times_table(hv, block):
                 return np.multiply(hv, qsim.block_of(table, block), out=hv)
 
-            spans = qsim.blocks(layout.dims, chains)
-            if len(spans) == 1:  # one block: its last factor makes the output
-                return to_frame(world, times_table(to_frame(world, v), ())).reshape(-1)
-            out = np.empty_like(v)
-            for block in spans:
-                to_frame(world, times_table(to_frame(world, v[block]), block), out[block])
-            return out.reshape(-1)
+            for block in qsim.blocks(layout.dims, chains):
+                to_frame(world, times_table(to_frame(world, state[block]), block), state[block])
+            return v
 
         self.layout = layout
         self.table = table

@@ -5,13 +5,15 @@ cross-check the fast paths of the package.
   norm solver, against the exact block norms of ``qsim.operator_norm``.
   They work on ``qsim.LinearMap`` objects through their apply contract only,
   independent of the compiled XOR tables and frame tables; a map that is
-  not self-adjoint carries its adjoint as an :class:`Adjointed` map.
+  not self-adjoint carries its adjoint as an :class:`Adjointed` map.  Their
+  own maps compute out of place and write the result into the vector they
+  are given (:func:`overwriting`), as the package's maps do.
 * Blinding sets given by their members: none, all, or an explicit set.
 * The Hadamard frame of the chain registers as one dense Sylvester matrix,
   and as complex Sylvester gates lifted by ``qsim.embed``, against the real
   factored frame change ``qworlds.to_frame``.
-* The uniform projector as successive broadcast means, against the reduced
-  means of ``qsim.uniform_projector_apply``.
+* The uniform projector as successive broadcast means, against the blocked
+  means of ``qsim.uniform_projector_map``.
 * The unblocked full-state kernels, against the blocked ones
   (``qsim.blocks``): the transpose-gemm ``embed`` on the whole state, the
   XOR map as one gather index ``v[arange ^ delta]``, the frame apply
@@ -62,12 +64,23 @@ def all_blinded(nbits: int) -> BlindingSet:
     return blinding(nbits, range(1 << nbits), 1.0)
 
 
+def overwriting(f):
+    """The map contract for an out-of-place ``f``: write ``f(v)`` into ``v``
+    and return ``v``."""
+
+    def run(v: np.ndarray) -> np.ndarray:
+        v[...] = f(v)
+        return v
+
+    return run
+
+
 class Adjointed(LinearMap):
-    """A map that carries its adjoint apply as ``adjoint``; the package's
-    maps apply only."""
+    """A map that carries its adjoint apply as ``adjoint``, an out-of-place
+    function; the package's maps apply only."""
 
     def __init__(self, dim: int, apply, adjoint, label: str = ""):
-        super().__init__(dim, apply, label=label)
+        super().__init__(dim, overwriting(apply), label=label)
         self.adjoint = adjoint
 
 
@@ -87,11 +100,11 @@ def embed_with_adjoint(op, targets: Sequence[str], layout: RegisterLayout) -> Ad
 
 
 def identity_map(dim: int) -> LinearMap:
-    return LinearMap(dim, lambda v: v.copy(), label="1")
+    return LinearMap(dim, lambda v: v, label="1")
 
 
 def zero_map(dim: int) -> LinearMap:
-    return LinearMap(dim, lambda v: np.zeros_like(v), label="0")
+    return LinearMap(dim, overwriting(np.zeros_like), label="0")
 
 
 def is_zero_map(a: LinearMap, probes: int = 32, seed: int = 0, threshold: float = 1e-10) -> bool:
@@ -143,7 +156,9 @@ def equality_projector_map(layout: RegisterLayout, reg_a: str, reg_b: str) -> Li
     if layout.width(reg_a) != layout.width(reg_b):
         raise ValueError("equality projector needs registers of equal width")
     mask = field(layout, reg_a) == field(layout, reg_b)
-    return LinearMap(layout.dim, lambda v: np.where(mask, v, 0.0), label=f"P=({reg_a},{reg_b})")
+    return LinearMap(
+        layout.dim, overwriting(lambda v: np.where(mask, v, 0.0)), label=f"P=({reg_a},{reg_b})"
+    )
 
 
 def embed_moveaxis(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
@@ -161,7 +176,7 @@ def embed_moveaxis(op, targets: Sequence[str], layout: RegisterLayout) -> Linear
         t = np.moveaxis(t.reshape(local_dims + rest), range(k), axes)
         return np.ascontiguousarray(t).reshape(-1)
 
-    return LinearMap(layout.dim, run)
+    return LinearMap(layout.dim, overwriting(run))
 
 
 def xor_index(u: qworlds.Permutation) -> np.ndarray:
@@ -439,7 +454,7 @@ def xor_register_map(layout: RegisterLayout, src: str, dst: str) -> LinearMap:
     if layout.width(src) != layout.width(dst):
         raise ValueError("xor needs registers of equal width")
     perm = np.arange(layout.dim) ^ (field(layout, src) << layout.shift(dst))
-    return LinearMap(layout.dim, lambda v: v[perm], label=f"xor({src}->{dst})")
+    return LinearMap(layout.dim, overwriting(lambda v: v[perm]), label=f"xor({src}->{dst})")
 
 
 def register_distribution(state: StateVector, register: str) -> np.ndarray:

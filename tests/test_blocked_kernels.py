@@ -250,15 +250,19 @@ class TestInPlaceKernels:
             assert gate.apply_in_place(state) is state
             assert same_bits(state, want.apply(v))
 
-    def test_apply_leaves_its_input_alone(self):
+    @BLOCK_SIZES
+    def test_apply_leaves_its_input_alone_and_equals_the_in_place_apply(self, block_amps,
+                                                                       monkeypatch):
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", block_amps)
         layout = WORLD.game_layout()
         v = probe(layout.dim, 65)
         before = v.tobytes()
-        gate = qsim.embed(qsim.haar_unitary(16, np.random.default_rng(65)), ("x", "m"), layout)
-        for m in (gate, qworlds.build_query_unitary(WORLD, layout),
-                  qworlds.build_blinded_sign_unitary(WORLD, layout)):
-            m.apply(v)
-            assert v.tobytes() == before
+        for m in every_map_kind(WORLD, layout):
+            got = m.apply(v)
+            assert v.tobytes() == before, m.label
+            state = v.copy()
+            assert m.apply_in_place(state) is state
+            assert same_bits(state, got), m.label
 
     def test_in_place_entry_refuses_what_it_cannot_overwrite(self):
         # each of these would reach the kernel as a converted copy, and the
@@ -276,15 +280,20 @@ class TestInPlaceKernels:
             read_only,
             list(v[:4]),
         ]
-        gate = qsim.embed(qsim.haar_unitary(16, np.random.default_rng(66)), ("x", "m"), layout)
-        for m in (gate, qworlds.build_query_unitary(WORLD, layout),
-                  qworlds.build_blinded_sign_unitary(WORLD, layout)):
+        for m in every_map_kind(WORLD, layout):
             for arg in bad:
                 with pytest.raises(ValueError, match="in place"):
                     m.apply_in_place(arg)
 
-    def test_maps_without_an_in_place_kernel_refuse_the_entry(self):
-        layout = WORLD.game_layout()
-        p = build_invariant_projector(WORLD, layout)
-        with pytest.raises(ValueError, match="no in-place kernel"):
-            p.apply_in_place(probe(layout.dim, 67))
+
+def every_map_kind(world, layout):
+    """One map of each kind the package builds: a gate, U_h, BSign, P, every
+    Qtilde and the uniform projector on the chain registers."""
+    gate = qsim.embed(qsim.haar_unitary(16, np.random.default_rng(65)), ("x", "m"), layout)
+    return [
+        gate,
+        qworlds.build_query_unitary(world, layout),
+        qworlds.build_blinded_sign_unitary(world, layout),
+        *frame_maps(world, layout),
+        qsim.uniform_projector_map(layout, world.chain_registers()),
+    ]

@@ -9,7 +9,7 @@ import pytest
 from test_rom import reference_distributions
 
 import qromlab
-from qromlab import cli
+from qromlab import cli, qsim
 
 
 def run(capsys, *argv):
@@ -267,6 +267,18 @@ class TestErrors:
         code, out, err = run(capsys, "bounds", "--q", "1", *argv)
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("l", ["0", "-1"])
+    def test_grover_attack_without_chains_rejected(self, capsys, l):
+        code, out, err = run(capsys, "attack", "--kind", "grover", "--n", "3", "--l", l)
+        assert code == 1 and out == ""
+        assert err == "error: Lamport parameters need n >= 1 and l >= 1\n"
+
+    def test_lemmas_past_the_norm_cap_rejected(self, capsys):
+        # the 2^25 x 2^25 overlap masks would take 2^50 bytes
+        code, out, err = run(capsys, "lemmas", "--n", "25")
+        assert code == 1 and out == ""
+        assert err == f"error: operator norms capped at dimension {qsim.MAX_NORM_DIM}, got {4 ** 25}\n"
 
     @pytest.mark.parametrize("scheme", ["lamport", "winternitz"])
     def test_lemmas_on_a_world_without_chains_rejected(self, capsys, scheme):

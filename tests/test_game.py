@@ -450,6 +450,7 @@ class TestPeakMemory:
         )
         v = qsim.random_state_vector(layout.dim, rng)
         block = qsim.BLOCK_AMPS * v.itemsize
+        gate.apply_in_place(v)  # fills the tuple free lists, which tracemalloc counts
         # The output state, and one block's moveaxis copy and gemm product.
         assert traced_peak(lambda: gate.apply(v)) <= v.nbytes + 2 * block + SLACK
         # In place: no output state, only the two blocks.
@@ -498,8 +499,8 @@ class TestPeakMemory:
 
     def test_drift_point_holds_two_states_plus_blocks(self):
         # The sweep's 21-qubit drift point: a 32 MiB state.  Each row holds
-        # the live state and one apply's output, the frame apply a few blocks
-        # besides; a pre-sign copy would be a third state.
+        # the live state and at most one apply's copy, the frame apply a few
+        # blocks besides; a pre-sign copy would be a third state.
         state = (1 << 21) * 16
         bound = 2 * state + 4 * qsim.BLOCK_AMPS * 16 + SLACK
         assert bound < 3 * state
@@ -526,6 +527,7 @@ class TestPeakMemory:
         # no x, y, b or e), a few blocks and the slack; less than one state.
         bound = (world.l_sem + 2) * tensor + 8 * qsim.BLOCK_AMPS * final.itemsize + SLACK
         assert bound < final.nbytes
+        game.analyze_game(prog, world)  # fills the tuple free lists, which tracemalloc counts
         assert traced_peak(lambda: game.analyze_game(prog, world)) <= bound
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,19 @@ class TestOverlap:
         rep_norm, rep_comm = lemmas.check_equality_uniform_overlap(n)
         assert rep_norm.passed and rep_comm.passed
         assert float(rep_norm.note.split("=")[1]) == pytest.approx(value, abs=1e-8)
+
+    def test_past_the_norm_cap_refused_before_any_mask(self):
+        # n = 7 is the last n whose 2^n x 2^n blocks fit MAX_NORM_DIM; at
+        # n = 8 each bool mask alone is 4^8 bytes
+        assert 4 ** 7 <= qsim.MAX_NORM_DIM < 4 ** 8
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="capped at dimension"):
+                lemmas.check_equality_uniform_overlap(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 ** 8
 
 
 class TestCommutatorChecks:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference
-from qromlab import qsim, qworlds
+from qromlab import lemmas, ots, qsim, qworlds
 from qromlab.qsim import RegisterLayout
 
 
@@ -201,7 +201,7 @@ class TestOperatorNorm:
         # the residual must certify the top singular value 2 long before the
         # Krylov space of 1023 further distinct values in [0, 1) is used up
         sv = np.concatenate([[2.0], np.linspace(0.0, 1.0, 1023, endpoint=False)])
-        est = reference.lanczos_norm(qsim.LinearMap(1024, lambda v: sv * v))
+        est = reference.lanczos_norm(qsim.LinearMap(1024, lambda v: np.multiply(sv, v, out=v)))
         assert est.converged and est.value == pytest.approx(2.0, rel=1e-12)
         assert est.residual <= 1e-10 * est.value ** 2
         assert est.iterations < 32
@@ -440,7 +440,9 @@ class TestDistinctRows:
 
 
 class TestUniformProjector:
-    def test_reduced_means_match_broadcast_means(self):
+    @pytest.mark.parametrize("block_amps", [1 << 5, qsim.BLOCK_AMPS])
+    def test_reduced_means_match_broadcast_means(self, block_amps, monkeypatch):
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", block_amps)
         rng = np.random.default_rng(16)
         for _ in range(200):
             count = int(rng.integers(1, 6))
@@ -451,10 +453,33 @@ class TestUniformProjector:
             names = list(layout.names)
             regs = [names[k] for k in rng.permutation(count)[: rng.integers(1, count + 1)]]
             v = qsim.random_state_vector(layout.dim, rng)
-            got = qsim.uniform_projector_apply(v, layout, regs)
-            want = reference.uniform_projector_broadcast(v, layout, regs)
+            before = v.copy()
+            got = qsim.uniform_projector_map(layout, regs).apply(v)
+            # the reference reads the input the map was handed, untouched
+            assert v.tobytes() == before.tobytes()
+            want = reference.uniform_projector_broadcast(before, layout, regs)
             assert got.shape == v.shape and got.flags.c_contiguous
             assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "scheme,n,l,w",
+        [("lamport", n, l, 2) for n in lemmas.SWEEP_NS for l in lemmas.SWEEP_LS]
+        + [("winternitz", n, ots.derive_wots_params(1, w, n, require_power_of_two=False).l, w)
+           for n in lemmas.SWEEP_NS for w in lemmas.SWEEP_WS],
+    )
+    def test_blocked_means_on_the_drift_layouts_keep_the_broadcast_bits(
+        self, scheme, n, l, w, monkeypatch
+    ):
+        # row (a) of the sweep's drift points: every chain register averaged
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", 1 << 10)
+        world = lemmas._scheme_world(scheme, n, l, w, 0)
+        regs = world.chain_registers()
+        for include_xy in (False, True):
+            layout = world.game_layout(include_xy=include_xy)
+            v = qsim.random_state_vector(layout.dim, np.random.default_rng(layout.total))
+            want = reference.uniform_projector_broadcast(v, layout, regs)
+            got = qsim.uniform_projector_map(layout, regs).apply_in_place(v)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestClosedFormCommutator:

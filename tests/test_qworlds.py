@@ -84,7 +84,7 @@ def reference_query_unitary(world, layout, v):
 def phi_pattern(v, layout, pattern):
     """Product of uniform (bit 0) and complement (bit 1) projectors."""
     for name, bit in pattern.items():
-        proj = qsim.uniform_projector_apply(v, layout, (name,))
+        proj = qsim.uniform_projector_map(layout, (name,)).apply(v)
         v = proj if bit == 0 else v - proj
     return v
 
