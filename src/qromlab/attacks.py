@@ -139,6 +139,12 @@ _BLOCK_BYTES = 1 << 17
 
 
 def _block_size(n: int) -> int:
+    """Trials per block.  Every trial fills its oracle's whole table, so an
+    n above the full-table cap raises ValueError here, which every attack
+    reaches before it makes a block or a child."""
+    if n > rom.MAX_TABLE_BITS:
+        raise ValueError(f"attacks fill whole oracle tables, capped at n <= {rom.MAX_TABLE_BITS}, "
+                         f"got n={n}")
     return max(1, _BLOCK_BYTES >> (n + 3))
 
 

@@ -168,8 +168,7 @@ def check_equality_uniform_overlap(n: int) -> list[CheckReport]:
     max_x ||Phi[B, all]|| and the commutator's max_x ||Phi[A, B]|| (A = not B).
     """
     t0 = time.perf_counter()
-    if 4 ** n > qsim.MAX_NORM_DIM:  # before the 2^n x 2^n masks are built
-        raise ValueError(f"operator norms capped at dimension {qsim.MAX_NORM_DIM}, got {4 ** n}")
+    qsim.check_norm_dim(4 ** n)  # before the 2^n x 2^n masks are built
     values = np.arange(1 << n)
     uniform = values == 0
     eq = values[:, None] == values[None, :]  # one row per x, one column per y
@@ -198,7 +197,8 @@ def _query_commutator_norms(world: ChainWorld, projectors: list[FrameDiagonal]) 
     In the Hadamard frame of y, U_h is block-diagonal over (x, k), block
     D = 1 - 2 1_B with B from :func:`query_phase_splits`, and P acts on every
     block as its frame projector Pi.  So ||[U_h, P]|| is the largest
-    ||[D, Pi]|| = 2 ||Pi[A, B]||, A the complement of B.
+    ||[D, Pi]|| = 2 ||Pi[A, B]||, A the complement of B.  Callers check the
+    rows' size 4^n G, the norm layout's dimension, first (:func:`qsim.check_norm_dim`).
     """
     splits = query_phase_splits(query_unitary_as_function(world))
     splits = splits.reshape(-1, splits.shape[-1])
@@ -220,12 +220,13 @@ def check_uniform_register_commutator(
     t0 = time.perf_counter()
     chains, length = (2 * l, 2) if scheme == "lamport" else (l, w)
     world = chain_world(n, chains, length, seed=rom.derive_seed(seed, "eps-world"))
+    qsim.check_norm_dim(world.norm_layout().dim)
     projectors = []
     for c in range(chains):
         for jp in range(length - 1):
             t = [0] * chains
             t[c] = jp + 1
-            projectors.append(invariant_projector_from_thresholds(world, [t]))
+            projectors.append(invariant_projector_from_thresholds(world, [t], world.chain_layout()))
     worst = max(_query_commutator_norms(world, projectors))
     bound = _eps_bound(scheme, n, w)
     return [_report("uniform-commutator", scheme, n, l, w, 0, 0, worst, bound, t0)]
@@ -274,7 +275,8 @@ def check_invariant_commutator(
     """Oracle-query unitary vs the signed-at-most-one-unblinded-message projector."""
     t0 = time.perf_counter()
     world, thresholds = _delta_world(scheme, n, l, w, seed)
-    p = invariant_projector_from_thresholds(world, thresholds)
+    qsim.check_norm_dim(world.norm_layout().dim)
+    p = invariant_projector_from_thresholds(world, thresholds, world.chain_layout())
     (norm,) = _query_commutator_norms(world, [p])
     bound = delta_lamport(n, l) if scheme == "lamport" else delta_winternitz(n, l, w)
     note = "everything blinded: projector is zero" if p.is_zero else f"support={p.term_count}"

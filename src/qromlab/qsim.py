@@ -317,6 +317,13 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     return a[first]
 
 
+def check_norm_dim(dim: int) -> None:
+    """ValueError when :func:`operator_norm`'s map of dimension ``dim`` passes
+    ``MAX_NORM_DIM``; callers check before they build its masks."""
+    if dim > MAX_NORM_DIM:
+        raise ValueError(f"operator norms capped at dimension {MAX_NORM_DIM}, got {dim}")
+
+
 def operator_norm(table, rows, cols) -> NormEstimate:
     """Exact norm of the block-diagonal map whose block k is Pi[R_k, C_k].
 
@@ -346,8 +353,7 @@ def operator_norm(table, rows, cols) -> NormEstimate:
         raise ValueError(
             f"block masks {rows.shape}, {cols.shape} do not fit a frame table of {g} entries"
         )
-    if rows.size > MAX_NORM_DIM:
-        raise ValueError(f"operator norms capped at dimension {MAX_NORM_DIM}, got {rows.size}")
+    check_norm_dim(rows.size)
     qubits = (2,) * (g.bit_length() - 1)
     table = table.reshape(qubits)
     unread = [q for q in range(len(qubits)) if np.array_equal(table.take(0, q), table.take(1, q))]

@@ -27,8 +27,8 @@ secret string that signs bit value ``j`` at message position ``i``, as in
 :mod:`qromlab.ots`; :meth:`ChainWorld.revealed` is its
 :func:`~qromlab.ots.revealed`, the one rule that tells the schemes apart.
 
-Every world operator has one of two representations, compiled once when it is
-built:
+Every world operator is built on the layout it acts on, in one of two
+representations, compiled once:
 
 * The query and blinded-sign unitaries are XOR involutions on basis states,
   each kept as its small broadcast table ``delta`` of the bits it flips and
@@ -43,8 +43,10 @@ built:
   (:func:`query_phase_splits`).
 * Every projector is a product of uniform projectors and their complements on
   chain registers.  The uniform projector is H|0><0|H, so in the Hadamard
-  frame of the chain registers each projector is a diagonal 0/1 (or
-  sqrt-weight) table.  :class:`FrameDiagonal` applies it as the frame
+  frame of the chain registers each projector is a diagonal 0/1 table, and
+  a message-controlled outcome map (:func:`build_qtilde`) a table of square
+  roots of endpoint weights.  :class:`FrameDiagonal`, the one type of all
+  of them, applies its table as the frame
   change :func:`to_frame` (real Sylvester factors over blocks of whole chain
   registers of at most 4 qubits, applied as dgemms to the state's float64
   view; built on first use once per world and shared by every map on every
@@ -389,9 +391,9 @@ def overlay_table(world: ChainWorld, layout: RegisterLayout) -> np.ndarray:
     return np.where(hit, delta, np.asarray(world.h_table, dtype=np.int64)[x])
 
 
-def build_query_unitary(world: ChainWorld, layout: RegisterLayout | None = None) -> LinearMap:
-    """Oracle-query unitary: XOR the :func:`overlay_table` answer into ``y``."""
-    layout = layout or world.norm_layout()
+def build_query_unitary(world: ChainWorld, layout: RegisterLayout) -> LinearMap:
+    """Oracle-query unitary on ``layout``: XOR the :func:`overlay_table`
+    answer into ``y``."""
     return Permutation(layout, overlay_table(world, layout) << layout.shift("y"), "U_h")
 
 
@@ -415,13 +417,10 @@ def query_phase_splits(f: np.ndarray) -> np.ndarray:
     return qsim.parity(np.arange(len(f))[:, None] & f[:, None, :])
 
 
-def build_blinded_sign_unitary(
-    world: ChainWorld, layout: RegisterLayout | None = None
-) -> LinearMap:
-    """Signing-query unitary: identity on blinded basis messages, otherwise the
-    revealed chain registers (or pinned endpoints) are XORed into the signature
-    blocks."""
-    layout = layout or world.game_layout()
+def build_blinded_sign_unitary(world: ChainWorld, layout: RegisterLayout) -> LinearMap:
+    """Signing-query unitary on ``layout``: identity on blinded basis
+    messages, otherwise the revealed chain registers (or pinned endpoints)
+    are XORed into the signature blocks."""
     if world.blinding is None:
         raise ValueError("world has no blinding set")
     m = layout.values("m")
@@ -449,15 +448,10 @@ def _sylvester(qubits: int) -> np.ndarray:
 
 
 def _table_shape(world: ChainWorld, layout: RegisterLayout, extra: tuple[str, ...] = ()):
-    """Broadcast shape of a table reading the chain registers (plus ``extra``)."""
-    chains = world.chain_registers()
-    missing = [name for name in chains if name not in layout.names]
-    if missing:
-        raise ValueError(
-            "projectors are diagonal in the Hadamard frame of the chain registers; "
-            f"layout {layout!r} lacks {missing}"
-        )
-    read = set(chains) | set(extra)
+    """Broadcast shape of a table reading the chain registers (plus ``extra``),
+    which must trail ``layout`` (:meth:`ChainWorld.chain_dim`)."""
+    world.chain_dim(layout)
+    read = set(world.chain_registers()) | set(extra)
     return tuple(d if name in read else 1 for name, d in zip(layout.names, layout.dims))
 
 
@@ -521,7 +515,9 @@ def to_frame(world: ChainWorld, v: np.ndarray, out: np.ndarray | None = None) ->
 
 
 class FrameDiagonal(LinearMap):
-    """A diagonal ``table`` in the Hadamard frame of the chain registers.
+    """A diagonal ``table`` in the Hadamard frame of the chain registers: the
+    one type of the invariant projector, the outcome projectors and the
+    message-controlled outcome maps.
 
     ``apply`` runs block by block (:func:`qromlab.qsim.blocks`, the chain
     registers kept whole, so a block is a contiguous run of whole chain
@@ -577,25 +573,17 @@ def frame_product_norm(a: FrameDiagonal, b: FrameDiagonal) -> float:
     return float(np.max(np.abs(a.table * b.table)))
 
 
-class QProjector(FrameDiagonal):
-    """One outcome of the first-uniform-register measurement.
-
-    The table holds the factors on quantum chain registers.  Factors that
-    formally sit on a pinned endpoint contribute the exact scalar ``weight``
-    to outcome probabilities instead (uniform-overlap 2^-n for a uniform
-    factor, 1 - 2^-n for a complement factor).
-    """
-
-    def __init__(self, world, layout, outcome: int, table: np.ndarray, weight: float):
-        self.outcome = outcome
-        self.weight = weight
-        super().__init__(world, layout, table, f"Q[{outcome}]")
-
-
 def _q_tables(world: ChainWorld, m_star: int, layout: RegisterLayout, shape):
-    """(table, endpoint weight) per outcome i = 1..l+1: the i-th revealed
-    position is still uniform and the earlier ones are not; outcome l+1 says
-    none is."""
+    """(table, endpoint weight) per outcome i = 1..l+1 of the
+    first-uniform-position measurement: the i-th revealed position is still
+    uniform and the earlier ones are not; outcome l+1 says none is.
+
+    The 0/1 table holds the factors on quantum chain registers.  A revealed
+    position at the chain end is the pinned public-key string p[c], a basis
+    state, so its factor is the exact scalar <p|Phi|p> it contributes to the
+    outcome's probability: 2^-n for a uniform factor, 1 - 2^-n for a
+    complement one.  The endpoint weight is the product of those scalars.
+    """
     revealed = world.revealed(m_star)
     uniform = 2.0 ** -world.n
     out = []
@@ -613,28 +601,26 @@ def _q_tables(world: ChainWorld, m_star: int, layout: RegisterLayout, shape):
     return out
 
 
-def build_q_projectors(
-    world: ChainWorld, m_star: int, layout: RegisterLayout | None = None
-) -> list[QProjector]:
-    """The l+1 outcome projectors for forgery message ``m_star``: outcome i
-    locates the first revealed position still uniform, outcome l+1 says none
-    is."""
-    layout = layout or world.chain_layout()
+def build_q_projectors(world: ChainWorld, m_star: int, layout: RegisterLayout) -> list[FrameDiagonal]:
+    """The l+1 outcome projectors ``Q[i]`` on ``layout`` for forgery message
+    ``m_star``: outcome i locates the first revealed position still uniform,
+    outcome l+1 says none is.  Each is the 0/1 table of its factors on
+    quantum chain registers; the endpoint weights of :func:`_q_tables` enter
+    only :func:`build_qtilde`."""
     tables = _q_tables(world, m_star, layout, _table_shape(world, layout))
     return [
-        QProjector(world, layout, i, table, weight)
-        for i, (table, weight) in enumerate(tables, start=1)
+        FrameDiagonal(world, layout, table, f"Q[{i}]")
+        for i, (table, _) in enumerate(tables, start=1)
     ]
 
 
 def invariant_projector_from_thresholds(
-    world: ChainWorld, thresholds, layout: RegisterLayout | None = None
+    world: ChainWorld, thresholds, layout: RegisterLayout
 ) -> FrameDiagonal:
-    """Projector onto chain configurations untouched below at least one
-    threshold vector: the union over vectors t of the event "every register
-    (c, j) with j < t_c is still uniform", an OR of hatted-zero conditions in
-    the Hadamard frame."""
-    layout = layout or world.chain_layout()
+    """Projector on ``layout`` onto chain configurations untouched below at
+    least one threshold vector: the union over vectors t of the event "every
+    register (c, j) with j < t_c is still uniform", an OR of hatted-zero
+    conditions in the Hadamard frame."""
     shape = _table_shape(world, layout)
     table = np.zeros(shape, dtype=bool)
     for t in sorted(set(tuple(t) for t in thresholds)):
@@ -646,30 +632,27 @@ def invariant_projector_from_thresholds(
     return FrameDiagonal(world, layout, table, "P")
 
 
-def build_invariant_projector(
-    world: ChainWorld, layout: RegisterLayout | None = None
-) -> FrameDiagonal:
-    """Projector onto chain states consistent with at most one unblinded
-    message having been signed.  The zero map when everything is blinded."""
+def build_invariant_projector(world: ChainWorld, layout: RegisterLayout) -> FrameDiagonal:
+    """Projector on ``layout`` onto chain states consistent with at most one
+    unblinded message having been signed.  The zero map when everything is
+    blinded."""
     if world.blinding is None:
         raise ValueError("world has no blinding set")
     thresholds = [world.thresholds(m) for m in world.unblinded()]
     return invariant_projector_from_thresholds(world, thresholds, layout)
 
 
-def build_qtilde(
-    world: ChainWorld, layout: RegisterLayout | None = None
-) -> list[FrameDiagonal]:
-    """Message-controlled outcome maps: on each basis message m, apply that
-    message's outcome projector.
+def build_qtilde(world: ChainWorld, layout: RegisterLayout) -> list[FrameDiagonal]:
+    """Message-controlled outcome maps on ``layout``: on each basis message
+    m, apply that message's outcome projector, scaled by the square root of
+    its endpoint weight (:func:`_q_tables`).
 
-    Components whose projector has endpoint factors are scaled by the square
-    root of the endpoint weight, which makes norms of the returned maps equal
-    to the norms the full operators (with endpoint registers materialized)
-    would produce.  They are therefore norm-faithful but not idempotent on
-    worlds where a message digit points at the chain end.
+    An outcome's probability is its endpoint weight times the squared norm
+    of the projected state, so the scaled maps give the norms the full
+    operators (with endpoint registers materialized) would produce.  They
+    are therefore norm-faithful but not idempotent on worlds where a message
+    digit points at the chain end.
     """
-    layout = layout or world.game_layout(include_xy=False)
     chain_shape = _table_shape(world, layout)
     shape = _table_shape(world, layout, ("m",))
     m = layout.values("m")

@@ -31,6 +31,7 @@ import numpy as np
 Oracle = Callable[[int], int]
 
 MAX_ENUM_BITS = 16  # guard: n*l*w for exhaustive enumeration
+MAX_TABLE_BITS = 20  # guard: n for an oracle's whole table
 
 
 def _seed_values(paths) -> np.ndarray:
@@ -265,8 +266,8 @@ class RandomOracleTable:
     def full_table(self) -> tuple[int, ...]:
         """The whole domain's images, filling the memo in one pass; only
         sensible at small n."""
-        if self.n > 20:
-            raise ValueError("full table requested for n > 20")
+        if self.n > MAX_TABLE_BITS:
+            raise ValueError(f"full table requested for n > {MAX_TABLE_BITS}")
         images = oracle_images(self.n, [self.seed])[0].tolist()
         self._table.update(enumerate(images))
         return tuple(images)

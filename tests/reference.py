@@ -27,7 +27,9 @@ cross-check the fast paths of the package.
   ``game.evolve_program``.
 * The sampling game engine: measure the evolved state register by register
   and run the scheme verifier against the reprogrammed oracle, against the
-  exact outcome tensors and acceptance table of ``game.analyze_game``.
+  exact outcome tensors and acceptance table of ``game.analyze_game``; an
+  outcome's endpoint weight as the pinned endpoint's overlap <p|Phi|p> with
+  the uniform projector, against the tables of ``qworlds.build_qtilde``.
 * The oracle memo, a chain tuple as one key, and chain samplers, against
   the closed-form chain distributions of ``rom``.
 * The classical search attack world by world: its hits and first-hit
@@ -491,6 +493,25 @@ def verify(world: ChainWorld, m: int, sigma: Sequence[int], assignment: Mapping[
     return ots.verify(world.params, world.p, m, sigma, world.overlay_oracle(assignment))
 
 
+def endpoint_weight(world: ChainWorld, m: int, i: int) -> float:
+    """The factor that the pinned endpoints give outcome i (1..l+1) of the
+    modified game's measurement on message m.  Each of the first min(i, l)
+    positions that signing m reveals (``world.revealed(m)``) that sits at
+    the chain end is the basis state |p[c]> of one n-qubit register, and
+    gives <p|Phi|p>, Phi the uniform projector, when it is the i-th (still
+    uniform), and <p|1 - Phi|p> when it is an earlier one (not uniform)."""
+    layout = RegisterLayout([("p", world.n)])
+    weight = 1.0
+    for k, (c, j) in enumerate(world.revealed(m)[: min(i, world.l_sem)]):
+        if j == world.w - 1:
+            basis = np.zeros(layout.dim, dtype=np.complex128)
+            basis[world.p[c]] = 1.0
+            phi = uniform_projector_broadcast(basis, layout, ["p"])
+            uniform = float(np.real(np.vdot(basis, phi)))
+            weight *= uniform if k == i - 1 else 1.0 - uniform
+    return weight
+
+
 def sample_run(states: game.EvolvedStates, world: ChainWorld, mode: str, rng):
     """One measurement cascade on the evolved state: message, signature
     blocks, (in modified mode) the outcome projectors, then every chain
@@ -506,8 +527,10 @@ def sample_run(states: game.EvolvedStates, world: ChainWorld, mode: str, rng):
     if mode == "modified":
         projectors = build_q_projectors(world, m_star, layout)
         branches = [q.apply(sv.amplitudes) for q in projectors]
-        weights = [q.weight * float(np.real(np.vdot(b, b))) for q, b in zip(projectors, branches)]
-        weights = np.array(weights)
+        weights = np.array([
+            endpoint_weight(world, m_star, i) * float(np.real(np.vdot(b, b)))
+            for i, b in enumerate(branches, start=1)
+        ])
         k = game.sample_index(weights / weights.sum(), rng.random())
         q_outcome = k + 1
         sv = StateVector(layout, branches[k] / np.linalg.norm(branches[k]))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,20 @@ class TestErrors:
         code, out, err = run(capsys, "attack", "--kind", "grover", "--n", "3", "--l", l)
         assert code == 1 and out == ""
         assert err == "error: Lamport parameters need n >= 1 and l >= 1\n"
+
+    @pytest.mark.parametrize("kind", ["classical", "grover"])
+    def test_attack_past_the_full_table_cap_rejected_before_any_table(self, capsys, kind):
+        # every trial fills its oracle's whole table: 2^21 images of 8 B at n = 21
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "attack", "--kind", kind, "--n", "21", "--l", "1",
+                                 "--trials", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err == "error: attacks fill whole oracle tables, capped at n <= 20, got n=21\n"
+        assert peak < 1 << 20
 
     def test_lemmas_past_the_norm_cap_rejected(self, capsys):
         # the 2^25 x 2^25 overlap masks would take 2^50 bytes

@@ -80,6 +80,23 @@ class TestOverlap:
 
 
 class TestCommutatorChecks:
+    @pytest.mark.parametrize(
+        "check", [lemmas.check_uniform_register_commutator, lemmas.check_invariant_commutator]
+    )
+    def test_past_the_norm_cap_refused_before_the_phase_splits(self, check):
+        # Lamport n = 6, l = 1: 2^6 x 2^6 blocks over G = 2^12 chain values,
+        # 2^24 > MAX_NORM_DIM; the (2^n, 2^n, G) bool splits alone are 16 MiB
+        dim = 4 ** 6 * 2 ** 12
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as refused:
+                check("lamport", 6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == f"operator norms capped at dimension {qsim.MAX_NORM_DIM}, got {dim}"
+        assert peak < 4 << 20
+
     def test_lamport_point(self):
         (rep,) = lemmas.check_uniform_register_commutator("lamport", 2, 1)
         assert rep.passed and rep.bound == pytest.approx(3.0)

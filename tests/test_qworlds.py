@@ -107,16 +107,25 @@ def reference_invariant_projector(world, layout, thresholds, v):
 
 
 def reference_q_projector(world, m_star, i_star, layout, v):
-    """Outcome i_star as a pattern on the revealed chain registers, scaled by
-    its endpoint weight (a revealed position j = w-1 is the pinned endpoint)."""
-    pattern, weight = {}, 1.0
+    """Outcome i_star as a pattern on the revealed quantum chain registers.
+    A revealed position j = w-1 is the pinned endpoint, which no register
+    holds: it enters as the weight :func:`reference.endpoint_weight`."""
+    pattern = {}
     for k, (c, j) in enumerate(world.revealed(m_star)[: min(i_star, world.l_sem)]):
-        bit = 0 if k == i_star - 1 else 1
         if j <= world.w - 2:
-            pattern[world.chain_register(c, j)] = bit
-        else:
-            weight *= 2.0 ** -world.n if bit == 0 else 1.0 - 2.0 ** -world.n
-    return weight * phi_pattern(v, layout, pattern)
+            pattern[world.chain_register(c, j)] = 0 if k == i_star - 1 else 1
+    return phi_pattern(v, layout, pattern)
+
+
+def reference_qtilde(world, i_star, layout, v):
+    """The message-controlled outcome i_star: on each basis message m,
+    outcome i_star of m scaled by the square root of its endpoint weight."""
+    mfield = reference.field(layout, "m")
+    out = np.zeros_like(v)
+    for m in world.messages():
+        scale = np.sqrt(reference.endpoint_weight(world, m, i_star))
+        out += scale * reference_q_projector(world, m, i_star, layout, np.where(mfield == m, v, 0.0))
+    return out
 
 
 def assert_matches_references(world, layout, probes=3):
@@ -129,9 +138,12 @@ def assert_matches_references(world, layout, probes=3):
         if u is not None:
             assert np.linalg.norm(u.apply(v) - reference_query_unitary(world, layout, v)) < 1e-12
         for m in world.messages():
-            for q in build_q_projectors(world, m, layout):
-                want = reference_q_projector(world, m, q.outcome, layout, v)
-                assert np.linalg.norm(q.weight * q.apply(v) - want) < 1e-12
+            for i, q in enumerate(build_q_projectors(world, m, layout), start=1):
+                want = reference_q_projector(world, m, i, layout, v)
+                assert np.linalg.norm(q.apply(v) - want) < 1e-12
+        if "m" in layout.names:
+            for i, qt in enumerate(build_qtilde(world, layout), start=1):
+                assert np.linalg.norm(qt.apply(v) - reference_qtilde(world, i, layout, v)) < 1e-12
 
 
 class TestWorldConstruction:
@@ -517,26 +529,30 @@ class TestQProjectors:
         v = random_probe(layout, 13)
         total = sum(q.apply(v) for q in qs)
         assert np.linalg.norm(total - v) < 1e-9
-        assert all(q.weight == 1.0 for q in qs)
+        assert [reference.endpoint_weight(world, 0b01, i) for i in (1, 2, 3)] == [1.0] * 3
 
     def test_completeness_quantum_digits_winternitz(self):
         # at w=3, a=1: message 1 encodes to (1, 1): all digits interior
         world = winternitz_world(1, 1, 3, seed=14)
         layout = world.chain_layout()
         qs = build_q_projectors(world, 1, layout)
-        assert all(q.weight == 1.0 for q in qs)
+        assert [reference.endpoint_weight(world, 1, i) for i in (1, 2, 3)] == [1.0] * 3
         v = random_probe(layout, 14)
         total = sum(q.apply(v) for q in qs)
         assert np.linalg.norm(total - v) < 1e-9
 
     def test_endpoint_weights(self):
-        # at w=2, a=1: message 0 encodes to (0, 1): block 1 sits on the endpoint
+        # at w=2, a=1: message 0 encodes to (0, 1): block 1 sits on the
+        # endpoint, so outcome 2 has weight 2^-2 and outcome 3 weight 1 - 2^-2.
+        # Qtilde scales message 0's part of outcome i's table by sqrt(weight)
         world = winternitz_world(2, 1, 2, seed=15)
-        layout = world.chain_layout()
-        qs = build_q_projectors(world, 0, layout)
-        assert qs[0].weight == 1.0
-        assert qs[1].weight == pytest.approx(0.25)
-        assert qs[2].weight == pytest.approx(0.75)
+        layout = world.game_layout(include_xy=False)
+        at_zero = layout.values("m") == 0
+        tables = [qt.table for qt in build_qtilde(world, layout)]
+        assert [np.max(np.where(at_zero, t, 0.0)) for t in tables] == pytest.approx(
+            [1.0, 0.5, np.sqrt(0.75)], abs=1e-15
+        )
+        assert [reference.endpoint_weight(world, 0, i) for i in (1, 2, 3)] == [1.0, 0.25, 0.75]
 
     def test_first_outcome_fires_on_fresh_state(self):
         world = lamport_world(1, 2, seed=16)
@@ -550,8 +566,10 @@ class TestQProjectors:
     def test_projector_laws(self):
         world = lamport_world(1, 2, seed=17)
         layout = world.chain_layout()
-        for q in build_q_projectors(world, 0b10, layout):
-            assert is_frame_projector(q)
+        qs = build_q_projectors(world, 0b10, layout)
+        assert [q.label for q in qs] == ["Q[1]", "Q[2]", "Q[3]"]
+        for q in qs:
+            assert type(q) is qworlds.FrameDiagonal and is_frame_projector(q)
 
 
 class TestInvariantProjector:
@@ -564,12 +582,12 @@ class TestInvariantProjector:
 
     def test_all_blinded_gives_zero_map(self):
         world = lamport_world(1, 1, blinding=reference.all_blinded(1), seed=19)
-        p = build_invariant_projector(world)
+        p = build_invariant_projector(world, world.chain_layout())
         assert p.is_zero and not p.table.any()
 
     def test_projector_laws(self):
         world = lamport_world(1, 2, blinding=reference.blinding(2, {0, 3}), seed=20)
-        p = build_invariant_projector(world)
+        p = build_invariant_projector(world, world.chain_layout())
         assert is_frame_projector(p) and not p.is_zero
 
     @pytest.mark.parametrize(
@@ -630,18 +648,21 @@ class TestInvariantProjector:
 
 
 class TestQtilde:
-    def test_matches_per_message_projectors(self):
-        world = lamport_world(1, 1, blinding=reference.blinding(1, {1}), seed=23)
+    @pytest.mark.parametrize(
+        "world",
+        [
+            lamport_world(1, 1, blinding=reference.blinding(1, {1}), seed=23),
+            # both worlds sign a checksum digit at the chain end: endpoint weights
+            winternitz_world(1, 1, 3, blinding=reference.blinding(1, {0}), seed=23),
+            winternitz_world(2, 1, 2, seed=23),
+        ],
+        ids=["lamport", "winternitz-w3", "winternitz-w2"],
+    )
+    def test_matches_per_message_projectors(self, world):
         layout = world.game_layout(include_xy=False)
-        qts = build_qtilde(world, layout)
-        mfield = reference.field(layout, "m")
         v = random_probe(layout, 23)
-        for i, qt in enumerate(qts):
-            manual = np.zeros_like(v)
-            for m in world.messages():
-                q = build_q_projectors(world, m, layout)[i]
-                manual += np.sqrt(q.weight) * q.apply(np.where(mfield == m, v, 0.0))
-            assert np.allclose(qt.apply(v), manual)
+        for i, qt in enumerate(build_qtilde(world, layout), start=1):
+            assert np.allclose(qt.apply(v), reference_qtilde(world, i, layout, v), rtol=0, atol=1e-12)
 
 
 FRAME_WORLDS = [

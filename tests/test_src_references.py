@@ -7,7 +7,10 @@ benchmark's trace wraps them by name.  Every method of a class there that is
 not a dunder must be read as an attribute (``x.name``) somewhere in
 ``src/qromlab``, or aliased in its class body (as ``__call__ = query``
 aliases ``query``); the one exception is a method numpy calls on the
-seed sequence ``rom`` hands it.  Code that only the tests use belongs in
+seed sequence ``rom`` hands it.  Every attribute that ``src/qromlab``
+assigns on ``self`` must be read as an attribute there too; the one
+exception is the XOR map's ``delta``, which the structural test of the query
+unitary's compile step reads.  Code that only the tests use belongs in
 ``tests/reference.py``.
 
 Which of Lamport and Winternitz runs is decided in ``ots`` alone: no other
@@ -23,6 +26,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qromlab"
 TRACED_PROBES = {"qsim.probe_max_ratio", "qsim.unitarity_defect", "qsim.projector_defect"}
 # numpy's ISeedSequence interface, which numpy's PCG64 seeding calls
 NUMPY_INTERFACE = {"rom.SeedWords.generate_state"}
+# read by TestQueryUnitary::test_compiles_exactly_the_answer_table
+STRUCTURAL = {"qworlds.Permutation.delta"}
 SCHEME_PRIVATE = {"lamport_keygen", "wots_keygen", "lamport_verify", "wots_verify", "digit_vector"}
 
 
@@ -64,6 +69,26 @@ def test_every_method_is_read_in_src():
                     elif isinstance(item, ast.Assign) and isinstance(item.value, ast.Name):
                         read.add(item.value.id)
     assert sorted(m for m in methods if m.rsplit(".", 1)[1] not in read) == sorted(NUMPY_INTERFACE)
+
+
+def test_every_instance_attribute_is_read_in_src():
+    assigned: set[str] = set()
+    read: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                for item in ast.walk(node):
+                    if (
+                        isinstance(item, ast.Attribute)
+                        and isinstance(item.ctx, ast.Store)
+                        and isinstance(item.value, ast.Name)
+                        and item.value.id == "self"
+                    ):
+                        assigned.add(f"{path.stem}.{node.name}.{item.attr}")
+    assert sorted(a for a in assigned if a.rsplit(".", 1)[1] not in read) == sorted(STRUCTURAL)
 
 
 def test_only_ots_names_the_per_scheme_code():
