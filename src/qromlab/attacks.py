@@ -22,7 +22,6 @@ share's per-trial values in trial order, so the report has the serial bytes.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import os
@@ -111,16 +110,16 @@ def _classical_adversary(queries):
 
 def _first_hit_weights(n: int, q: int) -> Callable[[int], float]:
     """Chance that the hit of a given rank (among the hits, ascending) is the
-    smallest queried one in a uniform random q-subset of the 2^n inputs:
-    C(space-1-rank, q-1) / C(space, q); call it only for q >= 1.  Each rank is
-    computed on first use only, so large spaces pay for the ranks trials reach."""
+    smallest queried one in a uniform random q-subset of the S = 2^n inputs;
+    call it only for q >= 1.  C(S-1-rank, q-1) / C(S, q) cancels to
+    q (S-q)(S-q-1)...(S-q-rank+1) / (S (S-1)...(S-rank)), one correctly
+    rounded int / int quotient: the binomial ratio's float, without a
+    binomial of the whole space."""
     space = 1 << n
     q = min(q, space)
-    total = math.comb(space, q)
 
-    @functools.cache
     def weight(rank: int) -> float:
-        return math.comb(space - 1 - rank, q - 1) / total
+        return q * math.perm(space - q, rank) / math.perm(space, rank + 1)
 
     return weight
 
@@ -323,6 +322,7 @@ def classical_search_attack(n: int, l: int, q: int, trials: int, seed: int = 0) 
     """Monte-Carlo runs of the search attack plus its exact per-world reference."""
     if q < 0:
         raise ValueError("query count must be nonnegative")
+    _block_size(n)  # the n cap, before any weight
     weight = _first_hit_weights(n, q)
     space = 1 << n
 

@@ -17,9 +17,9 @@ splits over its leading registers into blocks of at most
 block's weights add into the tensors in the order numpy's full reduction
 adds them, so no state-sized temporary is made and the sums keep its
 bits.  Every world that fits the statevector cap has at most 2^16
-(message, signature) outcomes.  The analysis reads the blinded messages as
-one bool mask over the message space
-(:meth:`~qromlab.qworlds.BlindingSet.mask`).  This is the one quantum game
+(message, signature) outcomes.  The analysis reads the blinded messages
+from the blinding set's one bool mask over the message space
+(:attr:`~qromlab.qworlds.BlindingSet.mask`).  This is the one quantum game
 engine: every probability comes from the outcome tensors and the
 acceptance table, and the one transcript a run reports is drawn from them.
 
@@ -60,20 +60,14 @@ def _check_blinding(epsilon: float, message_space_bits: int) -> None:
         raise ValueError("epsilon must be a probability")
 
 
-def _blinding_set(epsilon: float, mask: np.ndarray) -> BlindingSet:
-    """The blinding set of a mask over the 2^bits messages, drawn with
-    inclusion rate ``epsilon``: message m is blinded where ``mask[m]``."""
-    bits = len(mask).bit_length() - 1
-    return BlindingSet(nbits=bits, epsilon=epsilon, members=frozenset(mask.nonzero()[0].tolist()))
-
-
 def sample_blinding_set(
     epsilon: float, message_space_bits: int, rng: np.random.Generator
 ) -> BlindingSet:
     """Include every message independently with probability epsilon:
-    message m when draw m of one ``rng.random(2^bits)`` falls below it."""
+    message m when draw m of one ``rng.random(2^bits)`` falls below it.
+    That comparison is the set's mask."""
     _check_blinding(epsilon, message_space_bits)
-    return _blinding_set(epsilon, rng.random(1 << message_space_bits) < epsilon)
+    return BlindingSet(epsilon, rng.random(1 << message_space_bits) < epsilon)
 
 
 @dataclass(frozen=True)
@@ -221,7 +215,7 @@ def _build_worlds(params, epsilon, oracle_seeds, images, sk, blinded):
         oracle = rom.RandomOracleTable(params.n, seed=oracle_seed)
         if images is not None:  # the memo the oracle's own queries would fill
             oracle._table.update(enumerate(images[k].tolist()))
-        yield oracle, ots.keypair(params, oracle, starts), _blinding_set(epsilon, blinded[k])
+        yield oracle, ots.keypair(params, oracle, starts), BlindingSet(epsilon, blinded[k])
 
 
 def run_with_world_classical(
@@ -489,7 +483,7 @@ def analyze_game(
         states.final, build_qtilde(world, states.layout), world
     )
     accept = acceptance_table(world)
-    blinded = world.blinding.mask()
+    blinded = world.blinding.mask
     p_plain = float((t_plain[blinded] * accept[blinded]).sum())
     p_mod = float(sum((t[blinded] * accept[blinded]).sum() for t in t_outcomes))
     p_forced = float(t_outcomes[-1][blinded].sum())

@@ -365,7 +365,7 @@ def check_state_drift(
     t2 = time.perf_counter()
     # The final state is not read after this row: zero its unblinded
     # messages and apply the outcome map to it in place.
-    np.copyto(psi1.reshape(layout.dims), 0.0, where=~world.blinding.mask()[layout.values("m")])
+    np.copyto(psi1.reshape(layout.dims), 0.0, where=~world.blinding.mask[layout.values("m")])
     q_last = build_qtilde(world, layout)[-1]
     c_meas = _norm(q_last.apply_in_place(psi1))
     rep_c = _report("drift-forced-outcome", scheme, n, l, w, q0, q1, c_meas, bc_bound, t2, note=bc_note)

@@ -70,36 +70,32 @@ from . import ots, qsim, rom
 from .qsim import LinearMap, RegisterLayout
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlindingSet:
-    """Explicit subset of an nbits-wide message space, with the inclusion rate
-    that produced it (kept for reporting)."""
+    """The blinded messages of a 2^bits message space, one bool per message
+    in ``mask`` (a read-only copy of the mask it is given), with the
+    inclusion rate that drew them (kept for reporting)."""
 
-    nbits: int
     epsilon: float
-    members: frozenset[int]
+    mask: np.ndarray
 
     def __post_init__(self):
-        if any(not 0 <= m < (1 << self.nbits) for m in self.members):
-            raise ValueError("blinding set member outside the message space")
+        mask = np.array(self.mask, dtype=bool)
+        if mask.ndim != 1 or not len(mask) or len(mask) & (len(mask) - 1):
+            raise ValueError(f"a blinding mask is one bool per message of a 2^bits message "
+                             f"space, got shape {mask.shape}")
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
 
     def __contains__(self, m: int) -> bool:
-        return m in self.members
+        # a bare mask[m] would read m = -1 as the last message
+        return 0 <= m < len(self.mask) and bool(self.mask[m])
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def complement(self) -> tuple[int, ...]:
-        return tuple(m for m in range(1 << self.nbits) if m not in self.members)
+        return int(np.count_nonzero(self.mask))
 
     def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def mask(self) -> np.ndarray:
-        """Membership of every message, one bool per message."""
-        out = np.zeros(1 << self.nbits, dtype=bool)
-        out[list(self.members)] = True
-        return out
+        return tuple(self.mask.nonzero()[0].tolist())
 
 
 class ChainWorld:
@@ -130,7 +126,7 @@ class ChainWorld:
         if n < 1:
             raise ValueError(f"chain strings need at least one bit, got n={n}")
         message_bits = None if params is None else params.message_bits
-        if blinding is not None and message_bits is not None and blinding.nbits != message_bits:
+        if blinding is not None and message_bits is not None and len(blinding.mask) != 1 << message_bits:
             raise ValueError("blinding set width does not match the message space")
         self.scheme = scheme
         self.n = n
@@ -237,7 +233,7 @@ class ChainWorld:
     def unblinded(self) -> tuple[int, ...]:
         if self.blinding is None:
             return tuple(self.messages())
-        return self.blinding.complement()
+        return tuple((~self.blinding.mask).nonzero()[0].tolist())
 
     def revealed(self, m: int) -> tuple[tuple[int, int], ...]:
         """The chain position (c, j) that signing ``m`` reveals, one per

@@ -232,7 +232,7 @@ def default_rngs(seeds) -> Iterator[np.random.Generator]:
 
 
 class RandomOracleTable:
-    """Lazily sampled uniformly random function on n-bit strings.
+    """Lazily sampled uniformly random function on n-bit strings, 1 <= n <= 63.
 
     Each image is derived from (seed, input), never from a shared stream, so
     the function is independent of query order: keygen, signing, and
@@ -246,6 +246,8 @@ class RandomOracleTable:
     def __init__(self, n: int, seed: int | None = None):
         if n < 1:
             raise ValueError("oracle width must be at least one bit")
+        if n > 63:
+            raise ValueError(f"oracle images are 63-bit sub-seeds, so n is capped at 63, got n={n}")
         self.n = n
         self.seed = 0 if seed is None else int(seed)
         self._table: dict[int, int] = {}

@@ -55,7 +55,10 @@ from qromlab.qworlds import BlindingSet, ChainWorld, build_q_projectors
 
 
 def blinding(nbits: int, members, epsilon: float = float("nan")) -> BlindingSet:
-    return BlindingSet(nbits=nbits, epsilon=epsilon, members=frozenset(members))
+    """The blinding set of the listed ``members`` of the 2^nbits messages."""
+    mask = np.zeros(1 << nbits, dtype=bool)
+    mask[list(members)] = True
+    return BlindingSet(epsilon, mask)
 
 
 def none_blinded(nbits: int) -> BlindingSet:

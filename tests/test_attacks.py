@@ -44,6 +44,25 @@ class TestClassicalAttack:
                     reference.exact_win_by_subset_enumeration(3, 1, q, seed), abs=1e-12
                 )
 
+    def test_first_hit_weights_equal_the_binomial_ratio(self):
+        # every rank a hit can have, q past the whole space included
+        for n in range(1, 7):
+            space = 1 << n
+            for q in range(1, space + 3):
+                weight = _first_hit_weights(n, q)
+                q_eff = min(q, space)
+                for rank in range(space):
+                    expected = math.comb(space - 1 - rank, q_eff - 1) / math.comb(space, q_eff)
+                    assert weight(rank) == expected, (n, q, rank)
+
+    def test_past_the_table_cap_refused_before_any_weight(self, monkeypatch):
+        def no_weights(n, q):
+            raise AssertionError("first-hit weights built before the n cap")
+
+        monkeypatch.setattr(attacks, "_first_hit_weights", no_weights)
+        with pytest.raises(ValueError, match="capped at n <= 20, got n=40"):
+            attacks.classical_search_attack(40, 1, 65536, trials=1)
+
     @pytest.mark.parametrize("n,q", [(3, 4), (4, 8)])
     def test_empirical_matches_exact_reference(self, n, q):
         rep = attacks.classical_search_attack(n, 1, q, trials=3000, seed=7)
@@ -463,8 +482,9 @@ def test_batched_worlds_equal_worlds_from_default_rng():
                 assert keypair == ots.keygen(params, lazy, rng)
                 assert worlds.sk[k].tolist() == list(keypair.sk)
                 rng = np.random.default_rng(rom.derive_seed(seed, "blinding"))
-                assert blinding == game.sample_blinding_set(0.5, params.message_bits, rng)
-                assert worlds.blinded[k].tolist() == blinding.mask().tolist()
+                drawn = game.sample_blinding_set(0.5, params.message_bits, rng)
+                assert blinding.epsilon == drawn.epsilon
+                assert blinding.mask.tolist() == drawn.mask.tolist() == worlds.blinded[k].tolist()
             assert next(worlds, None) is None
 
 

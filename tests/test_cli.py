@@ -337,6 +337,22 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == "error: key sk needs 6 strings of at most 8 bits\n"
 
+    def test_key_past_the_oracle_width_cap_rejected(self, tmp_path, capsys):
+        # a hand-written n = 64 Lamport key and signature: no oracle serves 64 bits
+        strings = ["f" * 16, "0" * 16]
+        key = tmp_path / "key.json"
+        key.write_text(json.dumps({"scheme": "lamport", "n": 64, "a": 1, "w": 2,
+                                   "sk": strings, "pk": strings}))
+        sig = tmp_path / "sig.json"
+        sig.write_text(json.dumps({"n": 64, "sigma": strings[:1]}))
+        error = "error: oracle images are 63-bit sub-seeds, so n is capped at 63, got n=64\n"
+        for argv in (
+            ("keygen", "--scheme", "lamport", "--n", "64", "--a", "1"),
+            ("sign", "--key", str(key), "--message", "0"),
+            ("verify", "--key", str(key), "--message", "0", "--sig", str(sig)),
+        ):
+            assert run(capsys, *argv) == (1, "", error), argv
+
     @pytest.mark.parametrize("shape", [("0", "1", "2"), ("2", "0", "2"), ("2", "1", "0")])
     def test_empty_chain_shape_rejected(self, capsys, shape):
         n, l, w = shape

@@ -32,7 +32,32 @@ class TestBlindingSet:
     def test_membership(self):
         b = reference.blinding(2, {1, 3})
         assert 1 in b and 0 not in b
-        assert b.complement() == (0, 2)
+        assert b.mask.tolist() == [False, True, False, True]
+        assert b.sorted_members() == (1, 3) and len(b) == 2
+        assert lamport_world(1, 2, blinding=b).unblinded() == (0, 2)
+
+    @pytest.mark.parametrize("m", [-1, 4])
+    def test_nothing_outside_the_message_space_is_blinded(self, m):
+        # a bare mask[m] reads -1 as the last message and raises IndexError at 4
+        assert m not in reference.all_blinded(2)
+
+    @pytest.mark.parametrize(
+        "mask", [np.ones((2, 2), dtype=bool), np.ones(3, dtype=bool), np.ones(0, dtype=bool)],
+        ids=["2-D", "length-3", "empty"],
+    )
+    def test_mask_of_no_message_space_rejected(self, mask):
+        with pytest.raises(ValueError, match="one bool per message of a 2.bits message space"):
+            qworlds.BlindingSet(0.5, mask)
+
+    def test_mask_is_a_read_only_copy(self):
+        drawn = np.array([False, True])
+        b = qworlds.BlindingSet(0.5, drawn)
+        drawn[0] = True
+        assert 0 not in b and b.mask.dtype == bool
+        with pytest.raises(ValueError, match="read-only"):
+            b.mask[0] = True
+        with pytest.raises(AttributeError):
+            b.mask = drawn
 
 
 class TestBlindedSign:
@@ -51,6 +76,15 @@ class TestBlindedSign:
         out = game.blinded_sign(b, self.kp, 1, self.oracle)
         assert not out.blinded
         assert out.payload == ots.sign(self.params, self.kp.sk, 1, self.oracle).sigma
+
+    def test_sign_query_outside_the_message_space_is_refused_not_blinded(self):
+        # the last message is blinded, and -1 is no message at all
+        def adversary(handles):
+            handles.sign_query(-1)
+
+        blinding = reference.blinding(2, {3})
+        with pytest.raises(ValueError, match="message -1 is not"):
+            game.run_with_world_classical(adversary, self.oracle, self.kp, blinding, 0)
 
     def test_empty_blinding_is_plain_signing(self):
         b = reference.none_blinded(2)

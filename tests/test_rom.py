@@ -136,6 +136,13 @@ class TestLazyTable:
         with pytest.raises(ValueError):
             t.query(4)
 
+    def test_width_capped_at_the_sub_seed_bits(self):
+        # an image is an n-bit cut of a 63-bit sub-seed: past 63 bits the
+        # top bit would never be set
+        with pytest.raises(ValueError, match="capped at 63, got n=64"):
+            rom.RandomOracleTable(64, seed=0)
+        assert 0 <= rom.RandomOracleTable(63, seed=0).query((1 << 63) - 1) < 1 << 63
+
     def test_full_table_matches_queries(self):
         t = rom.RandomOracleTable(3, seed=5)
         a = t.query(6)
