@@ -308,18 +308,51 @@ def check_orthogonality(
     return [orthogonality_report(world, m_star)]
 
 
-def _norm(out: np.ndarray) -> float:
-    """||out||, squaring ``out``, an apply's output, in place.  numpy's own
+def _sum_squares(out: np.ndarray) -> np.float64:
+    """||out||^2, squaring ``out``, an apply's output, in place.  numpy's own
     pairwise sum adds the squares, so the value's bits do not depend on the
     BLAS thread count, as a BLAS dot product's do."""
     parts = out.view(np.float64)
-    return float(np.sqrt(np.add.reduce(np.square(parts, out=parts))))
+    return np.add.reduce(np.square(parts, out=parts))
 
 
-def _distance(out: np.ndarray, v: np.ndarray) -> float:
-    """||out - v||, subtracting in place into ``out``, an apply's output."""
-    out -= v
-    return _norm(out)
+def _norm(out: np.ndarray) -> float:
+    return float(np.sqrt(_sum_squares(out)))
+
+
+# numpy's pairwise sum adds leaves of 128 floats, 64 amplitudes, with eight
+# accumulators; a run at least that long is a whole subtree of that sum.
+_PAIRWISE_LEAF_AMPS = 64
+
+
+def _run_distance(v: np.ndarray, world: ChainWorld, build) -> float:
+    """||A v - v|| for the map A = ``build(layout)``, which acts on the chain
+    registers alone, taken run by run over ``v``, a state on any layout the
+    chain registers trail.
+
+    A run is whole chain columns, on which A acts on its own: max(G,
+    BLOCK_AMPS) amplitudes, G the chain registers' dimension, and at least
+    one leaf of numpy's pairwise sum, but never more than the state.  A is
+    built once on a run's layout, a ``rows`` register (none when a run is
+    one column) and the chain registers, and applied to a copy of each run,
+    so the distance holds a run beside the state, not a second state.  The
+    runs' sums of squares are added in the pairwise tree numpy's sum walks
+    over the whole vector (every length is a power of two), so the value
+    has the bits of ``_norm(A.apply(v) - v)``.
+    """
+    chains = [(name, world.n) for name in world.chain_registers()]
+    g = 1 << world.n * len(chains)
+    run = min(v.size, max(g, qsim.BLOCK_AMPS, _PAIRWISE_LEAF_AMPS))
+    rows = (run // g).bit_length() - 1
+    a = build(qsim.RegisterLayout([("rows", rows)] * (rows > 0) + chains))
+    sums = []
+    for part in v.reshape(-1, run):
+        out = a.apply(part)
+        out -= part
+        sums.append(_sum_squares(out))
+    while len(sums) > 1:
+        sums = [s + t for s, t in zip(sums[::2], sums[1::2])]
+    return float(np.sqrt(sums[0]))
 
 
 def check_state_drift(
@@ -330,6 +363,10 @@ def check_state_drift(
     (a) pre-sign distance of the chain registers from full uniformity,
     (b) final-state distance from the invariant subspace,
     (c) mass of the none-uniform outcome on blinded forgery messages.
+
+    Rows (a) and (b) take their distances run by run (:func:`_run_distance`)
+    and row (c) applies its map to the final state in place, so a drift
+    check holds the live state and a few runs, one state in all.
     """
     t0 = time.perf_counter()
     world = _scheme_world(
@@ -342,9 +379,11 @@ def check_state_drift(
     presign = []
 
     def at_sign(psi0: np.ndarray, layout: qsim.RegisterLayout) -> None:
-        # (a) reads the run's live state just before signing, uncopied
-        phi_all = qsim.uniform_projector_map(layout, world.chain_registers())
-        presign.append(_distance(phi_all.apply(psi0), psi0))
+        # (a) reads the live state just before signing, run by run, uncopied
+        chains = world.chain_registers()
+        presign.append(
+            _run_distance(psi0, world, lambda runs: qsim.uniform_projector_map(runs, chains))
+        )
 
     states = game.evolve_program(program, world, at_sign=at_sign)
     layout = states.layout
@@ -353,9 +392,8 @@ def check_state_drift(
     rep_a = _report("drift-presign", scheme, n, l, w, q0, q1, a_meas, a_bound, t0)
 
     t1 = time.perf_counter()
-    p = build_invariant_projector(world, layout)
     psi1 = states.final
-    b_meas = _distance(p.apply(psi1), psi1)
+    b_meas = _run_distance(psi1, world, lambda runs: build_invariant_projector(world, runs))
     bc_bound = invariant_drift_bound(scheme, n, world.l_sem, w, q0, q1)
     # the per-query coefficient has inconsistent published variants for the
     # chain scheme; the composite asserts the loosest of them (see the bound)

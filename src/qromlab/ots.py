@@ -101,7 +101,7 @@ def int_to_base_w(value: int, w: int, length: int) -> DigitVector:
 def base_w_digits(m: int, params: WotsParams) -> DigitVector:
     """First l1 digits: the base-w representation of the a-bit message."""
     if not 0 <= m < (1 << params.a):
-        raise ValueError(f"message {m} is not an {params.a}-bit value")
+        raise ValueError(f"message {m} is not in the {params.a}-bit message space")
     return int_to_base_w(m, params.w, params.l1)
 
 
@@ -140,7 +140,7 @@ def revealed(params, m: int) -> tuple[tuple[int, int], ...]:
     signature block in order: (2i + bit_i, 0) for Lamport, (i, b_i) for
     Winternitz digit b_i.  Raises ValueError outside the message space."""
     if not 0 <= m < (1 << params.message_bits):
-        raise ValueError(f"message {m} is not an {params.message_bits}-bit value")
+        raise ValueError(f"message {m} is not in the {params.message_bits}-bit message space")
     if params.scheme == "lamport":
         l = params.l
         return tuple((2 * i + ((m >> (l - 1 - i)) & 1), 0) for i in range(l))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reference
-from qromlab import game, lemmas, qsim, qworlds, rom
+from qromlab import game, lemmas, ots, qsim, qworlds, rom
 from qromlab.qsim import RegisterLayout
 from qromlab.qworlds import (
     build_invariant_projector,
@@ -359,6 +359,57 @@ class TestDriftCheck:
                                        capture_output=True, text=True, check=True).stdout)
         assert rows[0].count("drift-") == 96
         assert rows[0] == rows[1]
+
+
+# The sweep's drift points: (scheme, n, l, w).
+DRIFT_POINTS = [("lamport", n, l, 2) for n in lemmas.SWEEP_NS for l in lemmas.SWEEP_LS] + [
+    ("winternitz", n, ots.derive_wots_params(1, w, n, require_power_of_two=False).l, w)
+    for n in lemmas.SWEEP_NS
+    for w in lemmas.SWEEP_WS
+]
+
+
+class TestRunDistance:
+    @pytest.mark.parametrize("block_amps", [1 << 5, qsim.BLOCK_AMPS])
+    @pytest.mark.parametrize("include_xy", [True, False])
+    @pytest.mark.parametrize("point", DRIFT_POINTS, ids=str)
+    def test_equals_the_whole_state_distance_bit_for_bit(
+        self, point, include_xy, block_amps, monkeypatch
+    ):
+        # At 2^5 amplitudes a run is one chain column, or 64 amplitudes when
+        # a column is shorter, so the larger states split into many runs.
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", block_amps)
+        scheme, n, l, w = point
+        world = lemmas._scheme_world(
+            scheme, n, l, w, 11, lambda bits: lemmas._blinding_for(bits, 11)
+        )
+        layout = world.game_layout(include_xy=include_xy)
+        v = qsim.random_state_vector(layout.dim, np.random.default_rng(layout.total))
+        for build in (
+            lambda runs: qsim.uniform_projector_map(runs, world.chain_registers()),
+            lambda runs: build_invariant_projector(world, runs),
+        ):
+            whole = build(layout).apply(v)
+            whole -= v
+            assert lemmas._run_distance(v, world, build) == lemmas._norm(whole)
+
+
+class TestPeakMemory:
+    def test_drift_check_holds_one_state(self):
+        # Lamport n = 2, l = 2 with x and y: the sweep's largest drift
+        # state, 21 qubits, 32 MiB.  A row that takes its distance from a
+        # whole apply holds a second state.
+        args = ("lamport", 2, 2, 2, 1, 1)
+        state = lamport_world(2, 2).game_layout().dim * 16
+        assert state == 32 << 20
+        lemmas.check_state_drift(*args)  # fills the free lists, which tracemalloc counts
+        tracemalloc.start()
+        try:
+            lemmas.check_state_drift(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state + (4 << 20)
 
 
 class TestPinching:

@@ -260,8 +260,25 @@ class TestRevealed:
     @pytest.mark.parametrize("params", [ots.LamportParams(n=4, l=2), ots.derive_wots_params(2, 4, 4)])
     @pytest.mark.parametrize("m", [-1, 4])
     def test_rejects_messages_outside_the_message_space(self, params, m):
-        with pytest.raises(ValueError, match=f"message {m} is not an 2-bit value"):
+        with pytest.raises(ValueError, match=f"message {m} is not in the 2-bit message space"):
             ots.revealed(params, m)
+
+    @pytest.mark.parametrize(
+        "call,text",
+        [
+            (lambda: ots.revealed(ots.LamportParams(n=4, l=1), 2),
+             "message 2 is not in the 1-bit message space"),
+            (lambda: ots.revealed(ots.derive_wots_params(8, 4, 4), 256),
+             "message 256 is not in the 8-bit message space"),
+            (lambda: ots.base_w_digits(-1, ots.derive_wots_params(8, 4, 4)),
+             "message -1 is not in the 8-bit message space"),
+        ],
+        ids=["revealed-1-bit", "revealed-8-bit", "base_w_digits-8-bit"],
+    )
+    def test_out_of_range_message_text(self, call, text):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == text
 
     def test_lamport_signing_makes_no_oracle_query(self):
         calls = []
