@@ -11,6 +11,7 @@ Exit codes: 0 all checks pass, 1 usage error, 2 any lemma or bound failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,8 +22,12 @@ import numpy as np
 from . import attacks, game, lemmas, ots, qworlds, rom
 
 
+def _seed_text() -> str:
+    return os.environ.get("QROMLAB_SEED", "0")
+
+
 def _default_seed() -> int:
-    text = os.environ.get("QROMLAB_SEED", "0")
+    text = _seed_text()
     try:
         return int(text)
     except ValueError:
@@ -204,8 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command")
 
+    default_seed = _default_seed()
+
     def common(p, scheme=True):
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=default_seed)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if scheme:
             p.add_argument("--scheme", choices=("lamport", "winternitz"), default="lamport")
@@ -292,9 +299,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=4)
+def _parser(seed_text: str) -> argparse.ArgumentParser:
+    """The parser for a ``QROMLAB_SEED`` text, built once per text: parsing
+    leaves a parser as it found it.  A text that is no integer raises, and
+    nothing is cached for it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
+        parser = _parser(_seed_text())
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -15,6 +15,8 @@ Each start value and each distinct oracle input is one fresh uniform draw,
 whatever the order the chains grow in.  Distributions are dense float64 arrays over all
 2^{nlw} tuples in ``itertools.product`` order; every probability is a dyadic
 rational with at most n*l*w bits, so sums over them are exact in any order.
+The tuples themselves are decoded ``ENUM_BLOCK_TUPLES`` at a time, never all
+at once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -32,6 +34,9 @@ Oracle = Callable[[int], int]
 
 MAX_ENUM_BITS = 16  # guard: n*l*w for exhaustive enumeration
 MAX_TABLE_BITS = 20  # guard: n for an oracle's whole table
+# Tuples decoded at a time by the exact enumeration: a block of at most
+# MAX_ENUM_BITS int64 entries per tuple is 512 KiB.
+ENUM_BLOCK_TUPLES = 1 << 12
 
 
 def _seed_values(paths) -> np.ndarray:
@@ -257,7 +262,9 @@ class RandomOracleTable:
 
     def query(self, x: int) -> int:
         if not 0 <= x < (1 << self.n):
-            raise ValueError(f"input {x} is not an {self.n}-bit value")
+            raise ValueError(
+                f"input {x} is outside the {self.n}-bit value range [0, {1 << self.n})"
+            )
         y = self._table.get(x)
         if y is None:
             y = self._table[x] = self._image(x)
@@ -329,12 +336,20 @@ def _check_enum_size(n: int, l: int, w: int) -> None:
         raise ValueError(f"enumeration guard: n*l*w = {n * l * w} exceeds {MAX_ENUM_BITS}")
 
 
-def _tuple_entries(n: int, width: int) -> np.ndarray:
-    """The ``width`` n-bit entries of every tuple (entry k = i*w + j of a
-    chain tuple), one row per tuple in product order."""
-    index = np.arange(1 << (n * width), dtype=np.int64)[:, None]
+def _tuple_blocks(
+    n: int, width: int, starts: Iterable[int] | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The ``width`` n-bit entries (entry k = i*w + j of a chain tuple) of
+    every block of ``ENUM_BLOCK_TUPLES`` tuples in product order, or of the
+    blocks beginning at ``starts``: one (start, entries) pair per block, one
+    row per tuple."""
+    size = 1 << (n * width)
     shifts = n * np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (index >> shifts) & ((1 << n) - 1)
+    for start in range(0, size, ENUM_BLOCK_TUPLES) if starts is None else starts:
+        index = np.arange(start, min(start + ENUM_BLOCK_TUPLES, size), dtype=np.int64)
+        entries = index[:, None] >> shifts
+        entries &= (1 << n) - 1
+        yield start, entries
 
 
 def enumerate_chain_distributions(n: int, l: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -342,18 +357,23 @@ def enumerate_chain_distributions(n: int, l: int, w: int) -> tuple[np.ndarray, n
 
     Both are dense arrays over all 2^{nlw} flat (chain-major) tuples in
     ``itertools.product(range(2**n), repeat=l*w)`` order.  p is the closed form
-    of the module docstring, exact because every value is a power of two.
+    of the module docstring, exact because every value is a power of two,
+    filled one block of tuples at a time.
     """
     _check_enum_size(n, l, w)
-    entries = _tuple_entries(n, l * w).reshape(-1, l, w)
-    # One (input, successor) pair per extension step, sorted by input so equal
-    # inputs sit next to each other.
-    steps = ((entries[:, :, :-1] << n) | entries[:, :, 1:]).reshape(len(entries), -1)
-    steps.sort(axis=1)
-    same_input = (steps[:, 1:] >> n) == (steps[:, :-1] >> n)
-    consistent = ~(same_input & (steps[:, 1:] != steps[:, :-1])).any(axis=1)
-    distinct_inputs = steps.shape[1] - same_input.sum(axis=1)
-    p = np.where(consistent, np.ldexp(1.0, -n * (l + distinct_inputs)), 0.0)
+    p = np.empty(1 << (n * l * w))
+    for start, entries in _tuple_blocks(n, l * w):
+        entries = entries.reshape(-1, l, w)
+        # One (input, successor) pair per extension step, sorted by input so
+        # equal inputs sit next to each other.
+        steps = ((entries[:, :, :-1] << n) | entries[:, :, 1:]).reshape(len(entries), -1)
+        steps.sort(axis=1)
+        same_input = (steps[:, 1:] >> n) == (steps[:, :-1] >> n)
+        consistent = ~(same_input & (steps[:, 1:] != steps[:, :-1])).any(axis=1)
+        distinct_inputs = steps.shape[1] - same_input.sum(axis=1)
+        p[start:start + len(entries)] = np.where(
+            consistent, np.ldexp(1.0, -n * (l + distinct_inputs)), 0.0
+        )
     q = np.full(len(p), np.ldexp(1.0, -n * l * w))
     return p, q
 
@@ -389,12 +409,15 @@ def tv_and_collision_stats(p: np.ndarray, q: np.ndarray, n: int, l: int, w: int)
         raise ValueError(f"distributions must be dense arrays of {size} tuples")
     if np.any((p != 0.0) & (q == 0.0)):
         raise ValueError("support mismatch: p has tuples outside q's support")
-    entries = np.sort(_tuple_entries(n, l * w), axis=1)
-    collision = (entries[:, 1:] == entries[:, :-1]).any(axis=1)
-    tv = float(np.abs(p - q).sum())
+    collision = np.empty(size, dtype=bool)
+    for start, entries in _tuple_blocks(n, l * w):
+        entries.sort(axis=1)
+        collision[start:start + len(entries)] = (entries[:, 1:] == entries[:, :-1]).any(axis=1)
     p_coll = float(p[collision].sum())
     q_coll = float(q[collision].sum())
-    conditional_equal = bool(np.array_equal(p[~collision], q[~collision]))
+    conditional_equal = not np.any((p != q) & ~collision)
+    gap = p - q
+    tv = float(np.abs(gap, out=gap).sum())
     bound = chain_tv_bound(n, l, w)
     coll_bound = (w * l) ** 2 / 2 ** n
     return WorldsReport(
@@ -414,11 +437,14 @@ def dump_distribution_csv(dist: np.ndarray, n: int, path: str | Path) -> None:
     """Fixture dump: one (tuple-hex, probability) row per support point, in
     tuple order; ``dist`` is a dense array as returned by
     :func:`enumerate_chain_distributions`."""
-    width = (n + 3) // 4
-    entries = _tuple_entries(n, (len(dist).bit_length() - 1) // n)
+    digits = np.array([format(v, f"0{(n + 3) // 4}x") for v in range(1 << n)])
+    blocks = range(0, len(dist), ENUM_BLOCK_TUPLES)
+    written = (start for start in blocks if dist[start:start + ENUM_BLOCK_TUPLES].any())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tuple_hex", "probability"])
-        for index in np.flatnonzero(dist):
-            hexkey = "".join(format(v, f"0{width}x") for v in entries[index].tolist())
-            writer.writerow([hexkey, repr(float(dist[index]))])
+        for start, entries in _tuple_blocks(n, (len(dist).bit_length() - 1) // n, written):
+            block = dist[start:start + len(entries)]
+            support = np.flatnonzero(block)
+            hexkeys = map("".join, digits[entries[support]].tolist())
+            writer.writerows(zip(hexkeys, map(repr, block[support].tolist())))

@@ -32,6 +32,8 @@ cross-check the fast paths of the package.
   the uniform projector, against the tables of ``qworlds.build_qtilde``.
 * The oracle memo, a chain tuple as one key, and chain samplers, against
   the closed-form chain distributions of ``rom``.
+* The closed-form chain distributions, collision mask and CSV dump on one
+  array of every tuple's entries, against the tuple blocks of ``rom``.
 * The classical search attack world by world: its hits and first-hit
   probabilities over the oracle's full table, its adversary scanning every
   query, and subset enumeration of its verdicts, against the block arrays
@@ -41,6 +43,7 @@ cross-check the fast paths of the package.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import itertools
 import json
@@ -609,6 +612,65 @@ def sample_independent_chains(n: int, l: int, w: int, rng: np.random.Generator) 
     flat = [_uniform(n, rng) for _ in range(l * w)]
     rows = tuple(tuple(flat[i * w : (i + 1) * w]) for i in range(l))
     return rom.ChainTuple(n=n, l=l, w=w, gamma=rows)
+
+
+# ---------------------------------------------------------------------------
+# Exact chain distributions on whole arrays of tuples
+
+
+def tuple_entries(n: int, width: int) -> np.ndarray:
+    """The ``width`` n-bit entries of every tuple (entry k = i*w + j of a
+    chain tuple), one row per tuple in product order."""
+    index = np.arange(1 << (n * width), dtype=np.int64)[:, None]
+    shifts = n * np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (index >> shifts) & ((1 << n) - 1)
+
+
+def enumerate_chain_distributions(n: int, l: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form (p, q) of ``rom`` from one array of every tuple's
+    entries, against the blocks of ``rom.enumerate_chain_distributions``."""
+    entries = tuple_entries(n, l * w).reshape(-1, l, w)
+    steps = ((entries[:, :, :-1] << n) | entries[:, :, 1:]).reshape(len(entries), -1)
+    steps.sort(axis=1)
+    same_input = (steps[:, 1:] >> n) == (steps[:, :-1] >> n)
+    consistent = ~(same_input & (steps[:, 1:] != steps[:, :-1])).any(axis=1)
+    distinct_inputs = steps.shape[1] - same_input.sum(axis=1)
+    p = np.where(consistent, np.ldexp(1.0, -n * (l + distinct_inputs)), 0.0)
+    q = np.full(len(p), np.ldexp(1.0, -n * l * w))
+    return p, q
+
+
+def collision_mask(n: int, l: int, w: int) -> np.ndarray:
+    """Whether each tuple repeats an entry, from one sorted array of every
+    tuple's entries."""
+    entries = np.sort(tuple_entries(n, l * w), axis=1)
+    return (entries[:, 1:] == entries[:, :-1]).any(axis=1)
+
+
+def tv_and_collision_stats(p: np.ndarray, q: np.ndarray, n: int, l: int, w: int) -> rom.WorldsReport:
+    """``rom.tv_and_collision_stats`` on the whole-array collision mask."""
+    collision = collision_mask(n, l, w)
+    return rom.WorldsReport(
+        n=n, l=l, w=w,
+        tv=float(np.abs(p - q).sum()),
+        p_collision=float(p[collision].sum()),
+        q_collision=float(q[collision].sum()),
+        tv_bound=rom.chain_tv_bound(n, l, w),
+        collision_bound=(w * l) ** 2 / 2 ** n,
+        conditional_equal=bool(np.array_equal(p[~collision], q[~collision])),
+    )
+
+
+def dump_distribution_csv(dist: np.ndarray, n: int, path) -> None:
+    """``rom.dump_distribution_csv`` indexing one array of every tuple's entries."""
+    width = (n + 3) // 4
+    entries = tuple_entries(n, (len(dist).bit_length() - 1) // n)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tuple_hex", "probability"])
+        for index in np.flatnonzero(dist):
+            hexkey = "".join(format(v, f"0{width}x") for v in entries[index].tolist())
+            writer.writerow([hexkey, repr(float(dist[index]))])
 
 
 # ---------------------------------------------------------------------------

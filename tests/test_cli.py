@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -7,7 +8,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from test_rom import reference_distributions
+import reference
+from test_rom import CLOSED_FORM_SHAPES, reference_distributions
 
 import qromlab
 from qromlab import cli, qsim
@@ -86,6 +88,20 @@ class TestReports:
             ]
             with open(prefix + suffix, newline="") as fh:
                 assert fh.read() == "\r\n".join(rows) + "\r\n"
+
+    @pytest.mark.parametrize("n,l,w", CLOSED_FORM_SHAPES)
+    def test_worlds_dumps_match_the_whole_array_reference(self, tmp_path, capsys, n, l, w):
+        # the dumps decode their tuples block by block; the reference indexes
+        # one array of every tuple's entries
+        prefix = str(tmp_path / "dist")
+        code, _, err = run(capsys, "worlds", "--n", str(n), "--l", str(l), "--w", str(w),
+                           "--dump-prefix", prefix)
+        assert (code, err) == (0, "")
+        dists = reference.enumerate_chain_distributions(n, l, w)
+        for dist, suffix in zip(dists, ("_p.csv", "_q.csv")):
+            want = tmp_path / ("want" + suffix)
+            reference.dump_distribution_csv(dist, n, want)
+            assert Path(prefix + suffix).read_bytes() == want.read_bytes(), suffix
 
     def test_attack_report(self, tmp_path):
         out = tmp_path / "a.json"
@@ -231,6 +247,25 @@ class TestErrors:
                              "--l", "1", "--n", "8")
         assert code == 1 and out == ""
         assert err == "error: QROMLAB_SEED must be an integer, got 'abc'\n"
+
+    def test_parser_built_once_per_env_seed_text(self, monkeypatch, capsys):
+        # the variable is read on every call, and a new text builds its own parser
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        monkeypatch.setattr(cli, "_parser", functools.lru_cache(maxsize=4)(cli._parser.__wrapped__))
+        argv = ["keygen", "--scheme", "lamport", "--n", "4", "--a", "2"]
+        monkeypatch.setenv("QROMLAB_SEED", "3")
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first and first[0] == 0
+        assert len(built) == 1
+        monkeypatch.setenv("QROMLAB_SEED", "4")
+        assert run(capsys, *argv) == run(capsys, *argv, "--seed", "4") != first
+        assert len(built) == 2
+        monkeypatch.setenv("QROMLAB_SEED", "abc")
+        for _ in range(2):
+            assert run(capsys, *argv) == (1, "", "error: QROMLAB_SEED must be an integer, got 'abc'\n")
+        assert len(built) == 4
 
     def test_negative_trials_rejected(self, capsys):
         code, out, err = run(capsys, "attack", "--n", "3", "--l", "1", "--trials", "-5")

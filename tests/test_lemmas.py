@@ -411,6 +411,21 @@ class TestPeakMemory:
             tracemalloc.stop()
         assert peak <= state + (4 << 20)
 
+    @pytest.mark.parametrize("n,l,w", [(8, 1, 2), (4, 2, 2), (4, 1, 4), (2, 4, 2)])
+    def test_world_closeness_peaks_below_3_mib(self, n, l, w):
+        # p and q are 512 KiB each at 2^16 tuples; the tuples are decoded in
+        # blocks of at most 512 KiB.  One array of every tuple's entries was
+        # 1-8 MiB, with shifted, step-paired and sorted copies beside it.
+        lemmas.check_world_closeness(n, l, w)
+        tracemalloc.start()
+        try:
+            reports = lemmas.check_world_closeness(n, l, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in reports)
+        assert peak < 3 << 20
+
 
 class TestPinching:
     def test_k_one_is_equality(self):

@@ -136,6 +136,13 @@ class TestLazyTable:
         with pytest.raises(ValueError):
             t.query(4)
 
+    @pytest.mark.parametrize("n,x", [(4, 16), (4, -1), (8, 256), (8, 1000)])
+    def test_width_check_message(self, n, x):
+        t = rom.RandomOracleTable(n, seed=0)
+        with pytest.raises(ValueError) as refused:
+            t.query(x)
+        assert str(refused.value) == f"input {x} is outside the {n}-bit value range [0, {1 << n})"
+
     def test_width_capped_at_the_sub_seed_bits(self):
         # an image is an n-bit cut of a 63-bit sub-seed: past 63 bits the
         # top bit would never be set
@@ -365,6 +372,73 @@ class TestExactDistributions:
             rom.tv_and_collision_stats(p, bad, 2, 1, 2)
         with pytest.raises(ValueError, match="dense arrays"):
             rom.tv_and_collision_stats(p[:-1], q[:-1], 2, 1, 2)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBlockedEnumeration:
+    """The tuple blocks of ``rom`` against one array of every tuple's entries
+    (``reference``).  The four bench shapes hold 2^16 tuples, 16 blocks."""
+
+    def test_bench_shapes_cross_block_boundaries(self):
+        assert rom.ENUM_BLOCK_TUPLES < 1 << rom.MAX_ENUM_BITS
+
+    @pytest.mark.parametrize("n,l,w", CLOSED_FORM_SHAPES)
+    def test_distributions_and_stats_match_the_whole_array_bit_for_bit(self, n, l, w):
+        p, q = rom.enumerate_chain_distributions(n, l, w)
+        ref_p, ref_q = reference.enumerate_chain_distributions(n, l, w)
+        assert same_bits(p, ref_p) and same_bits(q, ref_q)
+        for a, b in ((p, q), (q, q)):
+            assert rom.tv_and_collision_stats(a, b, n, l, w) == reference.tv_and_collision_stats(
+                a, b, n, l, w
+            )
+
+    @pytest.mark.parametrize("n,l,w", [(8, 1, 2), (2, 4, 2), (2, 2, 3)])
+    def test_stats_of_non_dyadic_distributions_keep_their_bits(self, n, l, w):
+        # the sums run over whole arrays, as before, so even values that are
+        # not exact in every summation order give the same bits
+        rng = np.random.default_rng(5)
+        p = rng.random(1 << (n * l * w))
+        q = p.copy()
+        q[rng.integers(0, len(q), 50)] += 1e-3
+        assert rom.tv_and_collision_stats(p, q, n, l, w) == reference.tv_and_collision_stats(
+            p, q, n, l, w
+        )
+
+    @pytest.mark.parametrize("block", [1, 24, 1 << 5])
+    @pytest.mark.parametrize("n,l,w", [(2, 1, 3), (1, 3, 3), (3, 2, 2), (2, 2, 3)])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, tmp_path, block, n, l, w):
+        # 24 does not divide the tuple count, so the last block is short
+        monkeypatch.setattr(rom, "ENUM_BLOCK_TUPLES", block)
+        p, q = rom.enumerate_chain_distributions(n, l, w)
+        ref_p, ref_q = reference.enumerate_chain_distributions(n, l, w)
+        assert same_bits(p, ref_p) and same_bits(q, ref_q)
+        assert rom.tv_and_collision_stats(p, q, n, l, w) == reference.tv_and_collision_stats(
+            p, q, n, l, w
+        )
+        rom.dump_distribution_csv(p, n, tmp_path / "got.csv")
+        reference.dump_distribution_csv(p, n, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_dump_decodes_only_the_blocks_it_writes(self, monkeypatch, tmp_path):
+        decoded = []
+        blocks = rom._tuple_blocks
+
+        def counted(*args):
+            for start, entries in blocks(*args):
+                decoded.append(start)
+                yield start, entries
+
+        monkeypatch.setattr(rom, "_tuple_blocks", counted)
+        dist = np.zeros(1 << 16)
+        dist[[5 * rom.ENUM_BLOCK_TUPLES + 7, 9 * rom.ENUM_BLOCK_TUPLES]] = [0.25, 0.75]
+        rom.dump_distribution_csv(dist, 4, tmp_path / "d.csv")
+        assert decoded == [5 * rom.ENUM_BLOCK_TUPLES, 9 * rom.ENUM_BLOCK_TUPLES]
+        assert (tmp_path / "d.csv").read_text().splitlines() == [
+            "tuple_hex,probability", "5007,0.25", "9000,0.75"
+        ]
 
 
 @pytest.mark.parametrize("n,l,w", [(0, 1, 2), (2, 0, 2), (2, 1, 0), (-1, 2, 2)])
