@@ -9,7 +9,7 @@ Subpackages:
 * :mod:`qromlab.qsim` — matrix-free statevector engine over named registers
 * :mod:`qromlab.qworlds` — superposition hash-chain worlds and their operators
 * :mod:`qromlab.game` — the blind-forgery experiment, classical and quantum
-* :mod:`qromlab.lemmas` — numerical checks of the quantitative claims
+* :mod:`qromlab.lemmas` — the paper's bounds and numerical checks of them
 * :mod:`qromlab.attacks` — preimage-search tightness attacks
 * :mod:`qromlab.cli` — batch front-end
 """

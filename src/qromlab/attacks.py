@@ -296,7 +296,7 @@ def _run_attack(
                 exact_var += p_win * (1.0 - p_win)
                 search_exact_sum += p_hit
     low, high = wilson_interval(wins, trials)
-    full, simple = lemmas.forgery_bound_lamport(q, l, n)
+    full, simple = lemmas.forgery_bound("lamport", q, n, params.chains, params.w)
     return AttackReport(
         kind=kind,
         n=n,
@@ -432,25 +432,3 @@ def grover_schedule_sensitivity(
             for iters, psi in enumerate(states):
                 totals[iters] += float(sum(abs(psi[y]) ** 2 for y in marked))
     return [(iters, total / trials) for iters, total in enumerate(totals)]
-
-
-def security_bounds(scheme: str, q: int, n: int, l: int, w: int | None = None) -> dict:
-    """Closed-form success bounds (full and simplified), clamped at 1."""
-    if q < 0:
-        raise ValueError("query count must be nonnegative")
-    if scheme == "lamport":
-        ots.LamportParams(n=n, l=l)  # the scheme's guard: n >= 1 and l >= 1
-        full, simple = lemmas.forgery_bound_lamport(q, l, n)
-    elif scheme == "winternitz":
-        if w is None:
-            raise ValueError("w required for the chain scheme")
-        if n < 1:
-            raise ValueError("security parameter n must be positive")
-        if w < 2:
-            raise ValueError("Winternitz parameter w must be at least 2")
-        if l < 1:
-            raise ValueError("chain count l must be positive")
-        full, simple = lemmas.forgery_bound_winternitz(q, l, w, n)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return {"scheme": scheme, "q": q, "n": n, "l": l, "w": w, "full": full, "simplified": simple}

@@ -199,7 +199,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    doc = attacks.security_bounds(args.scheme, args.q, args.n, args.l, args.w)
+    doc = lemmas.security_bounds(args.scheme, args.q, args.n, args.l, args.w)
     _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -1,10 +1,10 @@
 """Numerical verification of the quantitative claims behind the two schemes.
 
 Every check measures a quantity on a concrete small world and compares it to
-the corresponding closed-form bound.  At desk scale most bounds are vacuous
-(far above the trivial norm cap), so the checks also record the measured
-value; the falsifiable content is the exact-zero and exact-equality cases and
-the inequality direction everywhere else.  A report line never asserts
+its closed-form bound, written once below.  At desk scale most bounds are
+vacuous (above the trivial cap of what they bound), so the checks record the
+measured value; the falsifiable content is the exact-zero and exact-equality
+cases and the inequality direction everywhere else.  A report line never asserts
 anything the formulas do not claim.
 
 The operator-norm checks (equality/uniform overlap, uniform-register and
@@ -46,32 +46,32 @@ ORTHOGONALITY_BOUND = 1e-10
 
 # ---------------------------------------------------------------------------
 # Bound formulas
+#
+# The paper's bounds, each once, over ``chains`` hash chains of length ``w``:
+# Lamport is w = 2 with 2l chains, read from the world or the check.  Each
+# docstring names the quantity bounded and its trivial cap, its largest value.
 
 
-def eps_lamport(n: int) -> float:
-    return 6.0 * 2.0 ** (-n / 2)
-
-
-def delta_lamport(n: int, l: int) -> float:
-    return 32.0 * l * 2.0 ** (-n / 2)
-
-
-def eps_winternitz(n: int, w: int) -> float:
+def eps(n: int, w: int) -> float:
+    """||[U_h, Phi]|| for a uniform projector Phi on one chain prefix; cap 1."""
     return 6.0 * (w - 1) * 2.0 ** (-n / 2)
 
 
-def delta_winternitz(n: int, l: int, w: int) -> float:
-    return 8.0 * l * (w + 1) * (w - 1) * 2.0 ** (-n / 2)
-
-
-def presign_drift_bound(scheme: str, n: int, l: int, w: int, q0: int) -> float:
+def delta(scheme: str, n: int, chains: int, w: int) -> float:
+    """||[U_h, P]|| for the invariant projector P; cap 1."""
     if scheme == "lamport":
-        return 2.0 * l * q0 * eps_lamport(n)
-    return float(l) * q0 * eps_winternitz(n, w)
+        return 16.0 * chains * 2.0 ** (-n / 2)
+    return 8.0 * chains * (w + 1) * (w - 1) * 2.0 ** (-n / 2)
 
 
-def invariant_drift_bound(scheme: str, n: int, l: int, w: int, q0: int, q1: int) -> float:
-    """Bound for the post-query distance from the invariant subspace.
+def presign_drift_bound(n: int, chains: int, w: int, q0: int) -> float:
+    """A unit state's distance from chain uniformity after q0 queries; cap 1."""
+    return chains * q0 * eps(n, w)
+
+
+def invariant_drift_bound(scheme: str, n: int, chains: int, w: int, q0: int, q1: int) -> float:
+    """A unit state's distance from the invariant subspace after signing, and
+    the blinded none-uniform outcome's mass; cap 1 for both.
 
     The commutator term scales with the queries after signing; the state
     entering the signing query contributes twice the pre-sign drift.  The
@@ -80,26 +80,68 @@ def invariant_drift_bound(scheme: str, n: int, l: int, w: int, q0: int, q1: int)
     query was made at all.
     """
     if scheme == "lamport":
-        return q1 * delta_lamport(n, l) + 4.0 * l * max(q0, q1) * eps_lamport(n)
-    per_query = max(2.0 * l * q0, 4.0 * l * q1, 2.0 * l * (w - 1) * q1)
-    return q1 * delta_winternitz(n, l, w) + per_query * eps_winternitz(n, w)
+        per_query = 2 * chains * max(q0, q1)
+    else:
+        per_query = max(2 * chains * q0, 4 * chains * q1, 2 * chains * (w - 1) * q1)
+    return q1 * delta(scheme, n, chains, w) + per_query * eps(n, w)
 
 
-def forgery_bound_lamport(q: int, l: int, n: int) -> tuple[float, float]:
-    """(full, simplified) success bounds, clamped at 1; the simplified form
-    applies for q > 0."""
-    full = l * l * 2.0 ** (-n) * (3137.0 * q * q * (l + 1) + 12.0)
-    simple = 6286.0 * q * q * l ** 3 * 2.0 ** (-n)
+def forgery_bound(scheme: str, q: int, n: int, chains: int, w: int) -> tuple[float, float]:
+    """(full, simplified) bounds on a q-query blind forger's success
+    probability, clamped at its cap 1; the simplified form applies for q > 0."""
+    if scheme == "lamport":
+        l = chains // 2  # message bits
+        full = l * l * 2.0 ** (-n) * (3137.0 * q * q * (l + 1) + 12.0)
+        simple = 6286.0 * q * q * l ** 3 * 2.0 ** (-n)
+    else:
+        l = chains
+        full = 2.0 ** (-n) * (
+            (1.0 + q * q * l * l * (w - 1) ** 2 * (20.0 * w - 4.0) ** 2) * (l + 1)
+            + 3.0 * w * w * l * l
+        )
+        simple = 800.0 * w ** 4 * q * q * l ** 3 * 2.0 ** (-n)
     return min(1.0, full), min(1.0, simple)
 
 
-def forgery_bound_winternitz(q: int, l: int, w: int, n: int) -> tuple[float, float]:
-    full = 2.0 ** (-n) * (
-        (1.0 + q * q * l * l * (w - 1) ** 2 * (20.0 * w - 4.0) ** 2) * (l + 1)
-        + 3.0 * w * w * l * l
-    )
-    simple = 800.0 * w ** 4 * q * q * l ** 3 * 2.0 ** (-n)
-    return min(1.0, full), min(1.0, simple)
+def security_bounds(scheme: str, q: int, n: int, l: int, w: int | None = None) -> dict:
+    """The forgery bounds of the ``bounds`` command: ``l`` message bits for
+    Lamport (whose ``w`` is only echoed), or ``l`` chains of length ``w``."""
+    if q < 0:
+        raise ValueError("query count must be nonnegative")
+    if scheme == "lamport":
+        params = ots.LamportParams(n=n, l=l)  # the scheme's guard: n >= 1 and l >= 1
+        chains, length = params.chains, params.w
+    elif scheme == "winternitz":
+        if w is None:
+            raise ValueError("w required for the chain scheme")
+        if n < 1:
+            raise ValueError("security parameter n must be positive")
+        if w < 2:
+            raise ValueError("Winternitz parameter w must be at least 2")
+        if l < 1:
+            raise ValueError("chain count l must be positive")
+        chains, length = l, w
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    full, simple = forgery_bound(scheme, q, n, chains, length)
+    return {"scheme": scheme, "q": q, "n": n, "l": l, "w": w, "full": full, "simplified": simple}
+
+
+def overlap_commutator_bound(n: int) -> float:
+    """||[E, Phi]|| for the equality projector E and the uniform projector
+    Phi on n-bit registers; cap 1/2, as for any two projectors."""
+    return 2.0 * 2.0 ** (-n / 2)
+
+
+def chain_distance_bound(n: int, chains: int, w: int) -> float:
+    """The L1 distance between iterated-oracle and uniform chain tuples;
+    cap 2 (the row is named for TV, whose cap is 1)."""
+    return 3.0 * (w * chains) ** 2 / 2 ** n
+
+
+def chain_collision_bound(n: int, chains: int, w: int) -> float:
+    """Either distribution's mass on tuples with a repeated entry; cap 1."""
+    return (w * chains) ** 2 / 2 ** n
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +223,10 @@ def check_equality_uniform_overlap(n: int) -> list[CheckReport]:
     t1 = time.perf_counter()
     comm = qsim.operator_norm(uniform, ~eq, eq)
     rep2 = _report(
-        "uniform-overlap-commutator", "", n, 0, 0, 0, 0, comm.value, 2.0 * expected, t1,
+        "uniform-overlap-commutator", "", n, 0, 0, 0, 0, comm.value,
+        overlap_commutator_bound(n), t1,
     )
     return [rep1, rep2]
-
-
-def _eps_bound(scheme: str, n: int, w: int) -> float:
-    return eps_lamport(n) if scheme == "lamport" else eps_winternitz(n, w)
 
 
 def _query_commutator_norms(world: ChainWorld, projectors: list[FrameDiagonal]) -> list[float]:
@@ -228,8 +267,7 @@ def check_uniform_register_commutator(
             t[c] = jp + 1
             projectors.append(invariant_projector_from_thresholds(world, [t], world.chain_layout()))
     worst = max(_query_commutator_norms(world, projectors))
-    bound = _eps_bound(scheme, n, w)
-    return [_report("uniform-commutator", scheme, n, l, w, 0, 0, worst, bound, t0)]
+    return [_report("uniform-commutator", scheme, n, l, w, 0, 0, worst, eps(n, length), t0)]
 
 
 def _scheme_world(scheme: str, n: int, l: int, w: int, seed: int, blinding=None):
@@ -278,7 +316,7 @@ def check_invariant_commutator(
     qsim.check_norm_dim(world.norm_layout().dim)
     p = invariant_projector_from_thresholds(world, thresholds, world.chain_layout())
     (norm,) = _query_commutator_norms(world, [p])
-    bound = delta_lamport(n, l) if scheme == "lamport" else delta_winternitz(n, l, w)
+    bound = delta(scheme, n, world.chain_count, world.w)
     note = "everything blinded: projector is zero" if p.is_zero else f"support={p.term_count}"
     return [_report("invariant-commutator", scheme, n, l, w, 0, 0, norm, bound, t0, note=note)]
 
@@ -388,13 +426,13 @@ def check_state_drift(
     states = game.evolve_program(program, world, at_sign=at_sign)
     layout = states.layout
     (a_meas,) = presign
-    a_bound = presign_drift_bound(scheme, n, world.l_sem, w, q0)
+    a_bound = presign_drift_bound(n, world.chain_count, world.w, q0)
     rep_a = _report("drift-presign", scheme, n, l, w, q0, q1, a_meas, a_bound, t0)
 
     t1 = time.perf_counter()
     psi1 = states.final
     b_meas = _run_distance(psi1, world, lambda runs: build_invariant_projector(world, runs))
-    bc_bound = invariant_drift_bound(scheme, n, world.l_sem, w, q0, q1)
+    bc_bound = invariant_drift_bound(scheme, n, world.chain_count, world.w, q0, q1)
     # the per-query coefficient has inconsistent published variants for the
     # chain scheme; the composite asserts the loosest of them (see the bound)
     bc_note = "loosest published per-query form" if scheme == "winternitz" else ""
@@ -453,7 +491,8 @@ def check_world_closeness(
     p, q = distributions
     stats = rom.tv_and_collision_stats(p, q, n, l, w)
     rep_tv = _report(
-        "chain-distribution-tv", "", n, l, w, 0, 0, stats.tv, stats.tv_bound, t0,
+        "chain-distribution-tv", "", n, l, w, 0, 0,
+        stats.tv, chain_distance_bound(n, l, w), t0,
         note=f"p_coll={stats.p_collision!r} q_coll={stats.q_collision!r}",
     )
     t1 = time.perf_counter()
@@ -465,7 +504,7 @@ def check_world_closeness(
     t2 = time.perf_counter()
     rep_coll = _report(
         "chain-distribution-collisions", "", n, l, w, 0, 0,
-        max(stats.p_collision, stats.q_collision), stats.collision_bound, t2,
+        max(stats.p_collision, stats.q_collision), chain_collision_bound(n, l, w), t2,
     )
     return [rep_tv, rep_cond, rep_coll]
 

@@ -386,17 +386,11 @@ class WorldsReport:
     tv: float
     p_collision: float
     q_collision: float
-    tv_bound: float
-    collision_bound: float
     conditional_equal: bool
 
 
-def chain_tv_bound(n: int, l: int, w: int) -> float:
-    return 3.0 * (w * l) ** 2 / 2 ** n
-
-
 def tv_and_collision_stats(p: np.ndarray, q: np.ndarray, n: int, l: int, w: int) -> WorldsReport:
-    """l1 distance, collision-set masses, and the closeness bound for (p, q).
+    """l1 distance and collision-set masses of (p, q).
 
     Also checks the exact structural facts: p and q agree entry-by-entry on
     collision-free tuples, and put equal total mass on the collision set.
@@ -418,19 +412,7 @@ def tv_and_collision_stats(p: np.ndarray, q: np.ndarray, n: int, l: int, w: int)
     conditional_equal = not np.any((p != q) & ~collision)
     gap = p - q
     tv = float(np.abs(gap, out=gap).sum())
-    bound = chain_tv_bound(n, l, w)
-    coll_bound = (w * l) ** 2 / 2 ** n
-    return WorldsReport(
-        n=n,
-        l=l,
-        w=w,
-        tv=tv,
-        p_collision=p_coll,
-        q_collision=q_coll,
-        tv_bound=bound,
-        collision_bound=coll_bound,
-        conditional_equal=conditional_equal,
-    )
+    return WorldsReport(n, l, w, tv, p_coll, q_coll, conditional_equal)
 
 
 def dump_distribution_csv(dist: np.ndarray, n: int, path: str | Path) -> None:

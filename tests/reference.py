@@ -39,6 +39,9 @@ cross-check the fast paths of the package.
   query, and subset enumeration of its verdicts, against the block arrays
   and the first-hit adversary of ``attacks``.
 * A world descriptor as the JSON text the ``qgame`` report embeds.
+* The paper's bounds as one formula per scheme, over the message bits l of
+  Lamport and the l chains of Winternitz, against the bounds of ``lemmas``,
+  written once over chain count and chain length.
 """
 
 from __future__ import annotations
@@ -655,8 +658,6 @@ def tv_and_collision_stats(p: np.ndarray, q: np.ndarray, n: int, l: int, w: int)
         tv=float(np.abs(p - q).sum()),
         p_collision=float(p[collision].sum()),
         q_collision=float(q[collision].sum()),
-        tv_bound=rom.chain_tv_bound(n, l, w),
-        collision_bound=(w * l) ** 2 / 2 ** n,
         conditional_equal=bool(np.array_equal(p[~collision], q[~collision])),
     )
 
@@ -749,3 +750,63 @@ def exact_win_by_subset_enumeration(n: int, l: int, q: int, world_seed: int) -> 
 
 def world_descriptor_json(world: ChainWorld) -> str:
     return json.dumps(qworlds.world_descriptor(world), indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The paper's bounds, one formula per scheme
+
+
+def eps_lamport(n: int) -> float:
+    return 6.0 * 2.0 ** (-n / 2)
+
+
+def delta_lamport(n: int, l: int) -> float:
+    return 32.0 * l * 2.0 ** (-n / 2)
+
+
+def eps_winternitz(n: int, w: int) -> float:
+    return 6.0 * (w - 1) * 2.0 ** (-n / 2)
+
+
+def delta_winternitz(n: int, l: int, w: int) -> float:
+    return 8.0 * l * (w + 1) * (w - 1) * 2.0 ** (-n / 2)
+
+
+def presign_drift_bound(scheme: str, n: int, l: int, w: int, q0: int) -> float:
+    if scheme == "lamport":
+        return 2.0 * l * q0 * eps_lamport(n)
+    return float(l) * q0 * eps_winternitz(n, w)
+
+
+def invariant_drift_bound(scheme: str, n: int, l: int, w: int, q0: int, q1: int) -> float:
+    if scheme == "lamport":
+        return q1 * delta_lamport(n, l) + 4.0 * l * max(q0, q1) * eps_lamport(n)
+    per_query = max(2.0 * l * q0, 4.0 * l * q1, 2.0 * l * (w - 1) * q1)
+    return q1 * delta_winternitz(n, l, w) + per_query * eps_winternitz(n, w)
+
+
+def forgery_bound_lamport(q: int, l: int, n: int) -> tuple[float, float]:
+    full = l * l * 2.0 ** (-n) * (3137.0 * q * q * (l + 1) + 12.0)
+    simple = 6286.0 * q * q * l ** 3 * 2.0 ** (-n)
+    return min(1.0, full), min(1.0, simple)
+
+
+def forgery_bound_winternitz(q: int, l: int, w: int, n: int) -> tuple[float, float]:
+    full = 2.0 ** (-n) * (
+        (1.0 + q * q * l * l * (w - 1) ** 2 * (20.0 * w - 4.0) ** 2) * (l + 1)
+        + 3.0 * w * w * l * l
+    )
+    simple = 800.0 * w ** 4 * q * q * l ** 3 * 2.0 ** (-n)
+    return min(1.0, full), min(1.0, simple)
+
+
+def overlap_commutator_bound(n: int) -> float:
+    return 2.0 * 2.0 ** (-n / 2)
+
+
+def chain_tv_bound(n: int, l: int, w: int) -> float:
+    return 3.0 * (w * l) ** 2 / 2 ** n
+
+
+def chain_collision_bound(n: int, l: int, w: int) -> float:
+    return (w * l) ** 2 / 2 ** n

@@ -133,18 +133,6 @@ def test_game_judges_every_trial_once(attack, monkeypatch):
     assert verdicts.count("win") == rep.wins > 0
 
 
-class TestBounds:
-    def test_dispatch(self):
-        doc = attacks.security_bounds("lamport", 1, 20, 1)
-        assert doc["simplified"] == pytest.approx(6286 * 2.0 ** -20)
-        doc = attacks.security_bounds("winternitz", 1, 20, 1, w=2)
-        assert doc["simplified"] == pytest.approx(12800 / 2 ** 20)
-        with pytest.raises(ValueError):
-            attacks.security_bounds("winternitz", 1, 20, 1)
-        with pytest.raises(ValueError):
-            attacks.security_bounds("lamport", -1, 20, 1)
-
-
 class TestCsvReport:
     def test_round_shape(self):
         rep = attacks.classical_search_attack(3, 1, 2, trials=50, seed=1)

@@ -6,8 +6,9 @@ refactor drops or renames a name the trace reads, and the benchmark's own
 output checks run here on the reference-seed commands of every workload,
 so the tier-1 suite catches a moved row, probability or win count, not only
 the benchmark step.  The sweep and game reports are also pinned byte for
-byte on the numpy and BLAS build their digests were taken on.  Nothing
-under ``bench/`` is changed.
+byte on the numpy and BLAS build their digests were taken on, and the
+sweep's bound column exactly on every build.  Nothing under ``bench/`` is
+changed.
 """
 
 from __future__ import annotations
@@ -67,6 +68,24 @@ def test_reports_pass_the_benchmark_output_checks(workload, commands):
         assert workloads.reference_key(list(argv)) in reference
         outcome = workloads.Outcome(list(argv), code, stdout)
         assert code == 0 and workloads.check_outcome(outcome, reference) == []
+
+
+SWEEP_EXACT_COLUMNS = ("lemma", "scheme", "n", "l", "w", "q0", "q1", "pass", "bound")
+
+
+def test_sweep_bound_column_matches_the_reference_exactly():
+    """The seed-6 sweep's key columns, verdicts and bound strings are the
+    stored reference's on every build.  A bound is plain Python float
+    arithmetic, which no numpy or BLAS build moves, so it is held exactly,
+    where the benchmark's check admits 1e-8 and the digests below skip
+    off their build."""
+    ((argv, _, stdout),) = reports("sweep")
+    _, rows = workloads.parse_lemma_csv(stdout)
+    want = workloads.reference_for("sweep", workloads.DEFAULT_SEEDS["sweep"])
+    want_rows = want[workloads.reference_key(list(argv))]["rows"]
+    assert len(rows) == len(want_rows) == 176
+    assert ([[row[c] for c in SWEEP_EXACT_COLUMNS] for row in rows]
+            == [[row[c] for c in SWEEP_EXACT_COLUMNS] for row in want_rows])
 
 
 # sha256 of the seed-6 sweep report and of the eight seed-7 qgame reports.

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -21,41 +23,200 @@ from qromlab.qworlds import (
 
 class TestBoundFormulas:
     def test_values(self):
-        assert lemmas.eps_lamport(2) == pytest.approx(3.0)
-        assert lemmas.delta_lamport(2, 1) == pytest.approx(16.0)
-        assert lemmas.eps_winternitz(1, 3) == pytest.approx(12 / np.sqrt(2))
-        assert lemmas.delta_winternitz(2, 1, 3) == pytest.approx(8 * 4 * 2 / 2)
+        assert lemmas.eps(2, 2) == pytest.approx(3.0)
+        assert lemmas.delta("lamport", 2, 2, 2) == pytest.approx(16.0)
+        assert lemmas.eps(1, 3) == pytest.approx(12 / np.sqrt(2))
+        assert lemmas.delta("winternitz", 2, 1, 3) == pytest.approx(8 * 4 * 2 / 2)
 
     def test_forgery_bounds(self):
-        full, simple = lemmas.forgery_bound_lamport(1, 1, 20)
+        full, simple = lemmas.forgery_bound("lamport", 1, 20, 2, 2)
         assert simple == pytest.approx(6286 * 2.0 ** -20)
         assert simple == pytest.approx(5.995e-3, rel=1e-3)
-        full_q0, _ = lemmas.forgery_bound_lamport(0, 1, 20)
+        full_q0, _ = lemmas.forgery_bound("lamport", 0, 20, 2, 2)
         assert full_q0 == pytest.approx(12 * 2.0 ** -20)
-        _, wsimple = lemmas.forgery_bound_winternitz(1, 1, 2, 20)
+        _, wsimple = lemmas.forgery_bound("winternitz", 1, 20, 1, 2)
         assert wsimple == pytest.approx(800 * 16 * 2.0 ** -20)
         assert wsimple == pytest.approx(1.22e-2, rel=1e-2)
 
     def test_clamped_at_one(self):
-        full, simple = lemmas.forgery_bound_lamport(10, 4, 2)
+        full, simple = lemmas.forgery_bound("lamport", 10, 2, 8, 2)
         assert full == 1.0 and simple == 1.0
 
     @pytest.mark.parametrize("q", [1, 2, 5])
     def test_simplified_dominates_full(self, q):
         for n in (8, 16, 32):
             for l in (1, 2, 4):
-                full, simple = lemmas.forgery_bound_lamport(q, l, n)
+                full, simple = lemmas.forgery_bound("lamport", q, n, 2 * l, 2)
                 assert simple >= full or simple == 1.0
                 for w in (2, 4):
-                    fullw, simplew = lemmas.forgery_bound_winternitz(q, l, w, n)
+                    fullw, simplew = lemmas.forgery_bound("winternitz", q, n, l, w)
                     assert simplew >= fullw or simplew == 1.0
 
     def test_drift_bounds_vanish_only_without_queries(self):
-        for scheme, w in (("lamport", 2), ("winternitz", 3)):
-            assert lemmas.invariant_drift_bound(scheme, 2, 2, w, 0, 0) == 0.0
-            assert lemmas.invariant_drift_bound(scheme, 2, 2, w, 1, 0) > 0.0
-            assert lemmas.invariant_drift_bound(scheme, 2, 2, w, 0, 1) > 0.0
-            assert lemmas.presign_drift_bound(scheme, 2, 2, w, 0) == 0.0
+        for scheme, chains, w in (("lamport", 4, 2), ("winternitz", 2, 3)):
+            assert lemmas.invariant_drift_bound(scheme, 2, chains, w, 0, 0) == 0.0
+            assert lemmas.invariant_drift_bound(scheme, 2, chains, w, 1, 0) > 0.0
+            assert lemmas.invariant_drift_bound(scheme, 2, chains, w, 0, 1) > 0.0
+            assert lemmas.presign_drift_bound(2, chains, w, 0) == 0.0
+
+    def test_security_bounds_dispatch(self):
+        doc = lemmas.security_bounds("lamport", 1, 20, 1)
+        assert doc["simplified"] == pytest.approx(6286 * 2.0 ** -20)
+        doc = lemmas.security_bounds("winternitz", 1, 20, 1, w=2)
+        assert doc["simplified"] == pytest.approx(12800 / 2 ** 20)
+        with pytest.raises(ValueError):
+            lemmas.security_bounds("winternitz", 1, 20, 1)
+        with pytest.raises(ValueError):
+            lemmas.security_bounds("lamport", -1, 20, 1)
+
+
+# The grid the bounds are compared on: every n an oracle serves, l up to 32,
+# chain lengths up to 16, q0 and q1 up to 8, and forgery query counts.
+GRID_NS = range(1, 64)
+GRID_LS = range(1, 33)
+GRID_WS = range(2, 17)
+GRID_QS = range(0, 9)
+FORGERY_QS = (0, 1, 2, 7, 2 ** 10)
+
+
+def grid(*axes):
+    return list(itertools.product(*axes))
+
+
+class TestBoundsMatchThePerSchemeFormulas:
+    """Every bound in ``lemmas``, written once over chain count and chain
+    length, against the per-scheme formulas of ``reference``, over Lamport's
+    l message bits (2l chains of length 2) and Winternitz's l chains of
+    length w.  Floats compare with ``==``: every value is finite and none is
+    a negative zero, so equal means bit for bit."""
+
+    def test_eps(self):
+        assert [lemmas.eps(n, 2) for n in GRID_NS] == [reference.eps_lamport(n) for n in GRID_NS]
+        points = grid(GRID_NS, GRID_WS)
+        assert ([lemmas.eps(n, w) for n, w in points]
+                == [reference.eps_winternitz(n, w) for n, w in points])
+
+    def test_delta(self):
+        points = grid(GRID_NS, GRID_LS)
+        assert ([lemmas.delta("lamport", n, 2 * l, 2) for n, l in points]
+                == [reference.delta_lamport(n, l) for n, l in points])
+        points = grid(GRID_NS, GRID_LS, GRID_WS)
+        assert ([lemmas.delta("winternitz", n, l, w) for n, l, w in points]
+                == [reference.delta_winternitz(n, l, w) for n, l, w in points])
+
+    def test_presign_drift(self):
+        points = grid(GRID_NS, GRID_LS, GRID_QS)
+        assert ([lemmas.presign_drift_bound(n, 2 * l, 2, q0) for n, l, q0 in points]
+                == [reference.presign_drift_bound("lamport", n, l, 2, q0) for n, l, q0 in points])
+        points = grid(GRID_NS, GRID_LS, GRID_WS, GRID_QS)
+        assert ([lemmas.presign_drift_bound(n, l, w, q0) for n, l, w, q0 in points]
+                == [reference.presign_drift_bound("winternitz", n, l, w, q0)
+                    for n, l, w, q0 in points])
+
+    def test_invariant_drift(self):
+        points = grid(GRID_NS, GRID_LS, GRID_QS, GRID_QS)
+        assert ([lemmas.invariant_drift_bound("lamport", n, 2 * l, 2, q0, q1)
+                 for n, l, q0, q1 in points]
+                == [reference.invariant_drift_bound("lamport", n, l, 2, q0, q1)
+                    for n, l, q0, q1 in points])
+        # Winternitz's whole product is 2.4 million points; take every (n, l,
+        # w) at the extreme query counts, and every (q0, q1) at every n on a
+        # spread of (l, w).
+        points = (grid(GRID_NS, GRID_LS, GRID_WS, (0, 1, 8), (0, 1, 8))
+                  + grid(GRID_NS, (1, 2, 3, 5, 8, 13, 21, 32), (2, 3, 4, 7, 16), GRID_QS, GRID_QS))
+        assert ([lemmas.invariant_drift_bound("winternitz", n, l, w, q0, q1)
+                 for n, l, w, q0, q1 in points]
+                == [reference.invariant_drift_bound("winternitz", n, l, w, q0, q1)
+                    for n, l, w, q0, q1 in points])
+
+    def test_forgery_as_the_bounds_command_reads_it(self):
+        points = grid(FORGERY_QS, GRID_NS, GRID_LS)
+        got = [lemmas.security_bounds("lamport", q, n, l) for q, n, l in points]
+        assert ([(doc["full"], doc["simplified"]) for doc in got]
+                == [reference.forgery_bound_lamport(q, l, n) for q, n, l in points])
+        # a Lamport key's chains have length 2 whatever --w reads
+        at_w5 = lemmas.security_bounds("lamport", 7, 9, 3, 5)
+        assert (at_w5["full"], at_w5["simplified"]) == reference.forgery_bound_lamport(7, 3, 9)
+        points = grid(FORGERY_QS, GRID_NS, GRID_LS, GRID_WS)
+        got = [lemmas.security_bounds("winternitz", q, n, l, w) for q, n, l, w in points]
+        assert ([(doc["full"], doc["simplified"]) for doc in got]
+                == [reference.forgery_bound_winternitz(q, l, w, n) for q, n, l, w in points])
+
+    def test_overlap_and_chain_distances(self):
+        assert ([lemmas.overlap_commutator_bound(n) for n in GRID_NS]
+                == [reference.overlap_commutator_bound(n) for n in GRID_NS])
+        points = grid(GRID_NS, GRID_LS, GRID_WS)
+        assert ([lemmas.chain_distance_bound(n, l, w) for n, l, w in points]
+                == [reference.chain_tv_bound(n, l, w) for n, l, w in points])
+        assert ([lemmas.chain_collision_bound(n, l, w) for n, l, w in points]
+                == [reference.chain_collision_bound(n, l, w) for n, l, w in points])
+
+    @pytest.mark.parametrize("scheme,n,l,w", [
+        ("lamport", 1, 1, 2), ("lamport", 1, 2, 3), ("lamport", 2, 1, 5),
+        ("winternitz", 1, 2, 3), ("winternitz", 2, 2, 2), ("winternitz", 1, 3, 2),
+    ])
+    def test_checks_pass_the_world_chain_count(self, scheme, n, l, w):
+        """Each check's bound is the per-scheme formula at its row's (n, l,
+        w): a Lamport row's chain count is 2l and its chain length 2, never
+        the w it was called with."""
+        ref_w = 2 if scheme == "lamport" else w
+        eps = (reference.eps_lamport(n) if scheme == "lamport"
+               else reference.eps_winternitz(n, w))
+        delta = (reference.delta_lamport(n, l) if scheme == "lamport"
+                 else reference.delta_winternitz(n, l, w))
+        (rep,) = lemmas.check_uniform_register_commutator(scheme, n, l, w)
+        assert rep.bound == eps
+        (rep,) = lemmas.check_invariant_commutator(scheme, n, l, w)
+        assert rep.bound == delta
+        if scheme == "winternitz":
+            l = ots.derive_wots_params(1, w, n, require_power_of_two=False).l
+        rows = lemmas.check_state_drift(scheme, n, l, w, 1, 1)
+        assert [r.bound for r in rows] == [
+            reference.presign_drift_bound(scheme, n, l, ref_w, 1),
+            *[reference.invariant_drift_bound(scheme, n, l, ref_w, 1, 1)] * 2,
+        ]
+
+
+class TestTrivialCaps:
+    """The largest value each bounded quantity can take, by brute force."""
+
+    def test_projector_commutator_is_at_most_one_half(self):
+        rng = np.random.default_rng(0)
+
+        def projector(dim):
+            basis = qsim.haar_unitary(dim, rng)[:, : int(rng.integers(1, dim))]
+            return basis @ basis.conj().T
+
+        worst = 0.0
+        for _ in range(2000):
+            dim = int(rng.integers(2, 9))
+            p, q = projector(dim), projector(dim)
+            worst = max(worst, np.linalg.norm(p @ q - q @ p, 2))
+        assert 0.49 < worst <= 0.5
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_overlap_commutator_has_its_closed_form(self, n):
+        """The measured value is sqrt(2^-n (1 - 2^-n)), below the cap 1/2,
+        to operator_norm's stated accuracy of a small multiple of G*eps."""
+        _, rep = lemmas.check_equality_uniform_overlap(n)
+        closed = math.sqrt(2.0 ** -n * (1.0 - 2.0 ** -n))
+        assert abs(rep.measured - closed) <= (1 << n) * np.finfo(float).eps * closed
+        assert rep.measured <= 0.5
+
+    @pytest.mark.parametrize("n,l,w", [(1, 1, 2), (2, 1, 2), (2, 2, 2), (1, 2, 3), (2, 1, 3)])
+    def test_chain_distance_is_an_l1_distance_at_most_two(self, n, l, w):
+        p, q = rom.enumerate_chain_distributions(n, l, w)
+        rng = np.random.default_rng(n * 100 + l * 10 + w)
+        far = np.zeros_like(q)
+        far[rng.integers(0, len(q))] = 1.0
+        for a, b in ((p, q), (far, q), (q, q)):
+            tv = rom.tv_and_collision_stats(a, b, n, l, w).tv
+            assert tv == np.abs(a - b).sum() and tv <= 2.0
+        # a point mass against the uniform tuples is 2 - 2/|q| apart: past a
+        # TV distance's cap 1
+        assert rom.tv_and_collision_stats(far, q, n, l, w).tv == 2.0 - 2.0 / len(q) > 1.0
+        (rep, _, _) = lemmas.check_world_closeness(n, l, w, (p, q))
+        assert rep.measured == rom.tv_and_collision_stats(p, q, n, l, w).tv <= 2.0
 
 
 class TestOverlap:
@@ -151,7 +312,7 @@ class TestCommutatorChecks:
         p = build_invariant_projector(world, layout)
         u = build_query_unitary(world, layout)
         est = reference.lanczos_norm(reference.commutator(u, p))
-        assert est.value <= lemmas.delta_lamport(2, 1) + 1e-8
+        assert est.value <= lemmas.delta("lamport", 2, 2, 2) + 1e-8
         (exact,) = lemmas._query_commutator_norms(world, [p])
         assert exact == pytest.approx(est.value, abs=1e-9)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from qromlab import game, ots, rom
+from qromlab import game, lemmas, ots, rom
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +94,9 @@ def reference_stats(p: dict, q: dict, n: int, l: int, w: int) -> rom.WorldsRepor
             q_coll += qv
         elif pv != qv:
             conditional_equal = False
-    bound = rom.chain_tv_bound(n, l, w)
-    coll_bound = (w * l) ** 2 / 2 ** n
     return rom.WorldsReport(
-        n=n, l=l, w=w, tv=tv, p_collision=p_coll, q_collision=q_coll, tv_bound=bound,
-        collision_bound=coll_bound, conditional_equal=conditional_equal,
+        n=n, l=l, w=w, tv=tv, p_collision=p_coll, q_collision=q_coll,
+        conditional_equal=conditional_equal,
     )
 
 
@@ -317,8 +315,8 @@ class TestExactDistributions:
         stats = rom.tv_and_collision_stats(p, q, 4, 1, 2)
         assert stats.q_collision == pytest.approx(1 - 16 * 15 / 256, abs=1e-15)
         assert stats.q_collision <= 0.25
-        assert stats.tv <= stats.tv_bound
-        assert max(stats.p_collision, stats.q_collision) <= stats.collision_bound
+        assert stats.tv <= lemmas.chain_distance_bound(4, 1, 2)
+        assert max(stats.p_collision, stats.q_collision) <= lemmas.chain_collision_bound(4, 1, 2)
 
     def test_equal_distributions_have_zero_distance(self):
         p, q = rom.enumerate_chain_distributions(2, 1, 2)
@@ -326,7 +324,7 @@ class TestExactDistributions:
         assert stats.tv == 0.0
 
     def test_bound_value_vacuous_point(self):
-        assert rom.chain_tv_bound(4, 2, 2) == pytest.approx(3.0)
+        assert lemmas.chain_distance_bound(4, 2, 2) == pytest.approx(3.0)
 
     def test_conditional_equality_and_collision_mass_match(self):
         for n, l, w in [(2, 1, 2), (4, 1, 2), (2, 2, 2), (2, 1, 3)]:

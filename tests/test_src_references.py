@@ -15,6 +15,9 @@ unitary's compile step reads.  Code that only the tests use belongs in
 
 Which of Lamport and Winternitz runs is decided in ``ots`` alone: no other
 module names a per-scheme keygen or verifier or the Winternitz digit vector.
+The paper's bound formulas live in ``lemmas`` alone: no other module defines
+a module-level name containing ``bound``, but for the handler of the CLI's
+``bounds`` command, which calls ``lemmas.security_bounds``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ NUMPY_INTERFACE = {"rom.SeedWords.generate_state"}
 # read by TestQueryUnitary::test_compiles_exactly_the_answer_table
 STRUCTURAL = {"qworlds.Permutation.delta"}
 SCHEME_PRIVATE = {"lamport_keygen", "wots_keygen", "lamport_verify", "wots_verify", "digit_vector"}
+# the handler of the CLI's ``bounds`` command
+BOUNDS_COMMAND = {"cli._cmd_bounds"}
 
 
 def _definitions_and_references():
@@ -104,3 +109,21 @@ def test_only_ots_names_the_per_scheme_code():
             if name in SCHEME_PRIVATE:
                 named.add(f"{path.stem}: {name}")
     assert sorted(named) == []
+
+
+def test_only_lemmas_defines_bounds():
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "lemmas.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [f"{path.stem}.{name}" for name in names if "bound" in name.lower()]
+    assert defined == sorted(BOUNDS_COMMAND)
