@@ -145,6 +145,7 @@ def _cmd_lemmas(args) -> int:
     if args.sweep:
         reports = lemmas.run_sweep(seed=args.seed)
     else:
+        lemmas.refuse_worldless_point(args.scheme, args.n, args.l, args.w)
         reports = []
         reports += lemmas.check_equality_uniform_overlap(args.n)
         reports += lemmas.check_uniform_register_commutator(

@@ -367,12 +367,19 @@ def evolve_program(
     head, state = world.initial_head(layout)
     u_h = build_query_unitary(world, layout) if needs_xy else None
     bsign = build_blinded_sign_unitary(world, layout)
+
+    def repeated(column: np.ndarray) -> np.ndarray:
+        # np.repeat(column, G)'s order, into a new state
+        full = qsim.new_state(layout.dim)
+        full.reshape(head.dim, -1)[...] = column[:, None]
+        return full
+
     for step in program.steps:
         if state.size < layout.dim:  # still the one chain column
             if isinstance(step, ApplyUnitary) and set(step.registers) <= set(head.names):
                 qsim.embed(step.matrix, step.registers, head).apply_in_place(state)
                 continue
-            state = np.repeat(state, layout.dim // head.dim)
+            state = repeated(state)
         if isinstance(step, ApplyUnitary):
             qsim.embed(step.matrix, step.registers, layout).apply_in_place(state)
         elif isinstance(step, HashQuery):
@@ -384,7 +391,7 @@ def evolve_program(
         else:
             raise TypeError(f"unknown step {step!r}")
     if state.size < layout.dim:
-        state = np.repeat(state, layout.dim // head.dim)
+        state = repeated(state)
     return EvolvedStates(layout=layout, final=state)
 
 
@@ -401,13 +408,17 @@ def _outcome_view(amps: np.ndarray, world: ChainWorld) -> np.ndarray:
     )
 
 
-def _add_outcomes(t: np.ndarray, amps: np.ndarray, block: tuple[slice, ...]) -> None:
+def _add_outcomes(
+    t: np.ndarray, amps: np.ndarray, block: tuple[slice, ...], weights: np.ndarray
+) -> None:
     """Add the weights |amps|^2 of one block of an outcome view into the
     (message, signature, chains) tensor ``t``, tracing x y and b e in the
     order numpy's ``sum(axis=(0, 3))`` over the whole view adds: for each
     x y value, then each b e value.  Blocks taken in flat order keep that
-    order, so the sum has the full reduction's bits."""
-    weights = np.abs(amps) ** 2
+    order, so the sum has the full reduction's bits.  The weights are
+    written into ``weights``, a float64 array of the block's shape, with the
+    bits of ``abs(amps) ** 2``."""
+    np.square(np.abs(amps, out=weights), out=weights)
     dst = t[block[1:3]]
     for xy in weights:
         for be in range(weights.shape[3]):
@@ -423,17 +434,27 @@ def probability_tensor(final: np.ndarray, qtilde, world: ChainWorld) -> list[np.
     One pass, block by block (:func:`qsim.blocks`, the chain registers kept
     whole): each block adds its plain weights, changes into the maps' shared
     frame once, and every map's table product changes back and adds into
-    its tensor from there, so no temporary is larger than a block.
+    its tensor from there.  The frame block, the product and its change
+    back are block buffers borrowed from :func:`qsim.scratch`, and the
+    weights take the product's while it is not in use, so the pass
+    allocates no block.
     """
     view = _outcome_view(final, world)
     tables = [q.table.reshape(1, view.shape[1], 1, 1, view.shape[4]) for q in qtilde]
     tensors = [np.zeros(view.shape[1:3] + view.shape[4:]) for _ in range(len(qtilde) + 1)]
-    for block in qsim.blocks(view.shape, (4,)):
-        _add_outcomes(tensors[0], view[block], block)
-        if qtilde:
-            h = to_frame(world, view[block])
-            for table, t in zip(tables, tensors[1:]):
-                _add_outcomes(t, to_frame(world, h * qsim.block_of(table, block)), block)
+    spans = qsim.blocks(view.shape, (4,))
+    shape = view[spans[0]].shape
+    size = math.prod(shape)
+    with qsim.scratch(size, size, size) as (h, product, back):
+        weights = product.view(np.float64)[:size].reshape(shape)
+        h, product, back = (b.reshape(shape) for b in (h, product, back))
+        for block in spans:
+            _add_outcomes(tensors[0], view[block], block, weights)
+            if qtilde:
+                to_frame(world, view[block], h)
+                for table, t in zip(tables, tensors[1:]):
+                    np.multiply(h, qsim.block_of(table, block), out=product)
+                    _add_outcomes(t, to_frame(world, product, back), block, weights)
     return tensors
 
 

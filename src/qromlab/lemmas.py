@@ -270,16 +270,48 @@ def check_uniform_register_commutator(
     return [_report("uniform-commutator", scheme, n, l, w, 0, 0, worst, eps(n, length), t0)]
 
 
+def _message_bits(scheme: str, l: int, w: int) -> int | None:
+    """l for Lamport; for Winternitz the message length that encodes to l
+    blocks at w, or None when none does."""
+    if scheme == "lamport":
+        return l
+    for a in range(1, 17):
+        if ots.derive_wots_params(a, w, 2, require_power_of_two=False).l == l:
+            return a
+    return None
+
+
+def require_message_length(scheme: str, l: int, w: int) -> None:
+    """ValueError when the checks that play a game on the scheme's world
+    (drift, orthogonality) have none: no message length encodes to l blocks
+    at w."""
+    if _message_bits(scheme, l, w) is None:
+        raise ValueError(f"no message length encodes to {l} blocks at w={w}")
+
+
+def refuse_worldless_point(scheme: str, n: int, l: int, w: int) -> None:
+    """ValueError before any row of a single-point ``lemmas`` run when its
+    drift check would refuse for want of a world (:func:`require_message_length`).
+    The overlap and commutator rows run before it and refuse a size their
+    norms cannot take, so their guards run here first, in their order, and
+    a shape they refuse (n or l below 1, w below 2) is left to them."""
+    if scheme == "lamport" or min(n, l) < 1 or w < 2 or _message_bits(scheme, l, w) is not None:
+        return
+    qsim.check_norm_dim(4 ** n)
+    qsim.check_norm_dim(chain_world(n, l, w).norm_layout().dim)
+    require_message_length(scheme, l, w)
+
+
 def _scheme_world(scheme: str, n: int, l: int, w: int, seed: int, blinding=None):
     """The Lamport world on l message bits, or the Winternitz world whose
     message length encodes to l blocks at w; None when no length does.
     ``blinding`` maps the world's message width to its blinding set."""
+    a = _message_bits(scheme, l, w)
+    if a is None:
+        return None
     if scheme == "lamport":
-        return lamport_world(n, l, blinding=blinding and blinding(l), seed=seed)
-    for a in range(1, 17):
-        if ots.derive_wots_params(a, w, 2, require_power_of_two=False).l == l:
-            return winternitz_world(n, a, w, blinding=blinding and blinding(a), seed=seed)
-    return None
+        return lamport_world(n, a, blinding=blinding and blinding(a), seed=seed)
+    return winternitz_world(n, a, w, blinding=blinding and blinding(a), seed=seed)
 
 
 def _blinding_for(world_bits: int, seed: int, require_unblinded: bool = True) -> BlindingSet:
@@ -340,9 +372,8 @@ def check_orthogonality(
     scheme: str, n: int, l: int, w: int, blinding: BlindingSet, m_star: int, seed: int = 0
 ) -> list[CheckReport]:
     """The none-uniform forgery outcome annihilates the invariant subspace."""
+    require_message_length(scheme, l, w)
     world = _scheme_world(scheme, n, l, w, rom.derive_seed(seed, "orth-world"), lambda _: blinding)
-    if world is None:
-        raise ValueError(f"no message length encodes to {l} blocks at w={w}")
     return [orthogonality_report(world, m_star)]
 
 
@@ -372,11 +403,12 @@ def _run_distance(v: np.ndarray, world: ChainWorld, build) -> float:
     BLOCK_AMPS) amplitudes, G the chain registers' dimension, and at least
     one leaf of numpy's pairwise sum, but never more than the state.  A is
     built once on a run's layout, a ``rows`` register (none when a run is
-    one column) and the chain registers, and applied to a copy of each run,
-    so the distance holds a run beside the state, not a second state.  The
-    runs' sums of squares are added in the pairwise tree numpy's sum walks
-    over the whole vector (every length is a power of two), so the value
-    has the bits of ``_norm(A.apply(v) - v)``.
+    one column) and the chain registers, and applied in place to a copy of
+    each run in one borrowed buffer (:func:`qsim.scratch`), so the distance
+    holds a run beside the state, not a second state.  The runs' sums of
+    squares are added in the pairwise tree numpy's sum walks over the whole
+    vector (every length is a power of two), so the value has the bits of
+    ``_norm(A.apply(v) - v)``.
     """
     chains = [(name, world.n) for name in world.chain_registers()]
     g = 1 << world.n * len(chains)
@@ -384,10 +416,12 @@ def _run_distance(v: np.ndarray, world: ChainWorld, build) -> float:
     rows = (run // g).bit_length() - 1
     a = build(qsim.RegisterLayout([("rows", rows)] * (rows > 0) + chains))
     sums = []
-    for part in v.reshape(-1, run):
-        out = a.apply(part)
-        out -= part
-        sums.append(_sum_squares(out))
+    with qsim.scratch(run) as (out,):
+        for part in v.reshape(-1, run):
+            np.copyto(out, part)
+            a.apply_in_place(out)
+            out -= part
+            sums.append(_sum_squares(out))
     while len(sums) > 1:
         sums = [s + t for s, t in zip(sums[::2], sums[1::2])]
     return float(np.sqrt(sums[0]))
@@ -407,12 +441,11 @@ def check_state_drift(
     check holds the live state and a few runs, one state in all.
     """
     t0 = time.perf_counter()
+    require_message_length(scheme, l, w)
     world = _scheme_world(
         scheme, n, l, w, rom.derive_seed(program_seed, "drift-world"),
         lambda bits: _blinding_for(bits, program_seed),
     )
-    if world is None:
-        raise ValueError(f"no message length encodes to {l} blocks at w={w}")
     program = game.random_program(world, q0, q1, seed=rom.derive_seed(program_seed, "drift-prog"))
     presign = []
 

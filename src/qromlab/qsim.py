@@ -28,9 +28,15 @@ Conventions:
 * Operator norms are exact: :func:`operator_norm` takes a map that is
   block-diagonal, each block a submatrix of one projector diagonal in the
   Hadamard frame, and solves every distinct block densely.
-* States are plain complex128 vectors of length ``2**total``; a game starts
-  from every chain register uniform and every other register |0>, evolved
-  as one chain column until its first query
+* Memory: a state is a zeroed complex128 vector of length ``2**total`` in
+  its own private anonymous mapping (:func:`new_state`), returned to the
+  system when the last view of it is dropped, and the kernels' block
+  buffers are borrowed from one small pool (:func:`scratch`) and written
+  with ``out=``, so a run allocates nothing per block.  Neither goes
+  through the C heap, whose dynamic mmap threshold rises with every large
+  array freed and then keeps later ones resident after they are freed.
+* A game starts from every chain register uniform and every other
+  register |0>, evolved as one chain column until its first query
   (:meth:`qromlab.qworlds.ChainWorld.initial_head`).  Outcomes are read as
   exact probability tensors by the game, never sampled here.
 * The three random-vector probes (:func:`probe_max_ratio`,
@@ -41,9 +47,13 @@ Conventions:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
+import math
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -158,6 +168,73 @@ class LinearMap:
 
 
 # ---------------------------------------------------------------------------
+# States and scratch buffers
+
+# numpy's tracemalloc domain: a state is traced as one of numpy's arrays.
+_NUMPY_TRACE_DOMAIN = 389047
+_track = ctypes.pythonapi.PyTraceMalloc_Track
+_track.argtypes, _track.restype = (ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t), ctypes.c_int
+_untrack = ctypes.pythonapi.PyTraceMalloc_Untrack
+_untrack.argtypes, _untrack.restype = (ctypes.c_uint, ctypes.c_size_t), ctypes.c_int
+
+
+def new_state(dim: int) -> Vector:
+    """A zeroed complex128 vector of length ``dim`` in its own private
+    anonymous mapping, advised for huge pages as numpy advises its own large
+    arrays.  The mapping is returned to the system when the last view of the
+    vector is dropped, so a freed state leaves nothing resident and moves no
+    malloc threshold.  tracemalloc traces it in numpy's domain while it
+    lives, as it traces numpy's own arrays.  mmap is imported by the first
+    state: a command that makes none need not pay for it at start-up."""
+    import mmap
+
+    nbytes = dim * np.dtype(np.complex128).itemsize
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    state = np.frombuffer(buf, dtype=np.complex128)
+    address = state.ctypes.data
+    _track(_NUMPY_TRACE_DOMAIN, address, nbytes)
+    weakref.finalize(buf, _untrack, _NUMPY_TRACE_DOMAIN, address)
+    return state
+
+
+# The idle scratch buffers, flat complex128, in the order they were given back.
+_SCRATCH: list[np.ndarray] = []
+
+
+def _borrow(size: int) -> np.ndarray:
+    fits = [i for i, buf in enumerate(_SCRATCH) if buf.size >= size]
+    if fits:
+        return _SCRATCH.pop(min(reversed(fits), key=lambda i: _SCRATCH[i].size))
+    if _SCRATCH:
+        _SCRATCH.pop(0)  # every idle buffer is too small: replace the coldest
+    return np.empty(size, dtype=np.complex128)
+
+
+@contextlib.contextmanager
+def scratch(*sizes: int) -> Iterator[list[Vector]]:
+    """Lend flat, uninitialised complex128 buffers of ``sizes`` amplitudes
+    for the body of a ``with`` block, and take them back after it.
+
+    The block kernels borrow their block buffers here and write them with
+    ``out=``, so a kernel allocates nothing per block, nor per apply once
+    the pool holds buffers large enough.  A loan is the smallest idle buffer
+    that fits, of those the one given back last, likeliest still in cache;
+    when none fits, one idle buffer is dropped for a new one, so the pool
+    holds no more buffers than were ever lent at once, the deepest nesting
+    of kernels.  Nested kernels get distinct buffers.
+    """
+    lent = [_borrow(size) for size in sizes]
+    try:
+        yield [buf[:size] for buf, size in zip(lent, sizes)]
+    finally:
+        # the first lent goes back last, so a kernel's next loan of the
+        # same sizes gets every buffer back in the same role
+        _SCRATCH.extend(reversed(lent))
+
+
+# ---------------------------------------------------------------------------
 # Random states and unitaries
 
 
@@ -189,8 +266,8 @@ def blocks(dims: Sequence[int], keep: Sequence[int] = ()) -> list[tuple[slice, .
     block, ``()``.  When the kept axes alone hold more, a block is one value
     of every axis not kept.  A kernel runs block by block and writes each
     block's result back into the block (the game's probability tensors add
-    it into the tensors), so a state-sized temporary becomes a block-sized
-    one that stays in cache.
+    it into the tensors), so a state-sized temporary becomes a block buffer
+    (:func:`scratch`) that stays in cache.
     """
     size = int(np.prod(dims))
     spans: list[list[slice]] = []
@@ -219,18 +296,26 @@ def uniform_projector_map(layout: RegisterLayout, regs: Sequence[str]) -> Linear
     It applies block by block (:func:`blocks`, the averaged registers kept
     whole): each register's mean is taken on the array the previous means
     left, so only the first one reads the block, and the last mean is
-    written back over the block it was read from.
+    written back over the block it was read from.  The means alternate
+    between two borrowed buffers (:func:`scratch`).
     """
     regs = tuple(regs)
     axes = [layout.axis(name) for name in regs]
 
     def run(v: Vector) -> Vector:
         state = v.reshape(layout.dims)
-        for block in blocks(layout.dims, axes):
-            means = state[block]
-            for axis in axes:
-                means = means.mean(axis=axis, keepdims=True)
-            state[block] = means
+        spans = blocks(layout.dims, axes)
+        shape = list(state[spans[0]].shape)
+        with scratch(*[math.prod(shape)] * min(2, len(axes))) as bufs:
+            outs = []
+            for i, axis in enumerate(axes):
+                shape[axis] = 1
+                outs.append(bufs[i % 2][: math.prod(shape)].reshape(shape))
+            for block in spans:
+                means = state[block]
+                for axis, out in zip(axes, outs):
+                    means = np.mean(means, axis=axis, keepdims=True, out=out)
+                state[block] = means
         return v
 
     return LinearMap(layout.dim, run, label="Phi(" + ",".join(regs) + ")")
@@ -248,8 +333,9 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
     The map applies in place (:meth:`LinearMap.apply_in_place`), block by
     block (:func:`blocks`, the target axes kept whole): each block's target
     axes are moved to the front of a contiguous copy, changed by one gemm
-    and written back into the block they were read from, so an apply
-    allocates two blocks and no state.  Every output column is the same gemm
+    and written back into the block they were read from.  The copy and the
+    gemm's product are borrowed block buffers (:func:`scratch`), so an apply
+    allocates no block and no state.  Every output column is the same gemm
     column the unblocked transpose gives, bit for bit, as long as the block
     leaves the gemm more than 2 columns.
     """
@@ -266,11 +352,14 @@ def embed(op, targets: Sequence[str], layout: RegisterLayout) -> LinearMap:
 
     def run(v: Vector) -> Vector:
         state = v.reshape(layout.dims)
-        for block in blocks(layout.dims, axes):
-            t = np.moveaxis(state[block], axes, range(k))
-            shape = t.shape
-            t = matrix @ np.ascontiguousarray(t).reshape(d_local, -1)
-            np.moveaxis(state[block], axes, range(k))[...] = t.reshape(shape)
+        spans = blocks(layout.dims, axes)
+        shape = np.moveaxis(state[spans[0]], axes, range(k)).shape
+        with scratch(*[math.prod(shape)] * 2) as (moved, product):
+            moved, product = moved.reshape(shape), product.reshape(d_local, -1)
+            for block in spans:
+                np.copyto(moved, np.moveaxis(state[block], axes, range(k)))
+                np.matmul(matrix, moved.reshape(d_local, -1), out=product)
+                np.moveaxis(state[block], axes, range(k))[...] = product.reshape(shape)
         return v
 
     return LinearMap(layout.dim, run, label=f"embed({','.join(targets)})")

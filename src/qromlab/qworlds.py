@@ -61,6 +61,7 @@ representations, compiled once:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -215,7 +216,7 @@ class ChainWorld:
         columns equal, so a game evolves the one column until it touches the
         chains (:func:`qromlab.game.evolve_program`).
         """
-        column = np.zeros(layout.dim // self.chain_dim(layout), dtype=np.complex128)
+        column = qsim.new_state(layout.dim // self.chain_dim(layout))
         chains = self.chain_registers()
         amp = 1.0
         for name in chains:
@@ -319,12 +320,14 @@ class Permutation(LinearMap):
     holds every flipped register whole.  The state runs over the blocks of
     :func:`qromlab.qsim.blocks` that keep only the flipped registers whole,
     strided views of at most ``BLOCK_AMPS`` amplitudes when a register after
-    them is split: each block is gathered from a contiguous copy of itself
-    by its block-local flat index XOR its part of delta, delta's bits moved
-    to the block's own strides, one block-sized index XORed with each
-    block's part in turn, and written back.  An apply allocates that copy,
-    the gathered block and that index, no state.  A delta that is 0
-    everywhere is the identity and leaves the state untouched.
+    them is split: each block is gathered (from a contiguous copy of itself
+    when it is strided) by its block-local flat index XOR its part of
+    delta, delta's bits moved to the block's own strides, one block-sized
+    index XORed with each block's part in turn, and written back.  The
+    copy, the gathered block and the index are block buffers borrowed from
+    :func:`qromlab.qsim.scratch`, so an apply allocates no block and no
+    state.  A delta that is 0 everywhere is the identity and leaves the
+    state untouched.
     """
 
     def __init__(self, layout: RegisterLayout, delta, label: str):
@@ -358,14 +361,26 @@ class Permutation(LinearMap):
                 name, width = layout.registers[axis]
                 bits = delta >> layout.shift(name) & ((1 << width) - 1)
                 local = local | bits * int(np.prod(shape[axis + 1 :]))
-            index = np.arange(int(np.prod(shape))).reshape(shape)
-            before = 0
-            for block in spans:
-                part = qsim.block_of(local, block)
-                np.bitwise_xor(index, part ^ before, out=index)
-                before = part
-                # take gathers from a contiguous copy of a strided block
-                state[block] = np.take(state[block], index, mode="wrap")
+            size = math.prod(shape)
+            with qsim.scratch(size, size, size) as (copy, gathered, index):
+                copy, gathered = copy.reshape(shape), gathered.reshape(shape)
+                # the block-local flat index, XORed with each block's part in turn
+                index = index.view(np.int64)[:size]
+                cols = 1 << size.bit_length() // 2
+                np.add(np.arange(0, size, cols)[:, None], np.arange(cols),
+                       out=index.reshape(-1, cols))
+                index = index.reshape(shape)
+                before = 0
+                for block in spans:
+                    part = qsim.block_of(local, block)
+                    np.bitwise_xor(index, part ^ before, out=index)
+                    before = part
+                    # take gathers from a contiguous copy of a strided block
+                    source = state[block]
+                    if not source.flags.c_contiguous:
+                        np.copyto(copy, source)
+                        source = copy
+                    state[block] = np.take(source, index, mode="wrap", out=gathered)
             return v
 
         super().__init__(layout.dim, kernel, label=label)
@@ -494,20 +509,23 @@ def to_frame(world: ChainWorld, v: np.ndarray, out: np.ndarray | None = None) ->
     """H on every chain qubit of ``v``, an array of whole chain columns (a
     state, or a block of one, on any layout of ``world``), by the factors of
     :func:`_hadamard_frame`: into the frame, and back out of it.  The result
-    is a new C-contiguous array of the shape of ``v``, or ``out`` when one
-    is given (the last factor writes into it)."""
+    is written into ``out``, a C-contiguous complex128 array of the shape of
+    ``v`` that does not overlap it, or into a new one when none is given.
+    The factors write alternately into ``out`` and one scratch buffer
+    (:func:`qromlab.qsim.scratch`), the last into ``out``."""
     frame = _hadamard_frame(world)
-    shape = v.shape
+    if out is None:
+        out = np.empty(v.shape, dtype=np.complex128)
     v = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
-    for i, (d, post, h) in enumerate(frame):
-        rows = (-1, d, 2 * post) if post > 1 else (-1, 2 * d)
-        last = out is not None and i == len(frame) - 1
-        dst = out.view(np.float64).reshape(rows) if last else None
-        if post > 1:
-            v = np.matmul(h, v.reshape(rows), out=dst)
-        else:
-            v = np.matmul(v.reshape(rows), h, out=dst)
-    return v.reshape(-1).view(np.complex128).reshape(shape)
+    with qsim.scratch(out.size) as (spare,):
+        for i, (d, post, h) in enumerate(frame):
+            rows = (-1, d, 2 * post) if post > 1 else (-1, 2 * d)
+            dst = (spare if (len(frame) - i) % 2 == 0 else out).view(np.float64).reshape(rows)
+            if post > 1:
+                v = np.matmul(h, v.reshape(rows), out=dst)
+            else:
+                v = np.matmul(v.reshape(rows), h, out=dst)
+    return out
 
 
 class FrameDiagonal(LinearMap):
@@ -520,7 +538,9 @@ class FrameDiagonal(LinearMap):
     columns): it changes the block into the frame (:func:`to_frame`),
     multiplies by the table (broadcast over the registers it does not read)
     and changes back, the last factor writing into the block it read.  So
-    the map applies in place, and an in-place apply allocates two blocks.
+    the map applies in place; the frame block and the frame change's spare
+    are borrowed (:func:`qromlab.qsim.scratch`), so an in-place apply
+    allocates no block.
     Each block gets the unblocked kernel's bits while the trailing factor's
     gemm keeps more than two rows, as a block of ``BLOCK_AMPS`` amplitudes
     does.
@@ -543,14 +563,14 @@ class FrameDiagonal(LinearMap):
         # freed by reference count rather than only by the cycle collector.
         def apply(v: np.ndarray) -> np.ndarray:
             state = v.reshape(layout.dims)
-
-            # Nested calls hold no block in a local, so each frame factor
-            # frees the array the one before made.
-            def times_table(hv, block):
-                return np.multiply(hv, qsim.block_of(table, block), out=hv)
-
-            for block in qsim.blocks(layout.dims, chains):
-                to_frame(world, times_table(to_frame(world, state[block]), block), state[block])
+            spans = qsim.blocks(layout.dims, chains)
+            shape = state[spans[0]].shape
+            with qsim.scratch(math.prod(shape)) as (hv,):
+                hv = hv.reshape(shape)
+                for block in spans:
+                    to_frame(world, state[block], hv)
+                    np.multiply(hv, qsim.block_of(table, block), out=hv)
+                    to_frame(world, hv, state[block])
             return v
 
         self.layout = layout

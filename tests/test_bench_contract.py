@@ -30,7 +30,7 @@ sys.path.insert(0, str(BENCH))
 import layers  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
-from qromlab import cli, lemmas, qworlds, rom  # noqa: E402
+from qromlab import cli, lemmas, qsim, qworlds, rom  # noqa: E402
 
 
 def test_trace_wrappers_install_and_restore():
@@ -137,3 +137,17 @@ def test_sweep_and_qgame_report_bytes_are_pinned():
     got = {" ".join(argv): hashlib.sha256(stdout.encode()).hexdigest()
            for workload in ("sweep", "qgame") for argv, _, stdout in reports(workload)}
     assert got == PINNED_REPORTS
+
+
+def test_scratch_pool_after_the_sweep_and_qgame_commands(monkeypatch):
+    """The block kernels borrow their buffers from ``qsim.scratch``, which
+    keeps no more than were lent at once: the deepest nesting is a run's
+    copy, the frame block and the frame change's spare, or the game's
+    outcome pass with its frame change.  A kernel that borrowed and never
+    gave back, or a pool that kept every size it was asked for, grows it."""
+    monkeypatch.setattr(qsim, "_SCRATCH", [])
+    for workload in ("sweep", "qgame"):
+        for argv in workloads.invocations(workload, workloads.DEFAULT_SEEDS[workload]):
+            with redirect_stdout(io.StringIO()):
+                assert cli.main(list(argv)) == 0
+    assert 0 < len(qsim._SCRATCH) <= 8

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import reference
 
-from qromlab import game, qsim, qworlds
+from qromlab import game, lemmas, qsim, qworlds
 from qromlab.qworlds import build_invariant_projector, build_qtilde, lamport_world
 
 # 16-qubit game layout (x, y, m: 3, sig0-2, b, e: 1, six 1-qubit chain
@@ -297,3 +297,64 @@ def every_map_kind(world, layout):
         *frame_maps(world, layout),
         qsim.uniform_projector_map(layout, world.chain_registers()),
     ]
+
+
+class TestScratchKernels:
+    # The kernels borrow their block buffers (qsim.scratch) and write every
+    # entry before reading it: with every idle buffer poisoned with NaN just
+    # before each call, each keeps the unblocked reference's bits.
+
+    @staticmethod
+    def poison():
+        for buf in qsim._SCRATCH:
+            buf.fill(np.nan)
+
+    @pytest.mark.parametrize("block_amps", [1 << 10, qsim.BLOCK_AMPS])
+    @pytest.mark.parametrize("include_xy", [True, False], ids=["xy", "no-xy"])
+    def test_kernels_on_poisoned_scratch_equal_the_references(self, include_xy, block_amps,
+                                                             monkeypatch):
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", block_amps)
+        monkeypatch.setattr(qsim, "_SCRATCH",
+                            [np.empty(1 << 16, dtype=np.complex128) for _ in range(8)])
+        world = WORLD
+        layout = world.game_layout(include_xy=include_xy)
+        v = probe(layout.dim, 67)
+        rng = np.random.default_rng(67)
+        cases = []
+        for t in [("e", "m"), ("m", "g0_0")]:
+            op = qsim.haar_unitary(1 << sum(layout.width(name) for name in t), rng)
+            want = reference.embed_moveaxis(op, t, layout).apply(v)
+            cases.append((qsim.embed(op, t, layout), want))
+        xor_maps = [qworlds.build_blinded_sign_unitary(world, layout)]
+        if include_xy:
+            xor_maps.append(qworlds.build_query_unitary(world, layout))
+        cases += [(u, v[reference.xor_index(u)]) for u in xor_maps]
+        p = build_invariant_projector(world, layout)
+        cases.append((p, reference.frame_apply(world, p, v)))
+        chains = world.chain_registers()
+        cases.append((qsim.uniform_projector_map(layout, chains),
+                      reference.uniform_projector_broadcast(v, layout, chains)))
+        for kernel, want in cases:
+            state = v.copy()
+            self.poison()
+            kernel.apply_in_place(state)
+            assert same_bits(state, want), kernel.label
+
+        qtilde = build_qtilde(world, layout)
+        self.poison()
+        tensors = game.probability_tensor(v, qtilde, world)
+        assert same_bits(tensors[0], reference.probability_tensor(v, world))
+        for got, ref in zip(tensors[1:], reference.outcome_tensors(world, v, qtilde)):
+            assert same_bits(got, ref)
+
+        # nested: a run's copy, then the map's frame block and its spare
+        for build, whole in [
+            (lambda runs: qsim.uniform_projector_map(runs, chains),
+             reference.uniform_projector_broadcast(v, layout, chains)),
+            (lambda runs: build_invariant_projector(world, runs),
+             reference.frame_apply(world, p, v)),
+        ]:
+            self.poison()
+            whole = whole - v
+            assert lemmas._run_distance(v, world, build) == lemmas._norm(whole)
+        assert len(qsim._SCRATCH) == 8

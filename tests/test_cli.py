@@ -12,7 +12,7 @@ import reference
 from test_rom import CLOSED_FORM_SHAPES, reference_distributions
 
 import qromlab
-from qromlab import cli, qsim
+from qromlab import cli, lemmas, qsim
 
 
 def run(capsys, *argv):
@@ -399,6 +399,26 @@ class TestErrors:
         code, out, err = run(capsys, "worlds", "--n", "2", "--l", "1", "--w", "1")
         assert code == 1 and out == ""
         assert err == "error: chains need at least two positions, one hash step; got w=1\n"
+
+    def test_lemmas_point_without_a_world_refuses_before_any_row(self, capsys, monkeypatch):
+        # No Winternitz message length encodes to 3 blocks at w = 3, so the
+        # drift check has no world: the command refuses before the overlap
+        # and commutator rows run, not after.
+        ran = []
+        for name in ("check_equality_uniform_overlap", "check_uniform_register_commutator",
+                     "check_invariant_commutator"):
+            monkeypatch.setattr(lemmas, name, lambda *a, name=name, **k: ran.append(name) or [])
+        code, out, err = run(capsys, "lemmas", "--scheme", "winternitz", "--n", "1",
+                             "--l", "3", "--w", "3")
+        assert (code, out, err) == (1, "", "error: no message length encodes to 3 blocks at w=3\n")
+        assert ran == []
+        # a point with a world runs them all
+        monkeypatch.setattr(lemmas, "check_state_drift", lambda *a, **k: [])
+        monkeypatch.setattr(lemmas, "check_oracle_reprogramming_consistency", lambda *a, **k: [])
+        assert run(capsys, "lemmas", "--scheme", "winternitz", "--n", "1", "--l", "4",
+                   "--w", "3")[0] == 0
+        assert ran == ["check_equality_uniform_overlap", "check_uniform_register_commutator",
+                       "check_invariant_commutator"]
 
 
 class TestAttackFormats:

@@ -509,6 +509,36 @@ class TestPeakMemory:
             u.apply_in_place(v)  # fills the tuple free lists, which tracemalloc counts
             assert traced_peak(lambda: u.apply_in_place(v)) <= bound
 
+    @pytest.mark.parametrize("block_amps", [1 << 10, qsim.BLOCK_AMPS])
+    def test_warm_kernels_allocate_no_block(self, block_amps, monkeypatch):
+        # Block buffers are borrowed from qsim.scratch: once a first call has
+        # filled the pool, an in-place apply of every map kind and a run
+        # distance nesting the frame apply in a run's copy allocate none,
+        # only what does not grow with a block (the ufunc buffer, delta's
+        # block-local bits, small objects).
+        monkeypatch.setattr(qsim, "BLOCK_AMPS", block_amps)
+        world = self.QGAME_WORLD
+        layout = world.game_layout()
+        chains = world.chain_registers()
+        v = qsim.random_state_vector(layout.dim, np.random.default_rng(59))
+        gate = qsim.embed(qsim.haar_unitary(8, np.random.default_rng(59)), ("e", "m"), layout)
+        maps = [
+            gate,
+            qworlds.build_query_unitary(world, layout),
+            qworlds.build_blinded_sign_unitary(world, layout),
+            build_invariant_projector(world, layout),
+            qworlds.build_qtilde(world, layout)[-1],
+            qsim.uniform_projector_map(layout, chains),
+        ]
+        builds = [lambda runs: build_invariant_projector(world, runs),
+                  lambda runs: qsim.uniform_projector_map(runs, chains)]
+        calls = [lambda m=m: m.apply_in_place(v) for m in maps]
+        calls += [lambda b=b: lemmas._run_distance(v, world, b) for b in builds]
+        assert len(qsim.blocks(layout.dims, ())) > 1
+        for call in calls:
+            call()  # fills the pool and the free lists, which tracemalloc counts
+            assert traced_peak(call) <= SLACK
+
     @pytest.mark.parametrize("observed", [False, True])
     @pytest.mark.parametrize("q", [0, 1])
     def test_evolve_program_holds_one_state_plus_blocks(self, q, observed, monkeypatch):

@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,85 @@ class TestStates:
         with pytest.raises(ValueError):
             reference.StateVector(layout, np.array([1.0, 1.0]))
         reference.StateVector(layout, np.array([1.0, 1.0]), normalized=False)
+
+
+def mapped(address: int) -> bool:
+    """Whether ``address`` lies in one of this process's mappings."""
+    with open("/proc/self/maps") as maps:
+        for line in maps:
+            start, end = (int(a, 16) for a in line.split()[0].split("-"))
+            if start <= address < end:
+                return True
+    return False
+
+
+class TestNewState:
+    def test_zeroed_writable_vector_traced_while_any_view_lives(self):
+        dim = 1 << 20
+        tracemalloc.start()
+        try:
+            state = qsim.new_state(dim)
+            address = state.ctypes.data
+            assert state.dtype == np.complex128 and state.shape == (dim,)
+            assert state.flags.c_contiguous and state.flags.writeable
+            assert not state.any()
+            view = state.reshape(-1, 4)[:, 1]
+            del state
+            current, peak = tracemalloc.get_traced_memory()
+            assert current >= 16 << 20 and peak >= 16 << 20
+            view[:] = 1.0
+            del view
+            assert tracemalloc.get_traced_memory()[0] < 1 << 16
+        finally:
+            tracemalloc.stop()
+        if os.path.exists("/proc/self/maps"):
+            assert not mapped(address)
+
+    def test_each_state_is_its_own_mapping(self):
+        a, b = qsim.new_state(1 << 10), qsim.new_state(1 << 10)
+        a[:] = 1.0
+        assert not b.any() and not np.shares_memory(a, b)
+
+
+class TestScratch:
+    def test_loans_are_distinct_and_come_back(self, monkeypatch):
+        monkeypatch.setattr(qsim, "_SCRATCH", [])
+        with qsim.scratch(8, 16) as (a, b):
+            assert (a.shape, b.shape) == ((8,), (16,))
+            assert a.dtype == b.dtype == np.complex128 and a.flags.writeable
+            with qsim.scratch(4) as (c,):
+                assert not np.shares_memory(c, a) and not np.shares_memory(c, b)
+            assert [buf.size for buf in qsim._SCRATCH] == [4]
+        assert sorted(buf.size for buf in qsim._SCRATCH) == [4, 8, 16]
+        with pytest.raises(RuntimeError):
+            with qsim.scratch(12):
+                assert sorted(buf.size for buf in qsim._SCRATCH) == [4, 8]
+                raise RuntimeError
+        assert sorted(buf.size for buf in qsim._SCRATCH) == [4, 8, 16]
+
+    def test_a_loan_is_the_smallest_fit_given_back_last(self, monkeypatch):
+        monkeypatch.setattr(qsim, "_SCRATCH", [])
+        with qsim.scratch(8, 8, 16) as (a, b, c):
+            pass
+        with qsim.scratch(4) as (d,):
+            assert np.shares_memory(d, a) and not np.shares_memory(d, b)
+        with qsim.scratch(8, 8, 16) as (e, f, g):
+            # the same roles get the same buffers back
+            assert np.shares_memory(e, a) and np.shares_memory(f, b) and np.shares_memory(g, c)
+
+    def test_pool_holds_no_more_buffers_than_were_lent_at_once(self, monkeypatch):
+        monkeypatch.setattr(qsim, "_SCRATCH", [])
+        with qsim.scratch(4, 8, 16):
+            pass
+        with qsim.scratch(12) as (a,):
+            # the smallest idle buffer that fits
+            assert a.base.size == 16
+        with qsim.scratch(32, 32):
+            pass
+        assert sorted(buf.size for buf in qsim._SCRATCH) == [16, 32, 32]
+        with qsim.scratch(64, 64, 64, 64):
+            pass
+        assert [buf.size for buf in qsim._SCRATCH] == [64] * 4
 
 
 class TestEmbed:
