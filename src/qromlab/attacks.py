@@ -24,14 +24,12 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import os
-import pickle
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import game, lemmas, ots, rom
+from . import game, lemmas, ots, qsim, rom
 from .game import wilson_interval
 
 
@@ -179,86 +177,30 @@ def _play_block(params, seeds: list[int], draws, trial, chances):
     return wins, searches, p_wins, p_hits
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _shares(trials: int, n: int) -> list[range]:
     """Contiguous, near-equal shares of ``range(trials)``: one per usable CPU,
     and no more than the attack has blocks."""
-    count = max(1, min(usable_cpus(), -(-trials // _block_size(n))))
+    count = max(1, min(qsim.usable_cpus(), -(-trials // _block_size(n))))
     bounds = [trials * k // count for k in range(count + 1)]
     return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
-
-
-def _fork_share(play, share: range) -> tuple[int, int]:
-    """Fork a child that pickles ``list(play(share))``, or the traceback it
-    raised, to a pipe; returns the child's pid and the pipe's read end.  The
-    child leaves through ``os._exit``: no atexit handler runs and no
-    inherited stdio buffer is flushed.  An interrupt or exit in the child
-    ends it without a result."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    status = 1
-    try:
-        os.close(read)
-        try:
-            result = list(play(share)), None
-        except Exception:
-            import traceback
-
-            result = None, traceback.format_exc()
-        with open(write, "wb") as pipe:
-            pickle.dump(result, pipe)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _in_trial_order(play, trials: int, n: int):
     """``play(share)``'s block results for every share of the trials, in trial
     order.  The parent plays the first share itself while one forked child
-    plays each other share; it then reads the children's results in share
-    order.  A child whose share raised raises here, naming its trials; when
-    this ends early, by the parent's own error or an interrupt, the children
-    that have not delivered are killed.  Every child is reaped."""
+    plays each other share (:func:`qsim.forked`); it then reads the
+    children's results in share order.  A child whose share raised raises
+    here, naming its trials.  The children call no BLAS, so they need no
+    hold on its threads."""
+
+    def trial_range(share: range, made) -> str:
+        return f"attack trials {share.start}..{share.stop - 1}"
+
     first, *rest = _shares(trials, n)
-    children = []  # (share, pid, the read end of its pipe)
-    delivered = set()
-    try:
-        for share in rest:
-            children.append((share, *_fork_share(play, share)))
+    with qsim.forked(play, rest, trial_range) as children:
         yield from play(first)
-        for share, pid, read in children:
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            delivered.add(pid)
-            try:
-                blocks, error = pickle.loads(data)
-            except (pickle.UnpicklingError, EOFError):
-                blocks, error = None, "the child process ended without a result"
-            if error is not None:
-                raise RuntimeError(
-                    f"attack trials {share.start}..{share.stop - 1} failed in a child process:\n{error}"
-                )
+        for blocks in children:
             yield from blocks
-    finally:
-        for share, pid, read in children:
-            if pid not in delivered:
-                os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-            os.close(read)
 
 
 def _run_attack(

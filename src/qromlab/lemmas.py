@@ -17,8 +17,10 @@ unitary; only an evolved game state (:func:`game.evolve_program`) needs it.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,7 +107,8 @@ def forgery_bound(scheme: str, q: int, n: int, chains: int, w: int) -> tuple[flo
 
 def security_bounds(scheme: str, q: int, n: int, l: int, w: int | None = None) -> dict:
     """The forgery bounds of the ``bounds`` command: ``l`` message bits for
-    Lamport (whose ``w`` is only echoed), or ``l`` chains of length ``w``."""
+    Lamport (whose ``w`` is only echoed), or ``l`` chains of length ``w``,
+    at least two, as every Winternitz key has (message and checksum)."""
     if q < 0:
         raise ValueError("query count must be nonnegative")
     if scheme == "lamport":
@@ -118,8 +121,8 @@ def security_bounds(scheme: str, q: int, n: int, l: int, w: int | None = None) -
             raise ValueError("security parameter n must be positive")
         if w < 2:
             raise ValueError("Winternitz parameter w must be at least 2")
-        if l < 1:
-            raise ValueError("chain count l must be positive")
+        if l < 2:
+            raise ValueError("chain count l must be at least 2, as l = l1 + l2 with l1, l2 >= 1")
         chains, length = l, w
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -590,12 +593,71 @@ SWEEP_WS = (2, 3)
 SWEEP_DRIFT_QS = (0, 1)
 
 
-def run_sweep(seed: int = 0) -> list[CheckReport]:
-    """The verification grid over SWEEP_NS x SWEEP_LS x SWEEP_WS (drift
-    programs with SWEEP_DRIFT_QS queries before and after signing).  Lamport
-    points ignore w; chain-scheme points with no message encoding of the
-    requested block count fall back to explicit thresholds where the claim
-    permits it and are skipped where the checksum structure is essential."""
+class DriftPoint(NamedTuple):
+    """One drift check of the sweep: :func:`check_state_drift`'s arguments."""
+
+    scheme: str
+    n: int
+    l: int
+    w: int
+    q0: int
+    q1: int
+    program_seed: int
+
+    def dim(self) -> int:
+        """The dimension of the game layout its state lives on, read from
+        the parameters before any world is built: [x, y,] m, one signature
+        register per block, b, two workspace qubits e, and the chain
+        registers (:meth:`ChainWorld.game_layout`)."""
+        chains, length = (2 * self.l, 2) if self.scheme == "lamport" else (self.l, self.w)
+        registers = 2 * (self.q0 + self.q1 > 0) + self.l + chains * (length - 1)
+        return 1 << (self.n * registers + _message_bits(self.scheme, self.l, self.w) + 3)
+
+
+def sweep_drift_points(seed: int) -> list[DriftPoint]:
+    """The sweep's drift points, in grid order."""
+    points = []
+    for n in SWEEP_NS:
+        for l in SWEEP_LS:
+            for q0 in SWEEP_DRIFT_QS:
+                for q1 in SWEEP_DRIFT_QS:
+                    program_seed = rom.derive_seed(seed, "drift", n, l, q0, q1)
+                    points.append(DriftPoint("lamport", n, l, 2, q0, q1, program_seed))
+        for w in SWEEP_WS:
+            l = ots.derive_wots_params(1, w, n, require_power_of_two=False).l
+            for q0 in SWEEP_DRIFT_QS:
+                for q1 in SWEEP_DRIFT_QS:
+                    program_seed = rom.derive_seed(seed, "driftw", n, w, q0, q1)
+                    points.append(DriftPoint("winternitz", n, l, w, q0, q1, program_seed))
+    return points
+
+
+def deal_drift_points(points: list[DriftPoint], count: int) -> list[list[DriftPoint]]:
+    """``count`` shares of ``points``: largest state first (:meth:`DriftPoint.dim`),
+    each to the least-loaded share, and the lightest share first, since the
+    sweep's parent plays it beside the other rows."""
+    shares: list[list[DriftPoint]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for point in sorted(points, key=DriftPoint.dim, reverse=True):
+        k = loads.index(min(loads))
+        shares[k].append(point)
+        loads[k] += point.dim()
+    return [shares[k] for k in sorted(range(count), key=loads.__getitem__)]
+
+
+def _play_drift(points: list[DriftPoint]):
+    for point in points:
+        yield check_state_drift(*point)
+
+
+def _failed_drift(points: list[DriftPoint], made) -> str:
+    if made is None:
+        return f"sweep drift points {points}"
+    return f"sweep drift point {points[made]}"
+
+
+def _sweep_head(seed: int) -> list[CheckReport]:
+    """The sweep's rows before its drift rows."""
     reports: list[CheckReport] = []
     for n in (1, 2, 3, 4):
         reports += check_equality_uniform_overlap(n)
@@ -631,30 +693,48 @@ def run_sweep(seed: int = 0) -> list[CheckReport]:
                 l = ots.derive_wots_params(a, w, n, require_power_of_two=False).l
                 reports += check_orthogonality("winternitz", n, l, w, blinding, m_star, seed=idx)
                 idx += 1
-    for n in SWEEP_NS:
-        for l in SWEEP_LS:
-            for q0 in SWEEP_DRIFT_QS:
-                for q1 in SWEEP_DRIFT_QS:
-                    reports += check_state_drift(
-                        "lamport", n, l, 2, q0, q1,
-                        program_seed=rom.derive_seed(seed, "drift", n, l, q0, q1),
-                    )
-        for w in SWEEP_WS:
-            l = ots.derive_wots_params(1, w, n, require_power_of_two=False).l
-            for q0 in SWEEP_DRIFT_QS:
-                for q1 in SWEEP_DRIFT_QS:
-                    reports += check_state_drift(
-                        "winternitz", n, l, w, q0, q1,
-                        program_seed=rom.derive_seed(seed, "driftw", n, w, q0, q1),
-                    )
-    reports += check_world_closeness(4, 1, 2)
+    return reports
+
+
+def _sweep_tail(seed: int) -> list[CheckReport]:
+    """The sweep's rows after its drift rows, but for the notes."""
+    reports = check_world_closeness(4, 1, 2)
     for n in SWEEP_NS:
         for l in SWEEP_LS:
             reports += check_oracle_reprogramming_consistency("lamport", n, l, seed=seed)
         for w in SWEEP_WS:
             reports += check_oracle_reprogramming_consistency("winternitz", n, 2, w, seed=seed)
-    reports += monotonicity_notes(reports)
     return reports
+
+
+def run_sweep(seed: int = 0) -> list[CheckReport]:
+    """The verification grid over SWEEP_NS x SWEEP_LS x SWEEP_WS (drift
+    programs with SWEEP_DRIFT_QS queries before and after signing).  Lamport
+    points ignore w; chain-scheme points with no message encoding of the
+    requested block count fall back to explicit thresholds where the claim
+    permits it and are skipped where the checksum structure is essential.
+
+    The drift points, most of the sweep's time, are dealt to one share per
+    usable CPU (:func:`deal_drift_points`).  With BLAS held at one thread
+    (:func:`qsim.one_blas_thread`), a forked child plays each share but the
+    first (:func:`qsim.forked`), while the parent makes the other rows and
+    then plays the first share.  Every row has the bits it has in a serial
+    sweep, and goes back in grid order.  Where the hold is not possible, or
+    one CPU is usable, the parent plays every point itself, at its own
+    thread count.
+    """
+    points = sweep_drift_points(seed)
+    count = min(qsim.usable_cpus(), len(points))
+    with (qsim.one_blas_thread() if count > 1 else contextlib.nullcontext(False)) as held:
+        first, *rest = deal_drift_points(points, count if held else 1)
+        with qsim.forked(_play_drift, rest, _failed_drift) as children:
+            reports = _sweep_head(seed)
+            tail = _sweep_tail(seed)
+            drift = dict(zip(first, _play_drift(first)))
+            for share, rows in zip(rest, children):
+                drift.update(zip(share, rows))
+    reports += [row for point in points for row in drift[point]] + tail
+    return reports + monotonicity_notes(reports)
 
 
 def monotonicity_notes(reports) -> list[CheckReport]:

@@ -35,6 +35,11 @@ Conventions:
   with ``out=``, so a run allocates nothing per block.  Neither goes
   through the C heap, whose dynamic mmap threshold rises with every large
   array freed and then keeps later ones resident after they are freed.
+* Processes: independent shares of work run on every usable CPU
+  (:func:`usable_cpus`).  :func:`forked` plays each share but the caller's
+  own in a forked child and hands back the children's results in share
+  order; the attacks' trials and the sweep's drift points both go through
+  it.  Shares that call BLAS run under :func:`one_blas_thread`.
 * A game starts from every chain register uniform and every other
   register |0>, evolved as one chain column until its first query
   (:meth:`qromlab.qworlds.ChainWorld.initial_head`).  Outcomes are read as
@@ -51,6 +56,8 @@ import contextlib
 import ctypes
 import itertools
 import math
+import os
+import pickle
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -232,6 +239,135 @@ def scratch(*sizes: int) -> Iterator[list[Vector]]:
         # the first lent goes back last, so a kernel's next loan of the
         # same sizes gets every buffer back in the same role
         _SCRATCH.extend(reversed(lent))
+
+
+# ---------------------------------------------------------------------------
+# Shares on every usable CPU
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_share(play, share) -> tuple[int, int]:
+    """Fork a child that pickles ``list(play(share))``, or how many results
+    it made and the traceback it raised, to a pipe; returns the child's pid
+    and the pipe's read end.  The child leaves through ``os._exit``: no
+    atexit handler runs and no inherited stdio buffer is flushed.  An
+    interrupt or exit in the child ends it without a result."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        made = []
+        try:
+            for result in play(share):
+                made.append(result)
+            payload = made, None
+        except Exception:
+            import traceback
+
+            payload = len(made), traceback.format_exc()
+        with open(write, "wb") as pipe:
+            pickle.dump(payload, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def forked(play, shares, describe) -> Iterator[Iterator[list]]:
+    """Fork one child per share of ``shares``, each playing
+    ``list(play(share))``, while the body of the ``with`` block runs.
+
+    The block gets an iterator over the children's result lists in share
+    order, which it reads after its own work.  A child whose share raised
+    raises RuntimeError there, with the child's traceback, naming
+    ``describe(share, made)``: ``made`` results came before the error, or
+    None when the child ended without a word.  When the block ends before
+    every child has delivered, by its own error or an interrupt, the
+    children that have not are killed.  Every child is reaped.
+    """
+    children = []  # (share, pid, the read end of its pipe)
+    delivered = set()
+
+    def results():
+        for share, pid, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            delivered.add(pid)
+            try:
+                out, error = pickle.loads(data)  # results, or how many it made and a traceback
+            except (pickle.UnpicklingError, EOFError):
+                out, error = None, "the child process ended without a result"
+            if error is not None:
+                raise RuntimeError(f"{describe(share, out)} failed in a child process:\n{error}")
+            yield out
+
+    try:
+        for share in shares:
+            children.append((share, *_fork_share(play, share)))
+        yield results()
+    finally:
+        for share, pid, read in children:
+            if pid not in delivered:
+                os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            os.close(read)
+
+
+def blas_thread_functions():
+    """The getter and setter of the loaded OpenBLAS's thread count, found
+    through ctypes in the library numpy's wheels bundle, under the symbol
+    names its builds export; None where none is found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
+    except OSError:
+        return None
+    for name in names:
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[bool]:
+    """Hold the loaded OpenBLAS at one thread for the body of a ``with``
+    block, children forked in it included, and give the process its thread
+    count back after it, also on error.  The block gets False, and nothing
+    is held, where the count cannot be set (:func:`blas_thread_functions`).
+    Shares on every CPU need the hold: with the default count in each
+    process, idle BLAS threads spin on CPUs the other shares need."""
+    found = blas_thread_functions()
+    if found is None:
+        yield False
+        return
+    get, put = found
+    threads = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(threads)
 
 
 # ---------------------------------------------------------------------------

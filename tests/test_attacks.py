@@ -13,7 +13,7 @@ import pytest
 import reference
 from test_game import SLACK, traced_peak
 
-from qromlab import attacks, cli, game, ots, rom
+from qromlab import attacks, cli, game, ots, qsim, rom
 from qromlab.attacks import _first_hit_weights
 
 
@@ -511,7 +511,7 @@ class TestBlockReference:
         # each world's probabilities read from its block's arrays have the
         # bits of the full-table reference, and so do their sums in trial
         # order; one CPU, so every block is played, and recorded, here
-        monkeypatch.setattr(attacks, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(qsim, "usable_cpus", lambda: 1)
         read = []
         play = attacks._play_block
 
@@ -576,7 +576,7 @@ class TestPeakMemory:
         (lambda: attacks.classical_search_attack(12, 1, 100, 20, 10), 0.44),
     ], ids=["classical", "grover", "classical-n12"])
     def test_attack_holds_no_block_of_worlds(self, attack, parent_mib, cpus, monkeypatch):
-        monkeypatch.setattr(attacks, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(qsim, "usable_cpus", lambda: cpus)
         attacks.classical_search_attack(3, 1, 4, 10, 1)  # imports and first-use set-up
         assert traced_peak(attack) <= int(parent_mib * (1 << 20)) + 4 * SLACK
 
@@ -596,10 +596,10 @@ class TestParallelTrials:
     # per-trial values in trial order: its report keeps the serial bytes.
 
     def test_shares_are_contiguous_near_equal_and_capped_by_blocks(self, monkeypatch):
-        assert attacks.usable_cpus() == len(os.sched_getaffinity(0))
+        assert qsim.usable_cpus() == len(os.sched_getaffinity(0))
 
         def shares(cpus, trials, n):
-            monkeypatch.setattr(attacks, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(qsim, "usable_cpus", lambda: cpus)
             return [(r.start, r.stop) for r in attacks._shares(trials, n)]
 
         assert shares(1, 10000, 4) == [(0, 10000)]
@@ -637,7 +637,7 @@ class TestParallelTrials:
         monkeypatch.setattr(os, "fork", counted)
         reports = {}
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(attacks, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(qsim, "usable_cpus", lambda: cpus)
             if kind == "classical":
                 reports[cpus] = attacks.classical_search_attack(n, l, q, trials, seed)
             else:
@@ -657,8 +657,8 @@ class TestParallelTrials:
             "import contextlib, hashlib, io, os, sys\n"
             "if sys.argv[1] == 'pinned':\n"
             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "from qromlab import attacks, cli\n"
-            "print(attacks.usable_cpus())\n"
+            "from qromlab import cli, qsim\n"
+            "print(qsim.usable_cpus())\n"
             "for seed in (10, 3):\n"
             "    for argv in [\n"
             "        'attack --kind classical --n 3 --l 1 --q 4',\n"
@@ -694,7 +694,7 @@ class TestParallelTrials:
     @pytest.mark.parametrize("kind", ["classical", "grover"])
     def test_a_failing_trial_surfaces_and_leaves_no_child(self, kind, where, monkeypatch):
         # 600 trials at n = 6 are three blocks; two CPUs split them at 300
-        monkeypatch.setattr(attacks, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(qsim, "usable_cpus", lambda: 2)
         seed = 5
         failing = rom.derive_seed(seed, kind, 450 if where == "child" else 10)
         judge = game.run_with_world_classical
@@ -719,7 +719,7 @@ class TestParallelTrials:
     def test_an_interrupt_kills_the_children(self, monkeypatch):
         # the parent's share is interrupted at its first trial, while the
         # child's would take a minute: the child is killed, not awaited
-        monkeypatch.setattr(attacks, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(qsim, "usable_cpus", lambda: 2)
         parent = os.getpid()
 
         def interrupted(*args):
@@ -735,7 +735,7 @@ class TestParallelTrials:
         _no_child_left()
 
     def test_a_child_that_ends_without_a_result_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(attacks, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(qsim, "usable_cpus", lambda: 2)
         last = rom.derive_seed(5, "classical", 599)
         judge = game.run_with_world_classical
 

@@ -295,9 +295,12 @@ class TestErrors:
             (["--scheme", "winternitz", "--n", "0", "--l", "1", "--w", "4"],
              "security parameter n must be positive"),
             (["--scheme", "winternitz", "--n", "2", "--l", "0", "--w", "4"],
-             "chain count l must be positive"),
+             "chain count l must be at least 2, as l = l1 + l2 with l1, l2 >= 1"),
+            (["--scheme", "winternitz", "--n", "20", "--l", "1", "--w", "2"],
+             "chain count l must be at least 2, as l = l1 + l2 with l1, l2 >= 1"),
         ],
-        ids=["lamport-l0", "lamport-n-3", "winternitz-w1", "winternitz-n0", "winternitz-l0"],
+        ids=["lamport-l0", "lamport-n-3", "winternitz-w1", "winternitz-n0", "winternitz-l0",
+             "winternitz-l1"],
     )
     def test_bounds_of_a_scheme_that_does_not_exist_rejected(self, capsys, argv, message):
         code, out, err = run(capsys, "bounds", "--q", "1", *argv)

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import reference
+from test_attacks import Boom, _no_child_left
+
 from qromlab import game, lemmas, ots, qsim, qworlds, rom
 from qromlab.qsim import RegisterLayout
 from qromlab.qworlds import (
@@ -62,10 +64,13 @@ class TestBoundFormulas:
     def test_security_bounds_dispatch(self):
         doc = lemmas.security_bounds("lamport", 1, 20, 1)
         assert doc["simplified"] == pytest.approx(6286 * 2.0 ** -20)
-        doc = lemmas.security_bounds("winternitz", 1, 20, 1, w=2)
-        assert doc["simplified"] == pytest.approx(12800 / 2 ** 20)
+        doc = lemmas.security_bounds("winternitz", 1, 20, 2, w=2)
+        assert doc["simplified"] == pytest.approx(102400 / 2 ** 20)
         with pytest.raises(ValueError):
-            lemmas.security_bounds("winternitz", 1, 20, 1)
+            lemmas.security_bounds("winternitz", 1, 20, 2)
+        # l = l1 + l2: a Winternitz key has a message and a checksum chain
+        with pytest.raises(ValueError, match="at least 2"):
+            lemmas.security_bounds("winternitz", 1, 20, 1, w=2)
         with pytest.raises(ValueError):
             lemmas.security_bounds("lamport", -1, 20, 1)
 
@@ -137,7 +142,7 @@ class TestBoundsMatchThePerSchemeFormulas:
         # a Lamport key's chains have length 2 whatever --w reads
         at_w5 = lemmas.security_bounds("lamport", 7, 9, 3, 5)
         assert (at_w5["full"], at_w5["simplified"]) == reference.forgery_bound_lamport(7, 3, 9)
-        points = grid(FORGERY_QS, GRID_NS, GRID_LS, GRID_WS)
+        points = grid(FORGERY_QS, GRID_NS, GRID_LS[1:], GRID_WS)  # a Winternitz key has l >= 2
         got = [lemmas.security_bounds("winternitz", q, n, l, w) for q, n, l, w in points]
         assert ([(doc["full"], doc["simplified"]) for doc in got]
                 == [reference.forgery_bound_winternitz(q, l, w, n) for q, n, l, w in points])
@@ -502,24 +507,39 @@ class TestDriftCheck:
 
     def test_sweep_drift_rows_do_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS splits a dot product's sum by its thread count, so a norm
-        # taken by BLAS moves in its last bits between 1 and 2 threads.
+        # taken by BLAS moves in its last bits between 1 and 2 threads.  A
+        # sweep split over CPUs holds BLAS at one thread, so the thread
+        # counts are compared on serial sweeps, pinned to one CPU after
+        # numpy has started its threads; the split sweep must agree too.
         script = (
-            "import contextlib, io\n"
-            "from qromlab import cli\n"
+            "import contextlib, io, os, sys\n"
+            "import numpy\n"
+            "if sys.argv[1] == 'serial':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from qromlab import cli, qsim\n"
+            "found = qsim.blas_thread_functions()\n"
+            "print(qsim.usable_cpus(), found and found[0]())\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             "    cli.main(['lemmas', '--sweep', '--seed', '6'])\n"
             "print(''.join(r for r in out.getvalue().splitlines(True) if r.startswith('drift-')))\n"
         )
         src = str(Path(lemmas.__file__).resolve().parents[1])
-        rows = []
-        for threads in ("1", "2"):
+        runs = {}
+        for mode, threads in (("serial", "1"), ("serial", "2"), ("split", "2")):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            rows.append(subprocess.run([sys.executable, "-c", script], env=env,
-                                       capture_output=True, text=True, check=True).stdout)
-        assert rows[0].count("drift-") == 96
-        assert rows[0] == rows[1]
+            head, rows = subprocess.run([sys.executable, "-c", script, mode], env=env,
+                                        capture_output=True, text=True, check=True
+                                        ).stdout.split("\n", 1)
+            runs[mode, threads] = head.split(), rows
+        assert runs["serial", "1"][0][0] == runs["serial", "2"][0][0] == "1"
+        if runs["serial", "2"][0][1] != "None" and len(os.sched_getaffinity(0)) >= 2:
+            assert [runs["serial", t][0][1] for t in ("1", "2")] == ["1", "2"]
+        rows = runs["serial", "1"][1]
+        assert rows.count("drift-") == 96
+        assert runs["serial", "2"][1] == rows
+        assert runs["split", "2"][1] == rows
 
 
 # The sweep's drift points: (scheme, n, l, w).
@@ -645,3 +665,113 @@ class TestSweep:
         assert failures == []
         # monotonicity notes recorded for the commutator families
         assert any(r.lemma.endswith("-monotone") for r in reports)
+
+
+def _blas_threads():
+    """The loaded OpenBLAS's thread count, or None where it cannot be read."""
+    found = qsim.blas_thread_functions()
+    return found and found[0]()
+
+
+class TestParallelSweep:
+    # The sweep deals its drift points to one share per usable CPU, forks a
+    # child for each share but the first and holds BLAS at one thread while
+    # they run; its rows go back in grid order with the serial bits.
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    def test_points_are_the_grid_and_their_weight_is_the_game_layout(self):
+        points = lemmas.sweep_drift_points(6)
+        assert len(points) == 32 and len(set(points)) == 32
+        assert sorted({p[:4] for p in points}) == sorted(DRIFT_POINTS)
+        for point in points:
+            world = lemmas._scheme_world(*point[:4], 0, lambda bits: lemmas._blinding_for(bits, 0))
+            assert point.dim() == world.game_layout(include_xy=point.q0 + point.q1 > 0).dim
+
+    def test_points_are_dealt_largest_first_to_the_least_loaded_share(self):
+        points = lemmas.sweep_drift_points(6)
+        assert lemmas.deal_drift_points(points, 1) == [sorted(points, key=lambda p: -p.dim())]
+        for count in (2, 3, 4):
+            shares = lemmas.deal_drift_points(points, count)
+            assert sorted(p for share in shares for p in share) == sorted(points)
+            loads = [sum(p.dim() for p in share) for share in shares]
+            assert loads == sorted(loads)  # the parent plays the lightest
+            # largest first: each share's points in falling size, and each
+            # share's last point went to the lightest share, so no load
+            # exceeds the lightest by more than the largest point
+            for share in shares:
+                assert [p.dim() for p in share] == sorted((p.dim() for p in share), reverse=True)
+            assert loads[-1] - loads[0] <= max(p.dim() for p in points)
+        big = [p for p in points if p.dim() == 1 << 21]  # Lamport n = 2, l = 2 with queries
+        two = lemmas.deal_drift_points(points, 2)
+        assert len(big) == 3 and sorted(sum(p in big for p in share) for share in two) == [1, 2]
+
+    @pytest.mark.parametrize("seed", [6, 3])
+    def test_sweep_bytes_do_not_depend_on_the_cpus(self, seed, forks, monkeypatch):
+        threads = _blas_threads()
+        csv = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(qsim, "usable_cpus", lambda: cpus)
+            csv[cpus] = lemmas.reports_to_csv(lemmas.run_sweep(seed))
+            assert len(forks) == (cpus - 1 if threads is not None else 0)
+            forks.clear()
+            assert _blas_threads() == threads
+        assert csv[1].count("\ndrift-") == 96
+        assert csv[2] == csv[1] and csv[3] == csv[1]
+        _no_child_left()
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_a_failing_drift_point_surfaces_and_leaves_no_child(self, where, monkeypatch):
+        monkeypatch.setattr(qsim, "usable_cpus", lambda: 2)
+        if qsim.blas_thread_functions() is None:
+            pytest.skip("no BLAS thread count to hold: the sweep stays serial")
+        threads = _blas_threads()
+        parent, child = lemmas.deal_drift_points(lemmas.sweep_drift_points(6), 2)
+        failing = (child if where == "child" else parent)[-1]
+        check = lemmas.check_state_drift
+
+        def failing_check(*point):
+            if point == failing:
+                raise Boom(f"drift at seed {failing.program_seed}")
+            return check(*point)
+
+        monkeypatch.setattr(lemmas, "check_state_drift", failing_check)
+        if where == "child":
+            with pytest.raises(RuntimeError, match=r"sweep drift point DriftPoint\(") as info:
+                lemmas.run_sweep(6)
+            message = str(info.value)
+            assert message.startswith(f"sweep drift point {failing!r} failed in a child process")
+            assert f"Boom: drift at seed {failing.program_seed}" in message  # the child's traceback
+        else:
+            with pytest.raises(Boom):
+                lemmas.run_sweep(6)
+        assert _blas_threads() == threads
+        _no_child_left()
+
+    def test_without_a_blas_thread_count_the_sweep_makes_no_fork(self, forks, monkeypatch):
+        monkeypatch.setattr(qsim, "usable_cpus", lambda: 2)
+        serial = lemmas.reports_to_csv(lemmas.run_sweep(6))
+        forks.clear()
+        monkeypatch.setattr(qsim, "blas_thread_functions", lambda: None)
+        assert lemmas.reports_to_csv(lemmas.run_sweep(6)) == serial
+        assert forks == []
+
+    def test_the_hold_gives_back_the_thread_count_on_error(self):
+        threads = _blas_threads()
+        if threads is None:
+            pytest.skip("no BLAS thread count to read")
+        with pytest.raises(Boom):
+            with qsim.one_blas_thread() as held:
+                assert held and _blas_threads() == 1
+                raise Boom
+        assert _blas_threads() == threads
